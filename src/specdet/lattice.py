@@ -53,6 +53,9 @@ Index = tuple  # tuple[int, ...] of length dim
 DENSE_SIDE_LIMIT = 2048
 #: brute-force guard for box-squared enumerations without a support iterator
 BRUTE_PAIR_LIMIT = 4_000_000
+#: symbol samples (2R+1)^n * n_x^n allowed for the coefficient tables of one
+#: x-dependent toroidal quantization; about 0.5 GB of complex128 tables
+SAMPLE_LIMIT = 1 << 25
 
 
 def iter_box(dim: int, cutoff: int) -> Iterator[Index]:

@@ -34,7 +34,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
-from .lattice import Index, LatticeKernel, iter_box, lattice_determinant, nuclear_norm_estimate
+from .lattice import (
+    SAMPLE_LIMIT,
+    Index,
+    LatticeKernel,
+    iter_box,
+    lattice_determinant,
+    nuclear_norm_estimate,
+)
 from .plemelj import DetResult
 
 __all__ = [
@@ -67,6 +74,13 @@ class ToroidalSymbol:
     coefficients; when None a power-of-two grid of at least 4*(2R+1)
     points is chosen per cutoff.  ``x_independent`` declares that sigma
     does not depend on x, which is verified on sampled points.
+
+    ``eval_grid``, when given, takes (n_x, k) and returns the complex
+    array of shape (n_x,)*dim whose entry at grid position p is
+    ``eval((p_1/n_x, ..., p_dim/n_x), k)``, equal bit for bit, so that
+    coefficient tables do not depend on which of the two sampled them.
+    Tables of x-dependent symbols are sampled through it when present and
+    point by point through ``eval`` otherwise.
     """
 
     dim: int
@@ -75,6 +89,8 @@ class ToroidalSymbol:
     x_grid: int | None = None
     x_independent: bool = False
     label: str = ""
+    eval_grid: Callable[[int, Index], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,10 +115,14 @@ def _check_alias(l: Index, n_x: int, label: str):
         )
 
 
+def _non_finite(s: ToroidalSymbol, x: tuple, k: Index) -> EvaluationError:
+    return EvaluationError(f"symbol {s.label!r} is non-finite at (x={x}, k={k})")
+
+
 def _sample_value(s: ToroidalSymbol, x: tuple, k: Index) -> complex:
     v = complex(s.eval(x, k))
     if not cmath.isfinite(v):
-        raise EvaluationError(f"symbol {s.label!r} is non-finite at (x={x}, k={k})")
+        raise _non_finite(s, x, k)
     return v
 
 
@@ -140,10 +160,19 @@ def _coeff_table(s: ToroidalSymbol, k: Index, n_x: int):
         table = _SingleModeTable(base)
     else:
         grid = np.arange(n_x) / n_x
-        samples = np.empty((n_x,) * s.dim, dtype=np.complex128)
-        for pos in itertools.product(range(n_x), repeat=s.dim):
-            x = tuple(grid[p] for p in pos)
-            samples[pos] = _sample_value(s, x, k)
+        if s.eval_grid is not None:
+            samples = s.eval_grid(n_x, k)
+            finite = np.isfinite(samples)
+            if not finite.all():
+                # the first bad point in C order is the one the pointwise
+                # loop below would stop at
+                pos = np.unravel_index(int(np.argmin(finite)), finite.shape)
+                raise _non_finite(s, tuple(grid[p] for p in pos), k)
+        else:
+            samples = np.empty((n_x,) * s.dim, dtype=np.complex128)
+            for pos in itertools.product(range(n_x), repeat=s.dim):
+                x = tuple(grid[p] for p in pos)
+                samples[pos] = _sample_value(s, x, k)
         table = np.fft.fftn(samples) / samples.size
     s._tables[key] = table
     return table
@@ -168,6 +197,16 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     n_x = s.x_grid or _auto_grid(2 * cutoff)
     _check_alias((2 * cutoff,) * s.dim, n_x, s.label)
+    if not s.x_independent:
+        # x-independent symbols sample a few points per k and stay unguarded
+        count = (2 * cutoff + 1) ** s.dim * n_x ** s.dim
+        if count > SAMPLE_LIMIT:
+            raise FeasibilityError(
+                f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
+                f"samples on a {n_x}-point grid per axis, above the guard of "
+                f"{SAMPLE_LIMIT}",
+                count=count,
+            )
     tables = {k: _coeff_table(s, k, n_x) for k in iter_box(s.dim, cutoff)}
 
     def eval_fn(j: Index, m: Index) -> complex:
@@ -314,6 +353,55 @@ def _k_norm_sq(k: Index) -> float:
     return float(sum(x * x for x in k))
 
 
+# The grid samplers below replay the scalar evaluators' arithmetic on whole
+# arrays, one IEEE operation per step, so their samples equal ``eval`` bit
+# for bit.  A complex product is CPython's formula on (real, imag) pairs,
+#     (a, b) * (c, d) = (a*c - b*d, a*d + b*c),
+# also when one factor is a float g, which CPython up to 3.13 promotes to
+# (g, 0.0).  The waves use real np.cos/np.sin and so rely on numpy taking
+# float64 cos/sin from the C library, as cmath.exp does; the bitwise test
+# in tests/test_toroidal.py checks this.  Complex np.exp has its own code
+# path and need not agree with cmath.exp in the last bit.
+
+def _grid_wave(n_x: int, dim: int, theta: Index):
+    """(real, imag) samples of e^{2*pi*i*x.theta} on the n_x^dim grid, each
+    the value ``cmath.exp`` gives the scalar evaluators."""
+    grid = np.arange(n_x) / n_x
+    phase = np.zeros((n_x,) * dim)  # sum() starts from 0
+    for axis, t in enumerate(theta):
+        phase = phase + grid.reshape((n_x,) + (1,) * (dim - 1 - axis)) * t
+    # the argument (2j * math.pi) * phase is (+-0.0, 0.0 + 2*pi*phase), so
+    # cmath.exp returns (1.0 * cos(y), 1.0 * sin(y)); phase is never -0.0
+    y = (2 * math.pi) * phase
+    return np.cos(y), np.sin(y)
+
+
+def _mul(a_re, a_im, b_re, b_im):
+    """CPython's complex product on (real, imag) pairs."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _wave_sum(waves: dict, n_x: int, dim: int, terms):
+    """sum_theta c_theta e^{2*pi*i*x.theta} accumulated from 0.0j in the
+    order of ``terms``, a sequence of (theta, c) pairs; ``waves`` caches
+    the grid waves per (n_x, theta)."""
+    acc_re = acc_im = np.zeros((n_x,) * dim)
+    for theta, c in terms:
+        key = (n_x, theta)
+        if key not in waves:
+            waves[key] = _grid_wave(n_x, dim, theta)
+        p_re, p_im = _mul(c.real, c.imag, *waves[key])
+        acc_re, acc_im = acc_re + p_re, acc_im + p_im
+    return acc_re, acc_im
+
+
+def _to_complex(re, im) -> np.ndarray:
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def power_decay_symbol(order: float, dim: int = 1, amplitude: complex = 1.0,
                        label: str = "") -> ToroidalSymbol:
     """x-independent symbol c * (1 + |k|^2)^(order/2)."""
@@ -357,8 +445,18 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
             osc += c * cmath.exp(2j * math.pi * phase)
         return osc * amplitude * (1.0 + _k_norm_sq(k)) ** (decay_order / 2.0)
 
+    waves, x_parts = {}, {}  # x_parts: n_x -> osc(x) * amplitude on the grid
+
+    def eval_grid(n_x, k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n_x not in x_parts:
+                osc = _wave_sum(waves, n_x, dim, mode_table.items())
+                x_parts[n_x] = _mul(*osc, amplitude.real, amplitude.imag)
+            g = (1.0 + _k_norm_sq(k)) ** (decay_order / 2.0)
+            return _to_complex(*_mul(*x_parts[n_x], g, 0.0))
+
     return ToroidalSymbol(dim, decay_order, eval_fn, x_independent=x_indep,
-                          label=label or "modulated")
+                          label=label or "modulated", eval_grid=eval_grid)
 
 
 def table_symbol(entries, dim: int = 1, order: float = 0.0,
@@ -382,5 +480,15 @@ def table_symbol(entries, dim: int = 1, order: float = 0.0,
                 acc += v * cmath.exp(2j * math.pi * phase)
         return acc
 
+    by_k = {}  # k -> [(l, sigma_hat(l, k))] in the order eval_fn adds them
+    for (l, kk), v in table.items():
+        by_k.setdefault(kk, []).append((l, v))
+
+    waves = {}
+
+    def eval_grid(n_x, k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _to_complex(*_wave_sum(waves, n_x, dim, by_k.get(k, ())))
+
     return ToroidalSymbol(dim, order, eval_fn, x_independent=x_indep,
-                          label=label or "coefficient-table")
+                          label=label or "coefficient-table", eval_grid=eval_grid)

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -115,6 +116,13 @@ def test_feasibility_guard_exits_3():
                              "--cutoff", "20000"])
     assert code == 3
     assert json.loads(err)["error"] == "feasibility"
+    # an x-dependent symbol is refused before any coefficient table is built
+    start = time.perf_counter()
+    code, _, err = run_json(["det", "--input", "fixtures/toroidal_modulated.json",
+                             "--cutoff", "5000"])
+    assert code == 3
+    assert json.loads(err)["error"] == "feasibility"
+    assert time.perf_counter() - start < 5.0
 
 
 def test_missing_file_exits_2():

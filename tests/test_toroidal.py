@@ -22,7 +22,7 @@ from specdet import (
     toroidal_determinant,
     toroidal_matrix,
 )
-from specdet.errors import AliasingError, EvaluationError, ParameterError
+from specdet.errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 
 from support import rand_complex
 
@@ -266,6 +266,69 @@ def test_false_x_independence_claim_is_caught():
                        x_independent=True, label="liar")
     with pytest.raises(EvaluationError, match="x-independent"):
         symbol_fourier_coeff(s, 0, 0, x_grid=32)
+
+
+def _grid_and_pointwise(make):
+    """Two fresh copies of a symbol; the second samples point by point."""
+    grid, pointwise = make(), make()
+    assert grid.eval_grid is not None
+    pointwise.eval_grid = None
+    return grid, pointwise
+
+
+@pytest.mark.parametrize("dim, cutoff, x_grid", [(1, 4, None), (1, 4, 37),
+                                                 (2, 1, None), (2, 2, 12)])
+@pytest.mark.parametrize("family", ["modulated", "table"])
+def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
+    rng = np.random.default_rng(44 + dim)
+
+    def index():
+        return tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+
+    if family == "modulated":
+        modes = {index(): rand_complex(rng) for _ in range(4)}
+        amplitude = rand_complex(rng, 2.0)
+
+        def make():
+            return modulated_symbol(modes, -2.5, dim=dim, amplitude=amplitude)
+    else:
+        entries = {(index(), index()): rand_complex(rng) for _ in range(8)}
+
+        def make():
+            return table_symbol(entries, dim=dim, order=-2.0)
+
+    grid, pointwise = _grid_and_pointwise(make)
+    grid.x_grid = pointwise.x_grid = x_grid
+    toroidal_matrix(grid, cutoff)
+    toroidal_matrix(pointwise, cutoff)
+    assert grid._tables.keys() == pointwise._tables.keys()
+    assert len(grid._tables) == (2 * cutoff + 1) ** dim
+    for key, table in grid._tables.items():
+        assert np.array_equal(table.view(np.int64), pointwise._tables[key].view(np.int64))
+
+
+@pytest.mark.parametrize("modes, dim", [({1: 10.0}, 1),
+                                        # overflows first off the origin
+                                        ({(1, 0): 10.0, (0, 1): 10.0, (0, 0): -20.0}, 2)])
+def test_non_finite_sample_is_named_on_both_paths(modes, dim):
+    messages = []
+    for s in _grid_and_pointwise(
+            lambda: modulated_symbol(modes, -2.0, dim=dim, amplitude=1e308)):
+        with pytest.raises(EvaluationError, match=r"non-finite at \(x=.*, k=\(-1,") as info:
+            toroidal_matrix(s, 1)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_sample_guard_refuses_before_sampling():
+    s = modulated_symbol({1: 0.25, -1: 0.25}, -2.0)
+    with pytest.raises(FeasibilityError) as info:
+        toroidal_matrix(s, 5000)
+    assert info.value.count == 10001 * 131072
+    assert not s._tables
+    # x-independent symbols sample a few points per k and are not guarded
+    k = toroidal_matrix(power_decay_symbol(-2.0), 5000)
+    assert k.eval((5000,), (5000,)) == pytest.approx(1.0 / (1.0 + 5000 ** 2))
 
 
 def test_two_dimensional_symbol_round_trip():
