@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ParameterError, ShapeError
+from .invariant import WeightedBlockPowers
 from .linalg import CMatrix, mat_add, mat_mul, mat_trace
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -200,29 +201,11 @@ def flatten_symbol(a: BundleSymbol, xi: str) -> CMatrix:
     return CMatrix.from_rows(out)
 
 
-class _FlattenedPowers:
-    """Incremental trace powers sum_xi d_xi Tr(S_xi^m)."""
-
-    def __init__(self, a: BundleSymbol):
-        self._mats = [(d, flatten_symbol(a, xi)) for xi, d in a.dual.blocks]
-        self._current = [m for _, m in self._mats]
-        self._traces: list[complex] = []
-
-    def trace(self, m: int) -> complex:
-        while len(self._traces) < m:
-            if self._traces:
-                self._current = [mat_mul(p, base)
-                                 for p, (_, base) in zip(self._current, self._mats)]
-            acc = 0.0j
-            for (d, _), p in zip(self._mats, self._current):
-                acc += d * mat_trace(p)
-            self._traces.append(acc)
-        return self._traces[m - 1]
-
-
 def bundle_trace_source(a: BundleSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_xi d_xi Tr(S_xi^m) with incremental powers."""
-    return TracePowerSource(_FlattenedPowers(a).trace, label=a.label)
+    powers = WeightedBlockPowers([flatten_symbol(a, xi) for xi, _ in a.dual.blocks],
+                                 [d for _, d in a.dual.blocks])
+    return TracePowerSource(powers.trace, label=a.label)
 
 
 def bundle_determinant(a: BundleSymbol, lam: complex, order: int = 30,

@@ -15,6 +15,7 @@ reports byte-stable across runs of the same build.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -345,7 +346,10 @@ def _parse_lambda(text: str) -> complex:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: building it
+    costs several times what parsing one command line does."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="operator spec file (JSON)")
     common.add_argument("--lambda", dest="lam", type=_parse_lambda,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .linalg import CMatrix, mat_mul, mat_trace
+from .linalg import CMatrix, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "block_trace",
     "block_power_trace",
     "block_trace_source",
+    "WeightedBlockPowers",
     "spectral_trace_source",
     "invariant_determinant",
     "manifold_determinant",
@@ -103,30 +104,49 @@ def block_power_trace(s: BlockSymbol, m: int) -> complex:
     return acc
 
 
-class _BlockPowers:
-    """Incremental per-block powers so a determinant costs one multiply
-    per block per order."""
+class WeightedBlockPowers:
+    """Incremental trace powers sum_b w_b Tr(B_b^m) over square blocks.
 
-    def __init__(self, s: BlockSymbol):
-        self._blocks = s.blocks
-        self._current = list(s.blocks)
+    Blocks of one size are stacked once, so each order costs one batched
+    ``np.matmul`` per distinct block size.  Per-block traces are then summed
+    in the original block order, so the result does not depend on how the
+    blocks group by size.
+    """
+
+    def __init__(self, blocks, weights):
+        self._weights = tuple(weights)
+        by_size: dict = {}
+        for pos, b in enumerate(blocks):
+            by_size.setdefault(b.rows, []).append(pos)
+        self._groups = [
+            (positions, np.array([blocks[p].entries for p in positions],
+                                 dtype=np.complex128).reshape(len(positions), size, size))
+            for size, positions in by_size.items()
+        ]
+        self._current = [base for _, base in self._groups]
         self._traces: list[complex] = []
 
     def trace(self, m: int) -> complex:
         while len(self._traces) < m:
             if self._traces:
-                self._current = [mat_mul(p, b)
-                                 for p, b in zip(self._current, self._blocks)]
+                self._current = [np.matmul(p, base)
+                                 for p, (_, base) in zip(self._current, self._groups)]
+            per_block = [0.0j] * len(self._weights)
+            for (positions, _), p in zip(self._groups, self._current):
+                diag = p.diagonal(axis1=1, axis2=2).sum(axis=1)
+                for pos, t in zip(positions, diag.tolist()):
+                    per_block[pos] = t
             acc = 0.0j
-            for p in self._current:
-                acc += mat_trace(p)
+            for w, t in zip(self._weights, per_block):
+                acc += w * t
             self._traces.append(acc)
         return self._traces[m - 1]
 
 
 def block_trace_source(s: BlockSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_l Tr(sigma(l)^m) with incremental powers."""
-    return TracePowerSource(_BlockPowers(s).trace, label=s.label)
+    return TracePowerSource(WeightedBlockPowers(s.blocks, [1] * len(s.blocks)).trace,
+                            label=s.label)
 
 
 def spectral_trace_source(sp: SpectralModel, alpha: float) -> TracePowerSource:

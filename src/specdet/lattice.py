@@ -51,6 +51,16 @@ Index = tuple  # tuple[int, ...] of length dim
 
 #: largest truncation side handled densely before structure is required
 DENSE_SIDE_LIMIT = 2048
+#: smallest truncation side at which a kernel with a declared band or
+#: support iterator may take the sparse path.  On a 2-core x86-64 VM
+#: (numpy 2.4.6, scipy 1.17.1) one product of the 15th power of a
+#: tridiagonal truncation took 8.3 ms dense and 0.42 ms sparse at side 381,
+#: 0.51 and 0.22 ms at side 128, and 0.12 and 0.20 ms at side 64: the
+#: crossover lies near side 100, below which scipy's per-product overhead
+#: (about 0.1-0.2 ms) loses
+SPARSE_SIDE_MIN = 128
+#: above SPARSE_SIDE_MIN, sparse when nnz <= side^2 / SPARSE_FILL_DIVISOR
+SPARSE_FILL_DIVISOR = 32
 #: brute-force guard for box-squared enumerations without a support iterator
 BRUTE_PAIR_LIMIT = 4_000_000
 #: symbol samples (2R+1)^n * n_x^n allowed for the coefficient tables of one
@@ -192,19 +202,13 @@ class _IndexMap:
 
 
 def _assemble_dense(k: LatticeKernel, cutoff: int) -> np.ndarray:
+    """Dense truncation of a kernel without declared structure, entry by entry."""
     imap = _IndexMap(k.dim, cutoff)
     side = len(imap.points)
     a = np.zeros((side, side), dtype=np.complex128)
-    if k.support_iter is not None:
-        for j, m, v in k.support_iter(cutoff):
-            a[imap.position[j], imap.position[m]] = complex(v)
-    else:
-        band = k.band_radius
-        for r, j in enumerate(imap.points):
-            for c, m in enumerate(imap.points):
-                if band is not None and max(abs(x - y) for x, y in zip(j, m)) > band:
-                    continue
-                a[r, c] = complex(k.eval(j, m))
+    for r, j in enumerate(imap.points):
+        for c, m in enumerate(imap.points):
+            a[r, c] = complex(k.eval(j, m))
     if not np.isfinite(a).all():
         bad = np.argwhere(~np.isfinite(a))[0]
         raise EvaluationError(
@@ -217,9 +221,18 @@ def _assemble_dense(k: LatticeKernel, cutoff: int) -> np.ndarray:
 class _TracePowers:
     """Incremental Tr(T^m) of the box truncation of a kernel.
 
-    Picks a representation once (diagonal vector, dense array, or sparse
-    matrix) and caches traces as successive powers are formed, so a
-    determinant evaluation costs one matrix product per series order.
+    Picks a representation once and caches traces as successive powers are
+    formed, so a determinant evaluation costs one matrix product per series
+    order.  ``mode`` names the representation:
+
+    - ``diag``: band radius 0, a vector of diagonal entries;
+    - ``sparse``: a kernel with a declared band or support iterator whose
+      truncation is at least ``SPARSE_SIDE_MIN`` wide and holds at most
+      ``side^2 / SPARSE_FILL_DIVISOR`` nonzeros, or exceeds
+      ``DENSE_SIDE_LIMIT``;
+    - ``dense``: everything else up to ``DENSE_SIDE_LIMIT``, built from the
+      collected nonzero entries when the kernel declares structure and
+      entry by entry otherwise.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
@@ -234,37 +247,26 @@ class _TracePowers:
             if not np.isfinite(diag).all():
                 bad = list(iter_box(k.dim, cutoff))[int(np.argwhere(~np.isfinite(diag))[0])]
                 raise EvaluationError(f"kernel {k.label!r} is non-finite at (j={bad}, m={bad})")
-            self._mode = "diag"
-            self._diag = diag
-            self._cur = diag.copy()
-        elif self.side <= DENSE_SIDE_LIMIT:
-            self._mode = "dense"
-            self._base = _assemble_dense(k, cutoff)
-            self._cur = self._base.copy()
+            self.mode = "diag"
+            self._base = diag
         elif k.support_iter is not None or k.band_radius is not None:
-            from scipy import sparse
+            rows, cols, vals = _structured_entries(k, cutoff)
+            if self.side > DENSE_SIDE_LIMIT or (
+                    self.side >= SPARSE_SIDE_MIN
+                    and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side):
+                from scipy import sparse
 
-            imap = _IndexMap(k.dim, cutoff)
-            rows, cols, vals = [], [], []
-            if k.support_iter is not None:
-                source = k.support_iter(cutoff)
+                self.mode = "sparse"
+                self._base = sparse.csr_matrix(
+                    (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
+                )
             else:
-                source = _band_entries(k, cutoff)
-            for j, m, v in source:
-                v = complex(v)
-                if not cmath.isfinite(v):
-                    raise EvaluationError(
-                        f"kernel {k.label!r} is non-finite at (j={j}, m={m})"
-                    )
-                if v != 0:
-                    rows.append(imap.position[j])
-                    cols.append(imap.position[m])
-                    vals.append(v)
-            self._mode = "sparse"
-            self._base = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
-            )
-            self._cur = self._base.copy()
+                self.mode = "dense"
+                self._base = np.zeros((self.side, self.side), dtype=np.complex128)
+                self._base[rows, cols] = vals
+        elif self.side <= DENSE_SIDE_LIMIT:
+            self.mode = "dense"
+            self._base = _assemble_dense(k, cutoff)
         else:
             raise FeasibilityError(
                 f"truncation side {self.side} exceeds the dense limit "
@@ -272,25 +274,37 @@ class _TracePowers:
                 f"radius nor a support iterator",
                 count=self.side,
             )
+        self._cur = self._base
 
     def trace(self, m: int) -> complex:
         if m < 1:
             raise ParameterError(f"trace power must be >= 1, got {m}")
+        diag = self.mode == "diag"
         while len(self._traces) < m:
             if self._traces:  # advance current power by one order
-                if self._mode == "diag":
-                    self._cur = self._cur * self._diag
-                elif self._mode == "dense":
-                    self._cur = self._cur @ self._base
-                else:
-                    self._cur = self._cur @ self._base
-            if self._mode == "diag":
-                self._traces.append(complex(self._cur.sum()))
-            elif self._mode == "dense":
-                self._traces.append(complex(np.trace(self._cur)))
-            else:
-                self._traces.append(complex(self._cur.diagonal().sum()))
+                self._cur = self._cur * self._base if diag else self._cur @ self._base
+            self._traces.append(complex(self._cur.sum() if diag
+                                        else self._cur.diagonal().sum()))
         return self._traces[m - 1]
+
+
+def _structured_entries(k: LatticeKernel, cutoff: int) -> tuple:
+    """Positions and values of the nonzero entries of the truncation, from
+    the support iterator or else the declared band, each checked finite."""
+    imap = _IndexMap(k.dim, cutoff)
+    rows, cols, vals = [], [], []
+    source = k.support_iter(cutoff) if k.support_iter is not None else _band_entries(k, cutoff)
+    for j, m, v in source:
+        v = complex(v)
+        if not cmath.isfinite(v):
+            raise EvaluationError(
+                f"kernel {k.label!r} is non-finite at (j={j}, m={m})"
+            )
+        if v != 0:
+            rows.append(imap.position[j])
+            cols.append(imap.position[m])
+            vals.append(v)
+    return rows, cols, vals
 
 
 def _band_entries(k: LatticeKernel, cutoff: int) -> Iterator[tuple]:

@@ -17,7 +17,6 @@ __all__ = [
     "CMatrix",
     "mat_mul",
     "mat_add",
-    "mat_scale",
     "mat_trace",
     "mat_power_trace",
     "lu_determinant",
@@ -110,11 +109,6 @@ def mat_add(a: CMatrix, b: CMatrix) -> CMatrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeError(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
     return CMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
-def mat_scale(c: complex, a: CMatrix) -> CMatrix:
-    c = complex(c)
-    return CMatrix(a.rows, a.cols, tuple(c * x for x in a.entries))
 
 
 def mat_trace(m: CMatrix) -> complex:

@@ -12,6 +12,7 @@ from specdet import (
     bundle_determinant_product,
     bundle_power,
     bundle_trace,
+    bundle_trace_source,
     flatten_symbol,
     invariant_determinant,
     literal_power_symbol,
@@ -172,6 +173,27 @@ def test_trace_matches_weighted_flatten_trace():
     a = random_bundle(rng, fiber_dim=3, dual_dims=(1, 2))
     expected = sum(d * mat_trace(flatten_symbol(a, xi)) for xi, d in a.dual.blocks)
     assert abs(bundle_trace(a) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_trace_source_matches_cmatrix_route():
+    # batched numpy powers of the flattened S_xi against the CMatrix route
+    # (bundle_power's iterated composition, then the d_xi-weighted trace),
+    # with d_xi > 1
+    rng = np.random.default_rng(71)
+    a = random_bundle(rng, fiber_dim=2, dual_dims=(1, 3, 2, 4, 1), scale=0.3)
+    src = bundle_trace_source(a)
+    power = bundle_power(a, 1)
+    for m in range(1, 41):
+        if m > 1:
+            power = bundle_compose(a, power)
+        expected = bundle_trace(power)
+        assert abs(src.trace_power(m) - expected) <= 1e-13 * abs(expected)
+
+
+def test_trace_source_of_empty_dual_object():
+    a = BundleSymbol.from_entries(2, DualObject(()), {})
+    src = bundle_trace_source(a)
+    assert [src.trace_power(m) for m in (1, 4)] == [0, 0]
 
 
 def test_determinant_of_zero_symbol():

@@ -9,6 +9,7 @@ from specdet import (
     SpectralModel,
     block_power_trace,
     block_trace,
+    block_trace_source,
     circle_model,
     invariant_determinant,
     lu_determinant,
@@ -69,6 +70,27 @@ def test_block_power_trace_matches_assembled_matrix():
         expected = mat_power_trace(assembled, m)
         got = block_power_trace(s, m)
         assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
+
+
+def test_block_source_matches_cmatrix_route():
+    # batched numpy powers against per-block CMatrix products, over mixed
+    # block sizes 1-8 with complex entries and a nilpotent block
+    rng = np.random.default_rng(54)
+    blocks = [rand_cmatrix(rng, n, scale=0.35) for n in (3, 1, 8, 2, 5, 1, 7, 4, 6, 2)]
+    blocks.insert(4, CMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    s = BlockSymbol(blocks)
+    src = block_trace_source(s)
+    for m in range(1, 41):
+        expected = block_power_trace(s, m)
+        assert abs(src.trace_power(m) - expected) <= 1e-13 * abs(expected)
+
+
+def test_block_source_of_nilpotent_and_empty_symbols():
+    nilpotent = block_trace_source(BlockSymbol((CMatrix.from_rows([[0, 2], [0, 0]]),)))
+    assert [nilpotent.trace_power(m) for m in (1, 2, 3)] == [0, 0, 0]
+    empty = block_trace_source(BlockSymbol(()))
+    assert [empty.trace_power(m) for m in (1, 5)] == [0, 0]
+    assert invariant_determinant(BlockSymbol(()), 0.5, order=10).value == 1
 
 
 def test_power_symbol_equals_powered_blocks_exactly():

@@ -146,6 +146,50 @@ def test_sparse_path_agrees_with_dense(monkeypatch):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
+def _band_only_tridiagonal():
+    # declares a band but no support iterator, so entries come from the band walk
+    def eval_fn(j, m):
+        return {-1: -0.15, 0: 0.3, 1: 0.2 - 0.1j}.get(m[0] - j[0], 0.0j)
+
+    return LatticeKernel(1, eval_fn, band_radius=1, label="band-only")
+
+
+@pytest.mark.parametrize("make_kernel", [
+    lambda: banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200),
+    _band_only_tridiagonal,
+])
+def test_banded_truncation_takes_sparse_path(monkeypatch, make_kernel):
+    k = make_kernel()
+    powers = lattice_mod._TracePowers(k, 190)
+    assert powers.mode == "sparse"
+    sparse = [powers.trace(m) for m in range(1, 31)]
+    monkeypatch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
+    reference = lattice_mod._TracePowers(k, 190)
+    assert reference.mode == "dense"
+    for m, got in enumerate(sparse, start=1):
+        expected = reference.trace(m)
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_dense_kernels_and_small_sides_stay_dense():
+    g = {j: 0.5 / (1 + abs(j)) for j in range(-70, 71)}
+    h = {j: (0.3 - 0.2j) / (1 + j * j) for j in range(-70, 71)}
+    full = rank_one_kernel(g, h)
+    powers = lattice_mod._TracePowers(full, 70)
+    assert powers.side >= lattice_mod.SPARSE_SIDE_MIN and powers.mode == "dense"
+    # the array built from the collected entries against the oracle's
+    # entry-by-entry assembly
+    a = np.array(assemble_truncation(full, 70).row_lists())
+    for m in (1, 2, 5):
+        expected = np.trace(np.linalg.matrix_power(a, m))
+        assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
+    tri = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200)
+    for cutoff in (1, 6, 40, 63):  # side 127 is the largest below SPARSE_SIDE_MIN
+        assert lattice_mod._TracePowers(tri, cutoff).mode == "dense"
+        assert lattice_mod._TracePowers(_band_only_tridiagonal(), cutoff).mode == "dense"
+    assert lattice_mod._TracePowers(tri, 64).mode == "sparse"
+
+
 def test_diagonal_fast_path_agrees_with_dense():
     entries = {j: rand_complex(np.random.default_rng(26), 0.5) for j in range(-3, 4)}
     diag = diagonal_kernel(entries)
