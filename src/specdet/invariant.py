@@ -38,7 +38,6 @@ __all__ = [
     "block_trace",
     "block_power_trace",
     "block_trace_source",
-    "WeightedBlockPowers",
     "spectral_trace_source",
     "invariant_determinant",
     "manifold_determinant",
@@ -104,7 +103,7 @@ def block_power_trace(s: BlockSymbol, m: int) -> complex:
     return acc
 
 
-class WeightedBlockPowers:
+class _WeightedBlockPowers:
     """Incremental trace powers sum_b w_b Tr(B_b^m) over square blocks.
 
     Blocks of one size are stacked once, so each order costs one batched
@@ -145,7 +144,7 @@ class WeightedBlockPowers:
 
 def block_trace_source(s: BlockSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_l Tr(sigma(l)^m) with incremental powers."""
-    return TracePowerSource(WeightedBlockPowers(s.blocks, [1] * len(s.blocks)).trace,
+    return TracePowerSource(_WeightedBlockPowers(s.blocks, [1] * len(s.blocks)).trace,
                             label=s.label)
 
 

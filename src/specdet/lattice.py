@@ -59,7 +59,18 @@ DENSE_SIDE_LIMIT = 2048
 #: crossover lies near side 100, below which scipy's per-product overhead
 #: (about 0.1-0.2 ms) loses
 SPARSE_SIDE_MIN = 128
-#: above SPARSE_SIDE_MIN, sparse when nnz <= side^2 / SPARSE_FILL_DIVISOR
+#: above SPARSE_SIDE_MIN, sparse when nnz <= side^2 / SPARSE_FILL_DIVISOR.
+#: Same machine, 30 orders of a complex Toeplitz band of half-width b, so the
+#: fill-in of T^m (band m*b) is included; sparse chain against dense chain,
+#: with side^2/nnz in brackets:
+#:   side  128: b=1 [43] 6.2 vs 8.3 ms,  b=2 [26] 10.4 vs 8.3 ms
+#:   side  256: b=4 [29] 42 vs 78 ms,    b=8 [15] 122 vs 78 ms
+#:   side  512: b=8 [30] 0.30 vs 0.43 s, b=16 [16] 0.78 vs 0.43 s
+#:   side 1024: b=16 [31] 1.6 vs 2.1 s,  b=32 [16] 5.5 vs 2.1 s
+#:   side 2048: b=32 [32] 12.7 vs 23 s,  b=64 [16] over 34 vs 23 s
+#: Sparse won at every ratio from 28 up and lost at every ratio up to 26; a
+#: full rank-one truncation (ratio 1) ran 28-40 times slower sparse at sides
+#: 129-513
 SPARSE_FILL_DIVISOR = 32
 #: brute-force guard for box-squared enumerations without a support iterator
 BRUTE_PAIR_LIMIT = 4_000_000
@@ -223,7 +234,7 @@ class _TracePowers:
 
     Picks a representation once and caches traces as successive powers are
     formed, so a determinant evaluation costs one matrix product per series
-    order.  ``mode`` names the representation:
+    order.  ``_mode`` names the representation:
 
     - ``diag``: band radius 0, a vector of diagonal entries;
     - ``sparse``: a kernel with a declared band or support iterator whose
@@ -247,7 +258,7 @@ class _TracePowers:
             if not np.isfinite(diag).all():
                 bad = list(iter_box(k.dim, cutoff))[int(np.argwhere(~np.isfinite(diag))[0])]
                 raise EvaluationError(f"kernel {k.label!r} is non-finite at (j={bad}, m={bad})")
-            self.mode = "diag"
+            self._mode = "diag"
             self._base = diag
         elif k.support_iter is not None or k.band_radius is not None:
             rows, cols, vals = _structured_entries(k, cutoff)
@@ -256,16 +267,16 @@ class _TracePowers:
                     and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side):
                 from scipy import sparse
 
-                self.mode = "sparse"
+                self._mode = "sparse"
                 self._base = sparse.csr_matrix(
                     (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
                 )
             else:
-                self.mode = "dense"
+                self._mode = "dense"
                 self._base = np.zeros((self.side, self.side), dtype=np.complex128)
                 self._base[rows, cols] = vals
         elif self.side <= DENSE_SIDE_LIMIT:
-            self.mode = "dense"
+            self._mode = "dense"
             self._base = _assemble_dense(k, cutoff)
         else:
             raise FeasibilityError(
@@ -279,7 +290,7 @@ class _TracePowers:
     def trace(self, m: int) -> complex:
         if m < 1:
             raise ParameterError(f"trace power must be >= 1, got {m}")
-        diag = self.mode == "diag"
+        diag = self._mode == "diag"
         while len(self._traces) < m:
             if self._traces:  # advance current power by one order
                 self._cur = self._cur * self._base if diag else self._cur @ self._base
@@ -308,12 +319,14 @@ def _structured_entries(k: LatticeKernel, cutoff: int) -> tuple:
 
 
 def _band_entries(k: LatticeKernel, cutoff: int) -> Iterator[tuple]:
+    """Pairs (j, m) of the box with |j - m|_inf <= band, in lexicographic
+    order; each coordinate range is clipped to the box, so a band wider
+    than the box costs no more than the full side^2 walk."""
     band = k.band_radius
     for j in iter_box(k.dim, cutoff):
-        for offset in itertools.product(range(-band, band + 1), repeat=k.dim):
-            m = tuple(x + d for x, d in zip(j, offset))
-            if all(abs(x) <= cutoff for x in m):
-                yield j, m, k.eval(j, m)
+        near = [range(max(-cutoff, x - band), min(cutoff, x + band) + 1) for x in j]
+        for m in itertools.product(*near):
+            yield j, m, k.eval(j, m)
 
 
 def truncation_trace_source(k: LatticeKernel, cutoff: int,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -161,14 +162,35 @@ def _band_only_tridiagonal():
 def test_banded_truncation_takes_sparse_path(monkeypatch, make_kernel):
     k = make_kernel()
     powers = lattice_mod._TracePowers(k, 190)
-    assert powers.mode == "sparse"
+    assert powers._mode == "sparse"
     sparse = [powers.trace(m) for m in range(1, 31)]
     monkeypatch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
     reference = lattice_mod._TracePowers(k, 190)
-    assert reference.mode == "dense"
+    assert reference._mode == "dense"
     for m, got in enumerate(sparse, start=1):
         expected = reference.trace(m)
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_band_wider_than_box_walks_only_the_box():
+    calls = []
+
+    def eval_fn(j, m):
+        calls.append((j, m))
+        return (0.02 + 0.01j * (j[0] - m[1])) / (1 + abs(j[0] - m[0]) + abs(j[1] - m[1]))
+
+    # walking all (2*300+1)^2 offsets around each of the 49 points would
+    # take 17.7 million steps; the walk clipped to the box takes 49^2
+    k = LatticeKernel(2, eval_fn, band_radius=300, label="wide-band")
+    start = time.perf_counter()
+    powers = lattice_mod._TracePowers(k, 3)
+    assert time.perf_counter() - start < 1.0
+    side = powers.side
+    assert side == 49 and len(calls) == side * side
+    a = np.array(assemble_truncation(k, 3).row_lists())
+    for m in (1, 2, 3, 7):
+        expected = np.trace(np.linalg.matrix_power(a, m))
+        assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_dense_kernels_and_small_sides_stay_dense():
@@ -176,7 +198,7 @@ def test_dense_kernels_and_small_sides_stay_dense():
     h = {j: (0.3 - 0.2j) / (1 + j * j) for j in range(-70, 71)}
     full = rank_one_kernel(g, h)
     powers = lattice_mod._TracePowers(full, 70)
-    assert powers.side >= lattice_mod.SPARSE_SIDE_MIN and powers.mode == "dense"
+    assert powers.side >= lattice_mod.SPARSE_SIDE_MIN and powers._mode == "dense"
     # the array built from the collected entries against the oracle's
     # entry-by-entry assembly
     a = np.array(assemble_truncation(full, 70).row_lists())
@@ -185,9 +207,12 @@ def test_dense_kernels_and_small_sides_stay_dense():
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
     tri = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200)
     for cutoff in (1, 6, 40, 63):  # side 127 is the largest below SPARSE_SIDE_MIN
-        assert lattice_mod._TracePowers(tri, cutoff).mode == "dense"
-        assert lattice_mod._TracePowers(_band_only_tridiagonal(), cutoff).mode == "dense"
-    assert lattice_mod._TracePowers(tri, 64).mode == "sparse"
+        assert lattice_mod._TracePowers(tri, cutoff)._mode == "dense"
+        assert lattice_mod._TracePowers(_band_only_tridiagonal(), cutoff)._mode == "dense"
+    assert lattice_mod._TracePowers(tri, 64)._mode == "sparse"
+    # a band of half-width 8 fills 17 of 141 entries per row: above side^2/32
+    wide = banded_kernel({d: 0.05 for d in range(-8, 9)}, support=200)
+    assert lattice_mod._TracePowers(wide, 70)._mode == "dense"
 
 
 def test_diagonal_fast_path_agrees_with_dense():
