@@ -319,17 +319,12 @@ def torus2_model(J: int, nu: float = 2.0, label: str = "torus2") -> SpectralMode
         raise ParameterError(f"J must be >= 0, got {J}")
     bound = max(4, int(math.isqrt(2 * J + 4)) + 2)
     while True:
-        counts: dict[int, int] = {}
-        for a in range(-bound, bound + 1):
-            for b in range(-bound, bound + 1):
-                q = a * a + b * b
-                if q <= bound * bound:
-                    counts[q] = counts.get(q, 0) + 1
-        norms = sorted(counts)
-        if len(norms) >= J + 1:
-            norms = norms[: J + 1]
+        squares = np.arange(-bound, bound + 1, dtype=np.int64) ** 2
+        counts = np.bincount(np.add.outer(squares, squares).ravel())[: bound * bound + 1]
+        norms = np.flatnonzero(counts)[: J + 1]
+        if len(norms) == J + 1:
             break
         bound *= 2
-    eig = 4.0 * math.pi ** 2 * np.array(norms, dtype=np.float64)
-    mult = np.array([counts[q] for q in norms], dtype=np.int64)
+    eig = 4.0 * math.pi ** 2 * norms.astype(np.float64)
+    mult = counts[norms].astype(np.int64)
     return SpectralModel(eig, mult, nu, label=label)

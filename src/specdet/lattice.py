@@ -21,8 +21,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,7 +52,7 @@ Index = tuple  # tuple[int, ...] of length dim
 #: largest truncation side handled densely before structure is required
 DENSE_SIDE_LIMIT = 2048
 #: smallest truncation side at which a kernel with a declared band or
-#: support iterator may take the sparse path.  On a 2-core x86-64 VM
+#: support arrays may take the sparse path.  On a 2-core x86-64 VM
 #: (numpy 2.4.6, scipy 1.17.1) one product of the 15th power of a
 #: tridiagonal truncation took 8.3 ms dense and 0.42 ms sparse at side 381,
 #: 0.51 and 0.22 ms at side 128, and 0.12 and 0.20 ms at side 64: the
@@ -72,7 +72,8 @@ SPARSE_SIDE_MIN = 128
 #: full rank-one truncation (ratio 1) ran 28-40 times slower sparse at sides
 #: 129-513
 SPARSE_FILL_DIVISOR = 32
-#: brute-force guard for box-squared enumerations without a support iterator
+#: brute-force guard for box-squared enumerations of kernels without
+#: declared structure
 BRUTE_PAIR_LIMIT = 4_000_000
 #: symbol samples (2R+1)^n * n_x^n allowed for the coefficient tables of one
 #: x-dependent toroidal quantization; about 0.5 GB of complex128 tables
@@ -96,17 +97,26 @@ class LatticeKernel:
     value and must be deterministic.  ``declared_support`` promises the
     kernel vanishes outside the box |.|_inf <= R0 (spot-checked here);
     ``band_radius`` promises it vanishes for |j - m|_inf > b.
-    ``support_iter``, when given, yields every nonzero (j, m, value) with
-    both indices in the box |.|_inf <= R, in a fixed order; it unlocks
-    norm and trace computations at cutoffs far beyond dense enumeration.
+
+    ``support_arrays``, when given, maps a cutoff R to ``(rows, cols,
+    vals)``: int64 lexicographic positions in the box |.|_inf <= R and
+    complex128 values, equal to ``eval`` bit for bit, of every entry that
+    may be nonzero there, each at most once (explicit zeros are allowed;
+    every omitted entry is zero).  It unlocks norm and trace computations
+    at cutoffs far beyond dense enumeration.  A kernel with
+    ``support_arrays`` or a band radius is walked once per cutoff: the
+    entries, sorted and checked finite, are memoised on the kernel and
+    shared by the norm estimate, the trace and the trace powers at that
+    cutoff.
     """
 
     dim: int
     eval: Callable[[Index, Index], complex]
     declared_support: int | None = None
     band_radius: int | None = None
-    support_iter: Callable[[int], Iterable[tuple]] | None = None
+    support_arrays: Callable[[int], tuple] | None = None
     label: str = ""
+    _entries: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -137,10 +147,68 @@ class LatticeKernel:
         return v
 
 
-def _sorted_support(k: LatticeKernel, cutoff: int) -> list[tuple]:
-    entries = list(k.support_iter(cutoff))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return entries
+def _structured(k: LatticeKernel) -> bool:
+    return k.support_arrays is not None or k.band_radius is not None
+
+
+def _box_points(dim: int, cutoff: int) -> np.ndarray:
+    """The box |.|_inf <= cutoff as a (side, dim) int64 array, lexicographic."""
+    return np.indices((2 * cutoff + 1,) * dim, dtype=np.int64).reshape(dim, -1).T - cutoff
+
+
+def _positions(points: np.ndarray, cutoff: int) -> np.ndarray:
+    """Lexicographic positions in the box |.|_inf <= cutoff of the rows of
+    an (n, dim) array of points inside it."""
+    pos = points[:, 0] + cutoff
+    for axis in range(1, points.shape[1]):
+        pos = pos * (2 * cutoff + 1) + (points[:, axis] + cutoff)
+    return pos
+
+
+def _point(position: int, dim: int, cutoff: int) -> Index:
+    coords = np.unravel_index(position, (2 * cutoff + 1,) * dim)
+    return tuple(int(x) - cutoff for x in coords)
+
+
+def _nonzero(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple:
+    keep = vals != 0  # non-finite values are kept for the finiteness check
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _truncation(k: LatticeKernel, cutoff: int) -> tuple:
+    """Entries ``(rows, cols, vals)`` of the box truncation of a kernel with
+    ``support_arrays`` or a band radius, sorted by (row, col) and checked
+    finite; built once per cutoff and kept on the kernel, read-only."""
+    cached = k._entries.get(cutoff)
+    if cached is not None:
+        return cached
+    if k.support_arrays is not None:
+        rows, cols, vals = k.support_arrays(cutoff)
+    else:
+        rows, cols, vals = _band_entries(k, cutoff)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.complex128)
+    key = rows * box_side(k.dim, cutoff) + cols
+    if (key[1:] <= key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = int(np.argmin(finite))  # first non-finite entry in (row, col) order
+        raise EvaluationError(
+            f"kernel {k.label!r} is non-finite at "
+            f"(j={_point(rows[bad], k.dim, cutoff)}, m={_point(cols[bad], k.dim, cutoff)})"
+        )
+    for a in (rows, cols, vals):
+        a.flags.writeable = False
+    k._entries[cutoff] = rows, cols, vals
+    return rows, cols, vals
+
+
+def _running_sum(values: np.ndarray):
+    """Left-to-right sum from zero, as a Python accumulation loop forms it."""
+    return np.cumsum(np.concatenate(([0], values)))[-1].item()
 
 
 def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> float:
@@ -155,21 +223,18 @@ def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> 
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p < math.inf):
         raise ParameterError(f"p must lie in [1, inf), got {p}")
-    if k.support_iter is not None:
-        rows: dict = {}
-        for j, m, v in _sorted_support(k, cutoff):
-            v = complex(v)
-            if not cmath.isfinite(v):
-                raise EvaluationError(
-                    f"kernel {k.label!r} is non-finite at (j={j}, m={m})"
-                )
-            rows[j] = rows.get(j, 0.0) + abs(v) ** p
-        return float(sum(rows[j] ** (1.0 / p) for j in sorted(rows)))
     side = box_side(k.dim, cutoff)
+    if _structured(k):
+        # np.hypot is abs() of a Python complex bit for bit; bincount adds
+        # each row's moduli in column order
+        rows, _, vals = _truncation(k, cutoff)
+        mods = np.hypot(vals.real, vals.imag) ** p
+        row_sums = np.bincount(rows, weights=mods, minlength=side)
+        return float(_running_sum(row_sums ** (1.0 / p)))
     if side * side > BRUTE_PAIR_LIMIT:
         raise FeasibilityError(
             f"norm estimate needs {side * side} kernel evaluations at cutoff "
-            f"{cutoff} and the kernel declares no support iterator",
+            f"{cutoff} and the kernel declares no structure",
             count=side * side,
         )
     total = 0.0
@@ -185,17 +250,14 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
     """Diagonal sum sum_{|n| <= R} K(n, n) in index-ascending order."""
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    if k.support_iter is not None:
-        acc = 0.0j
-        for j, m, v in _sorted_support(k, cutoff):
-            if j == m:
-                acc += complex(v)
-        return acc
+    if _structured(k):
+        rows, cols, vals = _truncation(k, cutoff)
+        return complex(_running_sum(vals[rows == cols]))
     side = box_side(k.dim, cutoff)
     if side > BRUTE_PAIR_LIMIT:
         raise FeasibilityError(
             f"trace needs {side} kernel evaluations at cutoff {cutoff} "
-            f"and the kernel declares no support iterator",
+            f"and the kernel declares no structure",
             count=side,
         )
     acc = 0.0j
@@ -204,27 +266,19 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
     return acc
 
 
-class _IndexMap:
-    """Lexicographic bijection between box points and 0-based positions."""
-
-    def __init__(self, dim: int, cutoff: int):
-        self.points = list(iter_box(dim, cutoff))
-        self.position = {pt: i for i, pt in enumerate(self.points)}
-
-
 def _assemble_dense(k: LatticeKernel, cutoff: int) -> np.ndarray:
     """Dense truncation of a kernel without declared structure, entry by entry."""
-    imap = _IndexMap(k.dim, cutoff)
-    side = len(imap.points)
+    points = list(iter_box(k.dim, cutoff))
+    side = len(points)
     a = np.zeros((side, side), dtype=np.complex128)
-    for r, j in enumerate(imap.points):
-        for c, m in enumerate(imap.points):
+    for r, j in enumerate(points):
+        for c, m in enumerate(points):
             a[r, c] = complex(k.eval(j, m))
     if not np.isfinite(a).all():
         bad = np.argwhere(~np.isfinite(a))[0]
         raise EvaluationError(
-            f"kernel {k.label!r} is non-finite at (j={imap.points[bad[0]]}, "
-            f"m={imap.points[bad[1]]})"
+            f"kernel {k.label!r} is non-finite at (j={points[bad[0]]}, "
+            f"m={points[bad[1]]})"
         )
     return a
 
@@ -237,13 +291,13 @@ class _TracePowers:
     order.  ``_mode`` names the representation:
 
     - ``diag``: band radius 0, a vector of diagonal entries;
-    - ``sparse``: a kernel with a declared band or support iterator whose
+    - ``sparse``: a kernel with a declared band or support arrays whose
       truncation is at least ``SPARSE_SIDE_MIN`` wide and holds at most
-      ``side^2 / SPARSE_FILL_DIVISOR`` nonzeros, or exceeds
+      ``side^2 / SPARSE_FILL_DIVISOR`` entries, or exceeds
       ``DENSE_SIDE_LIMIT``;
     - ``dense``: everything else up to ``DENSE_SIDE_LIMIT``, built from the
-      collected nonzero entries when the kernel declares structure and
-      entry by entry otherwise.
+      kernel's memoised entries when it declares structure and entry by
+      entry otherwise.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
@@ -251,18 +305,23 @@ class _TracePowers:
             raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
         self.side = box_side(k.dim, cutoff)
         self._traces: list[complex] = []
-        if k.band_radius == 0:
-            diag = np.empty(self.side, dtype=np.complex128)
-            for i, n in enumerate(iter_box(k.dim, cutoff)):
-                diag[i] = complex(k.eval(n, n))
-            if not np.isfinite(diag).all():
-                bad = list(iter_box(k.dim, cutoff))[int(np.argwhere(~np.isfinite(diag))[0])]
-                raise EvaluationError(f"kernel {k.label!r} is non-finite at (j={bad}, m={bad})")
-            self._mode = "diag"
-            self._base = diag
-        elif k.support_iter is not None or k.band_radius is not None:
-            rows, cols, vals = _structured_entries(k, cutoff)
-            if self.side > DENSE_SIDE_LIMIT or (
+        if not _structured(k):
+            if self.side > DENSE_SIDE_LIMIT:
+                raise FeasibilityError(
+                    f"truncation side {self.side} exceeds the dense limit "
+                    f"{DENSE_SIDE_LIMIT} and the kernel declares neither a band "
+                    f"radius nor support arrays",
+                    count=self.side,
+                )
+            self._mode = "dense"
+            self._base = _assemble_dense(k, cutoff)
+        else:
+            rows, cols, vals = _truncation(k, cutoff)
+            if k.band_radius == 0:
+                self._mode = "diag"
+                self._base = np.zeros(self.side, dtype=np.complex128)
+                self._base[rows] = vals
+            elif self.side > DENSE_SIDE_LIMIT or (
                     self.side >= SPARSE_SIDE_MIN
                     and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side):
                 from scipy import sparse
@@ -271,20 +330,13 @@ class _TracePowers:
                 self._base = sparse.csr_matrix(
                     (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
                 )
+            elif len(vals) == self.side * self.side:  # every entry, row-major
+                self._mode = "dense"
+                self._base = vals.reshape(self.side, self.side)
             else:
                 self._mode = "dense"
                 self._base = np.zeros((self.side, self.side), dtype=np.complex128)
                 self._base[rows, cols] = vals
-        elif self.side <= DENSE_SIDE_LIMIT:
-            self._mode = "dense"
-            self._base = _assemble_dense(k, cutoff)
-        else:
-            raise FeasibilityError(
-                f"truncation side {self.side} exceeds the dense limit "
-                f"{DENSE_SIDE_LIMIT} and the kernel declares neither a band "
-                f"radius nor a support iterator",
-                count=self.side,
-            )
         self._cur = self._base
 
     def trace(self, m: int) -> complex:
@@ -299,34 +351,22 @@ class _TracePowers:
         return self._traces[m - 1]
 
 
-def _structured_entries(k: LatticeKernel, cutoff: int) -> tuple:
-    """Positions and values of the nonzero entries of the truncation, from
-    the support iterator or else the declared band, each checked finite."""
-    imap = _IndexMap(k.dim, cutoff)
-    rows, cols, vals = [], [], []
-    source = k.support_iter(cutoff) if k.support_iter is not None else _band_entries(k, cutoff)
-    for j, m, v in source:
-        v = complex(v)
-        if not cmath.isfinite(v):
-            raise EvaluationError(
-                f"kernel {k.label!r} is non-finite at (j={j}, m={m})"
-            )
-        if v != 0:
-            rows.append(imap.position[j])
-            cols.append(imap.position[m])
-            vals.append(v)
-    return rows, cols, vals
-
-
-def _band_entries(k: LatticeKernel, cutoff: int) -> Iterator[tuple]:
-    """Pairs (j, m) of the box with |j - m|_inf <= band, in lexicographic
+def _band_entries(k: LatticeKernel, cutoff: int) -> tuple:
+    """Nonzero entries of a kernel that declares only a band: the pairs
+    (j, m) of the box with |j - m|_inf <= band, walked in lexicographic
     order; each coordinate range is clipped to the box, so a band wider
     than the box costs no more than the full side^2 walk."""
     band = k.band_radius
+    pairs, vals = [], []
     for j in iter_box(k.dim, cutoff):
         near = [range(max(-cutoff, x - band), min(cutoff, x + band) + 1) for x in j]
         for m in itertools.product(*near):
-            yield j, m, k.eval(j, m)
+            pairs.append(j + m)
+            vals.append(complex(k.eval(j, m)))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2 * k.dim)
+    return _nonzero(_positions(pairs[:, :k.dim], cutoff),
+                    _positions(pairs[:, k.dim:], cutoff),
+                    np.array(vals, dtype=np.complex128))
 
 
 def truncation_trace_source(k: LatticeKernel, cutoff: int,
@@ -411,6 +451,27 @@ def _sup_norm(j: Index) -> int:
     return max(abs(x) for x in j) if j else 0
 
 
+def _site_arrays(table: dict, dim: int) -> tuple:
+    """A table {index tuple: value} as its sorted sites, an (n, dim) int64
+    array, their sup norms and their complex128 values."""
+    sites = sorted(table)
+    points = np.array(sites, dtype=np.int64).reshape(-1, dim)
+    values = np.array([table[site] for site in sites], dtype=np.complex128)
+    return points, np.abs(points).max(axis=1, initial=0), values
+
+
+def _site_support(table: dict, dim: int) -> Callable[[int], tuple]:
+    """``support_arrays`` of a kernel given by a finite table {(j, m): value}."""
+    points, sup, values = _site_arrays({j + m: v for (j, m), v in table.items()}, 2 * dim)
+
+    def support_arrays(cutoff):
+        inside = sup <= cutoff
+        return _nonzero(_positions(points[inside, :dim], cutoff),
+                        _positions(points[inside, dim:], cutoff), values[inside])
+
+    return support_arrays
+
+
 def diagonal_kernel(entries, dim: int = 1, label: str = "diagonal") -> LatticeKernel:
     """K(j, j) = given value on a finite set of diagonal sites, else 0."""
     table = {_as_index(j, dim): complex(v) for j, v in dict(entries).items()}
@@ -419,13 +480,9 @@ def diagonal_kernel(entries, dim: int = 1, label: str = "diagonal") -> LatticeKe
     def eval_fn(j, m):
         return table.get(j, 0.0j) if j == m else 0.0j
 
-    def support_entries(cutoff):
-        for j in sorted(table):
-            if _sup_norm(j) <= cutoff:
-                yield j, j, table[j]
-
     return LatticeKernel(dim, eval_fn, declared_support=support, band_radius=0,
-                         support_iter=support_entries, label=label)
+                         support_arrays=_site_support({(j, j): v for j, v in table.items()}, dim),
+                         label=label)
 
 
 def diagonal_kernel_from_rule(rule: Callable[[Index], complex], dim: int = 1,
@@ -435,14 +492,14 @@ def diagonal_kernel_from_rule(rule: Callable[[Index], complex], dim: int = 1,
     def eval_fn(j, m):
         return complex(rule(j)) if j == m else 0.0j
 
-    def support_entries(cutoff):
-        for j in iter_box(dim, cutoff):
-            v = complex(rule(j))
-            if v != 0:
-                yield j, j, v
+    def support_arrays(cutoff):
+        pos = np.arange(box_side(dim, cutoff), dtype=np.int64)
+        vals = np.array([complex(rule(j)) for j in iter_box(dim, cutoff)],
+                        dtype=np.complex128)
+        return pos, pos, vals
 
     return LatticeKernel(dim, eval_fn, declared_support=None, band_radius=0,
-                         support_iter=support_entries, label=label)
+                         support_arrays=support_arrays, label=label)
 
 
 def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKernel:
@@ -453,20 +510,37 @@ def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKerne
         max((_sup_norm(j) for j in gt), default=0),
         max((_sup_norm(j) for j in ht), default=0),
     )
+    factors = [_site_arrays(gt, dim), _site_arrays(ht, dim)]
+    spoiled = [not np.isfinite(values).all() for _, _, values in factors]
 
     def eval_fn(j, m):
         return gt.get(j, 0.0j) * ht.get(m, 0.0j)
 
-    def support_entries(cutoff):
-        for j in sorted(gt):
-            if _sup_norm(j) > cutoff:
-                continue
-            for m in sorted(ht):
-                if _sup_norm(m) <= cutoff:
-                    yield j, m, gt[j] * ht[m]
+    def factor(cutoff, which):
+        # a non-finite value of the other factor makes its whole line
+        # non-finite, zeros of this factor included (inf * 0 is nan); the
+        # first box point, at value 0, lets the sorted entries meet the
+        # first such entry where the entry-by-entry walk does (outside the
+        # box it adds only zero products, which are dropped)
+        points, sup, values = factors[which]
+        inside = sup <= cutoff
+        pos, values = _positions(points[inside], cutoff), values[inside]
+        if spoiled[1 - which] and (len(pos) == 0 or pos[0] != 0):
+            pos, values = np.concatenate(([0], pos)), np.concatenate(([0j], values))
+        return pos, values
+
+    def support_arrays(cutoff):
+        rows, gv = factor(cutoff, 0)
+        cols, hv = factor(cutoff, 1)
+        # CPython's complex product on (real, imag) pairs
+        vals = np.empty((len(rows), len(cols)), dtype=np.complex128)
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals.real = np.multiply.outer(gv.real, hv.real) - np.multiply.outer(gv.imag, hv.imag)
+            vals.imag = np.multiply.outer(gv.real, hv.imag) + np.multiply.outer(gv.imag, hv.real)
+        return _nonzero(np.repeat(rows, len(cols)), np.tile(cols, len(rows)), vals.ravel())
 
     return LatticeKernel(dim, eval_fn, declared_support=support,
-                         support_iter=support_entries, label=label)
+                         support_arrays=support_arrays, label=label)
 
 
 def banded_kernel(offsets, support: int, dim: int = 1,
@@ -476,22 +550,24 @@ def banded_kernel(offsets, support: int, dim: int = 1,
         raise ParameterError(f"support must be >= 0, got {support}")
     off = {_as_index(d, dim): complex(v) for d, v in dict(offsets).items()}
     band = max((_sup_norm(d) for d in off), default=0)
+    shift_pts, _, shift_vals = _site_arrays(off, dim)
 
     def eval_fn(j, m):
         if _sup_norm(j) > support or _sup_norm(m) > support:
             return 0.0j
         return off.get(tuple(y - x for x, y in zip(j, m)), 0.0j)
 
-    def support_entries(cutoff):
+    def support_arrays(cutoff):
         r = min(cutoff, support)
-        for j in iter_box(dim, r):
-            for d in sorted(off):
-                m = tuple(x + y for x, y in zip(j, d))
-                if _sup_norm(m) <= r:
-                    yield j, m, off[d]
+        j = _box_points(dim, r)
+        m = j[:, None, :] + shift_pts[None, :, :]  # rows, then shifts ascending
+        inside = (np.abs(m) <= r).all(axis=2)
+        rows = np.broadcast_to(_positions(j, cutoff)[:, None], inside.shape)[inside]
+        vals = np.broadcast_to(shift_vals, inside.shape)[inside]
+        return _nonzero(rows, _positions(m[inside], cutoff), vals)
 
     return LatticeKernel(dim, eval_fn, declared_support=support, band_radius=band,
-                         support_iter=support_entries, label=label)
+                         support_arrays=support_arrays, label=label)
 
 
 def table_kernel(entries, dim: int = 1, label: str = "table") -> LatticeKernel:
@@ -506,13 +582,8 @@ def table_kernel(entries, dim: int = 1, label: str = "table") -> LatticeKernel:
     def eval_fn(j, m):
         return table.get((j, m), 0.0j)
 
-    def support_entries(cutoff):
-        for j, m in sorted(table):
-            if _sup_norm(j) <= cutoff and _sup_norm(m) <= cutoff:
-                yield j, m, table[(j, m)]
-
     return LatticeKernel(dim, eval_fn, declared_support=support,
-                         support_iter=support_entries, label=label)
+                         support_arrays=_site_support(table, dim), label=label)
 
 
 def poincare_strict_kernel(label: str = "poincare-strict") -> LatticeKernel:
@@ -531,12 +602,13 @@ def poincare_strict_kernel(label: str = "poincare-strict") -> LatticeKernel:
             return complex(1.0 / m[0])
         return 0.0j
 
-    def support_entries(cutoff):
-        for jj in range(-cutoff, cutoff + 1):
-            if jj != 0:
-                yield (jj,), (jj,), complex(1.0 / jj ** 2)
-        for kk in range(2, cutoff + 1):
-            yield (1,), (kk,), complex(1.0 / kk)
+    def support_arrays(cutoff):
+        diag = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
+        diag = diag[diag != 0]
+        row_one = np.arange(2, cutoff + 1, dtype=np.int64)
+        rows = np.concatenate((diag, np.ones_like(row_one))) + cutoff
+        cols = np.concatenate((diag, row_one)) + cutoff
+        return rows, cols, np.concatenate((1.0 / diag ** 2, 1.0 / row_one))
 
     return LatticeKernel(1, eval_fn, declared_support=None,
-                         support_iter=support_entries, label=label)
+                         support_arrays=support_arrays, label=label)

@@ -35,9 +35,16 @@ import numpy as np
 
 from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 from .lattice import (
+    BRUTE_PAIR_LIMIT,
+    DENSE_SIDE_LIMIT,
     SAMPLE_LIMIT,
     Index,
     LatticeKernel,
+    _box_points,
+    _positions,
+    _structured,
+    _truncation,
+    box_side,
     iter_box,
     lattice_determinant,
     nuclear_norm_estimate,
@@ -216,21 +223,31 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
         return complex(tables[m][l])
 
     label = f"quantized:{s.label}" if s.label else "quantized"
-    support_iter = None
-    if s.x_independent:
-        # diagonal matrix: expose the nonzero sites so norms and traces
-        # stay O(box) instead of O(box^2) at large cutoffs
-        zero_mode = (0,) * s.dim
 
-        def support_iter(r):
-            for m in iter_box(s.dim, min(r, cutoff)):
-                v = complex(tables[m][zero_mode])
-                if v != 0:
-                    yield m, m, v
+    def support_arrays(r):
+        # the box min(r, cutoff) placed at its positions in the box r
+        points = _box_points(s.dim, min(r, cutoff))
+        pos = _positions(points, r)
+        box = list(iter_box(s.dim, min(r, cutoff)))
+        if s.x_independent:  # diagonal: g(k) at the zero mode of each table
+            return pos, pos, np.array([tables[m].base for m in box], dtype=np.complex128)
+        side = len(box)
+        if side > DENSE_SIDE_LIMIT:
+            raise FeasibilityError(
+                f"quantization of symbol {s.label!r} at cutoff {r} is a dense "
+                f"truncation of side {side}, above the dense limit {DENSE_SIDE_LIMIT}",
+                count=side,
+            )
+        # every entry, zeros included, column m read from the table of m
+        dense = np.empty((side, side), dtype=np.complex128)
+        for c, m in enumerate(box):
+            dense[:, c] = tables[m][tuple((points[:, a] - m[a]) % n_x
+                                          for a in range(s.dim))]
+        return np.repeat(pos, side), np.tile(pos, side), dense.ravel()
 
     band = 0 if s.x_independent else None
     return LatticeKernel(s.dim, eval_fn, declared_support=cutoff,
-                         band_radius=band, support_iter=support_iter,
+                         band_radius=band, support_arrays=support_arrays,
                          label=label)
 
 
@@ -251,28 +268,30 @@ def schur_bound(k: LatticeKernel, p: float, cutoff: int) -> float:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
-    points = list(iter_box(k.dim, cutoff))
-    row_sums = {pt: 0.0 for pt in points}
-    col_sums = {pt: 0.0 for pt in points}
-    if k.support_iter is not None:
-        for j, m, v in k.support_iter(cutoff):
-            row_sums[j] += abs(complex(v))
-            col_sums[m] += abs(complex(v))
+    if _structured(k):
+        # sorted by (row, col), so column sums also add in ascending row
+        rows, cols, vals = _truncation(k, cutoff)
+        mods = np.hypot(vals.real, vals.imag)
+        side = box_side(k.dim, cutoff)
+        row_sums = np.bincount(rows, weights=mods, minlength=side).tolist()
+        col_sums = np.bincount(cols, weights=mods, minlength=side).tolist()
     else:
+        points = list(iter_box(k.dim, cutoff))
         side = len(points)
-        if side * side > 4_000_000:
+        if side * side > BRUTE_PAIR_LIMIT:
             raise FeasibilityError(
                 f"Schur bound needs {side * side} kernel evaluations at cutoff "
-                f"{cutoff} and the kernel declares no support iterator",
+                f"{cutoff} and the kernel declares no structure",
                 count=side * side,
             )
-        for j in points:
-            for m in points:
+        row_sums, col_sums = [0.0] * side, [0.0] * side
+        for r, j in enumerate(points):
+            for c, m in enumerate(points):
                 mag = abs(k.value(j, m))
-                row_sums[j] += mag
-                col_sums[m] += mag
-    max_row = max(row_sums.values(), default=0.0)
-    max_col = max(col_sums.values(), default=0.0)
+                row_sums[r] += mag
+                col_sums[c] += mag
+    max_row = max(row_sums, default=0.0)
+    max_col = max(col_sums, default=0.0)
     if math.isinf(p):
         return max_row
     inv_p = 1.0 / p

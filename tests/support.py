@@ -99,3 +99,46 @@ def assemble_block_diagonal(blocks) -> CMatrix:
                 entries[offset + i][offset + j] = b.at(i, j)
         offset += b.rows
     return CMatrix.from_rows(entries)
+
+
+def bits(z) -> list:
+    """Raw IEEE bits of a float or complex, so -0.0 and 0.0 differ."""
+    return np.array([z], dtype=np.complex128).view(np.uint64).tolist()
+
+
+def non_finite_site(message: str) -> tuple:
+    """The (row, column) index pair an EvaluationError message names; the
+    library writes (j=..., m=...), the oracle (i=..., j=...)."""
+    import re
+
+    found = re.search(r"\((?:j|i)=(\(.*?\)), (?:m|j)=(\(.*?\))\)", message)
+    return found.group(1), found.group(2)
+
+
+def assert_truncation_is_entry_walk(k, cutoff: int):
+    """The memoised entries of a structured kernel against the oracle's
+    entry-by-entry assembly at the same cutoff: equal bits where present,
+    zero elsewhere, strictly sorted by (row, col); the p = 1 norm and the
+    trace equal plain Python walks over that assembly bit for bit."""
+    from specdet import assemble_truncation, lattice_trace, nuclear_norm_estimate
+    from specdet.lattice import _truncation
+
+    a = np.array(assemble_truncation(k, cutoff).row_lists(), dtype=np.complex128)
+    rows, cols, vals = _truncation(k, cutoff)
+    assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
+    assert (np.diff(rows * len(a) + cols) > 0).all()
+    assert np.array_equal(vals.view(np.uint64), a[rows, cols].view(np.uint64))
+    elsewhere = np.ones(a.shape, dtype=bool)
+    elsewhere[rows, cols] = False
+    assert (a[elsewhere] == 0).all()
+    total = 0.0
+    for row in a.tolist():
+        row_sum = 0.0
+        for v in row:
+            row_sum += abs(v)
+        total += row_sum
+    assert bits(nuclear_norm_estimate(k, 1.0, cutoff)) == bits(total)
+    acc = 0.0j
+    for n in range(len(a)):
+        acc += complex(a[n, n])
+    assert bits(lattice_trace(k, cutoff)) == bits(acc)

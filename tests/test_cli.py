@@ -177,3 +177,41 @@ def test_det_report_has_exactly_the_result_fields():
     assert sorted(report["series"]) == ["converged", "cutoff_used", "diagnostics",
                                         "order_used", "tail_estimate", "terms",
                                         "value"]
+
+
+def test_series_walks_a_banded_truncation_once(monkeypatch):
+    import specdet.cli as cli
+
+    calls = []
+    build = cli.build_operator
+
+    def counting_build(spec):
+        op = build(spec)
+        support_arrays = op.support_arrays
+        op.support_arrays = lambda r: calls.append(r) or support_arrays(r)
+        return op
+
+    monkeypatch.setattr(cli, "build_operator", counting_build)
+    code, report, _ = run_json(["det", "--input", str(FIXTURES / "banded_shift.json"),
+                                "--mode", "series", "--cutoff", "6"])
+    assert code == 0 and report["series"]["cutoff_used"] == 6
+    assert calls == [6]
+
+
+def test_series_never_evaluates_a_quantization_entry_by_entry(monkeypatch):
+    import specdet.toroidal as toroidal
+
+    calls = []
+    quantize = toroidal.toroidal_matrix
+
+    def counting_quantize(s, cutoff):
+        k = quantize(s, cutoff)  # the support spot check runs before wrapping
+        evaluate = k.eval
+        k.eval = lambda j, m: calls.append((j, m)) or evaluate(j, m)
+        return k
+
+    monkeypatch.setattr(toroidal, "toroidal_matrix", counting_quantize)
+    code, report, _ = run_json(["det", "--input", str(FIXTURES / "toroidal_modulated.json"),
+                                "--mode", "series", "--cutoff", "6"])
+    assert code == 0 and report["series"]["cutoff_used"] == 6
+    assert calls == []

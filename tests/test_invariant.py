@@ -253,3 +253,31 @@ def test_alpha_must_be_positive():
     sp = circle_model(10)
     with pytest.raises(ParameterError):
         manifold_determinant(sp, 0.0, 0.1)
+
+
+def _torus2_by_loop(J):
+    """Lattice-point counting written as a plain double loop."""
+    bound = max(4, int(math.isqrt(2 * J + 4)) + 2)
+    while True:
+        counts = {}
+        for a in range(-bound, bound + 1):
+            for b in range(-bound, bound + 1):
+                q = a * a + b * b
+                if q <= bound * bound:
+                    counts[q] = counts.get(q, 0) + 1
+        norms = sorted(counts)
+        if len(norms) >= J + 1:
+            norms = norms[: J + 1]
+            break
+        bound *= 2
+    eig = 4.0 * math.pi ** 2 * np.array(norms, dtype=np.float64)
+    return eig, np.array([counts[q] for q in norms], dtype=np.int64)
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 50, 1000, 10_000])
+def test_torus2_model_equals_the_lattice_point_loop(J):
+    sp = torus2_model(J)
+    eig, mult = _torus2_by_loop(J)
+    assert sp.eigenvalues.dtype == np.float64 and sp.multiplicities.dtype == np.int64
+    assert np.array_equal(sp.eigenvalues.view(np.uint64), eig.view(np.uint64))
+    assert np.array_equal(sp.multiplicities, mult)

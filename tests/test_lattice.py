@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import time
 
@@ -23,12 +24,13 @@ from specdet import (
     mat_power_trace,
     mat_trace,
     nuclear_norm_estimate,
+    poincare_strict_kernel,
     rank_one_kernel,
     table_kernel,
 )
 from specdet.errors import EvaluationError, FeasibilityError, ParameterError
 
-from support import rand_complex
+from support import assert_truncation_is_entry_walk, non_finite_site, rand_complex
 
 
 def random_table_kernel(rng, support=3, density=0.5, scale=0.4):
@@ -325,3 +327,104 @@ def test_hookless_kernel_refuses_huge_norm_enumeration():
     with pytest.raises(FeasibilityError) as info:
         nuclear_norm_estimate(k, 1.0, 5000)
     assert info.value.count == (2 * 5000 + 1) ** 2
+
+
+def _box(dim, r):
+    return list(itertools.product(range(-r, r + 1), repeat=dim))
+
+
+def _family_kernel(family, dim, rng):
+    """A kernel of one built-in family with declared support 2 where the
+    family has one, random complex values and an explicit zero site."""
+    box = _box(dim, 2)
+
+    def subset(points, keep=0.6):
+        return [pt for pt in points if rng.uniform() < keep]
+
+    if family == "diagonal":
+        entries = {j: rand_complex(rng) for j in subset(box)}
+        entries[box[-1]] = 0.0
+        return diagonal_kernel(entries, dim=dim)
+    if family == "diagonal_rule":
+        return diagonal_kernel_from_rule(
+            lambda j: complex(1.0 / (1 + sum(x * x for x in j)), 0.1 * j[0] - 0.05), dim=dim)
+    if family == "rank_one":
+        g = {j: rand_complex(rng) for j in subset(box[1:])}
+        h = {m: rand_complex(rng) for m in subset(box)}
+        h[box[1]] = 0.0
+        return rank_one_kernel(g, h, dim=dim)
+    if family == "banded":
+        offsets = {d: rand_complex(rng, 0.4) for d in subset(_box(dim, 1))}
+        offsets[(1,) * dim] = 0.0
+        return banded_kernel(offsets, support=2, dim=dim)
+    if family == "table":
+        entries = {(j, m): rand_complex(rng) for j, m in subset(itertools.product(box, box), 0.3)}
+        entries[(box[0], box[-1])] = 0.0
+        return table_kernel(entries, dim=dim)
+    if family == "poincare":
+        return poincare_strict_kernel()
+
+    def eval_fn(j, m):  # band-only: entries come from the band walk
+        gap = max(abs(x - y) for x, y in zip(j, m))
+        return 0.0j if gap > 1 else complex(0.3 / (1 + gap + j[-1] ** 2), 0.01 * (j[0] - m[-1]))
+
+    return LatticeKernel(dim, eval_fn, band_radius=1, label="band-only")
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])  # below, at and above support 2
+@pytest.mark.parametrize("family, dim", [
+    (family, dim)
+    for family in ("diagonal", "diagonal_rule", "rank_one", "banded", "table", "band_only")
+    for dim in (1, 2)] + [("poincare", 1)])
+def test_truncation_entries_are_the_entry_walk(family, dim, cutoff):
+    k = _family_kernel(family, dim, np.random.default_rng(60 + dim))
+    assert_truncation_is_entry_walk(k, cutoff)
+
+
+def _first_non_finite_sites(k, cutoff):
+    with pytest.raises(EvaluationError) as walk:
+        assemble_truncation(k, cutoff)
+    with pytest.raises(EvaluationError) as entries:
+        nuclear_norm_estimate(k, 1.0, cutoff)
+    with pytest.raises(EvaluationError) as powers:
+        lattice_mod._TracePowers(k, cutoff)
+    named = non_finite_site(str(entries.value))
+    assert non_finite_site(str(powers.value)) == named
+    return non_finite_site(str(walk.value)), named
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_table_site_is_named_like_the_entry_walk(dim):
+    rng = np.random.default_rng(70)
+    box = _box(dim, 2)
+    entries = {(j, m): rand_complex(rng) for j, m in itertools.product(box, box)
+               if rng.uniform() < 0.3}
+    entries[(box[3], box[2])] = float("nan")
+    entries[(box[4], box[0])] = complex(0.0, float("nan"))
+    walk, named = _first_non_finite_sites(table_kernel(entries, dim=dim), 2)
+    assert walk == named == (str(box[3]), str(box[2]))
+
+
+@pytest.mark.parametrize("g, h, site", [
+    # inf * 0 is nan: the bad row starts at the first box point, where h is 0
+    ({-1: 0.5, 1: math.inf}, {0: 1.0, 2: 0.3}, ("(1,)", "(-2,)")),
+    ({0: 1.0}, {1: complex(0.0, math.inf), 2: 0.5}, ("(-2,)", "(1,)")),
+    ({-2: 0.5, 1: 2.0}, {-2: math.inf}, ("(-2,)", "(-2,)")),
+])
+def test_inf_rank_one_factor_is_named_like_the_entry_walk(g, h, site):
+    walk, named = _first_non_finite_sites(rank_one_kernel(g, h), 2)
+    assert walk == named == site
+
+
+def test_entries_are_built_once_per_cutoff():
+    k = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200)
+    calls = []
+    support_arrays = k.support_arrays
+    k.support_arrays = lambda r: calls.append(r) or support_arrays(r)
+    for cutoff in (150, 190, 150):
+        nuclear_norm_estimate(k, 1.0, cutoff)
+        lattice_trace(k, cutoff)
+        lattice_mod._TracePowers(k, cutoff).trace(3)
+    assert calls == [150, 190]
+    rows, _, vals = lattice_mod._truncation(k, 150)
+    assert not rows.flags.writeable and not vals.flags.writeable

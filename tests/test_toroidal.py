@@ -24,7 +24,7 @@ from specdet import (
 )
 from specdet.errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 
-from support import rand_complex
+from support import assert_truncation_is_entry_walk, non_finite_site, rand_complex
 
 
 def test_x_independent_symbol_coefficients():
@@ -345,3 +345,70 @@ def test_two_dimensional_symbol_round_trip():
         for b in (-1, 0, 1):
             product *= 1 + lam * (1.0 + a * a + b * b) ** -1.5
     assert abs(result.value - product) <= 1e-9 * product
+
+
+def _quantized_symbol(family, dim, rng):
+    def index():
+        return tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+
+    if family == "power_decay":
+        return power_decay_symbol(-2.5, dim=dim, amplitude=rand_complex(rng, 2.0))
+    if family == "modulated":
+        modes = {index(): rand_complex(rng) for _ in range(4)}
+        return modulated_symbol(modes, -2.5, dim=dim, amplitude=rand_complex(rng, 2.0))
+    entries = {(index(), index()): rand_complex(rng) for _ in range(8)}
+    return table_symbol(entries, dim=dim, order=-2.0)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])  # box below, at and above the support
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["power_decay", "modulated", "table"])
+def test_quantization_entries_are_the_entry_walk(family, dim, offset):
+    s = _quantized_symbol(family, dim, np.random.default_rng(80 + dim))
+    support = 2
+    k = toroidal_matrix(s, support)
+    assert_truncation_is_entry_walk(k, support + offset)
+
+
+def test_schur_bound_of_quantization_matches_row_column_walk():
+    s = modulated_symbol({1: 0.3 - 0.1j, -2: 0.2j, 0: 0.4}, -2.0, amplitude=0.8 + 0.3j)
+    k = toroidal_matrix(s, 3)
+    a = assemble_truncation(k, 3)
+    rows = [0.0] * a.rows
+    cols = [0.0] * a.cols
+    for r in range(a.rows):
+        for c in range(a.cols):
+            rows[r] += abs(a.at(r, c))
+            cols[c] += abs(a.at(r, c))
+    for p in (1.0, 2.0, 3.0):
+        assert schur_bound(k, p, 3) == max(cols) ** (1.0 / p) * max(rows) ** (1.0 - 1.0 / p)
+    assert schur_bound(k, math.inf, 3) == max(rows)
+
+
+def test_two_dimensional_bad_coefficient_is_named_like_the_entry_walk():
+    # finite samples whose DFT overflows at the mode (1, -1) of k = (1, 0)
+    def eval_fn(x, k):
+        if k != (1, 0):
+            return 0.1 / (1 + k[0] ** 2 + k[1] ** 2)
+        return 2e306 * cmath.exp(2j * math.pi * (x[0] - x[1]))
+
+    s = ToroidalSymbol(2, -2.0, eval_fn, x_grid=16, label="overflow")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = toroidal_matrix(s, 2)
+    with pytest.raises(EvaluationError) as walk:
+        assemble_truncation(k, 2)
+    with pytest.raises(EvaluationError) as entries:
+        poincare_norm(k, 2)
+    assert non_finite_site(str(walk.value)) == non_finite_site(str(entries.value)) \
+        == ("(2, -1)", "(1, 0)")
+
+
+def test_dense_quantization_above_the_dense_limit_is_refused(monkeypatch):
+    import specdet.toroidal as toroidal_mod
+
+    monkeypatch.setattr(toroidal_mod, "DENSE_SIDE_LIMIT", 20)
+    k = toroidal_matrix(modulated_symbol({1: 0.25}, -2.0), 10)
+    with pytest.raises(FeasibilityError) as info:
+        lattice_trace(k, 10)
+    assert info.value.count == 21
+    assert not k._entries
