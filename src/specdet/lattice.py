@@ -103,11 +103,15 @@ class LatticeKernel:
     complex128 values, equal to ``eval`` bit for bit, of every entry that
     may be nonzero there, each at most once (explicit zeros are allowed;
     every omitted entry is zero).  It unlocks norm and trace computations
-    at cutoffs far beyond dense enumeration.  A kernel with
-    ``support_arrays`` or a band radius is walked once per cutoff: the
-    entries, sorted and checked finite, are memoised on the kernel and
-    shared by the norm estimate, the trace and the trace powers at that
-    cutoff.
+    at cutoffs far beyond dense enumeration: their cost follows the entries,
+    not the box.  A kernel with ``support_arrays`` or a band radius is walked
+    once per cutoff: the entries, sorted and checked finite, are memoised on
+    the kernel and shared by the norm estimate, the trace and the trace
+    powers at that cutoff.
+
+    ``diagonal_arrays``, when given, maps R to ``(positions, values)`` of
+    the diagonal entries K(n, n) of the box, ascending; a kernel whose entry
+    set is dense supplies it so that its trace reads side values, not side^2.
     """
 
     dim: int
@@ -115,6 +119,7 @@ class LatticeKernel:
     declared_support: int | None = None
     band_radius: int | None = None
     support_arrays: Callable[[int], tuple] | None = None
+    diagonal_arrays: Callable[[int], tuple] | None = None
     label: str = ""
     _entries: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -175,6 +180,16 @@ def _nonzero(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple:
     return rows[keep], cols[keep], vals[keep]
 
 
+def _require_finite(k: LatticeKernel, cutoff: int, rows, cols, vals):
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = int(np.argmin(finite))  # first non-finite entry in (row, col) order
+        raise EvaluationError(
+            f"kernel {k.label!r} is non-finite at "
+            f"(j={_point(rows[bad], k.dim, cutoff)}, m={_point(cols[bad], k.dim, cutoff)})"
+        )
+
+
 def _truncation(k: LatticeKernel, cutoff: int) -> tuple:
     """Entries ``(rows, cols, vals)`` of the box truncation of a kernel with
     ``support_arrays`` or a band radius, sorted by (row, col) and checked
@@ -189,21 +204,24 @@ def _truncation(k: LatticeKernel, cutoff: int) -> tuple:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.complex128)
-    key = rows * box_side(k.dim, cutoff) + cols
-    if (key[1:] <= key[:-1]).any():
-        order = np.argsort(key, kind="stable")
+    # compared pairwise: a key row * side + col overflows int64 on wide boxes
+    if ((rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))).any():
+        order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = int(np.argmin(finite))  # first non-finite entry in (row, col) order
-        raise EvaluationError(
-            f"kernel {k.label!r} is non-finite at "
-            f"(j={_point(rows[bad], k.dim, cutoff)}, m={_point(cols[bad], k.dim, cutoff)})"
-        )
+    _require_finite(k, cutoff, rows, cols, vals)
     for a in (rows, cols, vals):
         a.flags.writeable = False
     k._entries[cutoff] = rows, cols, vals
     return rows, cols, vals
+
+
+def _line_sums(lines: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sums of ``weights`` over the runs of equal values of the sorted
+    ``lines``, each added in array order: one per line that has entries, so
+    the cost follows the entries, not the box (an empty line adds +0.0)."""
+    index = np.zeros(len(lines), dtype=np.intp)
+    index[1:] = np.cumsum(lines[1:] != lines[:-1])
+    return np.bincount(index, weights=weights)
 
 
 def _running_sum(values: np.ndarray):
@@ -223,14 +241,13 @@ def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> 
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p < math.inf):
         raise ParameterError(f"p must lie in [1, inf), got {p}")
-    side = box_side(k.dim, cutoff)
     if _structured(k):
-        # np.hypot is abs() of a Python complex bit for bit; bincount adds
-        # each row's moduli in column order
+        # np.hypot is abs() of a Python complex bit for bit; each row's
+        # moduli add in column order
         rows, _, vals = _truncation(k, cutoff)
-        mods = np.hypot(vals.real, vals.imag) ** p
-        row_sums = np.bincount(rows, weights=mods, minlength=side)
+        row_sums = _line_sums(rows, np.hypot(vals.real, vals.imag) ** p)
         return float(_running_sum(row_sums ** (1.0 / p)))
+    side = box_side(k.dim, cutoff)
     if side * side > BRUTE_PAIR_LIMIT:
         raise FeasibilityError(
             f"norm estimate needs {side * side} kernel evaluations at cutoff "
@@ -250,6 +267,10 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
     """Diagonal sum sum_{|n| <= R} K(n, n) in index-ascending order."""
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
+    if k.diagonal_arrays is not None:
+        pos, vals = k.diagonal_arrays(cutoff)
+        _require_finite(k, cutoff, pos, pos, vals)
+        return complex(_running_sum(vals))
     if _structured(k):
         rows, cols, vals = _truncation(k, cutoff)
         return complex(_running_sum(vals[rows == cols]))
@@ -330,9 +351,6 @@ class _TracePowers:
                 self._base = sparse.csr_matrix(
                     (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
                 )
-            elif len(vals) == self.side * self.side:  # every entry, row-major
-                self._mode = "dense"
-                self._base = vals.reshape(self.side, self.side)
             else:
                 self._mode = "dense"
                 self._base = np.zeros((self.side, self.side), dtype=np.complex128)
@@ -436,9 +454,7 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
 # ---------------------------------------------------------------------------
 
 def _as_index(j, dim: int) -> Index:
-    if isinstance(j, tuple):
-        idx = tuple(int(x) for x in j)
-    elif isinstance(j, (list, np.ndarray)):
+    if isinstance(j, (tuple, list, np.ndarray)):
         idx = tuple(int(x) for x in j)
     else:
         idx = (int(j),)

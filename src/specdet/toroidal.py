@@ -41,10 +41,10 @@ from .lattice import (
     Index,
     LatticeKernel,
     _box_points,
+    _line_sums,
     _positions,
     _structured,
     _truncation,
-    box_side,
     iter_box,
     lattice_determinant,
     nuclear_norm_estimate,
@@ -224,14 +224,20 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
 
     label = f"quantized:{s.label}" if s.label else "quantized"
 
-    def support_arrays(r):
+    def diagonal_arrays(r):
         # the box min(r, cutoff) placed at its positions in the box r
+        zero = (0,) * s.dim
+        return (_positions(_box_points(s.dim, min(r, cutoff)), r),
+                np.array([tables[m][zero] for m in iter_box(s.dim, min(r, cutoff))],
+                         dtype=np.complex128))
+
+    def support_arrays(r):
+        if s.x_independent:  # diagonal: g(k) at the zero mode of each table
+            pos, vals = diagonal_arrays(r)
+            return pos, pos, vals
         points = _box_points(s.dim, min(r, cutoff))
         pos = _positions(points, r)
-        box = list(iter_box(s.dim, min(r, cutoff)))
-        if s.x_independent:  # diagonal: g(k) at the zero mode of each table
-            return pos, pos, np.array([tables[m].base for m in box], dtype=np.complex128)
-        side = len(box)
+        side = len(pos)
         if side > DENSE_SIDE_LIMIT:
             raise FeasibilityError(
                 f"quantization of symbol {s.label!r} at cutoff {r} is a dense "
@@ -240,15 +246,16 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
             )
         # every entry, zeros included, column m read from the table of m
         dense = np.empty((side, side), dtype=np.complex128)
-        for c, m in enumerate(box):
+        for c, m in enumerate(iter_box(s.dim, min(r, cutoff))):
             dense[:, c] = tables[m][tuple((points[:, a] - m[a]) % n_x
                                           for a in range(s.dim))]
         return np.repeat(pos, side), np.tile(pos, side), dense.ravel()
 
-    band = 0 if s.x_independent else None
+    # an x-dependent quantization is dense: its trace reads only the diagonal
+    band, diagonal = (0, None) if s.x_independent else (None, diagonal_arrays)
     return LatticeKernel(s.dim, eval_fn, declared_support=cutoff,
                          band_radius=band, support_arrays=support_arrays,
-                         label=label)
+                         diagonal_arrays=diagonal, label=label)
 
 
 def poincare_norm(k: LatticeKernel, cutoff: int) -> float:
@@ -269,12 +276,13 @@ def schur_bound(k: LatticeKernel, p: float, cutoff: int) -> float:
     if not (1.0 <= p):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
     if _structured(k):
-        # sorted by (row, col), so column sums also add in ascending row
+        # sorted by (row, col); a stable sort by column keeps each column's
+        # entries in ascending row, the order of the row-column walk
         rows, cols, vals = _truncation(k, cutoff)
         mods = np.hypot(vals.real, vals.imag)
-        side = box_side(k.dim, cutoff)
-        row_sums = np.bincount(rows, weights=mods, minlength=side).tolist()
-        col_sums = np.bincount(cols, weights=mods, minlength=side).tolist()
+        by_col = np.argsort(cols, kind="stable")
+        row_sums = _line_sums(rows, mods).tolist()
+        col_sums = _line_sums(cols[by_col], mods[by_col]).tolist()
     else:
         points = list(iter_box(k.dim, cutoff))
         side = len(points)

@@ -26,11 +26,12 @@ from specdet import (
     nuclear_norm_estimate,
     poincare_strict_kernel,
     rank_one_kernel,
+    schur_bound,
     table_kernel,
 )
 from specdet.errors import EvaluationError, FeasibilityError, ParameterError
 
-from support import assert_truncation_is_entry_walk, non_finite_site, rand_complex
+from support import assert_truncation_is_entry_walk, bits, non_finite_site, rand_complex
 
 
 def random_table_kernel(rng, support=3, density=0.5, scale=0.4):
@@ -428,3 +429,40 @@ def test_entries_are_built_once_per_cutoff():
     assert calls == [150, 190]
     rows, _, vals = lattice_mod._truncation(k, 150)
     assert not rows.flags.writeable and not vals.flags.writeable
+
+
+@pytest.mark.parametrize("k, small", [
+    (banded_kernel({1: 0.5}, support=4), 4),
+    (diagonal_kernel({(0, 1): 0.5, (-2, 3): 0.25j}, dim=2), 3),
+    (table_kernel({((1, 0), (0, -1)): 0.5, ((0, -1), (1, 0)): -0.25 + 0.5j}, dim=2), 1),
+], ids=["banded", "diagonal-2d", "table-2d"])
+def test_vast_cutoff_costs_the_entries_not_the_box(k, small):
+    # boxes of side 2e7 and 1.6e7: no array may follow the side
+    import tracemalloc
+
+    cutoff = 10**7 if k.dim == 1 else 2000
+    tracemalloc.start()
+    try:
+        norm = nuclear_norm_estimate(k, 1.0, cutoff)
+        schur = schur_bound(k, 2.0, cutoff)
+        trace = lattice_trace(k, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert bits(norm) == bits(nuclear_norm_estimate(k, 1.0, small))
+    assert bits(schur) == bits(schur_bound(k, 2.0, small))
+    assert bits(trace) == bits(lattice_trace(k, small))
+
+
+def test_entries_are_sorted_on_a_box_whose_pair_count_overflows():
+    cutoff = 10**5
+    side = (2 * cutoff + 1) ** 2  # side^2 is above 2^63
+    rows = np.array([side - 1, 0, side - 1, 5], dtype=np.int64)
+    cols = np.array([3, side - 1, 0, 5], dtype=np.int64)
+    vals = np.array([1, 2, 3, 4], dtype=np.complex128)
+    k = LatticeKernel(2, lambda j, m: 0j, support_arrays=lambda r: (rows, cols, vals))
+    got_rows, got_cols, got_vals = lattice_mod._truncation(k, cutoff)
+    assert got_rows.tolist() == [0, 5, side - 1, side - 1]
+    assert got_cols.tolist() == [side - 1, 5, 0, 3]
+    assert got_vals.tolist() == [2, 4, 3, 1]

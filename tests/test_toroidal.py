@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,10 +22,11 @@ from specdet import (
     table_symbol,
     toroidal_determinant,
     toroidal_matrix,
+    truncation_trace_source,
 )
 from specdet.errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 
-from support import assert_truncation_is_entry_walk, non_finite_site, rand_complex
+from support import assert_truncation_is_entry_walk, bits, non_finite_site, rand_complex
 
 
 def test_x_independent_symbol_coefficients():
@@ -403,12 +405,26 @@ def test_two_dimensional_bad_coefficient_is_named_like_the_entry_walk():
         == ("(2, -1)", "(1, 0)")
 
 
-def test_dense_quantization_above_the_dense_limit_is_refused(monkeypatch):
+@pytest.mark.parametrize("dim, cutoff, modes", [
+    (1, 10, {1: 0.25}),
+    (2, 3, {(1, 0): 0.25, (0, -1): 0.2 + 0.1j}),
+])
+def test_dense_quantization_above_the_dense_limit_keeps_its_trace(monkeypatch, dim, cutoff,
+                                                                   modes):
+    # the trace reads only the diagonal, as the entry-by-entry walk does;
+    # the norm and the trace powers need every entry and are refused
     import specdet.toroidal as toroidal_mod
 
     monkeypatch.setattr(toroidal_mod, "DENSE_SIDE_LIMIT", 20)
-    k = toroidal_matrix(modulated_symbol({1: 0.25}, -2.0), 10)
-    with pytest.raises(FeasibilityError) as info:
-        lattice_trace(k, 10)
-    assert info.value.count == 21
+    k = toroidal_matrix(modulated_symbol(modes, -3.0, dim=dim), cutoff)
+    acc = 0.0j
+    for n in itertools.product(range(-cutoff, cutoff + 1), repeat=dim):
+        acc += k.value(n, n)
+    assert bits(lattice_trace(k, cutoff)) == bits(acc)
+    assert not k._entries
+    side = (2 * cutoff + 1) ** dim
+    for needs_every_entry in (poincare_norm, truncation_trace_source):
+        with pytest.raises(FeasibilityError) as info:
+            needs_every_entry(k, cutoff)
+        assert info.value.count == side
     assert not k._entries
