@@ -7,7 +7,7 @@ Unbounded-support kernels are legal: results are then relative to the chosen
 cutoff, with the series tail reported rather than hidden.
 
 Trace powers Tr(T^m) of the truncated operator are computed from matrix
-powers (dense, diagonal or sparse depending on declared structure); the
+powers (dense, diagonal, band or sparse depending on declared structure); the
 literal m-fold cycle sums live in :mod:`specdet.oracle` and are kept as
 cross-checks only, since nested sums cost N^m.
 
@@ -52,7 +52,7 @@ Index = tuple  # tuple[int, ...] of length dim
 #: largest truncation side handled densely before structure is required
 DENSE_SIDE_LIMIT = 2048
 #: smallest truncation side at which a kernel with a declared band or
-#: support arrays may take the sparse path.  On a 2-core x86-64 VM
+#: support arrays may take the band or sparse path.  On a 2-core x86-64 VM
 #: (numpy 2.4.6, scipy 1.17.1) one product of the 15th power of a
 #: tridiagonal truncation took 8.3 ms dense and 0.42 ms sparse at side 381,
 #: 0.51 and 0.22 ms at side 128, and 0.12 and 0.20 ms at side 64: the
@@ -70,7 +70,20 @@ SPARSE_SIDE_MIN = 128
 #:   side 2048: b=32 [32] 12.7 vs 23 s,  b=64 [16] over 34 vs 23 s
 #: Sparse won at every ratio from 28 up and lost at every ratio up to 26; a
 #: full rank-one truncation (ratio 1) ran 28-40 times slower sparse at sides
-#: 129-513
+#: 129-513.
+#: The same divisor bounds the band path: band when the diagonals of the
+#: entries span at most 1/SPARSE_FILL_DIVISOR of their occupied positions.
+#: Same machine, 30 orders of a complex Toeplitz band of half-width b at the
+#: boundary (span * 32 / positions in brackets), band chain against CSR chain
+#: against dense chain:
+#:   side  129: b=1  [0.74] 1.5 vs 5.0 vs 9.7 ms,   b=2  [1.24] 3.1 vs 7.8 vs 11 ms
+#:   side  257: b=3  [0.87] 8.5 vs 27 vs 59 ms,     b=4  [1.12] 14 vs 31 vs 51 ms
+#:   side  513: b=7  [0.94] 97 vs 209 vs 435 ms,    b=8  [1.06] 103 vs 197 vs 394 ms
+#:   side 1025: b=15 [0.97] 0.82 vs 1.9 vs 3.2 s,   b=16 [1.03] 1.0 vs 2.1 vs 3.0 s
+#:   side 2049: b=31 [0.98] 8.8 vs 15.6 s,          b=32 [1.02] 9.5 vs 13.5 s
+#: (no dense chain at side 2049).  Band wins on both sides of the boundary;
+#: the boundary stays because at span n/32 the band storage of T^15 already
+#: covers about half the square, and at n/16 all of it
 SPARSE_FILL_DIVISOR = 32
 #: brute-force guard for box-squared enumerations of kernels without
 #: declared structure
@@ -304,21 +317,94 @@ def _assemble_dense(k: LatticeKernel, cutoff: int) -> np.ndarray:
     return a
 
 
+class _Band:
+    """A matrix on positions 0..n-1 that vanishes off the diagonals
+    ``lo <= o <= hi``, stored by diagonals in one zero-padded buffer with
+    two views of it: ``rows[o - lo, i]`` is the entry (i, i + o) and
+    ``cols[o - lo, k]`` the entry (k - o, k), zero where the other index
+    leaves 0..n-1.  ``cols`` reads ``rows`` skewed, at no copy."""
+
+    def __init__(self, lo: int, hi: int, n: int):
+        pad, width = max(-lo, hi, 0), hi - lo + 1
+        buf = np.zeros((width + 1, n + 2 * pad), dtype=np.complex128)
+        pitch = n + 2 * pad - 1  # one less than the row length: the skew
+        self.lo, self.hi = lo, hi
+        self.rows = buf[:width, pad:pad + n]
+        self.cols = buf.reshape(-1)[pad - lo:pad - lo + width * pitch].reshape(width, pitch)[:, :n]
+
+
+def _band_times(t: _Band, offsets, p: _Band) -> _Band:
+    """T P by diagonals, clipped to the offsets |o| < n: one shifted
+    multiply-add per occupied diagonal e of T, ascending, since
+    (TP)[i, i + o + e] sums T[i, i + e] P[i + e, i + e + o]."""
+    n = p.rows.shape[1]
+    out = _Band(max(p.lo + t.lo, 1 - n), min(p.hi + t.hi, n - 1), n)
+    for e in offsets:
+        # P's diagonals s0..s1-1 are those landing inside out's clipped range
+        s0 = max(0, out.lo - e - p.lo)
+        s1 = min(p.hi - p.lo, out.hi - e - p.lo) + 1
+        i0, i1 = max(0, -e), min(n, n - e)
+        t0 = p.lo + s0 + e - out.lo
+        out.rows[t0:t0 + s1 - s0, i0:i1] += t.rows[e - t.lo, i0:i1] * p.rows[s0:s1, i0 + e:i1 + e]
+    return out
+
+
+def _band_pair_trace(a: _Band, b: _Band) -> complex:
+    """Tr(AB) = sum over shared offsets o of sum_i A[i, i + o] B[i + o, i],
+    one product of the stacked diagonals summed in a fixed order."""
+    o0, o1 = max(a.lo, -b.hi), min(a.hi, -b.lo)
+    if o0 > o1:
+        return 0j
+    a_diags = a.rows[o0 - a.lo:o1 - a.lo + 1]
+    b_diags = b.cols[-o1 - b.lo:-o0 - b.lo + 1][::-1]  # offsets -o0 down to -o1
+    return complex((a_diags * b_diags).sum())
+
+
+def _narrow_band(rows, cols, vals) -> _Band | None:
+    """Entries sorted by (row, col) as a ``_Band`` over their occupied
+    positions, or None when their diagonals span more than
+    1/SPARSE_FILL_DIVISOR of those positions (or there are none)."""
+    if not len(vals):
+        return None
+    first = min(rows[0], cols.min())
+    n = int(max(rows[-1], cols.max()) - first) + 1
+    if len(vals) * SPARSE_FILL_DIVISOR > n * n:  # no band that narrow holds them
+        return None
+    d = cols - rows
+    lo, hi = int(d.min()), int(d.max())
+    if (hi - lo + 1) * SPARSE_FILL_DIVISOR > n:
+        return None
+    band = _Band(lo, hi, n)
+    band.rows[d - lo, rows - first] = vals
+    return band
+
+
 class _TracePowers:
     """Incremental Tr(T^m) of the box truncation of a kernel.
 
     Picks a representation once and caches traces as successive powers are
-    formed, so a determinant evaluation costs one matrix product per series
-    order.  ``_mode`` names the representation:
+    formed, so a determinant evaluation costs at most one matrix product per
+    series order.  ``_mode`` names the representation:
 
     - ``diag``: band radius 0, a vector of diagonal entries;
-    - ``sparse``: a kernel with a declared band or support arrays whose
-      truncation is at least ``SPARSE_SIDE_MIN`` wide and holds at most
-      ``side^2 / SPARSE_FILL_DIVISOR`` entries, or exceeds
-      ``DENSE_SIDE_LIMIT``;
+    - ``band``: a kernel with a declared band or support arrays whose
+      truncation is at least ``SPARSE_SIDE_MIN`` wide (or exceeds
+      ``DENSE_SIDE_LIMIT``) and whose entries, on the occupied positions
+      ``lo..hi`` with offsets ``d = col - row``, span at most
+      ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
+      ``_Band`` arrays over ``lo..hi``, one shifted multiply-add per
+      occupied diagonal of T per product, and Tr(T^m) = Tr(T^a T^b) with
+      a = ceil(m/2), b = floor(m/2): order m forms T^a at most, and only
+      the two powers in use stay alive;
+    - ``sparse``: the other structured truncations of that width that hold
+      at most ``side^2 / SPARSE_FILL_DIVISOR`` entries or exceed
+      ``DENSE_SIDE_LIMIT``, by scipy CSR products;
     - ``dense``: everything else up to ``DENSE_SIDE_LIMIT``, built from the
       kernel's memoised entries when it declares structure and entry by
       entry otherwise.
+
+    Sides below ``SPARSE_SIDE_MIN`` thus keep the dense chain, whose
+    rounding the golden reports record.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
@@ -338,13 +424,20 @@ class _TracePowers:
             self._base = _assemble_dense(k, cutoff)
         else:
             rows, cols, vals = _truncation(k, cutoff)
+            wide = self.side >= SPARSE_SIDE_MIN or self.side > DENSE_SIDE_LIMIT
+            band = _narrow_band(rows, cols, vals) if wide and k.band_radius != 0 else None
             if k.band_radius == 0:
                 self._mode = "diag"
                 self._base = np.zeros(self.side, dtype=np.complex128)
                 self._base[rows] = vals
-            elif self.side > DENSE_SIDE_LIMIT or (
-                    self.side >= SPARSE_SIDE_MIN
-                    and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side):
+            elif band is not None:
+                self._mode = "band"
+                self._base = band
+                # the diagonals of T holding a nonzero entry, ascending
+                self._offsets = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
+                self._powers = {1: band}
+            elif wide and (self.side > DENSE_SIDE_LIMIT
+                           or len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side):
                 from scipy import sparse
 
                 self._mode = "sparse"
@@ -357,16 +450,31 @@ class _TracePowers:
                 self._base[rows, cols] = vals
         self._cur = self._base
 
+    def _power(self, a: int) -> _Band:
+        """T^a, formed from T^(a-1) when not held; then only those two are held."""
+        if a not in self._powers:
+            prev = self._powers[a - 1]
+            self._powers.clear()  # release T^(a-2) before the product
+            self._powers.update({a - 1: prev, a: _band_times(self._base, self._offsets, prev)})
+        return self._powers[a]
+
     def trace(self, m: int) -> complex:
         if m < 1:
             raise ParameterError(f"trace power must be >= 1, got {m}")
-        diag = self._mode == "diag"
         while len(self._traces) < m:
-            if self._traces:  # advance current power by one order
-                self._cur = self._cur * self._base if diag else self._cur @ self._base
-            self._traces.append(complex(self._cur.sum() if diag
-                                        else self._cur.diagonal().sum()))
+            self._traces.append(self._next_trace(len(self._traces) + 1))
         return self._traces[m - 1]
+
+    def _next_trace(self, m: int) -> complex:
+        if self._mode == "band":
+            if m > 1:
+                return _band_pair_trace(self._power((m + 1) // 2), self._power(m // 2))
+            t = self._base
+            return complex(t.rows[-t.lo].sum()) if t.lo <= 0 <= t.hi else 0j
+        if m > 1:  # advance current power by one order
+            self._cur = (self._cur * self._base if self._mode == "diag"
+                         else self._cur @ self._base)
+        return complex(self._cur.sum() if self._mode == "diag" else self._cur.diagonal().sum())
 
 
 def _band_entries(k: LatticeKernel, cutoff: int) -> tuple:
@@ -390,7 +498,7 @@ def _band_entries(k: LatticeKernel, cutoff: int) -> tuple:
 def truncation_trace_source(k: LatticeKernel, cutoff: int,
                             norm_hint: float | None = None) -> TracePowerSource:
     """Trace-power source m -> Tr(T^m) of the box truncation, with powers
-    formed incrementally so ascending queries cost one product each."""
+    formed incrementally so ascending queries cost at most one product each."""
     return TracePowerSource(_TracePowers(k, cutoff).trace,
                             norm_hint=norm_hint, label=k.label)
 
@@ -399,10 +507,13 @@ def cycle_trace(k: LatticeKernel, m: int, cutoff: int) -> complex:
     """Tr(T^m) over the box truncation, i.e. the sum over closed index
     chains j_0 -> j_1 -> ... -> j_m = j_0 of prod_s K(j_{s-1}, j_s).
 
-    Computed through matrix powers of the truncation (cost O(m N^3) with
-    N the box side) rather than the literal N^m nested sum; the two agree
-    exactly on the truncation and the nested sum is retained in
-    :mod:`specdet.oracle` as a cross-check.
+    Computed through powers of the truncation in the representation that
+    :class:`_TracePowers` picks for its structure (at most m - 1 products,
+    each O(N^3) dense with N the box side, about m/2 products of O(N w)
+    per occupied diagonal for a band whose powers span w diagonals)
+    rather than the literal N^m nested sum; the two agree on the truncation
+    up to rounding, and the nested sum is retained in :mod:`specdet.oracle`
+    as a cross-check.
     """
     if m < 1:
         raise ParameterError(f"cycle order must be >= 1, got {m}")

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from specdet import (
     mat_trace,
     nuclear_norm_estimate,
     poincare_strict_kernel,
+    radius_estimate,
     rank_one_kernel,
     schur_bound,
     table_kernel,
@@ -158,21 +160,112 @@ def _band_only_tridiagonal():
     return LatticeKernel(1, eval_fn, band_radius=1, label="band-only")
 
 
+def _assert_matches_dense_chain(monkeypatch, k, cutoff, powers):
+    """Traces of ``powers`` within 1e-12 of the dense chain over orders 1..30."""
+    traces = [powers.trace(m) for m in range(1, 31)]
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
+        reference = lattice_mod._TracePowers(k, cutoff)
+        assert reference._mode == "dense"
+        for m, got in enumerate(traces, start=1):
+            expected = reference.trace(m)
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def _record_band_products(monkeypatch):
+    """Wraps the band product; each call appends (lo, hi, alive): the offset
+    range of the power it forms and how many powers that earlier calls
+    formed are still alive when it is called."""
+    calls, formed = [], []
+    real = lattice_mod._band_times
+
+    def recording(t, offsets, p):
+        alive = sum(ref() is not None for ref in formed)
+        out = real(t, offsets, p)
+        formed.append(weakref.ref(out))
+        calls.append((out.lo, out.hi, alive))
+        return out
+
+    monkeypatch.setattr(lattice_mod, "_band_times", recording)
+    return calls
+
+
 @pytest.mark.parametrize("make_kernel", [
     lambda: banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200),
     _band_only_tridiagonal,
 ])
-def test_banded_truncation_takes_sparse_path(monkeypatch, make_kernel):
+def test_banded_truncation_takes_band_path(monkeypatch, make_kernel):
     k = make_kernel()
     powers = lattice_mod._TracePowers(k, 190)
+    assert powers._mode == "band"
+    _assert_matches_dense_chain(monkeypatch, k, 190, powers)
+
+
+@pytest.mark.parametrize("offsets, support, cutoff", [
+    ({-2: 0.1 + 0.2j, -1: -0.3j, 0: 0.25 - 0.05j, 1: 0.15 + 0.1j}, 200, 150),
+    ({-1: -0.15, 0: 0.3, 1: 0.2 - 0.1j}, 60, 190),
+], ids=["asymmetric-complex", "support-below-cutoff"])
+def test_band_path_agrees_with_dense_chain(monkeypatch, offsets, support, cutoff):
+    k = banded_kernel(offsets, support=support)
+    powers = lattice_mod._TracePowers(k, cutoff)
+    assert powers._mode == "band"
+    # the diagonals span the occupied positions only, not the box
+    assert powers._base.rows.shape == (max(offsets) - min(offsets) + 1,
+                                       2 * min(support, cutoff) + 1)
+    _assert_matches_dense_chain(monkeypatch, k, cutoff, powers)
+
+
+def test_one_sided_shift_keeps_one_diagonal_per_power(monkeypatch):
+    calls = _record_band_products(monkeypatch)
+    powers = lattice_mod._TracePowers(banded_kernel({1: 0.9 - 0.4j}, support=200), 150)
+    assert powers._mode == "band"
+    assert [powers.trace(m) for m in range(1, 31)] == [0] * 30
+    assert [(lo, hi) for lo, hi, _ in calls] == [(a, a) for a in range(2, 16)]
+
+
+def test_band_powers_stop_at_half_the_order(monkeypatch):
+    k = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200)
+    calls = _record_band_products(monkeypatch)
+    # T^a of a tridiagonal truncation spans the offsets -a..a
+    radius_estimate(lattice_mod.truncation_trace_source(k, 190), 30)
+    assert [(lo, hi) for lo, hi, _ in calls] == [(-a, a) for a in range(2, 16)]
+    # only the power being multiplied is alive when the next one is formed
+    assert max(alive for *_, alive in calls) <= 1
+    calls.clear()
+    result = lattice_determinant(k, 0.42, order=30, cutoff=190)
+    assert result.converged and result.order_used == 16
+    assert [hi for _, hi, _ in calls] == list(range(2, 9))
+
+
+def test_wide_band_truncation_keeps_the_sparse_path(monkeypatch):
+    k = poincare_strict_kernel()  # row one spans the box: no narrow band
+    powers = lattice_mod._TracePowers(k, 100)
     assert powers._mode == "sparse"
-    sparse = [powers.trace(m) for m in range(1, 31)]
-    monkeypatch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
-    reference = lattice_mod._TracePowers(k, 190)
-    assert reference._mode == "dense"
-    for m, got in enumerate(sparse, start=1):
-        expected = reference.trace(m)
-        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+    _assert_matches_dense_chain(monkeypatch, k, 100, powers)
+
+
+def test_short_support_at_vast_cutoff_allocates_no_side_wide_band():
+    # the shape of the CLI's assembly-guard request: 7-site factors, side 40001
+    import tracemalloc
+
+    from scipy import sparse  # noqa: F401  (its import is not the truncation's cost)
+
+    g = {j: 0.5 / (1 + abs(j)) for j in range(-3, 4)}
+    h = {j: (0.3 - 0.2j) / (1 + j * j) for j in range(-3, 4)}
+    k = rank_one_kernel(g, h)
+    tracemalloc.start()
+    try:
+        powers = lattice_mod._TracePowers(k, 20000)
+        traces = [powers.trace(m) for m in range(1, 31)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert powers._mode == "sparse"
+    # a band array across the side would take 14 * 40001 * 16 bytes, 9 MB
+    assert peak < 2 << 20
+    inner = sum(g[j] * h[j] for j in g)
+    for m, got in enumerate(traces, start=1):
+        assert abs(got - inner ** m) <= 1e-12 * max(1.0, abs(inner ** m))
 
 
 def test_band_wider_than_box_walks_only_the_box():
@@ -212,10 +305,23 @@ def test_dense_kernels_and_small_sides_stay_dense():
     for cutoff in (1, 6, 40, 63):  # side 127 is the largest below SPARSE_SIDE_MIN
         assert lattice_mod._TracePowers(tri, cutoff)._mode == "dense"
         assert lattice_mod._TracePowers(_band_only_tridiagonal(), cutoff)._mode == "dense"
-    assert lattice_mod._TracePowers(tri, 64)._mode == "sparse"
+    assert lattice_mod._TracePowers(tri, 64)._mode == "band"
     # a band of half-width 8 fills 17 of 141 entries per row: above side^2/32
     wide = banded_kernel({d: 0.05 for d in range(-8, 9)}, support=200)
     assert lattice_mod._TracePowers(wide, 70)._mode == "dense"
+
+
+def test_kernel_without_structure_takes_the_dense_chain():
+    def eval_fn(j, m):
+        return (0.2 - 0.1j * j[0]) / (1 + abs(j[0] - m[0]) + m[0] * m[0])
+
+    k = LatticeKernel(1, eval_fn, label="no-structure")
+    powers = lattice_mod._TracePowers(k, 4)
+    assert powers._mode == "dense"
+    a = np.array(assemble_truncation(k, 4).row_lists())
+    for m in (1, 2, 5):
+        expected = np.trace(np.linalg.matrix_power(a, m))
+        assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_diagonal_fast_path_agrees_with_dense():
