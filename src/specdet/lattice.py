@@ -336,13 +336,17 @@ class _Band:
 def _band_times(t: _Band, offsets, p: _Band) -> _Band:
     """T P by diagonals, clipped to the offsets |o| < n: one shifted
     multiply-add per occupied diagonal e of T, ascending, since
-    (TP)[i, i + o + e] sums T[i, i + e] P[i + e, i + e + o]."""
+    (TP)[i, i + o + e] sums T[i, i + e] P[i + e, i + e + o].  A product
+    whose offsets all leave |o| < n (a power of a one-sided band) is an
+    empty band, lo = hi + 1, and so are its products."""
     n = p.rows.shape[1]
-    out = _Band(max(p.lo + t.lo, 1 - n), min(p.hi + t.hi, n - 1), n)
+    out = _Band(min(max(p.lo + t.lo, 1 - n), n), max(min(p.hi + t.hi, n - 1), -n), n)
     for e in offsets:
         # P's diagonals s0..s1-1 are those landing inside out's clipped range
         s0 = max(0, out.lo - e - p.lo)
         s1 = min(p.hi - p.lo, out.hi - e - p.lo) + 1
+        if s1 <= s0:
+            continue
         i0, i1 = max(0, -e), min(n, n - e)
         t0 = p.lo + s0 + e - out.lo
         out.rows[t0:t0 + s1 - s0, i0:i1] += t.rows[e - t.lo, i0:i1] * p.rows[s0:s1, i0 + e:i1 + e]
@@ -387,15 +391,17 @@ class _TracePowers:
     series order.  ``_mode`` names the representation:
 
     - ``diag``: band radius 0, a vector of diagonal entries;
-    - ``band``: a kernel with a declared band or support arrays whose
-      truncation is at least ``SPARSE_SIDE_MIN`` wide (or exceeds
+    - ``band``: a one-dimensional kernel with a declared band or support
+      arrays whose truncation is at least ``SPARSE_SIDE_MIN`` wide (or exceeds
       ``DENSE_SIDE_LIMIT``) and whose entries, on the occupied positions
       ``lo..hi`` with offsets ``d = col - row``, span at most
       ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
       ``_Band`` arrays over ``lo..hi``, one shifted multiply-add per
       occupied diagonal of T per product, and Tr(T^m) = Tr(T^a T^b) with
       a = ceil(m/2), b = floor(m/2): order m forms T^a at most, and only
-      the two powers in use stay alive;
+      the two powers in use stay alive.  Multi-dimensional boxes stay off
+      it: their rows put a stencil's diagonals a box row apart, so the
+      band storage of its powers would be mostly empty;
     - ``sparse``: the other structured truncations of that width that hold
       at most ``side^2 / SPARSE_FILL_DIVISOR`` entries or exceed
       ``DENSE_SIDE_LIMIT``, by scipy CSR products;
@@ -425,7 +431,10 @@ class _TracePowers:
         else:
             rows, cols, vals = _truncation(k, cutoff)
             wide = self.side >= SPARSE_SIDE_MIN or self.side > DENSE_SIDE_LIMIT
-            band = _narrow_band(rows, cols, vals) if wide and k.band_radius != 0 else None
+            # one dimension only: a box's rows of length s put a 2-D stencil's
+            # diagonals s apart, so its band storage would be mostly empty
+            narrow = wide and k.dim == 1 and k.band_radius != 0
+            band = _narrow_band(rows, cols, vals) if narrow else None
             if k.band_radius == 0:
                 self._mode = "diag"
                 self._base = np.zeros(self.side, dtype=np.complex128)

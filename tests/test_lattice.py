@@ -223,6 +223,26 @@ def test_one_sided_shift_keeps_one_diagonal_per_power(monkeypatch):
     assert [(lo, hi) for lo, hi, _ in calls] == [(a, a) for a in range(2, 16)]
 
 
+@pytest.mark.parametrize("make_kernel", [
+    lambda: banded_kernel({10: 0.5}, support=200),
+    lambda: banded_kernel({-10: 0.5 + 0.1j}, support=200),
+    # T^7 T: diagonal 19 of T moves every diagonal of T^7 past the box
+    lambda: banded_kernel({16: 0.4, 19: 0.2 - 0.3j}, support=200),
+    lambda: rank_one_kernel({-60: 1.0}, {60: 0.5j}),
+], ids=["shift-10", "shift-minus-10", "one-sided-gap", "rank-one-far-apart"])
+def test_one_sided_band_powers_vanish_within_the_orders(monkeypatch, make_kernel):
+    # the offsets of T^a leave the occupied positions before order 30: the
+    # product is then an empty band, and so are all later powers
+    k = make_kernel()
+    calls = _record_band_products(monkeypatch)
+    powers = lattice_mod._TracePowers(k, 64)
+    assert powers._mode == "band"
+    _assert_matches_dense_chain(monkeypatch, k, 64, powers)
+    assert [powers.trace(m) for m in range(1, 31)] == [0] * 30
+    assert any(lo > hi for lo, hi, _ in calls)
+    assert radius_estimate(lattice_mod.truncation_trace_source(k, 64), 30) == math.inf
+
+
 def test_band_powers_stop_at_half_the_order(monkeypatch):
     k = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200)
     calls = _record_band_products(monkeypatch)
@@ -242,6 +262,18 @@ def test_wide_band_truncation_keeps_the_sparse_path(monkeypatch):
     powers = lattice_mod._TracePowers(k, 100)
     assert powers._mode == "sparse"
     _assert_matches_dense_chain(monkeypatch, k, 100, powers)
+
+
+@pytest.mark.parametrize("cutoff", [23, 34])  # sides 2209 and 4761
+def test_two_dimensional_band_above_the_dense_limit_keeps_the_sparse_path(cutoff):
+    # a 9-point stencil's diagonals lie a box row apart: band storage of its
+    # powers would be mostly empty, so it keeps CSR at any cutoff
+    k = banded_kernel({(a, b): 0.05 for a in (-1, 0, 1) for b in (-1, 0, 1)},
+                      support=200, dim=2)
+    powers = lattice_mod._TracePowers(k, cutoff)
+    assert powers.side > lattice_mod.DENSE_SIDE_LIMIT
+    assert powers._mode == "sparse"
+    assert abs(powers.trace(1) - 0.05 * powers.side) <= 1e-12 * powers.side
 
 
 def test_short_support_at_vast_cutoff_allocates_no_side_wide_band():
