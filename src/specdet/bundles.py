@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ParameterError, ShapeError
-from .invariant import _WeightedBlockPowers
+from .invariant import _WeightedBlockPowers, _side_groups
 from .linalg import CMatrix, mat_add, mat_mul, mat_trace
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -203,8 +203,8 @@ def flatten_symbol(a: BundleSymbol, xi: str) -> CMatrix:
 
 def bundle_trace_source(a: BundleSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_xi d_xi Tr(S_xi^m) with incremental powers."""
-    powers = _WeightedBlockPowers([flatten_symbol(a, xi) for xi, _ in a.dual.blocks],
-                                  [d for _, d in a.dual.blocks])
+    powers = _WeightedBlockPowers(_side_groups(
+        [flatten_symbol(a, xi) for xi, _ in a.dual.blocks], [d for _, d in a.dual.blocks]))
     return TracePowerSource(powers.trace, label=a.label)
 
 
@@ -216,6 +216,4 @@ def bundle_determinant(a: BundleSymbol, lam: complex, order: int = 30,
     the literal multi-index form is kept in :mod:`specdet.oracle` as the
     cross-check.
     """
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
     return plemelj_det(bundle_trace_source(a), lam, order=order, tol=tol)

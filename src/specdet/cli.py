@@ -8,6 +8,10 @@ on stdout.  Exit codes: 0 success, 2 parse/validation error, 3 feasibility
 refusal, 4 non-converged series under ``--mode series``.  In JSON mode
 errors go to stderr as one-line JSON objects.
 
+Each spec kind is computed through its entry in the kind table ``_KINDS``:
+series and oracle determinant, series and oracle trace, trace-power source
+and, for lattice kernels and toroidal symbols, the norm profile.
+
 Floats in JSON reports are rounded to 12 significant digits, which makes
 reports byte-stable across runs of the same build.
 """
@@ -15,6 +19,7 @@ reports byte-stable across runs of the same build.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -162,92 +167,101 @@ def _emit_text(report: dict, stream):
 # computation dispatch
 # ---------------------------------------------------------------------------
 
-def _series_det(spec, op, lam, order, cutoff, tol) -> DetResult:
-    kind = spec.kind
-    if kind == "lattice_kernel":
-        return lattice_determinant(op, lam, order=order, cutoff=cutoff, tol=tol)
-    if kind == "toroidal_symbol":
-        return toroidal_determinant(op, lam, order=order, cutoff=cutoff, tol=tol)
-    if kind == "block_symbol":
-        return invariant_determinant(op, lam, order=order, tol=tol)
-    if kind == "spectral_model":
-        return manifold_determinant(op, spec.params["alpha"], lam, order=order,
-                                    tol=tol,
-                                    manifold_dim=spec.params.get("manifold_dim"))
-    return bundle_determinant(op, lam, order=order, tol=tol)
+def _lattice_kind(kernel, series_det, norm_profile) -> tuple:
+    """Entry of a kind whose truncation at a cutoff is that of the lattice
+    kernel ``kernel(op, cutoff)``."""
+    return (
+        series_det,
+        lambda p, op, a: direct_determinant(
+            assemble_truncation(kernel(op, a.cutoff), a.cutoff), a.lam),
+        lambda p, op, a: lattice_trace(kernel(op, a.cutoff), a.cutoff),
+        lambda p, op, a: mat_trace(assemble_truncation(kernel(op, a.cutoff), a.cutoff)),
+        lambda p, op, a: truncation_trace_source(kernel(op, a.cutoff), a.cutoff),
+        norm_profile,
+    )
 
 
-def _oracle_det(spec, op, lam, cutoff) -> complex:
-    kind = spec.kind
-    if kind == "lattice_kernel":
-        return direct_determinant(assemble_truncation(op, cutoff), lam)
-    if kind == "toroidal_symbol":
-        return direct_determinant(assemble_truncation(toroidal_matrix(op, cutoff),
-                                                      cutoff), lam)
-    if kind == "block_symbol":
-        return block_determinant_product(op, lam)
-    if kind == "spectral_model":
-        return spectral_determinant_product(op, spec.params["alpha"], lam)
-    return bundle_determinant_product(op, lam)
+def _block_oracle_trace(op) -> complex:
+    acc = 0.0j
+    for b in op.blocks:
+        for i in range(b.rows):
+            acc += b.at(i, i)
+    return acc
 
 
-def _series_trace(spec, op, cutoff) -> complex:
-    kind = spec.kind
-    if kind == "lattice_kernel":
-        return lattice_trace(op, cutoff)
-    if kind == "toroidal_symbol":
-        return lattice_trace(toroidal_matrix(op, cutoff), cutoff)
-    if kind == "block_symbol":
-        return block_trace(op)
-    if kind == "spectral_model":
-        return spectral_trace_source(op, spec.params["alpha"]).trace_power(1)
-    return bundle_trace(op)
+def _spectral_oracle_trace(op, alpha: float) -> complex:
+    acc = 0.0
+    for j in range(op.level_count):
+        acc += int(op.multiplicities[j]) * (
+            1.0 + float(op.eigenvalues[j])) ** (-alpha / op.nu)
+    return complex(acc)
 
 
-def _oracle_trace(spec, op, cutoff) -> complex:
-    kind = spec.kind
-    if kind == "lattice_kernel":
-        return mat_trace(assemble_truncation(op, cutoff))
-    if kind == "toroidal_symbol":
-        return mat_trace(assemble_truncation(toroidal_matrix(op, cutoff), cutoff))
-    if kind == "block_symbol":
-        acc = 0.0j
-        for b in op.blocks:
-            for i in range(b.rows):
-                acc += b.at(i, i)
-        return acc
-    if kind == "spectral_model":
-        alpha = spec.params["alpha"]
-        acc = 0.0
-        for j in range(op.level_count):
-            acc += int(op.multiplicities[j]) * (
-                1.0 + float(op.eigenvalues[j])) ** (-alpha / op.nu)
-        return complex(acc)
+def _bundle_oracle_trace(op) -> complex:
     acc = 0.0j
     for xi, d in op.dual.blocks:
         acc += d * mat_trace(flatten_symbol(op, xi))
     return acc
 
 
-def _trace_source(spec, op, cutoff):
-    kind = spec.kind
-    if kind == "lattice_kernel":
-        return truncation_trace_source(op, cutoff)
-    if kind == "toroidal_symbol":
-        return truncation_trace_source(toroidal_matrix(op, cutoff), cutoff)
-    if kind == "block_symbol":
-        return block_trace_source(op)
-    if kind == "spectral_model":
-        return spectral_trace_source(op, spec.params["alpha"])
-    return bundle_trace_source(op)
+#: spec kind (as in specfile._KINDS) -> (series det, oracle det, series trace,
+#: oracle trace, trace source, norm profile).  The first five take (params,
+#: op, args); the norm profile takes (op, cutoffs) and is None for kinds
+#: without a summed-entry norm.  Each calls the library through the names
+#: imported into this module, looked up on each call, so rebinding one of
+#: them here (as span tracing does) reaches every kind.
+_KINDS = {
+    "lattice_kernel": _lattice_kind(
+        lambda op, cutoff: op,
+        lambda p, op, a: lattice_determinant(op, a.lam, order=a.order,
+                                             cutoff=a.cutoff, tol=a.tol),
+        lambda op, cutoffs: growth_verdict([(r, poincare_norm(op, r)) for r in cutoffs])),
+    "toroidal_symbol": _lattice_kind(
+        lambda op, cutoff: toroidal_matrix(op, cutoff),
+        lambda p, op, a: toroidal_determinant(op, a.lam, order=a.order,
+                                              cutoff=a.cutoff, tol=a.tol),
+        lambda op, cutoffs: norm_growth_profile(op, cutoffs)),
+    "block_symbol": (
+        lambda p, op, a: invariant_determinant(op, a.lam, order=a.order, tol=a.tol),
+        lambda p, op, a: block_determinant_product(op, a.lam),
+        lambda p, op, a: block_trace(op),
+        lambda p, op, a: _block_oracle_trace(op),
+        lambda p, op, a: block_trace_source(op),
+        None),
+    "spectral_model": (
+        lambda p, op, a: manifold_determinant(op, p["alpha"], a.lam, order=a.order,
+                                              tol=a.tol,
+                                              manifold_dim=p.get("manifold_dim")),
+        lambda p, op, a: spectral_determinant_product(op, p["alpha"], a.lam),
+        lambda p, op, a: spectral_trace_source(op, p["alpha"]).trace_power(1),
+        lambda p, op, a: _spectral_oracle_trace(op, p["alpha"]),
+        lambda p, op, a: spectral_trace_source(op, p["alpha"]),
+        None),
+    "bundle_symbol": (
+        lambda p, op, a: bundle_determinant(op, a.lam, order=a.order, tol=a.tol),
+        lambda p, op, a: bundle_determinant_product(op, a.lam),
+        lambda p, op, a: bundle_trace(op),
+        lambda p, op, a: _bundle_oracle_trace(op),
+        lambda p, op, a: bundle_trace_source(op),
+        None),
+}
 
 
 def _profile_cutoffs(cutoff: int) -> list:
     return sorted({max(1, cutoff >> s) for s in range(5)})
 
 
+def _routes(mode: str, series, oracle, *call) -> tuple:
+    """(series, oracle) results of the routes ``--mode`` selects, series
+    first; a route not taken gives None."""
+    first = series(*call) if mode != "oracle" else None
+    return first, (oracle(*call) if mode != "series" else None)
+
+
 def _dispatch(args, spec, op):
-    lam = args.lam
+    (series_det, oracle_det, series_trace, oracle_trace, trace_source,
+     norm_profile) = _KINDS[spec.kind]
+    p, lam = spec.params, args.lam
     base = {
         "command": args.command,
         "input": args.input,
@@ -255,27 +269,19 @@ def _dispatch(args, spec, op):
         "label": spec.label,
     }
     if args.command == "det":
+        series, oracle = _routes(args.mode, series_det, oracle_det, p, op, args)
         report = dict(base, **{"lambda": _cpx(lam), "order": args.order,
                                "cutoff": args.cutoff, "tol": _num(args.tol),
-                               "mode": args.mode, "series": None,
-                               "oracle": None, "deviation": None})
-        code = 0
-        series = None
-        if args.mode in ("series", "both"):
-            series = _series_det(spec, op, lam, args.order, args.cutoff, args.tol)
-            report["series"] = _det_json(series)
-        if args.mode in ("oracle", "both"):
-            oracle = _oracle_det(spec, op, lam, args.cutoff)
-            report["oracle"] = {"value": _cpx(oracle)}
-            if series is not None:
-                report["deviation"] = _deviation(series.value, oracle)
-        if args.mode == "series" and series is not None and not series.converged:
-            code = 4
-        return report, code
+                               "mode": args.mode,
+                               "series": None if series is None else _det_json(series),
+                               "oracle": None if oracle is None else {"value": _cpx(oracle)},
+                               "deviation": None})
+        if series is not None and oracle is not None:
+            report["deviation"] = _deviation(series.value, oracle)
+        return report, 4 if args.mode == "series" and not series.converged else 0
 
     if args.command == "compare":
-        series = _series_det(spec, op, lam, args.order, args.cutoff, args.tol)
-        oracle = _oracle_det(spec, op, lam, args.cutoff)
+        series, oracle = _routes("both", series_det, oracle_det, p, op, args)
         dev = _deviation(series.value, oracle)
         report = dict(base, **{
             "lambda": _cpx(lam), "order": args.order, "cutoff": args.cutoff,
@@ -290,36 +296,28 @@ def _dispatch(args, spec, op):
         return report, 0
 
     if args.command == "trace":
+        series, oracle = _routes(args.mode, series_trace, oracle_trace, p, op, args)
         report = dict(base, cutoff=args.cutoff, mode=args.mode,
-                      trace=None, oracle_trace=None, deviation=None)
-        series = oracle = None
-        if args.mode in ("series", "both"):
-            series = _series_trace(spec, op, args.cutoff)
-            report["trace"] = _cpx(series)
-        if args.mode in ("oracle", "both"):
-            oracle = _oracle_trace(spec, op, args.cutoff)
-            report["oracle_trace"] = _cpx(oracle)
+                      trace=None if series is None else _cpx(series),
+                      oracle_trace=None if oracle is None else _cpx(oracle),
+                      deviation=None)
         if series is not None and oracle is not None:
             report["deviation"] = _deviation(series, oracle)
         return report, 0
 
     if args.command == "radius":
-        src = _trace_source(spec, op, args.cutoff)
+        src = trace_source(p, op, args)
         estimate = radius_estimate(src, args.order)
         report = dict(base, order=args.order, cutoff=args.cutoff,
                       radius=_num(estimate))
         return report, 0
 
     # norm-profile
-    if spec.kind == "toroidal_symbol":
-        profile = norm_growth_profile(op, _profile_cutoffs(args.cutoff))
-    elif spec.kind == "lattice_kernel":
-        points = [(r, poincare_norm(op, r)) for r in _profile_cutoffs(args.cutoff)]
-        profile = growth_verdict(points)
-    else:
-        raise SpecValidationError(
-            f"norm-profile applies to lattice_kernel or toroidal_symbol specs, "
-            f"not {spec.kind}", field="kind")
+    if norm_profile is None:
+        have = " or ".join(k for k, entry in _KINDS.items() if entry[-1])
+        raise SpecValidationError(f"norm-profile applies to {have} specs, not {spec.kind}",
+                                  field="kind")
+    profile = norm_profile(op, _profile_cutoffs(args.cutoff))
     report = dict(base, cutoff=args.cutoff,
                   cutoffs=[r for r, _ in profile.points],
                   points=[[r, _num(v)] for r, v in profile.points],
@@ -333,17 +331,14 @@ def _dispatch(args, spec, op):
 # ---------------------------------------------------------------------------
 
 def _parse_lambda(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected RE or RE,IM for --lambda, got {text!r}"
-    )
+        lam = complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        lam = None
+    if lam is None or not cmath.isfinite(lam):
+        raise argparse.ArgumentTypeError(
+            f"expected finite RE or RE,IM for --lambda, got {text!r}")
+    return lam
 
 
 @functools.cache
@@ -421,7 +416,7 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         _emit_error("io", exc, args, stderr)
         return 2
-    except SpecdetError as exc:
+    except (SpecdetError, OverflowError) as exc:
         _emit_error("computation", exc, args, stderr)
         return 2
     if args.output == "json":

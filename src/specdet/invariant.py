@@ -104,62 +104,66 @@ def block_power_trace(s: BlockSymbol, m: int) -> complex:
 
 
 class _WeightedBlockPowers:
-    """Incremental trace powers sum_b w_b Tr(B_b^m) over square blocks.
+    """Incremental trace powers sum_b w_b Tr(B_b^m) over groups of square blocks.
 
-    Blocks of one size are stacked once, so each order costs one batched
-    ``np.matmul`` per distinct block size.  Per-block traces are then summed
-    in the original block order, so the result does not depend on how the
-    blocks group by size.
+    Each group is ``(weights, stack)``: a float64 vector of g weights and
+    either a (g, s, s) complex stack of blocks of one side s, or the (g,)
+    values of 1x1 blocks.  Each order costs one batched ``np.matmul`` per
+    stack, or one elementwise product per vector of values, then one
+    ``np.dot`` of the weights against the block traces; the groups add in
+    the order given.  Blocks sum within their group first, so grouping
+    the same blocks differently can move the last bits of a trace.
     """
 
-    def __init__(self, blocks, weights):
-        self._weights = tuple(weights)
-        by_size: dict = {}
-        for pos, b in enumerate(blocks):
-            by_size.setdefault(b.rows, []).append(pos)
-        self._groups = [
-            (positions, np.array([blocks[p].entries for p in positions],
-                                 dtype=np.complex128).reshape(len(positions), size, size))
-            for size, positions in by_size.items()
-        ]
-        self._current = [base for _, base in self._groups]
+    def __init__(self, groups):
+        self._groups = [(np.asarray(w, dtype=np.float64), stack) for w, stack in groups]
+        self._current = [stack for _, stack in self._groups]
         self._traces: list[complex] = []
 
     def trace(self, m: int) -> complex:
         while len(self._traces) < m:
             if self._traces:
-                self._current = [np.matmul(p, base)
+                self._current = [p * base if base.ndim == 1 else np.matmul(p, base)
                                  for p, (_, base) in zip(self._current, self._groups)]
-            per_block = [0.0j] * len(self._weights)
-            for (positions, _), p in zip(self._groups, self._current):
-                diag = p.diagonal(axis1=1, axis2=2).sum(axis=1)
-                for pos, t in zip(positions, diag.tolist()):
-                    per_block[pos] = t
             acc = 0.0j
-            for w, t in zip(self._weights, per_block):
-                acc += w * t
+            for (w, _), p in zip(self._groups, self._current):
+                acc += complex(np.dot(w, p if p.ndim == 1
+                                      else p.diagonal(axis1=1, axis2=2).sum(axis=1)))
             self._traces.append(acc)
         return self._traces[m - 1]
 
 
+def _side_groups(blocks, weights) -> list:
+    """``_WeightedBlockPowers`` groups of CMatrix blocks, one stack per block
+    side, in order of each side's first block."""
+    by_side: dict = {}
+    for b, w in zip(blocks, weights):
+        ws, entries = by_side.setdefault(b.rows, ([], []))
+        ws.append(w)
+        entries.append(b.entries)
+    return [(ws, np.array(entries, dtype=np.complex128).reshape(len(ws), side, side))
+            for side, (ws, entries) in by_side.items()]
+
+
 def block_trace_source(s: BlockSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_l Tr(sigma(l)^m) with incremental powers."""
-    return TracePowerSource(_WeightedBlockPowers(s.blocks, [1] * len(s.blocks)).trace,
-                            label=s.label)
+    powers = _WeightedBlockPowers(_side_groups(s.blocks, [1] * len(s.blocks)))
+    return TracePowerSource(powers.trace, label=s.label)
 
 
 def spectral_trace_source(sp: SpectralModel, alpha: float) -> TracePowerSource:
-    """Trace-power source m -> sum_j d_j (1 + lambda_j)^(-alpha*m/nu)."""
+    """Trace-power source m -> sum_j d_j (1 + lambda_j)^(-alpha*m/nu): one
+    group of 1x1 blocks (1 + lambda_j)^(-alpha/nu) with weights d_j."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    return TracePowerSource(_SpectralPowers(sp, alpha).trace, label=sp.label)
+    powers = _WeightedBlockPowers([(sp.multiplicities,
+                                    (1.0 + sp.eigenvalues) ** (-alpha / sp.nu))])
+    return TracePowerSource(powers.trace, label=sp.label)
 
 
 def invariant_determinant(s: BlockSymbol, lam: complex, order: int = 30,
                           tol: float = 1e-10) -> DetResult:
     """Determinant series of an invariant operator from its block symbol."""
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
     src = block_trace_source(s)
     result = plemelj_det(src, lam, order=order, tol=tol)
     if s.blocks:
@@ -214,23 +218,6 @@ class SpectralModel:
         return int(self.eigenvalues.size)
 
 
-class _SpectralPowers:
-    """Incremental trace powers sum_j d_j (1 + lambda_j)^(-alpha*m/nu)."""
-
-    def __init__(self, sp: SpectralModel, alpha: float):
-        self._base = (1.0 + sp.eigenvalues) ** (-alpha / sp.nu)
-        self._weights = sp.multiplicities.astype(np.float64)
-        self._cur = self._base.copy()
-        self._traces: list[complex] = []
-
-    def trace(self, m: int) -> complex:
-        while len(self._traces) < m:
-            if self._traces:
-                self._cur = self._cur * self._base
-            self._traces.append(complex(np.dot(self._weights, self._cur)))
-        return self._traces[m - 1]
-
-
 def weyl_tail_check(sp: SpectralModel, alpha: float, J: int | None = None) -> float:
     """Fraction of the spectral sum carried by the top half of the levels.
 
@@ -267,10 +254,6 @@ def manifold_determinant(sp: SpectralModel, alpha: float, lam: complex,
     tail-mass ratio of :func:`weyl_tail_check` is attached to the
     diagnostics either way.
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
     result = plemelj_det(spectral_trace_source(sp, alpha), lam, order=order, tol=tol)
     ratio = weyl_tail_check(sp, alpha)
     result.diagnostics["weyl_tail_ratio"] = ratio

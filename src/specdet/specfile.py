@@ -6,6 +6,10 @@ spectral_model, bundle_symbol) and kind-specific fields.  Complex numbers
 are two-element arrays [re, im].  Unknown fields are rejected and every
 validation error names the offending field, so a bad file fails at parse
 time rather than mid-computation.
+
+The kind table ``_KINDS`` at the end of the module is the one list of
+kinds: it maps each kind to its validator (spec object to normalized
+params) and its builder (params and label to the domain object).
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ from .toroidal import (
 )
 
 __all__ = ["OperatorSpec", "parse_spec", "parse_spec_text", "emit_spec", "build_operator"]
-
-KINDS = ("lattice_kernel", "toroidal_symbol", "block_symbol",
-         "spectral_model", "bundle_symbol")
-
 
 @dataclass
 class OperatorSpec:
@@ -319,15 +319,6 @@ def _validate_bundle(obj: dict) -> dict:
     return {"fiber_dim": fiber_dim, "dual": dual, "sigma": sigma}
 
 
-_VALIDATORS = {
-    "lattice_kernel": _validate_lattice,
-    "toroidal_symbol": _validate_toroidal,
-    "block_symbol": _validate_block,
-    "spectral_model": _validate_spectral,
-    "bundle_symbol": _validate_bundle,
-}
-
-
 def parse_spec_text(text: str) -> OperatorSpec:
     """Parse and validate a spec from JSON text."""
     try:
@@ -340,12 +331,12 @@ def parse_spec_text(text: str) -> OperatorSpec:
     if not isinstance(obj, dict):
         _fail("spec file must hold a JSON object", "kind")
     kind = obj.get("kind")
-    if kind not in KINDS:
-        _fail(f"expected one of {list(KINDS)}, got {kind!r}", "kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        _fail(f"expected one of {list(_KINDS)}, got {kind!r}", "kind")
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         _fail(f"expected a string, got {label!r}", "label")
-    params = _VALIDATORS[kind](obj)
+    params = _KINDS[kind][0](obj)
     return OperatorSpec(kind=kind, params=params, label=label)
 
 
@@ -368,29 +359,21 @@ def _complex(pair) -> complex:
 
 def build_operator(spec: OperatorSpec):
     """Instantiate the domain object a validated spec describes."""
-    p = spec.params
-    label = spec.label or ""
-    if spec.kind == "lattice_kernel":
-        return _build_lattice(p, label)
-    if spec.kind == "toroidal_symbol":
-        return _build_toroidal(p, label)
-    if spec.kind == "block_symbol":
-        blocks = tuple(
-            CMatrix.from_rows([[_complex(z) for z in row] for row in matrix])
-            for matrix in p["blocks"]
-        )
-        return BlockSymbol(blocks, label=label)
-    if spec.kind == "spectral_model":
-        return _build_spectral(p, label)
-    if spec.kind == "bundle_symbol":
-        dual = DualObject(tuple((i, d) for i, d in p["dual"]), label=label)
-        entries = {}
-        for i, r, xi, matrix in p["sigma"]:
-            entries[(i, r, xi)] = CMatrix.from_rows(
-                [[_complex(z) for z in row] for row in matrix]
-            )
-        return BundleSymbol.from_entries(p["fiber_dim"], dual, entries, label=label)
-    raise SpecValidationError(f"unsupported kind {spec.kind!r}", field="kind")
+    return _KINDS[spec.kind][1](spec.params, spec.label or "")
+
+
+def _cmatrix(matrix) -> CMatrix:
+    return CMatrix.from_rows([[_complex(z) for z in row] for row in matrix])
+
+
+def _build_block(p: dict, label: str) -> BlockSymbol:
+    return BlockSymbol(tuple(_cmatrix(matrix) for matrix in p["blocks"]), label=label)
+
+
+def _build_bundle(p: dict, label: str) -> BundleSymbol:
+    dual = DualObject(tuple((i, d) for i, d in p["dual"]), label=label)
+    entries = {(i, r, xi): _cmatrix(matrix) for i, r, xi, matrix in p["sigma"]}
+    return BundleSymbol.from_entries(p["fiber_dim"], dual, entries, label=label)
 
 
 def _build_lattice(p: dict, label: str) -> LatticeKernel:
@@ -446,3 +429,13 @@ def _build_spectral(p: dict, label: str) -> SpectralModel:
         return torus2_model(p["J"], nu=p["nu"], label=label or "torus2")
     return SpectralModel(p["eigenvalues"], p["multiplicities"], p["nu"],
                          label=label or "table")
+
+
+#: kind -> (validate spec object into params, build operator from params and label)
+_KINDS = {
+    "lattice_kernel": (_validate_lattice, _build_lattice),
+    "toroidal_symbol": (_validate_toroidal, _build_toroidal),
+    "block_symbol": (_validate_block, _build_block),
+    "spectral_model": (_validate_spectral, _build_spectral),
+    "bundle_symbol": (_validate_bundle, _build_bundle),
+}

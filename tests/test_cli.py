@@ -215,3 +215,44 @@ def test_series_never_evaluates_a_quantization_entry_by_entry(monkeypatch):
                                 "--mode", "series", "--cutoff", "6"])
     assert code == 0 and report["series"]["cutoff_used"] == 6
     assert calls == []
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf,0", "0,-inf", "1e400", "nan,nan"])
+@pytest.mark.parametrize("fixture", GOOD_FIXTURES)
+def test_non_finite_lambda_exits_2(capsys, fixture, lam):
+    code, out, _ = run(["det", "--input", f"fixtures/{fixture}", "--lambda", lam,
+                        "--output", "json"])
+    assert (code, out) == (2, "")
+    # argparse reports usage errors on sys.stderr
+    assert f"expected finite RE or RE,IM for --lambda, got {lam!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["det", "compare"])
+@pytest.mark.parametrize("fixture,lam", [("spectral_sphere.json", "1e200"),
+                                         ("diag_inverse_square.json", "1e308,1e308")])
+def test_overflow_is_a_computation_error(command, fixture, lam):
+    # complex exponentiation in the spectral oracle, abs(lambda) in the
+    # lattice norm check: both raise OverflowError inside the library
+    code, out, err = run([command, "--input", f"fixtures/{fixture}", "--lambda", lam,
+                          "--output", "json"])
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "computation"
+
+
+@pytest.mark.parametrize("fixture", GOOD_FIXTURES)
+def test_order_zero_exits_2_and_names_the_order(fixture):
+    code, report, err = run_json(["det", "--input", f"fixtures/{fixture}", "--order", "0"])
+    assert (code, report) == (2, None)
+    payload = json.loads(err)
+    assert payload["error"] == "computation"
+    assert "order" in payload["message"] and "0" in payload["message"]
+
+
+def test_unknown_kind_error_is_unchanged():
+    expected = ("kind: expected one of ['lattice_kernel', 'toroidal_symbol', "
+                "'block_symbol', 'spectral_model', 'bundle_symbol'], got None")
+    argv = ["det", "--input", "fixtures/bad/missing_kind.json"]
+    assert run(argv + ["--output", "json"]) == (2, "", json.dumps(
+        {"error": "validation", "field": "kind", "message": expected}, sort_keys=True) + "\n")
+    assert run(argv) == (2, "", f"specdet: validation error [kind]: {expected}\n")

@@ -281,3 +281,33 @@ def test_torus2_model_equals_the_lattice_point_loop(J):
     assert sp.eigenvalues.dtype == np.float64 and sp.multiplicities.dtype == np.int64
     assert np.array_equal(sp.eigenvalues.view(np.uint64), eig.view(np.uint64))
     assert np.array_equal(sp.multiplicities, mult)
+
+
+def test_spectral_source_is_the_float64_dot_of_iterated_powers():
+    # spectral models are one group of 1x1 blocks: per order one float64
+    # elementwise product and one float64 np.dot, the arithmetic the golden
+    # spectral_table report was recorded with
+    from specdet import spectral_trace_source
+
+    for sp, alpha in ((sphere2_model(300), 3.0), (circle_model(50, nu=1.5), 2.2)):
+        src = spectral_trace_source(sp, alpha)
+        weights = sp.multiplicities.astype(np.float64)
+        base = (1.0 + sp.eigenvalues) ** (-alpha / sp.nu)
+        cur = base.copy()
+        for m in range(1, 31):
+            if m > 1:
+                cur = cur * base
+            assert src.trace_power(m) == complex(np.dot(weights, cur))
+
+
+def test_weighted_block_powers_mix_value_and_stack_groups():
+    from specdet.invariant import _WeightedBlockPowers
+
+    rng = np.random.default_rng(57)
+    values = rng.uniform(-0.8, 0.8, size=6)
+    stack = (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))) * 0.3
+    powers = _WeightedBlockPowers([([1, 2, 1, 3, 1, 2], values), ([2, 1, 5], stack)])
+    for m in range(1, 21):
+        expected = np.dot([1, 2, 1, 3, 1, 2], values ** m) + sum(
+            w * np.trace(np.linalg.matrix_power(b, m)) for w, b in zip([2, 1, 5], stack))
+        assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -175,3 +175,11 @@ def test_bundle_sigma_shape_mismatch_names_record():
             '"sigma":[[1,1,"xi",[[[1.0,0.0]]]]]}'
         )
     assert info.value.field == "sigma[0]"
+
+
+@pytest.mark.parametrize("kind", [["lattice_kernel"], {"k": 1}, 3, None])
+def test_kind_that_is_no_string_is_rejected_by_name(kind):
+    with pytest.raises(SpecValidationError) as info:
+        parse_spec_text(json.dumps({"kind": kind}))
+    assert info.value.field == "kind"
+    assert str(info.value).endswith(f"got {kind!r}")
