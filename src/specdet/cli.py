@@ -5,8 +5,9 @@ Subcommands: ``det`` (determinant of I + lambda*T), ``trace``,
 JSON operator spec (see :mod:`specdet.specfile`), computes along the series
 path, the brute-force oracle path, or both, and emits a text or JSON report
 on stdout.  Exit codes: 0 success, 2 parse/validation error, 3 feasibility
-refusal, 4 non-converged series under ``--mode series``.  In JSON mode
-errors go to stderr as one-line JSON objects.
+refusal, 4 non-converged series under ``--mode series``.  Errors go to
+stderr; in JSON mode each is one JSON object on one line, command-line
+usage errors included (``{"error": "usage", "message": ...}``).
 
 Each spec kind is computed through its entry in the kind table ``_KINDS``:
 series and oracle determinant, series and oracle trace, trace-power source
@@ -341,11 +342,46 @@ def _parse_lambda(text: str) -> complex:
     return lam
 
 
+class _ParserExit(Exception):
+    """Where argparse would print and exit: ``text`` is what it would print,
+    the help (status 0, on stdout) or the usage line and ``prog: error:
+    message`` (status 2, on stderr)."""
+
+    def __init__(self, status: int, text: str, message: str = ""):
+        super().__init__(message)
+        self.status = status
+        self.text = text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _ParserExit instead of printing on ``sys.stdout`` or
+    ``sys.stderr`` and exiting, so that run_command writes on its own
+    streams."""
+
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message):
+        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n", message)
+
+
+def _asks_for_json(argv: list) -> bool:
+    """Whether a command line the parser rejected asks for ``--output json``
+    (the last ``--output`` option, written in full, wins)."""
+    output = None
+    for arg, following in zip(argv, argv[1:] + [None]):
+        if arg == "--output":
+            output = following
+        elif arg.startswith("--output="):
+            output = arg.partition("=")[2]
+    return output == "json"
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused: building it
     costs several times what parsing one command line does."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--input", required=True, help="operator spec file (JSON)")
     common.add_argument("--lambda", dest="lam", type=_parse_lambda,
                         default=complex(0.1, 0.0), metavar="RE,IM",
@@ -361,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=("json", "text"), default="text",
                         help="report format (default text)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specdet",
         description="Determinants and traces of operators given by symbols "
                     "and kernels, with brute-force oracle cross-checks.",
@@ -395,11 +431,17 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
     """Run one CLI invocation; returns the process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        if exc.status == 0:
+            stdout.write(exc.text)
+        elif _asks_for_json(argv):
+            _emit_json({"error": "usage", "message": str(exc)}, stderr)
+        else:
+            stderr.write(exc.text)
+        return exc.status
     try:
         spec = parse_spec(args.input)
         op = build_operator(spec)

@@ -574,6 +574,8 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
 # ---------------------------------------------------------------------------
 
 def _as_index(j, dim: int) -> Index:
+    if type(j) is int and dim == 1:
+        return (j,)
     if isinstance(j, (tuple, list, np.ndarray)):
         idx = tuple(int(x) for x in j)
     else:
@@ -587,18 +589,22 @@ def _sup_norm(j: Index) -> int:
     return max(abs(x) for x in j) if j else 0
 
 
-def _site_arrays(table: dict, dim: int) -> tuple:
-    """A table {index tuple: value} as its sorted sites, an (n, dim) int64
-    array, their sup norms and their complex128 values."""
-    sites = sorted(table)
-    points = np.array(sites, dtype=np.int64).reshape(-1, dim)
-    values = np.array([table[site] for site in sites], dtype=np.complex128)
+def _site_arrays(table: dict, width: int) -> tuple:
+    """A table {site: value} as its sites in lexicographic order, an
+    (n, width) int64 array, their sup norms and their complex128 values.
+    A site is a tuple of ``width`` ints, or a pair of tuples of ``width``/2
+    ints each, read as their concatenation."""
+    points = np.array(list(table), dtype=np.int64).reshape(-1, width)
+    order = np.lexsort(points.T[::-1])  # sites are distinct: one total order
+    points = points[order]
+    values = np.array(list(table.values()), dtype=np.complex128)[order]
     return points, np.abs(points).max(axis=1, initial=0), values
 
 
-def _site_support(table: dict, dim: int) -> Callable[[int], tuple]:
-    """``support_arrays`` of a kernel given by a finite table {(j, m): value}."""
-    points, sup, values = _site_arrays({j + m: v for (j, m), v in table.items()}, 2 * dim)
+def _site_support(points: np.ndarray, sup: np.ndarray, values: np.ndarray,
+                  dim: int) -> Callable[[int], tuple]:
+    """``support_arrays`` of a kernel given by finitely many entries: the
+    site arrays of a table {(j, m): value}, j and m of ``dim`` ints."""
 
     def support_arrays(cutoff):
         inside = sup <= cutoff
@@ -611,13 +617,15 @@ def _site_support(table: dict, dim: int) -> Callable[[int], tuple]:
 def diagonal_kernel(entries, dim: int = 1, label: str = "diagonal") -> LatticeKernel:
     """K(j, j) = given value on a finite set of diagonal sites, else 0."""
     table = {_as_index(j, dim): complex(v) for j, v in dict(entries).items()}
-    support = max((_sup_norm(j) for j in table), default=0)
+    points, sup, values = _site_arrays(table, dim)
 
     def eval_fn(j, m):
         return table.get(j, 0.0j) if j == m else 0.0j
 
-    return LatticeKernel(dim, eval_fn, declared_support=support, band_radius=0,
-                         support_arrays=_site_support({(j, j): v for j, v in table.items()}, dim),
+    return LatticeKernel(dim, eval_fn, declared_support=int(sup.max(initial=0)),
+                         band_radius=0,
+                         support_arrays=_site_support(np.hstack((points, points)), sup,
+                                                      values, dim),
                          label=label)
 
 
@@ -642,11 +650,8 @@ def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKerne
     """K(j, m) = g(j) * h(m) for finitely supported tables g and h."""
     gt = {_as_index(j, dim): complex(v) for j, v in dict(g).items()}
     ht = {_as_index(j, dim): complex(v) for j, v in dict(h).items()}
-    support = max(
-        max((_sup_norm(j) for j in gt), default=0),
-        max((_sup_norm(j) for j in ht), default=0),
-    )
     factors = [_site_arrays(gt, dim), _site_arrays(ht, dim)]
+    support = max(int(sup.max(initial=0)) for _, sup, _ in factors)
     spoiled = [not np.isfinite(values).all() for _, _, values in factors]
 
     def eval_fn(j, m):
@@ -685,8 +690,8 @@ def banded_kernel(offsets, support: int, dim: int = 1,
     if support < 0:
         raise ParameterError(f"support must be >= 0, got {support}")
     off = {_as_index(d, dim): complex(v) for d, v in dict(offsets).items()}
-    band = max((_sup_norm(d) for d in off), default=0)
-    shift_pts, _, shift_vals = _site_arrays(off, dim)
+    shift_pts, shift_sup, shift_vals = _site_arrays(off, dim)
+    band = int(shift_sup.max(initial=0))
 
     def eval_fn(j, m):
         if _sup_norm(j) > support or _sup_norm(m) > support:
@@ -711,15 +716,14 @@ def table_kernel(entries, dim: int = 1, label: str = "table") -> LatticeKernel:
     table = {}
     for (j, m), v in dict(entries).items():
         table[(_as_index(j, dim), _as_index(m, dim))] = complex(v)
-    support = max(
-        (max(_sup_norm(j), _sup_norm(m)) for j, m in table), default=0
-    )
+    points, sup, values = _site_arrays(table, 2 * dim)
 
     def eval_fn(j, m):
         return table.get((j, m), 0.0j)
 
-    return LatticeKernel(dim, eval_fn, declared_support=support,
-                         support_arrays=_site_support(table, dim), label=label)
+    return LatticeKernel(dim, eval_fn, declared_support=int(sup.max(initial=0)),
+                         support_arrays=_site_support(points, sup, values, dim),
+                         label=label)
 
 
 def poincare_strict_kernel(label: str = "poincare-strict") -> LatticeKernel:

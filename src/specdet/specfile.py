@@ -7,6 +7,15 @@ are two-element arrays [re, im].  Unknown fields are rejected and every
 validation error names the offending field, so a bad file fails at parse
 time rather than mid-computation.
 
+Entry lists and matrices are checked whole: one pass over the list asks
+whether every record is a list of the right length holding exact ``int``
+indices and exact, finite ``float`` values.  Such a list is already what
+normalizing it would return, so it is kept as it is, and no field path
+is built.  Any other list (int values to convert, bools, strings,
+non-finite numbers, records of the wrong length) goes through the
+per-item walk, which normalizes it or names the first bad item, so the
+normalized values and every message are the walk's.
+
 The kind table ``_KINDS`` at the end of the module is the one list of
 kinds: it maps each kind to its validator (spec object to normalized
 params) and its builder (params and label to the domain object).
@@ -17,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, starmap
 from pathlib import Path
 
 from .bundles import BundleSymbol, DualObject
@@ -79,8 +89,63 @@ def _as_pair(value, fld: str) -> list:
     _fail(f"expected a number or [re, im] pair, got {value!r}", fld)
 
 
+def _exact(values, tp) -> bool:
+    """Whether every item of ``values`` has type ``tp`` itself (so a bool
+    is not an int)."""
+    return set(map(type, values)) <= {tp}
+
+
+def _plain_floats(values) -> bool:
+    """Whether ``values`` are exact, finite floats: what _as_number returns
+    unchanged.  A non-finite item makes the sum inf or nan; an overflowing
+    sum of finite items only sends the list to the per-item walk."""
+    return _exact(values, float) and math.isfinite(sum(values))
+
+
+def _plain_records(value, index_slots: int) -> bool:
+    """Whether ``value`` is a list of [idx..., re, im] records with exact
+    int indices and plain float values, which _as_entry_list would return
+    unchanged."""
+    width = index_slots + 2
+    if (type(value) is not list or not _exact(value, list)
+            or not set(map(len, value)) <= {width}):
+        return False
+    flat = list(chain.from_iterable(value))
+    if index_slots:
+        if not all(_exact(flat[s::width], int) for s in range(index_slots)):
+            return False
+        flat = flat[index_slots::width] + flat[index_slots + 1::width]
+    return _plain_floats(flat)
+
+
+def _plain_matrices(value) -> bool:
+    """Whether ``value`` is a list of matrices that _as_matrix would each
+    return unchanged: nonempty lists of equally long, nonempty rows of plain
+    [re, im] pairs."""
+    if type(value) is not list or not _exact(value, list) or not all(value):
+        return False
+    rows = list(chain.from_iterable(value))
+    if not _exact(rows, list) or not all(rows):
+        return False
+    widths = chain.from_iterable([len(matrix[0])] * len(matrix) for matrix in value)
+    return (list(map(len, rows)) == list(widths)
+            and _plain_records(list(chain.from_iterable(rows)), 0))
+
+
+def _plain_sigma(records) -> bool:
+    """Whether every [i, r, xi, matrix] record has exact int fiber indices,
+    a str dual id and a matrix that _as_matrix would return unchanged."""
+    if not _exact(records, list) or not set(map(len, records)) <= {4}:
+        return False
+    flat = list(chain.from_iterable(records))
+    return (_exact(flat[0::4] + flat[1::4], int) and _exact(flat[2::4], str)
+            and _plain_matrices(flat[3::4]))
+
+
 def _as_entry_list(value, fld: str, index_slots: int) -> list:
     """Normalize a list of [idx..., re, im] records."""
+    if _plain_records(value, index_slots):
+        return value
     if not isinstance(value, list):
         _fail(f"expected a list, got {value!r}", fld)
     out = []
@@ -97,6 +162,8 @@ def _as_entry_list(value, fld: str, index_slots: int) -> list:
 
 def _as_matrix(value, fld: str) -> list:
     """Normalize a matrix: list of rows of [re, im] pairs."""
+    if _plain_matrices([value]):
+        return value
     if not isinstance(value, list) or not value:
         _fail(f"expected a nonempty list of rows, got {value!r}", fld)
     rows = []
@@ -195,9 +262,10 @@ def _validate_block(obj: dict) -> dict:
     raw_blocks = _require(obj, "blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         _fail("expected a nonempty list of matrices", "blocks")
+    plain = _plain_matrices(raw_blocks)
     blocks = []
     for l, raw in enumerate(raw_blocks):
-        matrix = _as_matrix(raw, f"block[{l}]")
+        matrix = raw if plain else _as_matrix(raw, f"block[{l}]")
         if len(matrix) != len(matrix[0]):
             _fail(f"matrix is {len(matrix)}x{len(matrix[0])}, must be square",
                   f"block[{l}]")
@@ -251,11 +319,13 @@ def _validate_spectral(obj: dict) -> dict:
             _fail("expected a nonempty list", "eigenvalues")
         if not isinstance(mult, list) or len(mult) != len(eig):
             _fail(f"expected {len(eig)} multiplicities", "multiplicities")
-        values = [_as_number(v, f"eigenvalues[{j}]") for j, v in enumerate(eig)]
+        values = eig if _plain_floats(eig) else [
+            _as_number(v, f"eigenvalues[{j}]") for j, v in enumerate(eig)]
         for j, v in enumerate(values):
             if v < 0:
                 _fail("eigenvalues must be nonnegative", f"eigenvalues[{j}]")
-        counts = [_as_int(d, f"multiplicities[{j}]") for j, d in enumerate(mult)]
+        counts = mult if _exact(mult, int) else [
+            _as_int(d, f"multiplicities[{j}]") for j, d in enumerate(mult)]
         for j, d in enumerate(counts):
             if d < 1:
                 _fail("multiplicities must be >= 1", f"multiplicities[{j}]")
@@ -295,25 +365,26 @@ def _validate_bundle(obj: dict) -> dict:
     if not isinstance(raw_sigma, list):
         _fail(f"expected a list of [i, r, xi, matrix] records, got {raw_sigma!r}",
               "sigma")
+    plain = _plain_sigma(raw_sigma)
     sigma = []
     seen_keys = set()
     for n, rec in enumerate(raw_sigma):
-        here = f"sigma[{n}]"
-        if not isinstance(rec, list) or len(rec) != 4 or not isinstance(rec[2], str):
-            _fail(f"expected [i, r, xi, matrix], got {rec!r}", here)
-        i = _as_int(rec[0], f"{here}[0]")
-        r = _as_int(rec[1], f"{here}[1]")
+        if not plain and (not isinstance(rec, list) or len(rec) != 4
+                          or not isinstance(rec[2], str)):
+            _fail(f"expected [i, r, xi, matrix], got {rec!r}", f"sigma[{n}]")
+        i = rec[0] if plain else _as_int(rec[0], f"sigma[{n}][0]")
+        r = rec[1] if plain else _as_int(rec[1], f"sigma[{n}][1]")
         xi = rec[2]
         if not (1 <= i <= fiber_dim and 1 <= r <= fiber_dim):
-            _fail(f"fiber indices ({i}, {r}) outside 1..{fiber_dim}", here)
+            _fail(f"fiber indices ({i}, {r}) outside 1..{fiber_dim}", f"sigma[{n}]")
         if xi not in dims:
-            _fail(f"unknown dual id {xi!r}", here)
-        matrix = _as_matrix(rec[3], f"{here}[3]")
+            _fail(f"unknown dual id {xi!r}", f"sigma[{n}]")
+        matrix = rec[3] if plain else _as_matrix(rec[3], f"sigma[{n}][3]")
         if len(matrix) != dims[xi] or len(matrix[0]) != dims[xi]:
             _fail(f"matrix is {len(matrix)}x{len(matrix[0])}, expected "
-                  f"{dims[xi]}x{dims[xi]} for block {xi!r}", here)
+                  f"{dims[xi]}x{dims[xi]} for block {xi!r}", f"sigma[{n}]")
         if (i, r, xi) in seen_keys:
-            _fail(f"duplicate sigma entry for ({i}, {r}, {xi!r})", here)
+            _fail(f"duplicate sigma entry for ({i}, {r}, {xi!r})", f"sigma[{n}]")
         seen_keys.add((i, r, xi))
         sigma.append([i, r, xi, matrix])
     return {"fiber_dim": fiber_dim, "dual": dual, "sigma": sigma}
@@ -363,7 +434,9 @@ def build_operator(spec: OperatorSpec):
 
 
 def _cmatrix(matrix) -> CMatrix:
-    return CMatrix.from_rows([[_complex(z) for z in row] for row in matrix])
+    """The CMatrix of a validated matrix (equal rows of [re, im] pairs)."""
+    return CMatrix(len(matrix), len(matrix[0]),
+                   tuple(starmap(complex, chain.from_iterable(matrix))))
 
 
 def _build_block(p: dict, label: str) -> BlockSymbol:

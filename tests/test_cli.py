@@ -219,12 +219,55 @@ def test_series_never_evaluates_a_quantization_entry_by_entry(monkeypatch):
 
 @pytest.mark.parametrize("lam", ["nan", "inf,0", "0,-inf", "1e400", "nan,nan"])
 @pytest.mark.parametrize("fixture", GOOD_FIXTURES)
-def test_non_finite_lambda_exits_2(capsys, fixture, lam):
-    code, out, _ = run(["det", "--input", f"fixtures/{fixture}", "--lambda", lam,
-                        "--output", "json"])
+def test_non_finite_lambda_exits_2(fixture, lam):
+    code, out, err = run(["det", "--input", f"fixtures/{fixture}", "--lambda", lam,
+                          "--output", "json"])
     assert (code, out) == (2, "")
-    # argparse reports usage errors on sys.stderr
-    assert f"expected finite RE or RE,IM for --lambda, got {lam!r}" in capsys.readouterr().err
+    assert f"expected finite RE or RE,IM for --lambda, got {lam!r}" in err
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    (["det", "--input", "fixtures/zero.json", "--lambda", "x"], "specdet det",
+     "argument --lambda: expected finite RE or RE,IM for --lambda, got 'x'"),
+    (["det", "--input", "fixtures/zero.json", "--bandwidth", "3"], "specdet",
+     "unrecognized arguments: --bandwidth 3"),
+    (["det"], "specdet det", "the following arguments are required: --input"),
+    (["det", "--input", "fixtures/zero.json", "--output", "yaml"], "specdet det",
+     "argument --output: invalid choice: 'yaml' (choose from 'json', 'text')"),
+])
+def test_usage_errors_go_to_the_given_stderr(capsys, argv, prog, message):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} ") and err.endswith(f"{prog}: error: {message}\n")
+    for output in (["--output", "json"], ["--output=json"]):
+        assert run(argv + output) == (2, "", json.dumps(
+            {"error": "usage", "message": message}, sort_keys=True) + "\n")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = run(["det", "-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: specdet det ") and "--lambda RE,IM" in out
+    assert capsys.readouterr() == ("", "")
+
+
+def test_python_m_specdet_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    argv = ["det", "--input", "fixtures/zero.json", "--output", "json"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+    via_m = subprocess.run([sys.executable, "-m", "specdet", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    via_main = subprocess.run(
+        [sys.executable, "-c", "from specdet.cli import main; main()", *argv], env=env,
+        capture_output=True, text=True, timeout=60)
+    assert (via_m.returncode, via_m.stdout, via_m.stderr) == (
+        via_main.returncode, via_main.stdout, via_main.stderr)
+    assert (via_m.returncode, via_m.stdout) == (0, (GOLDEN / "zero.json").read_text())
 
 
 @pytest.mark.parametrize("command", ["det", "compare"])

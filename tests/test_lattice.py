@@ -604,3 +604,55 @@ def test_entries_are_sorted_on_a_box_whose_pair_count_overflows():
     assert got_rows.tolist() == [0, 5, side - 1, side - 1]
     assert got_cols.tolist() == [side - 1, 5, 0, 3]
     assert got_vals.tolist() == [2, 4, 3, 1]
+
+
+def sorted_site_arrays(table, width):
+    """Site arrays as a sorted() walk over the index tuples builds them; the
+    reference for the np.lexsort build of lattice._site_arrays."""
+    sites = sorted(table)
+    points = np.array(sites, dtype=np.int64).reshape(-1, width)
+    values = np.array([table[site] for site in sites], dtype=np.complex128)
+    return points, np.abs(points).max(axis=1, initial=0), values
+
+
+def _scrambled(rng, sites, keep=0.6):
+    """A random share of ``sites`` in a random order, each with a random
+    value or an explicit zero."""
+    kept = [site for site in sites if rng.uniform() < keep]
+    rng.shuffle(kept)
+    return {site: 0.0 if n % 3 == 0 else rand_complex(rng) for n, site in enumerate(kept)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["diagonal", "rank_one", "banded", "table"])
+def test_support_arrays_are_the_sorted_build(monkeypatch, family, dim):
+    rng = np.random.default_rng(90 + dim)
+    # negative sites in a random order; 1-D sites as plain ints and as tuples
+    sites = [s[0] if dim == 1 and n % 2 else s for n, s in enumerate(_box(dim, 3))]
+    if family == "diagonal":
+        entries = _scrambled(rng, sites)
+        make = lambda: diagonal_kernel(entries, dim=dim)
+        # the sorted build read the diagonal as the finite table {(j, j): value}
+        as_table = lambda: table_kernel(
+            {(lattice_mod._as_index(j, dim),) * 2: v for j, v in entries.items()}, dim=dim)
+    else:
+        if family == "rank_one":
+            g, h = _scrambled(rng, sites), _scrambled(rng, sites)
+            make = lambda: rank_one_kernel(g, h, dim=dim)
+        elif family == "banded":
+            offsets = _scrambled(rng, [s for s in sites if np.abs(s).max() <= 2])
+            make = lambda: banded_kernel(offsets, support=3, dim=dim)
+        else:
+            entries = _scrambled(rng, list(itertools.product(sites, sites)), keep=0.2)
+            make = lambda: table_kernel(entries, dim=dim)
+        as_table = make
+    k = make()
+    with monkeypatch.context() as m:
+        m.setattr(lattice_mod, "_site_arrays", sorted_site_arrays)
+        ref, table_ref = make(), as_table()
+    assert (k.declared_support, k.band_radius) == (ref.declared_support, ref.band_radius)
+    for cutoff in (1, 2, 3, 5):
+        got, want = k.support_arrays(cutoff), table_ref.support_arrays(cutoff)
+        assert [a.dtype for a in got] == [np.int64, np.int64, np.complex128]
+        assert [a.dtype for a in want] == [a.dtype for a in got]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

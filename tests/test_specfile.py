@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import specdet.specfile as specfile
 from specdet import (
     BlockSymbol,
     BundleSymbol,
@@ -183,3 +185,79 @@ def test_kind_that_is_no_string_is_rejected_by_name(kind):
         parse_spec_text(json.dumps({"kind": kind}))
     assert info.value.field == "kind"
     assert str(info.value).endswith(f"got {kind!r}")
+
+
+def _number(rng, style):
+    """A spec number: a float, an int, or either at random ("mixed")."""
+    x = float(rng.integers(-8, 9)) / 4
+    return int(x) if style == "int" or (style == "mixed" and rng.uniform() < 0.5) else x
+
+
+def _pair(rng, style):
+    if style == "mixed" and rng.uniform() < 0.25:
+        return _number(rng, style)  # a bare number stands for [re, 0]
+    return [_number(rng, style), _number(rng, style)]
+
+
+def _records(rng, style, slots, n=5):
+    return [[int(i) for i in rng.integers(-3, 4, size=slots)]
+            + [_number(rng, style), _number(rng, style)] for _ in range(n)]
+
+
+def _matrix(rng, style, side):
+    return [[_pair(rng, style) for _ in range(side)] for _ in range(side)]
+
+
+def specs_of_every_kind(rng, style) -> list:
+    """One raw spec of every kind and family, with numbers in ``style``."""
+    specs = [{"kind": "lattice_kernel", "family": "diagonal", "entries": _records(rng, style, 1)},
+             {"kind": "lattice_kernel", "family": "rank_one", "g": _records(rng, style, 1),
+              "h": _records(rng, style, 1)},
+             {"kind": "lattice_kernel", "family": "banded", "offsets": _records(rng, style, 1),
+              "support": 3},
+             {"kind": "lattice_kernel", "family": "table", "entries": _records(rng, style, 2)}]
+    for dim in (1, 2):
+        specs += [{"kind": "toroidal_symbol", "family": "modulated", "dim": dim,
+                   "modes": _records(rng, style, dim), "decay_order": -3.0,
+                   "amplitude": _pair(rng, style)},
+                  {"kind": "toroidal_symbol", "family": "custom_table", "dim": dim,
+                   "entries": _records(rng, style, 2 * dim), "order": -2.0}]
+    specs += [{"kind": "toroidal_symbol", "family": "power_decay", "order": -2.0,
+               "amplitude": _pair(rng, style)},
+              {"kind": "toroidal_symbol", "family": "sharpness"},
+              {"kind": "block_symbol", "blocks": [_matrix(rng, style, side) for side in (2, 1, 3)]},
+              {"kind": "spectral_model", "model": "table", "alpha": 2.0,
+               "eigenvalues": [abs(_number(rng, style)) for _ in range(4)],
+               "multiplicities": [int(d) for d in rng.integers(1, 4, size=4)]},
+              {"kind": "spectral_model", "model": "circle", "J": 5, "alpha": 2.0},
+              {"kind": "bundle_symbol", "fiber_dim": 2, "dual": [["a", 2], ["b", 1]],
+               "sigma": [[1, 1, "a", _matrix(rng, style, 2)], [2, 1, "b", _matrix(rng, style, 1)],
+                         [2, 2, "a", _matrix(rng, style, 2)]]}]
+    return specs
+
+
+def test_whole_list_check_accepts_only_what_the_walk_keeps():
+    assert specfile._plain_records([[0, 1.0, 0.0], [-3, -0.5, 2.5]], 1)
+    assert specfile._plain_records([], 2)
+    assert specfile._plain_matrices([[[[1.0, 0.0], [0.5, -0.0]], [[0.0, 0.0], [2.0, 1.0]]],
+                                     [[[1.0, 2.0]]]])
+    for records in ([[0, 1, 0.0]], [[True, 1.0, 0.0]], [[0, 1.0, False]], [[0, 1.0]],
+                    [[0, 1.0, 0.0, 0.0]], [[0, math.nan, 0.0]], [[0, 1.0, -math.inf]],
+                    [[0.0, 1.0, 0.0]], [[0, "1.0", 0.0]], [(0, 1.0, 0.0)], {"0": [0, 1.0, 0.0]}):
+        assert not specfile._plain_records(records, 1), records
+    for matrix in ([], [[]], [[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]], [[1.0]],
+                   [[[1.0, 0.0, 0.0]]], [[[1, 0.0]]], [[[1.0, math.nan]]], [[(1.0, 0.0)]]):
+        assert not specfile._plain_matrices([[[[1.0, 0.0]]], matrix]), matrix
+
+
+@pytest.mark.parametrize("style", ["float", "int", "mixed"])
+def test_whole_list_check_gives_what_the_walk_gives(monkeypatch, style):
+    rng = np.random.default_rng({"float": 1, "int": 2, "mixed": 3}[style])
+    texts = [json.dumps(raw) for _ in range(4) for raw in specs_of_every_kind(rng, style)]
+    specs = [parse_spec_text(text) for text in texts]
+    for spec in specs:
+        assert repr(parse_spec_text(emit_spec(spec))) == repr(spec)
+    monkeypatch.setattr(specfile, "_exact", lambda values, tp: False)  # walk every list
+    walked = [parse_spec_text(text) for text in texts]
+    # repr tells an int from a float and -0.0 from 0.0
+    assert [repr(spec) for spec in specs] == [repr(spec) for spec in walked]
