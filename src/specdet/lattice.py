@@ -317,16 +317,23 @@ def _assemble_dense(k: LatticeKernel, cutoff: int) -> np.ndarray:
     return a
 
 
+def _real_if_real(vals: np.ndarray) -> np.ndarray:
+    """Complex values as float64 when no imaginary part is nonzero: a real
+    product is the real part of the complex one bit for bit, at a quarter
+    of the multiplies."""
+    return vals if vals.imag.any() else np.ascontiguousarray(vals.real)
+
+
 class _Band:
     """A matrix on positions 0..n-1 that vanishes off the diagonals
-    ``lo <= o <= hi``, stored by diagonals in one zero-padded buffer with
-    two views of it: ``rows[o - lo, i]`` is the entry (i, i + o) and
-    ``cols[o - lo, k]`` the entry (k - o, k), zero where the other index
-    leaves 0..n-1.  ``cols`` reads ``rows`` skewed, at no copy."""
+    ``lo <= o <= hi``, stored by diagonals in one zero-padded buffer of
+    ``dtype`` with two views of it: ``rows[o - lo, i]`` is the entry
+    (i, i + o) and ``cols[o - lo, k]`` the entry (k - o, k), zero where the
+    other index leaves 0..n-1.  ``cols`` reads ``rows`` skewed, at no copy."""
 
-    def __init__(self, lo: int, hi: int, n: int):
+    def __init__(self, lo: int, hi: int, n: int, dtype):
         pad, width = max(-lo, hi, 0), hi - lo + 1
-        buf = np.zeros((width + 1, n + 2 * pad), dtype=np.complex128)
+        buf = np.zeros((width + 1, n + 2 * pad), dtype=dtype)
         pitch = n + 2 * pad - 1  # one less than the row length: the skew
         self.lo, self.hi = lo, hi
         self.rows = buf[:width, pad:pad + n]
@@ -340,7 +347,8 @@ def _band_times(t: _Band, offsets, p: _Band) -> _Band:
     whose offsets all leave |o| < n (a power of a one-sided band) is an
     empty band, lo = hi + 1, and so are its products."""
     n = p.rows.shape[1]
-    out = _Band(min(max(p.lo + t.lo, 1 - n), n), max(min(p.hi + t.hi, n - 1), -n), n)
+    out = _Band(min(max(p.lo + t.lo, 1 - n), n), max(min(p.hi + t.hi, n - 1), -n), n,
+                p.rows.dtype)
     for e in offsets:
         # P's diagonals s0..s1-1 are those landing inside out's clipped range
         s0 = max(0, out.lo - e - p.lo)
@@ -366,8 +374,9 @@ def _band_pair_trace(a: _Band, b: _Band) -> complex:
 
 def _narrow_band(rows, cols, vals) -> _Band | None:
     """Entries sorted by (row, col) as a ``_Band`` over their occupied
-    positions, or None when their diagonals span more than
-    1/SPARSE_FILL_DIVISOR of those positions (or there are none)."""
+    positions, float64 when they are real, or None when their diagonals
+    span more than 1/SPARSE_FILL_DIVISOR of those positions (or there are
+    none)."""
     if not len(vals):
         return None
     first = min(rows[0], cols.min())
@@ -378,7 +387,8 @@ def _narrow_band(rows, cols, vals) -> _Band | None:
     lo, hi = int(d.min()), int(d.max())
     if (hi - lo + 1) * SPARSE_FILL_DIVISOR > n:
         return None
-    band = _Band(lo, hi, n)
+    vals = _real_if_real(vals)
+    band = _Band(lo, hi, n, vals.dtype)
     band.rows[d - lo, rows - first] = vals
     return band
 
@@ -390,14 +400,19 @@ class _TracePowers:
     formed, so a determinant evaluation costs at most one matrix product per
     series order.  ``_mode`` names the representation:
 
-    - ``diag``: band radius 0, a vector of diagonal entries;
+    - ``diag``: band radius 0.  Tr(T^m) is the power sum of the diagonal
+      values, so only the truncation's nonzero values are held, float64
+      when all are real.  After each product the values whose power is
+      exactly 0 (underflowed) are dropped, since they add nothing to this
+      or any later trace; subnormal powers stay;
     - ``band``: a one-dimensional kernel with a declared band or support
       arrays whose truncation is at least ``SPARSE_SIDE_MIN`` wide (or exceeds
       ``DENSE_SIDE_LIMIT``) and whose entries, on the occupied positions
       ``lo..hi`` with offsets ``d = col - row``, span at most
       ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
-      ``_Band`` arrays over ``lo..hi``, one shifted multiply-add per
-      occupied diagonal of T per product, and Tr(T^m) = Tr(T^a T^b) with
+      ``_Band`` arrays over ``lo..hi``, float64 when the entries are real,
+      one shifted multiply-add per occupied diagonal of T per product, and
+      Tr(T^m) = Tr(T^a T^b) with
       a = ceil(m/2), b = floor(m/2): order m forms T^a at most, and only
       the two powers in use stay alive.  Multi-dimensional boxes stay off
       it: their rows put a stencil's diagonals a box row apart, so the
@@ -410,7 +425,8 @@ class _TracePowers:
       entry otherwise.
 
     Sides below ``SPARSE_SIDE_MIN`` thus keep the dense chain, whose
-    rounding the golden reports record.
+    rounding the golden reports record.  ``sparse`` and ``dense`` stay
+    complex128; traces are ``complex`` in every mode.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
@@ -437,8 +453,7 @@ class _TracePowers:
             band = _narrow_band(rows, cols, vals) if narrow else None
             if k.band_radius == 0:
                 self._mode = "diag"
-                self._base = np.zeros(self.side, dtype=np.complex128)
-                self._base[rows] = vals
+                self._base = _real_if_real(vals[vals != 0])
             elif band is not None:
                 self._mode = "band"
                 self._base = band
@@ -480,10 +495,17 @@ class _TracePowers:
                 return _band_pair_trace(self._power((m + 1) // 2), self._power(m // 2))
             t = self._base
             return complex(t.rows[-t.lo].sum()) if t.lo <= 0 <= t.hi else 0j
+        if self._mode == "diag":
+            if m > 1:
+                cur = self._cur * self._base
+                if np.count_nonzero(cur) < len(cur):  # some powers underflowed to 0
+                    keep = cur != 0
+                    cur, self._base = cur[keep], self._base[keep]
+                self._cur = cur
+            return complex(self._cur.sum())
         if m > 1:  # advance current power by one order
-            self._cur = (self._cur * self._base if self._mode == "diag"
-                         else self._cur @ self._base)
-        return complex(self._cur.sum() if self._mode == "diag" else self._cur.diagonal().sum())
+            self._cur = self._cur @ self._base
+        return complex(self._cur.diagonal().sum())
 
 
 def _band_entries(k: LatticeKernel, cutoff: int) -> tuple:
@@ -591,14 +613,15 @@ def _sup_norm(j: Index) -> int:
 
 def _site_arrays(table: dict, width: int) -> tuple:
     """A table {site: value} as its sites in lexicographic order, an
-    (n, width) int64 array, their sup norms and their complex128 values.
-    A site is a tuple of ``width`` ints, or a pair of tuples of ``width``/2
-    ints each, read as their concatenation."""
+    (n, width) int64 array, their uint64 sup norms and their complex128
+    values.  A site is a tuple of ``width`` ints, or a pair of tuples of
+    ``width``/2 ints each, read as their concatenation."""
     points = np.array(list(table), dtype=np.int64).reshape(-1, width)
     order = np.lexsort(points.T[::-1])  # sites are distinct: one total order
     points = points[order]
     values = np.array(list(table.values()), dtype=np.complex128)[order]
-    return points, np.abs(points).max(axis=1, initial=0), values
+    # as uint64: |-2^63| wraps to -2^63 in int64, inside every box
+    return points, np.abs(points).view(np.uint64).max(axis=1, initial=0), values
 
 
 def _site_support(points: np.ndarray, sup: np.ndarray, values: np.ndarray,
@@ -701,10 +724,11 @@ def banded_kernel(offsets, support: int, dim: int = 1,
     def support_arrays(cutoff):
         r = min(cutoff, support)
         j = _box_points(dim, r)
-        m = j[:, None, :] + shift_pts[None, :, :]  # rows, then shifts ascending
+        near = shift_sup <= 2 * r  # a longer shift leaves the box, and j + shift may overflow
+        m = j[:, None, :] + shift_pts[None, near, :]  # rows, then shifts ascending
         inside = (np.abs(m) <= r).all(axis=2)
         rows = np.broadcast_to(_positions(j, cutoff)[:, None], inside.shape)[inside]
-        vals = np.broadcast_to(shift_vals, inside.shape)[inside]
+        vals = np.broadcast_to(shift_vals[near], inside.shape)[inside]
         return _nonzero(rows, _positions(m[inside], cutoff), vals)
 
     return LatticeKernel(dim, eval_fn, declared_support=support, band_radius=band,

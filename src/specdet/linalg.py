@@ -43,6 +43,9 @@ class CMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+        if _is_finite(sum(self.entries, 0j)):
+            return
+        # a non-finite entry, or finite entries whose sum overflowed
         for idx, z in enumerate(self.entries):
             if not _is_finite(z):
                 raise ShapeError(

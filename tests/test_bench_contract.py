@@ -66,7 +66,7 @@ KIND_CALLS = {
         "mat_trace", "norm_growth_profile"}),
     "block_symbol": ("block_symbol.json", {
         "invariant_determinant", "block_determinant_product", "block_trace",
-        "block_trace_source"}),
+        "mat_trace", "block_trace_source"}),
     "spectral_model": ("spectral_sphere.json", {
         "manifold_determinant", "spectral_determinant_product", "spectral_trace_source"}),
     "bundle_symbol": ("bundle_small.json", {

@@ -299,3 +299,64 @@ def test_unknown_kind_error_is_unchanged():
     assert run(argv + ["--output", "json"]) == (2, "", json.dumps(
         {"error": "validation", "field": "kind", "message": expected}, sort_keys=True) + "\n")
     assert run(argv) == (2, "", f"specdet: validation error [kind]: {expected}\n")
+
+
+LOWEST, HIGHEST = -(1 << 63), (1 << 63) - 1  # the int64 range, which specs may use
+
+#: lattice specs without far sites, and the far sites or offsets to add to
+#: one of their lists: sites at the ends of the int64 range lie outside every
+#: box, and offsets that long move every site out of it
+FAR_SITES = {
+    "diagonal": ({"kind": "lattice_kernel", "family": "diagonal", "dim": 1,
+                  "entries": [[0, 0.25, 0.0], [3, -0.125, 0.0]]},
+                 "entries", [[LOWEST, 0.5, 0.0], [HIGHEST, 0.5, 0.0]]),
+    "rank_one": ({"kind": "lattice_kernel", "family": "rank_one", "dim": 1,
+                  "g": [[0, 0.7, 0.0], [1, 0.2, 0.1]], "h": [[0, 1.0, 0.0], [1, -0.3, 0.0]]},
+                 "g", [[LOWEST, 0.5, 0.0], [HIGHEST, 0.25, 0.0]]),
+    "table": ({"kind": "lattice_kernel", "family": "table", "dim": 1,
+               "entries": [[0, 0, 0.3, 0.0], [1, -1, 0.2, 0.1]]},
+              "entries", [[LOWEST, 0, 0.5, 0.0], [0, LOWEST, 0.5, 0.0],
+                          [LOWEST, LOWEST, 0.5, 0.0], [HIGHEST, 2, 0.5, 0.0]]),
+    "banded": ({"kind": "lattice_kernel", "family": "banded", "dim": 1, "support": 80,
+                "offsets": [[-1, 0.1, 0.0], [0, 0.2, 0.0], [1, 0.15, 0.0]]},
+               "offsets", [[LOWEST, 0.5, 0.0], [HIGHEST, 0.5, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAR_SITES))
+@pytest.mark.parametrize("argv", [
+    ["det", "--lambda", "0.5"],
+    ["det", "--mode", "series", "--lambda", "0.5", "--cutoff", "70"],  # band, diag, sparse
+    ["trace"],
+    ["norm-profile"],
+], ids=["det", "det-wide", "trace", "norm-profile"])
+def test_far_lattice_sites_leave_the_reports_unchanged(tmp_path, family, argv):
+    spec, field, far = FAR_SITES[family]
+    path = tmp_path / "spec.json"
+    reports = []
+    for entries in (spec[field], far[:1] + spec[field] + far[1:]):
+        path.write_text(json.dumps({**spec, field: entries}))
+        reports.append(run(argv + ["--input", str(path), "--output", "json"]))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+
+
+def test_block_oracle_trace_sees_a_wrong_series_trace(monkeypatch):
+    import specdet.cli as cli
+
+    series = cli.block_trace
+    monkeypatch.setattr(cli, "block_trace", lambda op: series(op) * (1 + 1e-9))
+    code, report, _ = run_json(["trace", "--input", "fixtures/block_symbol.json", "--mode", "both"])
+    assert code == 0 and report["deviation"]["abs"] > 0
+
+
+def test_block_oracle_trace_sums_block_traces(tmp_path):
+    # the flat pass adds each 0.9 to 1e16 and loses it; the block traces
+    # 1e16 + 0.9 and 0.9 + 0.9 keep the second block's 1.8
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({"kind": "block_symbol", "dims": [2, 2], "blocks": [
+        [[[1e16, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9, 0.0]]],
+        [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9, 0.0]]]]}))
+    code, report, _ = run_json(["trace", "--input", str(path), "--mode", "both"])
+    assert code == 0
+    assert report["deviation"]["abs"] == 2.0  # the traces print rounded to 12 digits

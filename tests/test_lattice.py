@@ -152,10 +152,10 @@ def test_sparse_path_agrees_with_dense(monkeypatch):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-def _band_only_tridiagonal():
+def _band_only_tridiagonal(sup=0.2 - 0.1j):
     # declares a band but no support iterator, so entries come from the band walk
     def eval_fn(j, m):
-        return {-1: -0.15, 0: 0.3, 1: 0.2 - 0.1j}.get(m[0] - j[0], 0.0j)
+        return {-1: -0.15, 0: 0.3, 1: sup}.get(m[0] - j[0], 0.0j)
 
     return LatticeKernel(1, eval_fn, band_radius=1, label="band-only")
 
@@ -354,6 +354,99 @@ def test_kernel_without_structure_takes_the_dense_chain():
     for m in (1, 2, 5):
         expected = np.trace(np.linalg.matrix_power(a, m))
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def _side_vector_traces(k, cutoff, orders):
+    """Tr(T^m) of a diagonal truncation by the complex side-vector chain:
+    the box's diagonal as one complex128 vector, zeros included, raised one
+    order at a time and summed."""
+    rows, _, vals = lattice_mod._truncation(k, cutoff)
+    v = np.zeros(lattice_mod.box_side(k.dim, cutoff), dtype=np.complex128)
+    v[rows] = vals
+    cur, traces = v, []
+    for _ in range(orders):
+        traces.append(complex(cur.sum()))
+        cur = cur * v
+    return traces
+
+
+def _wide_range_values(rng, n):
+    """n real values from 1e-200 to 1 in modulus, of both signs, led by 1
+    and -0.97 so that no power sum cancels."""
+    mags = 10.0 ** rng.uniform(-200, 0, size=n - 2)
+    signs = rng.choice([-1.0, 1.0], size=n - 2)
+    return [1.0, -0.97] + (signs * mags).tolist()
+
+
+@pytest.mark.parametrize("make_kernel, cutoff", [
+    (lambda rng: diagonal_kernel(dict(zip(rng.permutation(np.arange(-400, 401))[:300].tolist(),
+                                          _wide_range_values(rng, 300)))), 400),
+    # a rule with explicit zeros on every other site
+    (lambda rng: diagonal_kernel_from_rule(
+        lambda j: 0.0 if j[0] % 2 else (-1) ** (j[0] // 2) * 10.0 ** (-abs(j[0]))), 250),
+], ids=["table", "rule-with-zeros"])
+def test_real_diagonal_chain_matches_the_complex_side_vector_chain(make_kernel, cutoff):
+    k = make_kernel(np.random.default_rng(41))
+    powers = lattice_mod._TracePowers(k, cutoff)
+    assert powers._mode == "diag" and powers._base.dtype == np.float64
+    expected = _side_vector_traces(k, cutoff, 2000)
+    for m, want in enumerate(expected, start=1):
+        got = powers.trace(m)
+        assert type(got) is complex
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_underflowed_diagonal_powers_are_dropped():
+    # 1e-160 squared is subnormal (1e-320) and kept; cubed it is 0 and dropped
+    values = {0: 1.0, 1: -0.5, 2: 1e-160, 3: 1e-200, 4: 0.0}
+    powers = lattice_mod._TracePowers(diagonal_kernel(values), 5)
+    assert powers._base.tolist() == [1.0, -0.5, 1e-160, 1e-200]  # the explicit zero is gone
+    powers.trace(2)
+    assert powers._base.tolist() == [1.0, -0.5, 1e-160]
+    assert powers._cur.tolist() == [1.0, 0.25, 1e-160 * 1e-160]
+    assert 0 < powers._cur[-1] < np.finfo(np.float64).tiny
+    powers.trace(3)
+    assert powers._base.tolist() == [1.0, -0.5]
+    assert powers.trace(1100) == 1 + 0.0j  # (-0.5)^1100 underflows too
+    assert powers._base.tolist() == powers._cur.tolist() == [1.0]
+    expected = _side_vector_traces(diagonal_kernel(values), 5, 1100)
+    assert [powers.trace(m) for m in range(1, 1101)] == expected
+
+
+def test_complex_diagonal_value_keeps_complex128():
+    values = {j: 0.9 / (1 + j * j) for j in range(-30, 31)}
+    values[7] = 0.02 + 1e-3j
+    k = diagonal_kernel(values)
+    powers = lattice_mod._TracePowers(k, 30)
+    assert powers._mode == "diag" and powers._base.dtype == np.complex128
+    for m, want in enumerate(_side_vector_traces(k, 30, 300), start=1):
+        assert abs(powers.trace(m) - want) <= 1e-14 * abs(want)
+
+
+def test_zero_fixture_has_zero_traces():
+    from pathlib import Path
+
+    from specdet.specfile import build_operator, parse_spec
+
+    k = build_operator(parse_spec(Path(__file__).resolve().parent.parent / "fixtures" / "zero.json"))
+    powers = lattice_mod._TracePowers(k, 8)
+    assert powers._mode == "diag" and len(powers._base) == 0
+    assert all(bits(powers.trace(m)) == bits(0j) for m in range(1, 31))
+
+
+@pytest.mark.parametrize("make_kernel, dtype", [
+    (lambda: banded_kernel({0: 0.3, 1: 0.2, -1: -0.15}, support=200), np.float64),
+    (lambda: _band_only_tridiagonal(0.2), np.float64),
+    (lambda: banded_kernel({-2: 0.1, 0: -0.25, 3: 0.05}, support=150), np.float64),
+    (lambda: banded_kernel({0: 0.3, 1: 0.2, -1: -0.15j}, support=200), np.complex128),
+], ids=["tridiagonal", "band-only", "asymmetric", "complex"])
+def test_band_storage_follows_the_entries(monkeypatch, make_kernel, dtype):
+    k = make_kernel()
+    powers = lattice_mod._TracePowers(k, 190)
+    assert powers._mode == "band" and powers._base.rows.dtype == dtype
+    _assert_matches_dense_chain(monkeypatch, k, 190, powers)
+    assert all(p.rows.dtype == dtype for p in powers._powers.values())
+    assert all(type(powers.trace(m)) is complex for m in (1, 2, 30))
 
 
 def test_diagonal_fast_path_agrees_with_dense():

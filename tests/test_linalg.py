@@ -131,3 +131,25 @@ def test_matrices_are_immutable():
     m = CMatrix.identity(2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.rows = 3
+
+
+@pytest.mark.parametrize("bad", [complex("inf"), complex("-inf"), complex(0, float("inf")),
+                                 complex("nan"), complex(1.0, float("nan"))])
+@pytest.mark.parametrize("idx", [0, 5, 11])  # first, middle and last of a 3x4 matrix
+def test_non_finite_entry_is_named_by_flat_index(bad, idx):
+    entries = [complex(0.5 * i, -0.25 * i) for i in range(12)]
+    entries[idx] = bad
+    with pytest.raises(ShapeError) as info:
+        CMatrix(3, 4, tuple(entries))
+    assert str(info.value) == (f"non-finite entry {bad!r} at flat index {idx} "
+                               f"(row {idx // 4}, col {idx % 4})")
+
+
+def test_finite_entries_whose_sum_overflows_are_accepted():
+    for pair in ((1e308, 1e308), (1e308j, 1e308j), (1e308 + 1e308j, 1e308 - 1e308j)):
+        assert CMatrix(1, 2, tuple(complex(z) for z in pair)).entries == pair
+
+
+def test_infinities_that_cancel_in_the_sum_are_still_refused():
+    with pytest.raises(ShapeError, match="flat index 1 "):
+        CMatrix(1, 3, (1.0 + 0j, complex("inf"), complex("-inf")))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import specdet.lattice as lattice_mod
 from specdet import (
     ToroidalSymbol,
     assemble_truncation,
@@ -81,6 +82,23 @@ def test_x_independent_quantization_is_diagonal():
                 assert abs(got - (1.0 + m * m) ** -1.0) < 1e-12
             else:
                 assert abs(got) < 1e-12
+
+
+@pytest.mark.parametrize("amplitude, dtype", [(1.0, np.float64), (0.5 - 0.25j, np.complex128)])
+def test_x_independent_quantization_powers_follow_its_values(amplitude, dtype):
+    # a diagonal truncation: real values are held in float64, and their
+    # power sums match the complex side-vector chain
+    cutoff = 300
+    k = toroidal_matrix(power_decay_symbol(-2.0, amplitude=amplitude), cutoff)
+    powers = lattice_mod._TracePowers(k, cutoff)
+    assert powers._mode == "diag" and powers._base.dtype == dtype
+    _, _, vals = lattice_mod._truncation(k, cutoff)
+    cur = vals
+    for m in range(1, 601):
+        want = complex(cur.sum())
+        assert abs(powers.trace(m) - want) <= 1e-14 * abs(want)
+        cur = cur * vals
+    assert len(powers._base) < len(vals)  # the far values' powers underflowed
 
 
 def test_single_mode_quantization_is_shifted_diagonal():

@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Sweep the CLI's reports over the shipped fixtures, to show what a change moves.
+
+Usage, from the repository root:
+
+    python3 tools/report_sweep.py --out after.json
+    python3 tools/report_sweep.py --src ../parent/src --out before.json
+    python3 tools/report_sweep.py --compare before.json after.json
+
+A sweep runs every good fixture (``fixtures/*.json``) through
+``specdet.cli.run_command``.  It runs ``det`` and ``trace`` in each
+``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
+``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
+json and text: 810 cases on the 15 fixtures.  It writes the exit code,
+stdout and stderr of each case to one JSON file, keyed by the case's
+arguments.  ``--src`` imports specdet from another source tree, such as an
+export of an earlier commit; the fixtures are always this tree's.
+``--cutoff R`` passes ``--cutoff R`` to every case: at R >= 64 the 1-D
+lattice fixtures are at least 128 wide and leave the dense trace-power
+chain, which they keep at the CLI's default cutoff 8.
+
+``--compare A B`` lists the cases whose exit code, stdout or stderr differ.
+Where two outputs differ only in their numbers, it gives the count of
+numbers that moved and the largest relative change ``|a - b| / max(|a|,
+|b|)`` with its pair; otherwise it says that the text differs.  It prints
+nothing else for equal sweeps, and exits 1 when some case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ([("det", mode) for mode in ("both", "series", "oracle")]
+            + [("trace", mode) for mode in ("both", "series", "oracle")]
+            + [("radius", None), ("compare", None), ("norm-profile", None)])
+LAMBDAS = ("0.1", "0.7,-0.2", "3")
+OUTPUTS = ("json", "text")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
+
+
+def cases(cutoff: int | None = None) -> list:
+    """argv lists of the sweep, fixture paths relative to the repository root."""
+    fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "fixtures").glob("*.json"))
+    out = []
+    for path in fixtures:
+        for command, mode in COMMANDS:
+            for lam in LAMBDAS:
+                for fmt in OUTPUTS:
+                    argv = [command, "--input", path, "--lambda", lam, "--output", fmt]
+                    argv += ["--mode", mode] if mode else []
+                    out.append(argv + (["--cutoff", str(cutoff)] if cutoff else []))
+    return out
+
+
+def sweep(src: Path, cutoff: int | None) -> dict:
+    sys.path.insert(0, str(src))
+    import specdet
+    from specdet.cli import run_command
+
+    print(f"specdet from {Path(specdet.__file__).parent}", file=sys.stderr)
+
+    os.chdir(ROOT)  # reports echo the input path as given
+    results = {}
+    for argv in cases(cutoff):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = run_command(argv, stdout, stderr)
+        results[" ".join(argv)] = [code, stdout.getvalue(), stderr.getvalue()]
+    return results
+
+
+def _numbers_moved(a: str, b: str):
+    """(count, largest relative change, its pair) when ``a`` and ``b``
+    differ only in their numbers, else None."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y]
+
+    def rel(pair):
+        x, y = pair
+        return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+    worst = max(pairs, key=rel, default=(0.0, 0.0))
+    return len(pairs), rel(worst), worst
+
+
+def compare(before: dict, after: dict) -> int:
+    differing = 0
+    for case in sorted(set(before) | set(after)):
+        if case not in before or case not in after:
+            differing += 1
+            print(f"{case}: only in {'the second' if case in after else 'the first'} sweep")
+            continue
+        if before[case] == after[case]:
+            continue
+        differing += 1
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = before[case], after[case]
+        if code_a != code_b:
+            print(f"{case}: exit {code_a} -> {code_b}")
+            continue
+        notes = []
+        for name, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+            if a == b:
+                continue
+            moved = _numbers_moved(a, b)
+            if moved is None:
+                notes.append(f"{name} text differs")
+            else:
+                count, worst, (x, y) = moved
+                notes.append(f"{name} {count} numbers moved, largest relative change "
+                             f"{worst:.3g} ({x!r} -> {y!r})")
+        print(f"{case}: " + "; ".join(notes))
+    print(f"{differing} of {len(set(before) | set(after))} cases differ", file=sys.stderr)
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree to import specdet from (default: this tree's src)")
+    parser.add_argument("--cutoff", type=int,
+                        help="pass this --cutoff to every case (default: the CLI's)")
+    parser.add_argument("--out", type=Path, help="file to write the sweep to")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="list the cases that differ between two sweep files")
+    args = parser.parse_args()
+    if args.compare:
+        before, after = (json.loads(p.read_text()) for p in args.compare)
+        return compare(before, after)
+    if args.out is None:
+        parser.error("give --out FILE or --compare A B")
+    out = args.out.resolve()  # the sweep runs from the repository root
+    results = sweep(args.src.resolve(), args.cutoff)
+    out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} cases written to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
