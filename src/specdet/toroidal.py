@@ -78,16 +78,21 @@ class ToroidalSymbol:
     ``eval`` takes (x, k) with x a tuple of floats in [0,1)^dim and k an
     integer tuple, and must be deterministic and finite on sampled points.
     ``x_grid`` fixes the number of samples per coordinate for Fourier
-    coefficients; when None a power-of-two grid of at least 4*(2R+1)
+    coefficients; when None a power-of-two grid of at least 4*(4R+1)
     points is chosen per cutoff.  ``x_independent`` declares that sigma
     does not depend on x, which is verified on sampled points.
 
-    ``eval_grid``, when given, takes (n_x, k) and returns the complex
-    array of shape (n_x,)*dim whose entry at grid position p is
-    ``eval((p_1/n_x, ..., p_dim/n_x), k)``, equal bit for bit, so that
-    coefficient tables do not depend on which of the two sampled them.
-    Tables of x-dependent symbols are sampled through it when present and
-    point by point through ``eval`` otherwise.
+    ``eval_grid``, when given, takes (n_x, ks), a sequence of integer
+    tuples, and returns a new complex array of shape (len(ks),) + (n_x,)*dim
+    whose entry at (i, p) is ``eval((p_1/n_x, ..., p_dim/n_x), ks[i])``,
+    equal bit for bit, so that coefficients do not depend on which of the
+    two sampled them; the caller may overwrite the array.  x-dependent
+    symbols are sampled through it, one box row of k per call, when present
+    and point by point through ``eval`` otherwise.
+
+    ``_tables`` caches the coefficient windows of the quantizations per
+    (n_x, R) and the per-k tables of :func:`symbol_fourier_coeff` per
+    (k, n_x).
     """
 
     dim: int
@@ -96,7 +101,7 @@ class ToroidalSymbol:
     x_grid: int | None = None
     x_independent: bool = False
     label: str = ""
-    eval_grid: Callable[[int, Index], np.ndarray] | None = field(
+    eval_grid: Callable[[int, Sequence[Index]], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -133,56 +138,95 @@ def _sample_value(s: ToroidalSymbol, x: tuple, k: Index) -> complex:
     return v
 
 
-class _SingleModeTable:
-    """Coefficient table of an x-independent symbol: g(k) at the zero mode,
-    exact zero everywhere else.  Indexable like the DFT array it replaces."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: complex):
-        self.base = base
-
-    def __getitem__(self, l):
-        return self.base if all(v == 0 for v in l) else 0.0j
-
-
-def _coeff_table(s: ToroidalSymbol, k: Index, n_x: int):
-    """DFT coefficient table of sigma(., k); cached per (k, n_x)."""
+def _constant_value(s: ToroidalSymbol, k: Index, n_x: int) -> complex:
+    """sigma(0, k) of an x-independent symbol, whose coefficient table is
+    sigma(0, k) at the zero mode and zero elsewhere; the claim is verified on
+    a few grid points instead of transforming a constant array.  Cached per
+    (k, n_x)."""
     key = (k, n_x)
     cached = s._tables.get(key)
     if cached is not None:
         return cached
+    base = _sample_value(s, (0.0,) * s.dim, k)
+    for probe in (1, 3, 5):
+        x = ((probe / n_x) % 1.0,) * s.dim
+        v = _sample_value(s, x, k)
+        if abs(v - base) > 1e-12 * max(1.0, abs(base)):
+            raise EvaluationError(
+                f"symbol {s.label!r} is declared x-independent but "
+                f"sigma({x}, {k}) differs from sigma(0, {k})"
+            )
+    s._tables[key] = base
+    return base
+
+
+def _sample_stack(s: ToroidalSymbol, n_x: int, ks: Sequence[Index]) -> np.ndarray:
+    """Finite samples sigma(p / n_x, k) of an x-dependent symbol for each k
+    of ``ks``, shape (len(ks),) + (n_x,)*dim; the first non-finite sample in
+    C order is the one named."""
+    grid = np.arange(n_x) / n_x
+    if s.eval_grid is not None:
+        stack = s.eval_grid(n_x, ks)
+        finite = np.isfinite(stack)
+        if not finite.all():
+            i, *pos = np.unravel_index(int(np.argmin(finite)), finite.shape)
+            raise _non_finite(s, tuple(grid[p] for p in pos), ks[i])
+        return stack
+    stack = np.empty((len(ks),) + (n_x,) * s.dim, dtype=np.complex128)
+    for i, k in enumerate(ks):
+        for pos in itertools.product(range(n_x), repeat=s.dim):
+            stack[(i,) + pos] = _sample_value(s, tuple(grid[p] for p in pos), k)
+    return stack
+
+
+def _coeff_table(s: ToroidalSymbol, k: Index, n_x: int) -> np.ndarray:
+    """Full DFT coefficient table of sigma(., k) for an x-dependent symbol;
+    cached per (k, n_x)."""
+    key = (k, n_x)
+    cached = s._tables.get(key)
+    if cached is None:
+        samples = _sample_stack(s, n_x, [k])[0]
+        cached = s._tables[key] = np.fft.fftn(samples) / samples.size
+    return cached
+
+
+def _coeff_window(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
+    """The coefficients that the quantization at cutoff R reads: row c holds
+    sigma_hat(l, k) for the c-th k of the box |k| <= R and every mode
+    |l|_inf <= 2R, lexicographic; an x-independent symbol keeps only the zero
+    mode.  Cached per (n_x, R), read-only.
+
+    An x-dependent symbol is sampled one box row at a time, the 2R+1
+    consecutive k that share all but the last coordinate, and each row is
+    transformed by one batched FFT in place.  Every entry equals the one of
+    the full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
+    """
+    key = (n_x, cutoff)
+    cached = s._tables.get(key)
+    if cached is not None:
+        return cached
+    ks = list(iter_box(s.dim, cutoff))
     if s.x_independent:
-        # x-independence makes the table g(k)*delta_{l,0}; verify the claim
-        # on a few grid points instead of transforming a constant array.
-        base = _sample_value(s, (0.0,) * s.dim, k)
-        for probe in (1, 3, 5):
-            x = ((probe / n_x) % 1.0,) * s.dim
-            v = _sample_value(s, x, k)
-            if abs(v - base) > 1e-12 * max(1.0, abs(base)):
-                raise EvaluationError(
-                    f"symbol {s.label!r} is declared x-independent but "
-                    f"sigma({x}, {k}) differs from sigma(0, {k})"
-                )
-        table = _SingleModeTable(base)
+        window = np.array([[_constant_value(s, k, n_x)] for k in ks], dtype=np.complex128)
     else:
-        grid = np.arange(n_x) / n_x
-        if s.eval_grid is not None:
-            samples = s.eval_grid(n_x, k)
-            finite = np.isfinite(samples)
-            if not finite.all():
-                # the first bad point in C order is the one the pointwise
-                # loop below would stop at
-                pos = np.unravel_index(int(np.argmin(finite)), finite.shape)
-                raise _non_finite(s, tuple(grid[p] for p in pos), k)
-        else:
-            samples = np.empty((n_x,) * s.dim, dtype=np.complex128)
-            for pos in itertools.product(range(n_x), repeat=s.dim):
-                x = tuple(grid[p] for p in pos)
-                samples[pos] = _sample_value(s, x, k)
-        table = np.fft.fftn(samples) / samples.size
-    s._tables[key] = table
-    return table
+        width = 2 * cutoff + 1
+        # per axis, the window's modes -2R..-1 are the last 2R of the FFT
+        # and its modes 0..2R the first 2R+1: 2^dim block copies per row
+        halves = ((slice(0, 2 * cutoff), slice(-2 * cutoff, None)),
+                  (slice(2 * cutoff, None), slice(0, width)))
+        blocks = [tuple(zip(*pair)) for pair in itertools.product(halves, repeat=s.dim)]
+        axes = tuple(range(1, s.dim + 1))
+        window = np.empty((len(ks), (4 * cutoff + 1) ** s.dim), dtype=np.complex128)
+        view = window.reshape((len(ks),) + (4 * cutoff + 1,) * s.dim)
+        for start in range(0, len(ks), width):
+            stack = _sample_stack(s, n_x, ks[start:start + width])
+            np.fft.fftn(stack, axes=axes, out=stack)
+            for dst, src in blocks:
+                view[(slice(start, start + width),) + dst] = stack[(slice(None),) + src]
+        window /= n_x ** s.dim
+    window.flags.writeable = False
+    s._tables[key] = window
+    return window
 
 
 def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> complex:
@@ -193,13 +237,20 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
         raise ParameterError(f"indices {l}, {k} do not have dimension {s.dim}")
     n_x = x_grid or s.x_grid or _auto_grid(max((abs(v) for v in l), default=1))
     _check_alias(l, n_x, s.label)
-    table = _coeff_table(s, k, n_x)
-    return complex(table[tuple(v % n_x for v in l)])
+    if s.x_independent:
+        return 0.0j if any(l) else _constant_value(s, k, n_x)
+    return complex(_coeff_table(s, k, n_x)[tuple(v % n_x for v in l)])
 
 
 def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
-    packaged as a lattice kernel with declared support R."""
+    packaged as a lattice kernel with declared support R.
+
+    Every entry is read from the symbol's coefficient window for this grid
+    size and cutoff, built on the first call and shared by later ones:
+    pointwise ``eval`` is one lookup, ``diagonal_arrays`` reads the zero
+    mode and ``support_arrays`` gathers the dense truncation in one
+    indexing step."""
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     n_x = s.x_grid or _auto_grid(2 * cutoff)
@@ -214,25 +265,30 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
                 f"{SAMPLE_LIMIT}",
                 count=count,
             )
-    tables = {k: _coeff_table(s, k, n_x) for k in iter_box(s.dim, cutoff)}
+    window = _coeff_window(s, n_x, cutoff)
+    width = 2 * cutoff + 1
+    reach = 0 if s.x_independent else 2 * cutoff  # the modes |l|_inf <= reach kept
+    span = 2 * reach + 1
 
     def eval_fn(j: Index, m: Index) -> complex:
-        if max(abs(x) for x in j) > cutoff or max(abs(x) for x in m) > cutoff:
-            return 0.0j
-        l = tuple((a - b) % n_x for a, b in zip(j, m))
-        return complex(tables[m][l])
+        row = col = 0
+        for a, b in zip(j, m):
+            if not (-cutoff <= a <= cutoff and -cutoff <= b <= cutoff
+                    and -reach <= a - b <= reach):
+                return 0.0j
+            row = row * width + b + cutoff
+            col = col * span + a - b + reach
+        return window.item(row, col)
 
     label = f"quantized:{s.label}" if s.label else "quantized"
 
     def diagonal_arrays(r):
         # the box min(r, cutoff) placed at its positions in the box r
-        zero = (0,) * s.dim
-        return (_positions(_box_points(s.dim, min(r, cutoff)), r),
-                np.array([tables[m][zero] for m in iter_box(s.dim, min(r, cutoff))],
-                         dtype=np.complex128))
+        points = _box_points(s.dim, min(r, cutoff))
+        return _positions(points, r), window[_positions(points, cutoff), span ** s.dim // 2]
 
     def support_arrays(r):
-        if s.x_independent:  # diagonal: g(k) at the zero mode of each table
+        if s.x_independent:  # diagonal: g(k) at the zero mode
             pos, vals = diagonal_arrays(r)
             return pos, pos, vals
         points = _box_points(s.dim, min(r, cutoff))
@@ -244,11 +300,12 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
                 f"truncation of side {side}, above the dense limit {DENSE_SIDE_LIMIT}",
                 count=side,
             )
-        # every entry, zeros included, column m read from the table of m
-        dense = np.empty((side, side), dtype=np.complex128)
-        for c, m in enumerate(iter_box(s.dim, min(r, cutoff))):
-            dense[:, c] = tables[m][tuple((points[:, a] - m[a]) % n_x
-                                          for a in range(s.dim))]
+        # every entry, zeros included: (j, m) reads the window row of m at
+        # the mode j - m
+        modes = 0
+        for a in range(s.dim):
+            modes = modes * span + (points[:, a, None] - points[None, :, a] + reach)
+        dense = window[_positions(points, cutoff)[None, :], modes]
         return np.repeat(pos, side), np.tile(pos, side), dense.ravel()
 
     # an x-dependent quantization is dense: its trace reads only the diagonal
@@ -422,13 +479,6 @@ def _wave_sum(waves: dict, n_x: int, dim: int, terms):
     return acc_re, acc_im
 
 
-def _to_complex(re, im) -> np.ndarray:
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def power_decay_symbol(order: float, dim: int = 1, amplitude: complex = 1.0,
                        label: str = "") -> ToroidalSymbol:
     """x-independent symbol c * (1 + |k|^2)^(order/2)."""
@@ -474,13 +524,21 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
 
     waves, x_parts = {}, {}  # x_parts: n_x -> osc(x) * amplitude on the grid
 
-    def eval_grid(n_x, k):
+    def eval_grid(n_x, ks):
         with np.errstate(over="ignore", invalid="ignore"):
             if n_x not in x_parts:
                 osc = _wave_sum(waves, n_x, dim, mode_table.items())
                 x_parts[n_x] = _mul(*osc, amplitude.real, amplitude.imag)
-            g = (1.0 + _k_norm_sq(k)) ** (decay_order / 2.0)
-            return _to_complex(*_mul(*x_parts[n_x], g, 0.0))
+            x_re, x_im = x_parts[n_x]
+            # one Python ** per k, as in eval, broadcast against the x-part
+            g = np.array([(1.0 + _k_norm_sq(k)) ** (decay_order / 2.0) for k in ks])
+            g = g.reshape((len(ks),) + (1,) * dim)
+            out = np.empty(g.shape[:1] + x_re.shape, dtype=np.complex128)
+            # _mul(x_re, x_im, g, 0.0), computed in the halves of out
+            re, im = out.real, out.imag
+            np.subtract(np.multiply(x_re, g, out=re), x_im * 0.0, out=re)
+            np.add(x_re * 0.0, np.multiply(x_im, g, out=im), out=im)
+            return out
 
     return ToroidalSymbol(dim, decay_order, eval_fn, x_independent=x_indep,
                           label=label or "modulated", eval_grid=eval_grid)
@@ -513,9 +571,12 @@ def table_symbol(entries, dim: int = 1, order: float = 0.0,
 
     waves = {}
 
-    def eval_grid(n_x, k):
+    def eval_grid(n_x, ks):
+        out = np.empty((len(ks),) + (n_x,) * dim, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _to_complex(*_wave_sum(waves, n_x, dim, by_k.get(k, ())))
+            for row, k in zip(out, ks):
+                row.real, row.imag = _wave_sum(waves, n_x, dim, by_k.get(k, ()))
+        return out
 
     return ToroidalSymbol(dim, order, eval_fn, x_independent=x_indep,
                           label=label or "coefficient-table", eval_grid=eval_grid)

@@ -86,6 +86,20 @@ def test_radius_is_positive():
     assert report["radius"] == "inf" or report["radius"] > 0
 
 
+def test_wide_banded_fixture_takes_the_band_path():
+    from specdet.lattice import _TracePowers
+    from specdet.specfile import build_operator, parse_spec
+
+    op = build_operator(parse_spec(FIXTURES / "banded_wide.json"))
+    assert _TracePowers(op, 8)._mode == "dense"
+    assert _TracePowers(op, 64)._mode == "band"  # side 129
+    code, report, err = run_json(["det", "--input", "fixtures/banded_wide.json",
+                                  "--cutoff", "64"])
+    assert code == 0, err
+    assert report["series"]["converged"] is True
+    assert report["deviation"]["rel"] < 1e-12
+
+
 def test_mode_series_flags_non_convergence_with_exit_4():
     code, report, _ = run_json(["det", "--input", "fixtures/rank_one.json",
                                 "--lambda", "10,0", "--mode", "series"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import specdet.lattice as lattice_mod
+import specdet.toroidal as toroidal_mod
 from specdet import (
     ToroidalSymbol,
     assemble_truncation,
@@ -296,35 +297,115 @@ def _grid_and_pointwise(make):
     return grid, pointwise
 
 
-@pytest.mark.parametrize("dim, cutoff, x_grid", [(1, 4, None), (1, 4, 37),
-                                                 (2, 1, None), (2, 2, 12)])
+def _per_k_reference(s, n_x, k):
+    """The DFT table of sigma(., k) sampled point by point, as the entries
+    A[j, k] read it at the mode (j - k) mod n_x."""
+    grid = np.arange(n_x) / n_x
+    samples = np.empty((n_x,) * s.dim, dtype=np.complex128)
+    for pos in itertools.product(range(n_x), repeat=s.dim):
+        samples[pos] = s.eval(tuple(grid[p] for p in pos), k)
+    return np.fft.fftn(samples) / n_x ** s.dim
+
+
+# (1, 9, 37), (1, 2, 12) and (2, 2, 12) sit at the alias limit 4R < n_x
+@pytest.mark.parametrize("dim, cutoff, x_grid", [(1, 4, None), (1, 4, 37), (1, 9, 37),
+                                                 (1, 2, 12), (2, 1, None), (2, 2, 12)])
 @pytest.mark.parametrize("family", ["modulated", "table"])
 def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
-    rng = np.random.default_rng(44 + dim)
-
-    def index():
-        return tuple(int(v) for v in rng.integers(-2, 3, size=dim))
-
-    if family == "modulated":
-        modes = {index(): rand_complex(rng) for _ in range(4)}
-        amplitude = rand_complex(rng, 2.0)
-
-        def make():
-            return modulated_symbol(modes, -2.5, dim=dim, amplitude=amplitude)
-    else:
-        entries = {(index(), index()): rand_complex(rng) for _ in range(8)}
-
-        def make():
-            return table_symbol(entries, dim=dim, order=-2.0)
-
-    grid, pointwise = _grid_and_pointwise(make)
+    grid, pointwise = _grid_and_pointwise(
+        lambda: _quantized_symbol(family, dim, np.random.default_rng(44 + dim)))
     grid.x_grid = pointwise.x_grid = x_grid
-    toroidal_matrix(grid, cutoff)
-    toroidal_matrix(pointwise, cutoff)
-    assert grid._tables.keys() == pointwise._tables.keys()
-    assert len(grid._tables) == (2 * cutoff + 1) ** dim
-    for key, table in grid._tables.items():
-        assert np.array_equal(table.view(np.int64), pointwise._tables[key].view(np.int64))
+    n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
+    sampled = []
+    eval_grid = grid.eval_grid
+
+    def counted(n, ks):
+        sampled.append(len(ks))
+        return eval_grid(n, ks)
+
+    grid.eval_grid = counted
+    k_grid = toroidal_matrix(grid, cutoff)
+    k_point = toroidal_matrix(pointwise, cutoff)
+    # one call per box row of 2R+1 consecutive k, none for a second matrix
+    assert sampled == [2 * cutoff + 1] * (2 * cutoff + 1) ** (dim - 1)
+    k_again = toroidal_matrix(grid, cutoff)
+    assert len(sampled) == (2 * cutoff + 1) ** (dim - 1)
+
+    for r in (cutoff - 1, cutoff, cutoff + 1):
+        if r < 1:
+            continue
+        for arrays in ("support_arrays", "diagonal_arrays"):
+            want = [bits(a) for a in getattr(k_point, arrays)(r)]
+            assert [bits(a) for a in getattr(k_grid, arrays)(r)] == want
+            assert [bits(a) for a in getattr(k_again, arrays)(r)] == want
+
+    box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
+    outside = (cutoff + 1,) + (0,) * (dim - 1)
+    for m in box:
+        table = _per_k_reference(pointwise, n_x, m)
+        for j in box:
+            want = bits(complex(table[tuple((a - b) % n_x for a, b in zip(j, m))]))
+            assert [bits(k.eval(j, m)) for k in (k_grid, k_point, k_again)] == [want] * 3
+        assert k_grid.eval(outside, m) == 0 and k_grid.eval(m, outside) == 0
+
+    # the public coefficients still read full per-k tables, up to n_x/2 - 1
+    top = (n_x - 1) // 2
+    modes = list(itertools.product(range(-top, top + 1), repeat=dim))
+    for m in (box[0], box[len(box) // 2]):
+        table = _per_k_reference(pointwise, n_x, m)
+        for l in modes:
+            want = bits(complex(table[tuple(v % n_x for v in l)]))
+            assert bits(symbol_fourier_coeff(grid, l, m, x_grid=n_x)) == want
+            assert bits(symbol_fourier_coeff(pointwise, l, m, x_grid=n_x)) == want
+
+
+@pytest.mark.parametrize("dim, cutoff, x_grid", [(1, 3, None), (1, 12, None), (1, 6, 37),
+                                                 (2, 2, None), (2, 3, 17)])
+@pytest.mark.parametrize("family", ["modulated", "table"])
+def test_windowed_entries_match_exact_coefficients(family, dim, cutoff, x_grid):
+    # trigonometric polynomials of low degree: the grid DFT is exact, so
+    # A[j, k] = c_{j-k} a (1+|k|^2)^(nu/2) or sigma_hat(j - k, k) up to rounding
+    rng = np.random.default_rng(90 + 10 * dim + cutoff)
+    index = lambda reach: tuple(int(v) for v in rng.integers(-reach, reach + 1, size=dim))
+    if family == "modulated":
+        modes = {index(3): rand_complex(rng) for _ in range(5)}
+        amplitude, nu = rand_complex(rng, 2.0), -rng.uniform(1.0, 3.0)
+        s = modulated_symbol(modes, nu, dim=dim, amplitude=amplitude)
+
+        def exact(l, k):
+            return modes.get(l, 0.0) * amplitude * (1.0 + sum(v * v for v in k)) ** (nu / 2.0)
+    else:
+        entries = {(index(3), index(cutoff)): rand_complex(rng) for _ in range(6 * cutoff ** dim)}
+        s = table_symbol(entries, dim=dim, order=-2.0)
+
+        def exact(l, k):
+            return entries.get((l, k), 0.0)
+
+    s.x_grid = x_grid
+    k = toroidal_matrix(s, cutoff)
+    rows, cols, vals = k.support_arrays(cutoff)
+    box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
+    want = np.array([exact(tuple(a - b for a, b in zip(box[r], box[c])), box[c])
+                     for r, c in zip(rows, cols)], dtype=np.complex128)
+    assert np.abs(want).max() > 0
+    assert np.abs(vals - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_quantization_keeps_only_the_coefficient_window():
+    # 2-D R=6 on the 128-point grid: 169 full tables would hold 44 MB, the
+    # window of modes |l| <= 12 holds 1.7 MB
+    import tracemalloc
+
+    s = modulated_symbol({(1, 0): 0.25, (0, -1): 0.2 + 0.1j, (1, 1): 0.1}, -3.0, dim=2)
+    tracemalloc.start()
+    try:
+        k = toroidal_matrix(s, 6)
+        lattice_trace(k, 6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 << 20
+    assert peak <= 20 << 20
 
 
 @pytest.mark.parametrize("modes, dim", [({1: 10.0}, 1),
@@ -431,8 +512,6 @@ def test_dense_quantization_above_the_dense_limit_keeps_its_trace(monkeypatch, d
                                                                    modes):
     # the trace reads only the diagonal, as the entry-by-entry walk does;
     # the norm and the trace powers need every entry and are refused
-    import specdet.toroidal as toroidal_mod
-
     monkeypatch.setattr(toroidal_mod, "DENSE_SIDE_LIMIT", 20)
     k = toroidal_matrix(modulated_symbol(modes, -3.0, dim=dim), cutoff)
     acc = 0.0j
