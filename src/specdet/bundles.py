@@ -2,7 +2,8 @@
 
 A bundle symbol assigns to each fiber index pair (i, r) with
 1 <= i, r <= d_tau and each retained dual block xi (of dimension d_xi) a
-d_xi x d_xi matrix sigma(i, r, xi).  The dual object is an explicit finite
+d_xi x d_xi matrix sigma(i, r, xi), held as one complex128 array per dual
+block: ``sigma[xi][i - 1, r - 1]``.  The dual object is an explicit finite
 list of labeled blocks; no representation theory is computed here, because
 the trace and determinant formulas consume only (d_xi, sigma(i, r, xi)).
 
@@ -14,13 +15,14 @@ with matrix products taken in exactly that order, and the m-th power symbol
 is the chain sum over (r_1, ..., r_{m-1}) of
 sigma(r_1, r_0) . sigma(r_2, r_1) ... sigma(r_m, r_{m-1}) multiplied
 left-to-right in increasing chain position.  Powers are computed by iterated
-composition; the literal chain sum lives in :mod:`specdet.oracle`.
+composition of CMatrix copies, a reference route; the literal chain sum
+lives in :mod:`specdet.oracle`.
 
 Flattening makes those conventions concrete.  ``flatten_symbol(a, xi)``
-builds the (d_tau*d_xi) x (d_tau*d_xi) matrix S_xi whose block at
-block-row r, block-column i is sigma(i, r, xi), so composition becomes the
-ordinary product S_xi(BA) = S_xi(B) . S_xi(A).  Worked 2x2 example with
-d_tau = 2, d_xi = 1 and sigma(i, r, xi) = [[s_ir]]:
+transposes and reshapes sigma[xi] into the (d_tau*d_xi) x (d_tau*d_xi)
+array S_xi whose block at block-row r, block-column i is sigma(i, r, xi),
+so composition becomes the ordinary product S_xi(BA) = S_xi(B) . S_xi(A).
+Worked 2x2 example with d_tau = 2, d_xi = 1 and sigma(i, r, xi) = [[s_ir]]:
 
     S_xi = [[s_11, s_21],
             [s_12, s_22]]     # row r, column i
@@ -35,11 +37,12 @@ S_xi itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .invariant import _WeightedBlockPowers, _side_groups
-from .linalg import CMatrix, mat_add, mat_mul, mat_trace
+from .invariant import _WeightedBlockPowers, _flat_sum, _read_only, _side_groups
+from .linalg import CMatrix, mat_add, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
 __all__ = [
@@ -84,54 +87,53 @@ class DualObject:
 
 @dataclass
 class BundleSymbol:
-    """Symbol family sigma(i, r, xi) with 1-based fiber indices."""
+    """Symbol family sigma(i, r, xi) with 1-based fiber indices, held as one
+    read-only complex128 array per dual block: ``sigma[xi][i - 1, r - 1]``
+    is the d_xi x d_xi matrix sigma(i, r, xi)."""
 
     fiber_dim: int
     dual: DualObject
-    sigma: Callable[[int, int, str], CMatrix]
+    sigma: dict
     label: str = ""
 
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise ParameterError(f"fiber dimension must be >= 1, got {self.fiber_dim}")
+        if set(self.sigma) != set(self.dual.ids):
+            raise ParameterError(f"sigma holds arrays for {list(self.sigma)}, "
+                                 f"not for the dual blocks {list(self.dual.ids)}")
+        self.sigma = {xi: _read_only(self.sigma[xi], (self.fiber_dim,) * 2 + (d, d),
+                                     f"sigma(., ., {xi!r})") for xi, d in self.dual.blocks}
 
-    def block(self, i: int, r: int, xi: str) -> CMatrix:
+    def block(self, i: int, r: int, xi: str) -> np.ndarray:
         if not (1 <= i <= self.fiber_dim and 1 <= r <= self.fiber_dim):
             raise ParameterError(
                 f"fiber indices ({i}, {r}) outside 1..{self.fiber_dim}"
             )
-        b = self.sigma(i, r, xi)
-        d = self.dual.dim(xi)
-        if b.rows != d or b.cols != d:
-            raise ShapeError(
-                f"sigma({i}, {r}, {xi!r}) is {b.rows}x{b.cols}, expected {d}x{d}"
-            )
-        return b
+        self.dual.dim(xi)  # names an unknown block
+        return self.sigma[xi][i - 1, r - 1]
 
     @classmethod
     def from_entries(cls, fiber_dim: int, dual: DualObject, entries,
                      label: str = "") -> "BundleSymbol":
-        """Build from a mapping (i, r, xi) -> CMatrix; missing entries are 0."""
-        table = {(int(i), int(r), str(xi)): b for (i, r, xi), b in dict(entries).items()}
-
-        def sigma(i, r, xi):
-            got = table.get((i, r, xi))
-            if got is None:
-                d = dual.dim(xi)
-                return CMatrix.zeros(d, d)
-            return got
-
+        """Build from a mapping (i, r, xi) -> d_xi x d_xi matrix; missing
+        entries are 0, and entries outside the symbol are refused."""
+        n = max(fiber_dim, 0)  # a bad fiber_dim is refused by __post_init__
+        sigma = {xi: np.zeros((n, n, d, d), dtype=np.complex128) for xi, d in dual.blocks}
+        for (i, r, xi), b in dict(entries).items():
+            if not (1 <= i <= fiber_dim and 1 <= r <= fiber_dim):
+                raise ParameterError(f"fiber indices ({i}, {r}) outside 1..{fiber_dim}")
+            if np.shape(b) != (dual.dim(xi),) * 2:
+                raise ShapeError(f"sigma({i}, {r}, {xi!r}) has shape {np.shape(b)}")
+            sigma[xi][i - 1, r - 1] = b
         return cls(fiber_dim, dual, sigma, label=label)
 
     @classmethod
     def identity(cls, fiber_dim: int, dual: DualObject) -> "BundleSymbol":
         """sigma(i, r, xi) = delta_{ir} I_{d_xi}."""
-
-        def sigma(i, r, xi):
-            d = dual.dim(xi)
-            return CMatrix.identity(d) if i == r else CMatrix.zeros(d, d)
-
-        return cls(fiber_dim, dual, sigma, label="identity")
+        n = max(fiber_dim, 0)  # a bad fiber_dim is refused by __post_init__
+        return cls(fiber_dim, dual, {xi: np.multiply.outer(np.eye(n), np.eye(d))
+                                     for xi, d in dual.blocks}, label="identity")
 
 
 def _check_compatible(b: BundleSymbol, a: BundleSymbol):
@@ -148,16 +150,17 @@ def bundle_compose(b: BundleSymbol, a: BundleSymbol) -> BundleSymbol:
     sigma_BA(i, s, xi) = sum_r sigma_B(r, s, xi) . sigma_A(i, r, xi)."""
     _check_compatible(b, a)
     d_tau = a.fiber_dim
-    table = {}
+    sigma = {xi: np.empty_like(a.sigma[xi]) for xi in a.sigma}
     for xi, d in a.dual.blocks:
         for i in range(1, d_tau + 1):
             for s in range(1, d_tau + 1):
                 acc = CMatrix.zeros(d, d)
                 for r in range(1, d_tau + 1):
-                    acc = mat_add(acc, mat_mul(b.block(r, s, xi), a.block(i, r, xi)))
-                table[(i, s, xi)] = acc
+                    acc = mat_add(acc, mat_mul(CMatrix.from_array(b.block(r, s, xi)),
+                                               CMatrix.from_array(a.block(i, r, xi))))
+                sigma[xi][i - 1, s - 1] = np.reshape(acc.entries, (d, d))
     label = f"({b.label or 'B'}).({a.label or 'A'})"
-    return BundleSymbol.from_entries(d_tau, a.dual, table, label=label)
+    return BundleSymbol(d_tau, a.dual, sigma, label=label)
 
 
 def bundle_power(a: BundleSymbol, m: int) -> BundleSymbol:
@@ -174,31 +177,21 @@ def bundle_trace(a: BundleSymbol) -> complex:
     """Tr(A) = sum_xi d_xi sum_i Tr(sigma(i, i, xi))."""
     acc = 0.0j
     for xi, d in a.dual.blocks:
-        block_acc = 0.0j
-        for i in range(1, a.fiber_dim + 1):
-            block_acc += mat_trace(a.block(i, i, xi))
-        acc += d * block_acc
+        sigma = a.sigma[xi]
+        acc += d * _flat_sum(_flat_sum(sigma[i, i].diagonal().tolist())
+                             for i in range(a.fiber_dim))
     return acc
 
 
-def flatten_symbol(a: BundleSymbol, xi: str) -> CMatrix:
+def flatten_symbol(a: BundleSymbol, xi: str) -> np.ndarray:
     """Assemble S_xi with block (row r, column i) = sigma(i, r, xi).
 
     The operator's action on stacked Fourier columns is then ordinary
     left multiplication by S_xi, and flattening is multiplicative over
     composition.
     """
-    d_xi = a.dual.dim(xi)
-    d_tau = a.fiber_dim
-    side = d_tau * d_xi
-    out = [[0.0j] * side for _ in range(side)]
-    for r in range(1, d_tau + 1):
-        for i in range(1, d_tau + 1):
-            b = a.block(i, r, xi)
-            for br in range(d_xi):
-                for bc in range(d_xi):
-                    out[(r - 1) * d_xi + br][(i - 1) * d_xi + bc] = b.at(br, bc)
-    return CMatrix.from_rows(out)
+    side = a.fiber_dim * a.dual.dim(xi)
+    return a.sigma[xi].transpose(1, 2, 0, 3).reshape(side, side)
 
 
 def bundle_trace_source(a: BundleSymbol) -> TracePowerSource:

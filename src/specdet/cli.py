@@ -41,7 +41,7 @@ from .invariant import (
     spectral_trace_source,
 )
 from .lattice import lattice_determinant, lattice_trace, truncation_trace_source
-from .linalg import mat_trace
+from .linalg import CMatrix, mat_trace
 from .oracle import (
     assemble_truncation,
     block_determinant_product,
@@ -186,7 +186,7 @@ def _block_oracle_trace(op) -> complex:
     # block by block, not in block_trace's one flat pass
     acc = 0.0j
     for b in op.blocks:
-        acc += mat_trace(b)
+        acc += mat_trace(CMatrix.from_array(b))
     return acc
 
 
@@ -201,7 +201,7 @@ def _spectral_oracle_trace(op, alpha: float) -> complex:
 def _bundle_oracle_trace(op) -> complex:
     acc = 0.0j
     for xi, d in op.dual.blocks:
-        acc += d * mat_trace(flatten_symbol(op, xi))
+        acc += d * mat_trace(CMatrix.from_array(flatten_symbol(op, xi)))
     return acc
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, ShapeError
 from .linalg import CMatrix, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -52,25 +52,41 @@ __all__ = [
 WEYL_RATIO_THRESHOLD = 0.05
 
 
+def _read_only(a, shape: tuple, what: str) -> np.ndarray:
+    """``a`` as a read-only complex128 array of the given shape, a view of
+    a complex128 input; other shapes and non-finite entries are refused."""
+    a = np.asarray(a, dtype=np.complex128).view()
+    if a.shape != shape:
+        raise ShapeError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ShapeError(f"{what} has a non-finite entry")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class BlockSymbol:
-    """Matrix symbol of an invariant operator: one square block per level."""
+    """Matrix symbol of an invariant operator: one square block per level,
+    in level order, each a read-only complex128 array."""
 
     blocks: tuple
     label: str = ""
 
     def __post_init__(self):
-        self.blocks = tuple(self.blocks)
-        for l, b in enumerate(self.blocks):
-            if not isinstance(b, CMatrix) or not b.is_square:
-                raise ParameterError(f"block {l} is not a square CMatrix")
+        self.blocks = tuple(_read_only(b, (len(b),) * 2, f"block {l}")
+                            for l, b in enumerate(self.blocks))
 
     @property
     def level_count(self) -> int:
         return len(self.blocks)
 
-    def dims(self, l: int) -> int:
-        return self.blocks[l].rows
+
+def _flat_sum(values) -> complex:
+    """Left-to-right sum of complex values from 0j."""
+    acc = 0.0j
+    for z in values:
+        acc += z
+    return acc
 
 
 def block_trace(s: BlockSymbol) -> complex:
@@ -79,11 +95,7 @@ def block_trace(s: BlockSymbol) -> complex:
     Accumulates diagonal entries in one flat left-to-right pass, matching
     the diagonal sum of the assembled block-diagonal matrix bit for bit.
     """
-    acc = 0.0j
-    for b in s.blocks:
-        for i in range(b.rows):
-            acc += b.at(i, i)
-    return acc
+    return _flat_sum(z for b in s.blocks for z in b.diagonal().tolist())
 
 
 def block_power_trace(s: BlockSymbol, m: int) -> complex:
@@ -94,7 +106,7 @@ def block_power_trace(s: BlockSymbol, m: int) -> complex:
     if m < 1:
         raise ParameterError(f"power must be >= 1, got {m}")
     acc = 0.0j
-    for b in s.blocks:
+    for b in map(CMatrix.from_array, s.blocks):
         power = b
         for _ in range(m - 1):
             power = mat_mul(power, b)
@@ -134,15 +146,13 @@ class _WeightedBlockPowers:
 
 
 def _side_groups(blocks, weights) -> list:
-    """``_WeightedBlockPowers`` groups of CMatrix blocks, one stack per block
-    side, in order of each side's first block."""
+    """``_WeightedBlockPowers`` groups of square array blocks, one stack per
+    block side, in order of each side's first block."""
     by_side: dict = {}
     for b, w in zip(blocks, weights):
-        ws, entries = by_side.setdefault(b.rows, ([], []))
-        ws.append(w)
-        entries.append(b.entries)
-    return [(ws, np.array(entries, dtype=np.complex128).reshape(len(ws), side, side))
-            for side, (ws, entries) in by_side.items()]
+        by_side.setdefault(len(b), []).append((w, b))
+    return [([w for w, _ in group], np.array([b for _, b in group]))
+            for group in by_side.values()]
 
 
 def block_trace_source(s: BlockSymbol) -> TracePowerSource:
@@ -168,9 +178,9 @@ def invariant_determinant(s: BlockSymbol, lam: complex, order: int = 30,
     result = plemelj_det(src, lam, order=order, tol=tol)
     if s.blocks:
         last = s.blocks[-1]
-        result.diagnostics["last_block_magnitude"] = max(
-            (abs(z) for z in last.entries), default=0.0
-        )
+        # np.hypot is the C hypot of Python's abs(complex); np.abs may differ
+        result.diagnostics["last_block_magnitude"] = float(
+            np.hypot(last.real, last.imag).max(initial=0.0))
     return result
 
 

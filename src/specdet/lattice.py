@@ -89,16 +89,16 @@ SPARSE_FILL_DIVISOR = 32
 #: declared structure
 BRUTE_PAIR_LIMIT = 4_000_000
 #: symbol samples (2R+1)^n * n_x^n allowed for one x-dependent toroidal
-#: quantization.  It bounds the sampling time and the working memory of one
-#: box row of samples (2R+1 values of k, the whole box in 1-D); the kept
-#: coefficient window, (2R+1)^n * (4R+1)^n values, is about a quarter of
-#: the samples in 1-D and under 2 % of them in 2-D.  Same 2-core VM, a
-#: two-mode modulated symbol just under the guard, time and peak RSS:
-#:   1-D R=1023 (n_x 16384, 3.35e7 samples): 1.4 s, 673 MB
-#:   2-D R=10   (n_x 256,   2.89e7 samples): 0.8 s, 90 MB
-#: and a custom-table symbol 1.5 s, 680 MB and 1.2 s, 119 MB.  Full per-k
-#: tables took 2.2 s, 545 MB and 1.1 s, 477 MB for the modulated symbol
+#: quantization.  It bounds the sampling time; the kept coefficient window,
+#: (2R+1)^n * (4R+1)^n values, is about a quarter of the samples in 1-D and
+#: under 2 % of them in 2-D.
 SAMPLE_LIMIT = 1 << 25
+#: samples taken and transformed at once while quantizing: one box row of
+#: 2R+1 values of k, or fewer k where a row is larger.  On a 2-core VM, a
+#: two-mode modulated symbol just under SAMPLE_LIMIT, time and peak RSS:
+#:   1-D R=1023 (n_x 16384): 1.1-1.2 s, 277 MB (whole rows: 1.3 s, 673 MB)
+#:   2-D R=10   (n_x 256):   0.6-0.8 s, 91 MB (rows of 1.4e6 samples, whole)
+SAMPLE_CHUNK = 1 << 22
 
 
 def iter_box(dim: int, cutoff: int) -> Iterator[Index]:

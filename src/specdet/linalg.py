@@ -63,27 +63,16 @@ class CMatrix:
         return cls(n, m, tuple(complex(z) for r in rows for z in r))
 
     @classmethod
-    def identity(cls, n: int) -> "CMatrix":
-        return cls(n, n, tuple(1.0 + 0.0j if i == j else 0.0j for i in range(n) for j in range(n)))
+    def from_array(cls, a) -> "CMatrix":
+        """The CMatrix of a 2-D complex128 array, entry for entry."""
+        return cls(*a.shape, tuple(a.ravel().tolist()))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "CMatrix":
         return cls(rows, cols, (0.0j,) * (rows * cols))
 
-    @classmethod
-    def diagonal(cls, values) -> "CMatrix":
-        vals = [complex(v) for v in values]
-        n = len(vals)
-        return cls(n, n, tuple(vals[i] if i == j else 0.0j for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list:
-        return [
-            [self.entries[i * self.cols + j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
 
     @property
     def is_square(self) -> bool:

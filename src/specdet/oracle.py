@@ -138,9 +138,9 @@ def literal_power_symbol(a, m: int, r_m: int, r_0: int, xi: str) -> CMatrix:
     total = CMatrix.zeros(d, d)
     for inner in itertools.product(range(1, d_tau + 1), repeat=m - 1):
         chain = (r_0,) + inner + (r_m,)
-        prod = a.block(chain[1], chain[0], xi)
+        prod = CMatrix.from_array(a.block(chain[1], chain[0], xi))
         for s in range(2, m + 1):
-            prod = mat_mul(prod, a.block(chain[s], chain[s - 1], xi))
+            prod = mat_mul(prod, CMatrix.from_array(a.block(chain[s], chain[s - 1], xi)))
         total = CMatrix(d, d, tuple(x + y for x, y in zip(total.entries, prod.entries)))
     return total
 
@@ -149,7 +149,7 @@ def block_determinant_product(s, lam: complex) -> complex:
     """prod_l Det(I + lambda*sigma(l)) by per-block LU."""
     det = 1.0 + 0.0j
     for b in s.blocks:
-        det *= direct_determinant(b, lam)
+        det *= direct_determinant(CMatrix.from_array(b), lam)
     return det
 
 
@@ -172,5 +172,5 @@ def bundle_determinant_product(a, lam: complex) -> complex:
 
     det = 1.0 + 0.0j
     for xi, d in a.dual.blocks:
-        det *= direct_determinant(flatten_symbol(a, xi), lam) ** d
+        det *= direct_determinant(CMatrix.from_array(flatten_symbol(a, xi)), lam) ** d
     return det

@@ -26,8 +26,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, starmap
+from itertools import accumulate, chain
 from pathlib import Path
+
+import numpy as np
 
 from .bundles import BundleSymbol, DualObject
 from .errors import SpecParseError, SpecValidationError
@@ -39,7 +41,6 @@ from .lattice import (
     rank_one_kernel,
     table_kernel,
 )
-from .linalg import CMatrix
 from .toroidal import (
     ToroidalSymbol,
     modulated_symbol,
@@ -433,19 +434,23 @@ def build_operator(spec: OperatorSpec):
     return _KINDS[spec.kind][1](spec.params, spec.label or "")
 
 
-def _cmatrix(matrix) -> CMatrix:
-    """The CMatrix of a validated matrix (equal rows of [re, im] pairs)."""
-    return CMatrix(len(matrix), len(matrix[0]),
-                   tuple(starmap(complex, chain.from_iterable(matrix))))
+def _arrays(matrices) -> list:
+    """Complex128 arrays of validated matrices (equal rows of [re, im]
+    pairs), views of one flat float64 buffer."""
+    flat = np.array(list(chain.from_iterable(chain.from_iterable(chain.from_iterable(
+        matrices)))), dtype=np.float64).view(np.complex128)
+    ends = list(accumulate([len(m) * len(m[0]) for m in matrices], initial=0))
+    return [flat[a:b].reshape(len(m), -1) for m, a, b in zip(matrices, ends, ends[1:])]
 
 
 def _build_block(p: dict, label: str) -> BlockSymbol:
-    return BlockSymbol(tuple(_cmatrix(matrix) for matrix in p["blocks"]), label=label)
+    return BlockSymbol(tuple(_arrays(p["blocks"])), label=label)
 
 
 def _build_bundle(p: dict, label: str) -> BundleSymbol:
     dual = DualObject(tuple((i, d) for i, d in p["dual"]), label=label)
-    entries = {(i, r, xi): _cmatrix(matrix) for i, r, xi, matrix in p["sigma"]}
+    entries = dict(zip([(i, r, xi) for i, r, xi, _ in p["sigma"]],
+                       _arrays([rec[3] for rec in p["sigma"]])))
     return BundleSymbol.from_entries(p["fiber_dim"], dual, entries, label=label)
 
 

@@ -37,6 +37,7 @@ from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterE
 from .lattice import (
     BRUTE_PAIR_LIMIT,
     DENSE_SIDE_LIMIT,
+    SAMPLE_CHUNK,
     SAMPLE_LIMIT,
     Index,
     LatticeKernel,
@@ -196,9 +197,10 @@ def _coeff_window(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
     |l|_inf <= 2R, lexicographic; an x-independent symbol keeps only the zero
     mode.  Cached per (n_x, R), read-only.
 
-    An x-dependent symbol is sampled one box row at a time, the 2R+1
-    consecutive k that share all but the last coordinate, and each row is
-    transformed by one batched FFT in place.  Every entry equals the one of
+    An x-dependent symbol is sampled in runs of consecutive k: one box row,
+    the 2R+1 k that share all but the last coordinate, or where a row holds
+    more than SAMPLE_CHUNK samples as many k as fit in that many.  Each run
+    is transformed by one batched FFT in place.  Every entry equals the one of
     the full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
     """
     key = (n_x, cutoff)
@@ -218,11 +220,12 @@ def _coeff_window(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
         axes = tuple(range(1, s.dim + 1))
         window = np.empty((len(ks), (4 * cutoff + 1) ** s.dim), dtype=np.complex128)
         view = window.reshape((len(ks),) + (4 * cutoff + 1,) * s.dim)
-        for start in range(0, len(ks), width):
-            stack = _sample_stack(s, n_x, ks[start:start + width])
+        step = min(width, max(1, SAMPLE_CHUNK // n_x ** s.dim))
+        for start in range(0, len(ks), step):
+            stack = _sample_stack(s, n_x, ks[start:start + step])
             np.fft.fftn(stack, axes=axes, out=stack)
             for dst, src in blocks:
-                view[(slice(start, start + width),) + dst] = stack[(slice(None),) + src]
+                view[(slice(start, start + len(stack)),) + dst] = stack[(slice(None),) + src]
         window /= n_x ** s.dim
     window.flags.writeable = False
     s._tables[key] = window

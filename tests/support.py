@@ -22,6 +22,17 @@ def rand_cmatrix(rng, rows: int, cols: int | None = None, scale: float = 1.0) ->
                    tuple(rand_complex(rng, scale) for _ in range(rows * cols)))
 
 
+def as_array(m: CMatrix) -> np.ndarray:
+    """The complex128 array of a CMatrix, entry for entry."""
+    return np.reshape(np.array(m.entries, dtype=np.complex128), (m.rows, m.cols))
+
+
+def rand_block(rng, n: int, scale: float = 1.0) -> np.ndarray:
+    """The n x n array of ``rand_cmatrix(rng, n, scale=scale)``, from the
+    same draws."""
+    return as_array(rand_cmatrix(rng, n, scale=scale))
+
+
 def naive_matmul(a: CMatrix, b: CMatrix) -> CMatrix:
     """Triple-loop product, k ascending, written from the definition."""
     assert a.cols == b.rows
@@ -89,15 +100,16 @@ def charpoly_eig_det(m: CMatrix, lam: complex) -> complex:
 
 
 def assemble_block_diagonal(blocks) -> CMatrix:
-    """Block-diagonal matrix with the given square blocks on the diagonal."""
-    side = sum(b.rows for b in blocks)
+    """Block-diagonal matrix with the given square array blocks on the
+    diagonal."""
+    side = sum(len(b) for b in blocks)
     entries = [[0j] * side for _ in range(side)]
     offset = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                entries[offset + i][offset + j] = b.at(i, j)
-        offset += b.rows
+        for i, row in enumerate(b.tolist()):
+            for j, z in enumerate(row):
+                entries[offset + i][offset + j] = z
+        offset += len(b)
     return CMatrix.from_rows(entries)
 
 
@@ -123,7 +135,7 @@ def assert_truncation_is_entry_walk(k, cutoff: int):
     from specdet import assemble_truncation, lattice_trace, nuclear_norm_estimate
     from specdet.lattice import _truncation
 
-    a = np.array(assemble_truncation(k, cutoff).row_lists(), dtype=np.complex128)
+    a = as_array(assemble_truncation(k, cutoff))
     rows, cols, vals = _truncation(k, cutoff)
     assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
     assert (np.diff(rows * len(a) + cols) > 0).all()

@@ -50,7 +50,7 @@ from specdet import (
 )
 from specdet.cli import run_command
 
-from support import rand_cmatrix, rand_complex
+from support import rand_block, rand_cmatrix, rand_complex
 
 FIXTURES = pathlib.Path("fixtures")
 
@@ -97,7 +97,7 @@ def random_trig_symbol(rng):
 
 def random_block_symbol(rng):
     levels = int(rng.integers(1, 11))
-    blocks = tuple(rand_cmatrix(rng, int(rng.integers(1, 5)), scale=0.4)
+    blocks = tuple(rand_block(rng, int(rng.integers(1, 5)), scale=0.4)
                    for _ in range(levels))
     return BlockSymbol(blocks)
 
@@ -113,7 +113,7 @@ def random_bundle_symbol(rng):
         for i in range(1, fiber_dim + 1):
             for r in range(1, fiber_dim + 1):
                 if rng.uniform() < 0.8:
-                    entries[(i, r, xi)] = rand_cmatrix(rng, d, scale=0.3)
+                    entries[(i, r, xi)] = rand_block(rng, d, scale=0.3)
     return BundleSymbol.from_entries(fiber_dim, dual, entries)
 
 
@@ -149,12 +149,12 @@ def test_criterion_1_series_oracle_equivalence():
     deviations = []
     for _ in range(count):
         symbol = random_block_symbol(rng)
-        bound = sum(abs_entry_sum(b) for b in symbol.blocks)
+        bound = sum(abs_entry_sum(CMatrix.from_array(b)) for b in symbol.blocks)
         lam = random_lambda(rng, bound)
         series = invariant_determinant(symbol, lam, order=40, tol=1e-13)
         oracle = 1 + 0j
         for b in symbol.blocks:
-            oracle *= direct_determinant(b, lam)
+            oracle *= direct_determinant(CMatrix.from_array(b), lam)
         deviations.append(rel_dev(series.value, oracle))
     worst["block"] = max(deviations)
 
@@ -163,7 +163,7 @@ def test_criterion_1_series_oracle_equivalence():
         symbol = random_bundle_symbol(rng)
         from specdet import flatten_symbol
 
-        bound = sum(abs_entry_sum(flatten_symbol(symbol, xi))
+        bound = sum(abs_entry_sum(CMatrix.from_array(flatten_symbol(symbol, xi)))
                     for xi, _ in symbol.dual.blocks)
         lam = random_lambda(rng, bound)
         series = bundle_determinant(symbol, lam, order=40, tol=1e-13)
@@ -200,7 +200,7 @@ def test_criterion_2_cycle_sum_faithfulness():
             for xi, d in dual.blocks:
                 for i in range(1, fiber_dim + 1):
                     for r in range(1, fiber_dim + 1):
-                        entries[(i, r, xi)] = rand_cmatrix(rng, d, scale=0.4)
+                        entries[(i, r, xi)] = rand_block(rng, d, scale=0.4)
             symbol = BundleSymbol.from_entries(fiber_dim, dual, entries)
             for m in (1, 2, 3, 4):
                 powered = bundle_power(symbol, m)
@@ -209,7 +209,7 @@ def test_criterion_2_cycle_sum_faithfulness():
                         for r in range(1, fiber_dim + 1):
                             lit = literal_power_symbol(symbol, m, i, r, xi)
                             got = powered.block(i, r, xi)
-                            for u, v in zip(got.entries, lit.entries):
+                            for u, v in zip(got.ravel().tolist(), lit.entries):
                                 worst_bundle = max(
                                     worst_bundle,
                                     abs(u - v) / max(1.0, abs(v)))

@@ -21,7 +21,7 @@ from specdet import (
 )
 from specdet.errors import ParameterError, ShapeError
 
-from support import rand_cmatrix
+from support import rand_block
 
 
 def random_bundle(rng, fiber_dim=2, dual_dims=(1, 2), scale=0.25):
@@ -30,7 +30,7 @@ def random_bundle(rng, fiber_dim=2, dual_dims=(1, 2), scale=0.25):
     for xi, d in dual.blocks:
         for i in range(1, fiber_dim + 1):
             for r in range(1, fiber_dim + 1):
-                entries[(i, r, xi)] = rand_cmatrix(rng, d, scale=scale)
+                entries[(i, r, xi)] = rand_block(rng, d, scale=scale)
     return BundleSymbol.from_entries(fiber_dim, dual, entries)
 
 
@@ -41,7 +41,7 @@ def symbols_equal(a, b, tol=0.0):
             for r in range(1, a.fiber_dim + 1):
                 x = a.block(i, r, xi)
                 y = b.block(i, r, xi)
-                for u, v in zip(x.entries, y.entries):
+                for u, v in zip(x.ravel().tolist(), y.ravel().tolist()):
                     if tol == 0.0:
                         assert u == v
                     else:
@@ -60,12 +60,13 @@ def test_compose_with_identity_is_identity_map():
 def test_scalar_fiber_compose_is_matrix_product():
     rng = np.random.default_rng(62)
     dual = DualObject((("xi", 2),))
-    a = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): rand_cmatrix(rng, 2)})
-    b = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): rand_cmatrix(rng, 2)})
+    a = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): rand_block(rng, 2)})
+    b = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): rand_block(rng, 2)})
     composed = bundle_compose(b, a)
-    expected = mat_mul(b.block(1, 1, "xi"), a.block(1, 1, "xi"))
+    expected = mat_mul(CMatrix.from_array(b.block(1, 1, "xi")),
+                       CMatrix.from_array(a.block(1, 1, "xi")))
     got = composed.block(1, 1, "xi")
-    for u, v in zip(got.entries, expected.entries):
+    for u, v in zip(got.ravel().tolist(), expected.entries):
         assert abs(u - v) <= 1e-14
 
 
@@ -76,34 +77,35 @@ def test_flatten_is_multiplicative_over_composition():
     composed = bundle_compose(b, a)
     for xi, _ in a.dual.blocks:
         lhs = flatten_symbol(composed, xi)
-        rhs = mat_mul(flatten_symbol(b, xi), flatten_symbol(a, xi))
-        for u, v in zip(lhs.entries, rhs.entries):
+        rhs = mat_mul(CMatrix.from_array(flatten_symbol(b, xi)),
+                      CMatrix.from_array(flatten_symbol(a, xi)))
+        for u, v in zip(lhs.ravel().tolist(), rhs.entries):
             assert abs(u - v) <= 1e-12
 
 
 def test_flatten_block_layout_worked_example():
     # d_tau = 2, d_xi = 1: block-row r, block-column i holds sigma(i, r)
     dual = DualObject((("xi", 1),))
-    entries = {(i, r, "xi"): CMatrix.from_rows([[complex(10 * i + r)]])
+    entries = {(i, r, "xi"): np.array([[complex(10 * i + r)]])
                for i in (1, 2) for r in (1, 2)}
     a = BundleSymbol.from_entries(2, dual, entries)
     flat = flatten_symbol(a, "xi")
-    assert flat.row_lists() == [[11, 21], [12, 22]]
+    assert flat.tolist() == [[11, 21], [12, 22]]
 
 
 def test_flatten_scalar_fiber_is_the_block_itself():
     rng = np.random.default_rng(64)
     dual = DualObject((("xi", 3),))
-    block = rand_cmatrix(rng, 3)
+    block = rand_block(rng, 3)
     a = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): block})
-    assert flatten_symbol(a, "xi").entries == block.entries
+    assert flatten_symbol(a, "xi").tolist() == block.tolist()
 
 
 def test_flatten_identity_symbol():
     dual = DualObject((("u", 2), ("v", 1)))
     a = BundleSymbol.identity(3, dual)
-    assert flatten_symbol(a, "u").entries == CMatrix.identity(6).entries
-    assert flatten_symbol(a, "v").entries == CMatrix.identity(3).entries
+    assert flatten_symbol(a, "u").tolist() == np.eye(6).tolist()
+    assert flatten_symbol(a, "v").tolist() == np.eye(3).tolist()
 
 
 def test_flatten_unknown_block_id():
@@ -121,11 +123,12 @@ def test_power_of_identity():
 def test_scalar_fiber_power_is_matrix_power():
     rng = np.random.default_rng(65)
     dual = DualObject((("xi", 2),))
-    block = rand_cmatrix(rng, 2, scale=0.5)
+    block = rand_block(rng, 2, scale=0.5)
     a = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): block})
     cubed = bundle_power(a, 3).block(1, 1, "xi")
-    expected = mat_mul(mat_mul(block, block), block)
-    for u, v in zip(cubed.entries, expected.entries):
+    b = CMatrix.from_array(block)
+    expected = mat_mul(mat_mul(b, b), b)
+    for u, v in zip(cubed.ravel().tolist(), expected.entries):
         assert abs(u - v) <= 1e-13
 
 
@@ -137,7 +140,7 @@ def test_power_matches_literal_chain_sum_scalar_blocks():
         for r in (1, 2):
             literal = literal_power_symbol(a, 3, i, r, "xi0")
             got = powered.block(i, r, "xi0")
-            for u, v in zip(got.entries, literal.entries):
+            for u, v in zip(got.ravel().tolist(), literal.entries):
                 assert abs(u - v) <= 1e-12
 
 
@@ -152,7 +155,7 @@ def test_power_matches_literal_chain_sum_general():
                     for r in range(1, fiber_dim + 1):
                         literal = literal_power_symbol(a, m, i, r, xi)
                         got = powered.block(i, r, xi)
-                        for u, v in zip(got.entries, literal.entries):
+                        for u, v in zip(got.ravel().tolist(), literal.entries):
                             assert abs(u - v) <= 1e-10 * max(1.0, abs(v))
 
 
@@ -171,7 +174,8 @@ def test_trace_of_identity_counts_dimensions():
 def test_trace_matches_weighted_flatten_trace():
     rng = np.random.default_rng(68)
     a = random_bundle(rng, fiber_dim=3, dual_dims=(1, 2))
-    expected = sum(d * mat_trace(flatten_symbol(a, xi)) for xi, d in a.dual.blocks)
+    expected = sum(d * mat_trace(CMatrix.from_array(flatten_symbol(a, xi)))
+                   for xi, d in a.dual.blocks)
     assert abs(bundle_trace(a) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -204,7 +208,7 @@ def test_determinant_of_zero_symbol():
 def test_determinant_scalar_everything():
     mu = 0.4 - 0.2j
     a = BundleSymbol.from_entries(1, DualObject((("xi", 1),)),
-                                  {(1, 1, "xi"): CMatrix.diagonal([mu])})
+                                  {(1, 1, "xi"): np.array([[mu]])})
     result = bundle_determinant(a, 0.5, order=40)
     assert abs(result.value - (1 + 0.5 * mu)) <= 1e-10
 
@@ -228,13 +232,11 @@ def test_determinant_invariant_under_unitary_conjugation():
         q, _ = np.linalg.qr(np.array(
             [[complex(rng.normal(), rng.normal()) for _ in range(side)]
              for _ in range(side)]))
-        flat = flatten_symbol(a, xi)
-        s = np.array(flat.row_lists())
-        rotated = q @ s @ q.conj().T
+        rotated = q @ flatten_symbol(a, xi) @ q.conj().T
         for r in range(1, a.fiber_dim + 1):
             for i in range(1, a.fiber_dim + 1):
                 block = rotated[(r - 1) * d:r * d, (i - 1) * d:i * d]
-                conjugated[(i, r, xi)] = CMatrix.from_rows(block.tolist())
+                conjugated[(i, r, xi)] = block
     b = BundleSymbol.from_entries(a.fiber_dim, a.dual, conjugated)
     da = bundle_determinant(a, 0.2, order=50, tol=1e-13)
     db = bundle_determinant(b, 0.2, order=50, tol=1e-13)
@@ -266,6 +268,42 @@ def test_compose_rejects_mismatched_symbols():
 
 def test_wrong_block_shape_is_rejected():
     dual = DualObject((("xi", 2),))
-    a = BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): CMatrix.identity(3)})
-    with pytest.raises(ShapeError):
-        a.block(1, 1, "xi")
+    with pytest.raises(ShapeError, match=r"sigma\(1, 1, 'xi'\) has shape \(3, 3\)"):
+        BundleSymbol.from_entries(1, dual, {(1, 1, "xi"): np.eye(3)})
+
+
+@pytest.mark.parametrize("key", [(3, 1, "xi"), (1, 0, "xi"), (1, 1, "zz")])
+def test_entries_outside_the_symbol_are_refused(key):
+    # such entries used to be dropped silently: trace 0 and det 1
+    dual = DualObject((("xi", 1),))
+    with pytest.raises(ParameterError, match="outside 1..2|unknown dual block 'zz'"):
+        BundleSymbol.from_entries(2, dual, {(1, 1, "xi"): [[0.5]], key: [[5]]})
+
+
+@pytest.mark.parametrize("fiber_dim", [0, -2])
+def test_fiber_dimension_below_one_is_refused(fiber_dim):
+    dual = DualObject((("xi", 2),))
+    with pytest.raises(ParameterError, match="fiber dimension must be >= 1"):
+        BundleSymbol.from_entries(fiber_dim, dual, {})
+    with pytest.raises(ParameterError, match="fiber dimension must be >= 1"):
+        BundleSymbol.identity(fiber_dim, dual)
+
+
+def test_constructor_takes_one_array_per_dual_block():
+    dual = DualObject((("u", 2), ("v", 1)))
+    sigma = {"u": np.arange(16).reshape(1, 1, 4, 4)[..., :2, :2] * 1j,
+             "v": np.full((1, 1, 1, 1), 0.5)}
+    a = BundleSymbol(1, dual, sigma)
+    assert a.block(1, 1, "u").tolist() == [[0, 1j], [4j, 5j]]
+    assert all(s.dtype == np.complex128 and not s.flags.writeable
+               for s in a.sigma.values())
+    with pytest.raises(ParameterError, match="not for the dual blocks"):
+        BundleSymbol(1, dual, {"u": sigma["u"]})
+    with pytest.raises(ParameterError, match="not for the dual blocks"):
+        BundleSymbol(1, dual, dict(sigma, w=sigma["v"]))
+    with pytest.raises(ShapeError, match=r"sigma\(\., \., 'v'\) has shape \(1, 1, 2, 2\)"):
+        BundleSymbol(1, dual, dict(sigma, v=sigma["u"]))
+    with pytest.raises(ShapeError, match="non-finite entry"):
+        BundleSymbol(1, dual, dict(sigma, v=np.full((1, 1, 1, 1), np.nan)))
+    with pytest.raises(ShapeError, match="non-finite entry"):
+        BundleSymbol.from_entries(1, dual, {(1, 1, "v"): [[np.inf]]})

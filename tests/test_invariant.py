@@ -22,24 +22,24 @@ from specdet import (
     torus2_model,
     weyl_tail_check,
 )
-from specdet.errors import EvaluationError, ParameterError
+from specdet.errors import EvaluationError, ParameterError, ShapeError
 
-from support import assemble_block_diagonal, rand_cmatrix
+from support import as_array, assemble_block_diagonal, bits, rand_block
 
 
 def random_block_symbol(rng, levels=3, max_dim=4, scale=0.3):
-    blocks = tuple(rand_cmatrix(rng, int(rng.integers(1, max_dim + 1)), scale=scale)
+    blocks = tuple(rand_block(rng, int(rng.integers(1, max_dim + 1)), scale=scale)
                    for _ in range(levels))
     return BlockSymbol(blocks)
 
 
 def test_block_trace_zero():
-    s = BlockSymbol((CMatrix.zeros(2, 2), CMatrix.zeros(3, 3)))
+    s = BlockSymbol((np.zeros((2, 2)), np.zeros((3, 3))))
     assert block_trace(s) == 0
 
 
 def test_block_trace_identity_counts_dimensions():
-    s = BlockSymbol((CMatrix.identity(1), CMatrix.identity(2), CMatrix.identity(3)))
+    s = BlockSymbol((np.eye(1), np.eye(2), np.eye(3)))
     assert block_trace(s) == 6
 
 
@@ -51,13 +51,13 @@ def test_block_trace_matches_assembled_diagonal():
 
 
 def test_block_power_trace_diagonal_blocks():
-    s = BlockSymbol((CMatrix.diagonal([0.2, -0.3]), CMatrix.diagonal([0.5])))
+    s = BlockSymbol((np.diag([0.2, -0.3]), np.diag([0.5])))
     expected = 0.2 ** 2 + (-0.3) ** 2 + 0.5 ** 2
     assert abs(block_power_trace(s, 2) - expected) < 1e-14
 
 
 def test_block_power_trace_nilpotent():
-    s = BlockSymbol((CMatrix.from_rows([[0, 1], [0, 0]]),))
+    s = BlockSymbol((np.array([[0, 1], [0, 0]]),))
     assert block_power_trace(s, 2) == 0
     assert block_power_trace(s, 3) == 0
 
@@ -76,8 +76,8 @@ def test_block_source_matches_cmatrix_route():
     # batched numpy powers against per-block CMatrix products, over mixed
     # block sizes 1-8 with complex entries and a nilpotent block
     rng = np.random.default_rng(54)
-    blocks = [rand_cmatrix(rng, n, scale=0.35) for n in (3, 1, 8, 2, 5, 1, 7, 4, 6, 2)]
-    blocks.insert(4, CMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    blocks = [rand_block(rng, n, scale=0.35) for n in (3, 1, 8, 2, 5, 1, 7, 4, 6, 2)]
+    blocks.insert(4, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
     s = BlockSymbol(blocks)
     src = block_trace_source(s)
     for m in range(1, 41):
@@ -86,7 +86,7 @@ def test_block_source_matches_cmatrix_route():
 
 
 def test_block_source_of_nilpotent_and_empty_symbols():
-    nilpotent = block_trace_source(BlockSymbol((CMatrix.from_rows([[0, 2], [0, 0]]),)))
+    nilpotent = block_trace_source(BlockSymbol((np.array([[0, 2], [0, 0]]),)))
     assert [nilpotent.trace_power(m) for m in (1, 2, 3)] == [0, 0, 0]
     empty = block_trace_source(BlockSymbol(()))
     assert [empty.trace_power(m) for m in (1, 5)] == [0, 0]
@@ -98,11 +98,11 @@ def test_power_symbol_equals_powered_blocks_exactly():
     s = random_block_symbol(rng)
     for m in (2, 3):
         powered = []
-        for b in s.blocks:
+        for b in map(CMatrix.from_array, s.blocks):
             p = b
             for _ in range(m - 1):
                 p = mat_mul(p, b)
-            powered.append(p)
+            powered.append(as_array(p))
         assert block_power_trace(s, m) == block_trace(BlockSymbol(tuple(powered)))
 
 
@@ -114,34 +114,69 @@ def test_invariant_action_on_coordinate_vectors():
     assembled = assemble_block_diagonal(s.blocks)
     offset = 0
     for block in s.blocks:
-        for k in range(block.rows):
+        for k in range(len(block)):
             column = CMatrix(assembled.rows, 1, tuple(
                 1.0 + 0j if i == offset + k else 0j for i in range(assembled.rows)))
             image = mat_mul(assembled, column)
-            level_slice = [image.at(offset + i, 0) for i in range(block.rows)]
-            expected = [block.at(i, k) for i in range(block.rows)]
+            level_slice = [image.at(offset + i, 0) for i in range(len(block))]
+            expected = block[:, k].tolist()
             assert level_slice == expected
             outside = [image.at(i, 0) for i in range(assembled.rows)
-                       if not offset <= i < offset + block.rows]
+                       if not offset <= i < offset + len(block)]
             assert all(v == 0 for v in outside)
-        offset += block.rows
+        offset += len(block)
+
+
+def test_block_symbol_holds_read_only_complex_arrays():
+    source = np.array([[1, 2], [3, 4]], dtype=np.complex128)
+    s = BlockSymbol((source, [[0.5]]))
+    assert [b.dtype for b in s.blocks] == [np.complex128] * 2
+    assert not any(b.flags.writeable for b in s.blocks)
+    assert np.shares_memory(s.blocks[0], source)  # a view, not a copy
+
+
+@pytest.mark.parametrize("block", [np.zeros((2, 3)), np.zeros(3), np.zeros((1, 2, 2))])
+def test_block_symbol_refuses_non_square_blocks(block):
+    with pytest.raises(ShapeError, match=r"block 1 has shape \(.*\), expected \((\d), \1\)"):
+        BlockSymbol((np.eye(2), block))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_block_symbol_refuses_non_finite_blocks(bad):
+    block = np.eye(3, dtype=np.complex128)
+    block[2, 1] = bad
+    with pytest.raises(ShapeError, match="block 1 has a non-finite entry"):
+        BlockSymbol((np.eye(1), block))
+
+
+def test_last_block_magnitude_is_the_python_abs_maximum():
+    # np.abs may differ from Python's abs(complex) in the last bit; the
+    # diagnostic must be the Python maximum exactly
+    rng = np.random.default_rng(58)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        scale = 10.0 ** rng.uniform(-4, 4)
+        last = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+        s = BlockSymbol((np.eye(2), last))
+        got = invariant_determinant(s, 0.0, order=2).diagnostics["last_block_magnitude"]
+        assert type(got) is float
+        assert bits(got) == bits(max(abs(complex(z)) for z in last.ravel()))
 
 
 def test_invariant_determinant_zero_symbol():
-    s = BlockSymbol((CMatrix.zeros(2, 2),))
+    s = BlockSymbol((np.zeros((2, 2)),))
     assert invariant_determinant(s, 0.9, order=10).value == 1
 
 
 def test_invariant_determinant_single_scalar_block():
     mu = 0.35 - 0.1j
-    s = BlockSymbol((CMatrix.diagonal([mu]),))
+    s = BlockSymbol((np.array([[mu]]),))
     result = invariant_determinant(s, 1.0, order=40)
     assert abs(result.value - (1 + mu)) <= 1e-10
 
 
 def test_invariant_determinant_example_blocks():
-    s = BlockSymbol((CMatrix.from_rows([[0.2, 0.1], [0, 0.3]]),
-                     CMatrix.from_rows([[0.05]])))
+    s = BlockSymbol((np.array([[0.2, 0.1], [0, 0.3]]), np.array([[0.05]])))
     result = invariant_determinant(s, 1.0, order=40)
     assert abs(result.value - 1.2 * 1.3 * 1.05) <= 1e-9
 
@@ -150,11 +185,11 @@ def test_invariant_determinant_factorizes_over_blocks():
     rng = np.random.default_rng(55)
     for _ in range(15):
         s = random_block_symbol(rng, levels=int(rng.integers(1, 5)))
-        lam = 0.5 / max(1.0, sum(abs(z) for b in s.blocks for z in b.entries))
+        lam = 0.5 / max(1.0, sum(abs(z) for b in s.blocks for z in b.ravel().tolist()))
         result = invariant_determinant(s, lam, order=40, tol=1e-13)
         assert result.converged
         expected = 1 + 0j
-        for b in s.blocks:
+        for b in map(CMatrix.from_array, s.blocks):
             shifted = CMatrix(b.rows, b.rows, tuple(
                 lam * b.at(i, j) + (1.0 if i == j else 0.0)
                 for i in range(b.rows) for j in range(b.rows)))
@@ -195,7 +230,7 @@ def test_unit_multiplicity_model_equals_scalar_blocks():
     alpha = 2.5
     lam = 0.4
     from_model = manifold_determinant(sp, alpha, lam, order=50, tol=1e-14)
-    blocks = tuple(CMatrix.diagonal([(1.0 + e) ** (-alpha / 2.0)]) for e in eigs)
+    blocks = tuple(np.array([[(1.0 + e) ** (-alpha / 2.0)]]) for e in eigs)
     from_blocks = invariant_determinant(BlockSymbol(blocks), lam, order=50, tol=1e-14)
     assert abs(from_model.value - from_blocks.value) <= 1e-12 * abs(from_blocks.value)
 

@@ -33,7 +33,8 @@ from specdet import (
 )
 from specdet.errors import EvaluationError, FeasibilityError, ParameterError
 
-from support import assert_truncation_is_entry_walk, bits, non_finite_site, rand_complex
+from support import (as_array, assert_truncation_is_entry_walk, bits, non_finite_site,
+                     rand_complex)
 
 
 def random_table_kernel(rng, support=3, density=0.5, scale=0.4):
@@ -315,7 +316,7 @@ def test_band_wider_than_box_walks_only_the_box():
     assert time.perf_counter() - start < 1.0
     side = powers.side
     assert side == 49 and len(calls) == side * side
-    a = np.array(assemble_truncation(k, 3).row_lists())
+    a = as_array(assemble_truncation(k, 3))
     for m in (1, 2, 3, 7):
         expected = np.trace(np.linalg.matrix_power(a, m))
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -329,7 +330,7 @@ def test_dense_kernels_and_small_sides_stay_dense():
     assert powers.side >= lattice_mod.SPARSE_SIDE_MIN and powers._mode == "dense"
     # the array built from the collected entries against the oracle's
     # entry-by-entry assembly
-    a = np.array(assemble_truncation(full, 70).row_lists())
+    a = as_array(assemble_truncation(full, 70))
     for m in (1, 2, 5):
         expected = np.trace(np.linalg.matrix_power(a, m))
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -350,7 +351,7 @@ def test_kernel_without_structure_takes_the_dense_chain():
     k = LatticeKernel(1, eval_fn, label="no-structure")
     powers = lattice_mod._TracePowers(k, 4)
     assert powers._mode == "dense"
-    a = np.array(assemble_truncation(k, 4).row_lists())
+    a = as_array(assemble_truncation(k, 4))
     for m in (1, 2, 5):
         expected = np.trace(np.linalg.matrix_power(a, m))
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))

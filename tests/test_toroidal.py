@@ -359,6 +359,28 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
             assert bits(symbol_fourier_coeff(pointwise, l, m, x_grid=n_x)) == want
 
 
+# chunks of 5 k in 1-D, of 3 and 4 k across box rows in 2-D, and of one k
+# where the cap is below one k's samples
+@pytest.mark.parametrize("dim, cutoff, x_grid, chunk", [(1, 9, 37, 5 * 37), (1, 6, None, 1),
+                                                        (2, 2, 12, 3 * 144), (2, 3, 17, 4 * 289)])
+@pytest.mark.parametrize("family", ["modulated", "table"])
+def test_window_samples_at_most_a_chunk_at_once(monkeypatch, family, dim, cutoff, x_grid, chunk):
+    whole, chunked = (_quantized_symbol(family, dim, np.random.default_rng(60 + dim))
+                      for _ in range(2))
+    whole.x_grid = chunked.x_grid = x_grid
+    n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
+    want = toroidal_mod._coeff_window(whole, n_x, cutoff)
+    sizes = []
+    eval_grid = chunked.eval_grid
+    chunked.eval_grid = lambda n, ks: sizes.append(len(ks) * n ** dim) or eval_grid(n, ks)
+    monkeypatch.setattr(toroidal_mod, "SAMPLE_CHUNK", chunk)
+    got = toroidal_mod._coeff_window(chunked, n_x, cutoff)
+    assert max(sizes) <= max(chunk, n_x ** dim)
+    assert sum(sizes) == ((2 * cutoff + 1) * n_x) ** dim
+    assert len(sizes) > (2 * cutoff + 1) ** (dim - 1)  # more calls than box rows
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("dim, cutoff, x_grid", [(1, 3, None), (1, 12, None), (1, 6, 37),
                                                  (2, 2, None), (2, 3, 17)])
 @pytest.mark.parametrize("family", ["modulated", "table"])
