@@ -85,9 +85,9 @@ SPARSE_SIDE_MIN = 128
 #: the boundary stays because at span n/32 the band storage of T^15 already
 #: covers about half the square, and at n/16 all of it
 SPARSE_FILL_DIVISOR = 32
-#: brute-force guard for box-squared enumerations of kernels without
-#: declared structure
-BRUTE_PAIR_LIMIT = 4_000_000
+#: kernel evaluations allowed for one entry walk of a kernel without
+#: support arrays: every pair of a box DENSE_SIDE_LIMIT wide
+BRUTE_PAIR_LIMIT = DENSE_SIDE_LIMIT ** 2
 #: symbol samples (2R+1)^n * n_x^n allowed for one x-dependent toroidal
 #: quantization.  It bounds the sampling time; the kept coefficient window,
 #: (2R+1)^n * (4R+1)^n values, is about a quarter of the samples in 1-D and
@@ -125,10 +125,12 @@ class LatticeKernel:
     may be nonzero there, each at most once (explicit zeros are allowed;
     every omitted entry is zero).  It unlocks norm and trace computations
     at cutoffs far beyond dense enumeration: their cost follows the entries,
-    not the box.  A kernel with ``support_arrays`` or a band radius is walked
-    once per cutoff: the entries, sorted and checked finite, are memoised on
-    the kernel and shared by the norm estimate, the trace and the trace
-    powers at that cutoff.
+    not the box.  Without them, the entries are read by one ``eval`` per
+    pair of the box within the band radius (every pair when no band is
+    declared), at most ``BRUTE_PAIR_LIMIT`` pairs.  Either way a kernel is
+    read once per cutoff: the entries, sorted and checked finite, are
+    memoised on the kernel and shared by the norm estimate, the trace, the
+    Schur bound and the trace powers at that cutoff.
 
     ``diagonal_arrays``, when given, maps R to ``(positions, values)`` of
     the diagonal entries K(n, n) of the box, ascending; a kernel whose entry
@@ -173,10 +175,6 @@ class LatticeKernel:
         return v
 
 
-def _structured(k: LatticeKernel) -> bool:
-    return k.support_arrays is not None or k.band_radius is not None
-
-
 def _box_points(dim: int, cutoff: int) -> np.ndarray:
     """The box |.|_inf <= cutoff as a (side, dim) int64 array, lexicographic."""
     return np.indices((2 * cutoff + 1,) * dim, dtype=np.int64).reshape(dim, -1).T - cutoff
@@ -211,17 +209,54 @@ def _require_finite(k: LatticeKernel, cutoff: int, rows, cols, vals):
         )
 
 
+def _walk(k: LatticeKernel, cutoff: int, band: int) -> tuple:
+    """Nonzero entries ``(rows, cols, vals)`` of the pairs (j, m) of the box
+    with |j - m|_inf <= band, one ``eval`` each in lexicographic order.
+    Each coordinate range is clipped to the box, so a band of 2R or more
+    walks the side^2 pairs of the whole box.  Refused before the first
+    ``eval`` when the pairs exceed BRUTE_PAIR_LIMIT."""
+    b = min(band, 2 * cutoff)
+    count = ((2 * cutoff + 1) * (2 * b + 1) - b * (b + 1)) ** k.dim
+    if count > BRUTE_PAIR_LIMIT:
+        raise FeasibilityError(
+            f"walking kernel {k.label!r} at cutoff {cutoff} needs {count} kernel "
+            f"evaluations, above the guard of {BRUTE_PAIR_LIMIT}; declare "
+            f"support_arrays to go further",
+            count=count,
+        )
+    vals = np.fromiter(
+        (complex(k.eval(j, m)) for j in iter_box(k.dim, cutoff)
+         for m in itertools.product(*(range(max(-cutoff, x - b), min(cutoff, x + b) + 1)
+                                      for x in j))),
+        dtype=np.complex128, count=count)
+    # the same walk by positions: row r holds the box lo..lo + n - 1 of m,
+    # whose t-th point has coordinates lo + (t // stride) % n
+    points = _box_points(k.dim, cutoff)
+    lo = np.maximum(points - b, -cutoff)
+    n = np.minimum(points + b, cutoff) - lo + 1
+    sizes = n.prod(axis=1)
+    t = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    m = np.empty((count, k.dim), dtype=np.int64)
+    for a in range(k.dim):
+        stride = np.repeat(n[:, a + 1:].prod(axis=1), sizes)
+        m[:, a] = np.repeat(lo[:, a], sizes) + t // stride % np.repeat(n[:, a], sizes)
+    return _nonzero(np.repeat(np.arange(len(points)), sizes), _positions(m, cutoff), vals)
+
+
 def _truncation(k: LatticeKernel, cutoff: int) -> tuple:
-    """Entries ``(rows, cols, vals)`` of the box truncation of a kernel with
-    ``support_arrays`` or a band radius, sorted by (row, col) and checked
-    finite; built once per cutoff and kept on the kernel, read-only."""
+    """Entries ``(rows, cols, vals)`` of the box truncation, from
+    ``support_arrays`` when the kernel declares them and from ``_walk``
+    over its band (the whole box when it declares none) otherwise; sorted
+    by (row, col) and checked finite, built once per cutoff and kept on the
+    kernel, read-only."""
     cached = k._entries.get(cutoff)
     if cached is not None:
         return cached
     if k.support_arrays is not None:
         rows, cols, vals = k.support_arrays(cutoff)
     else:
-        rows, cols, vals = _band_entries(k, cutoff)
+        band = k.band_radius
+        rows, cols, vals = _walk(k, cutoff, 2 * cutoff if band is None else band)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.complex128)
@@ -262,26 +297,11 @@ def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> 
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p < math.inf):
         raise ParameterError(f"p must lie in [1, inf), got {p}")
-    if _structured(k):
-        # np.hypot is abs() of a Python complex bit for bit; each row's
-        # moduli add in column order
-        rows, _, vals = _truncation(k, cutoff)
-        row_sums = _line_sums(rows, np.hypot(vals.real, vals.imag) ** p)
-        return float(_running_sum(row_sums ** (1.0 / p)))
-    side = box_side(k.dim, cutoff)
-    if side * side > BRUTE_PAIR_LIMIT:
-        raise FeasibilityError(
-            f"norm estimate needs {side * side} kernel evaluations at cutoff "
-            f"{cutoff} and the kernel declares no structure",
-            count=side * side,
-        )
-    total = 0.0
-    for j in iter_box(k.dim, cutoff):
-        row = 0.0
-        for m in iter_box(k.dim, cutoff):
-            row += abs(k.value(j, m)) ** p
-        total += row ** (1.0 / p)
-    return total
+    # np.hypot is abs() of a Python complex bit for bit; each row's moduli
+    # add in column order
+    rows, _, vals = _truncation(k, cutoff)
+    row_sums = _line_sums(rows, np.hypot(vals.real, vals.imag) ** p)
+    return float(_running_sum(row_sums ** (1.0 / p)))
 
 
 def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
@@ -292,37 +312,13 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
         pos, vals = k.diagonal_arrays(cutoff)
         _require_finite(k, cutoff, pos, pos, vals)
         return complex(_running_sum(vals))
-    if _structured(k):
+    if k.support_arrays is None and k.band_radius is None:
+        # the diagonal alone: side evaluations, not the side^2 of the box
+        rows, cols, vals = _walk(k, cutoff, 0)
+        _require_finite(k, cutoff, rows, cols, vals)
+    else:
         rows, cols, vals = _truncation(k, cutoff)
-        return complex(_running_sum(vals[rows == cols]))
-    side = box_side(k.dim, cutoff)
-    if side > BRUTE_PAIR_LIMIT:
-        raise FeasibilityError(
-            f"trace needs {side} kernel evaluations at cutoff {cutoff} "
-            f"and the kernel declares no structure",
-            count=side,
-        )
-    acc = 0.0j
-    for n in iter_box(k.dim, cutoff):
-        acc += k.value(n, n)
-    return acc
-
-
-def _assemble_dense(k: LatticeKernel, cutoff: int) -> np.ndarray:
-    """Dense truncation of a kernel without declared structure, entry by entry."""
-    points = list(iter_box(k.dim, cutoff))
-    side = len(points)
-    a = np.zeros((side, side), dtype=np.complex128)
-    for r, j in enumerate(points):
-        for c, m in enumerate(points):
-            a[r, c] = complex(k.eval(j, m))
-    if not np.isfinite(a).all():
-        bad = np.argwhere(~np.isfinite(a))[0]
-        raise EvaluationError(
-            f"kernel {k.label!r} is non-finite at (j={points[bad[0]]}, "
-            f"m={points[bad[1]]})"
-        )
-    return a
+    return complex(_running_sum(vals[rows == cols]))
 
 
 def _real_if_real(vals: np.ndarray) -> np.ndarray:
@@ -413,10 +409,9 @@ class _TracePowers:
       when all are real.  After each product the values whose power is
       exactly 0 (underflowed) are dropped, since they add nothing to this
       or any later trace; subnormal powers stay;
-    - ``band``: a one-dimensional kernel with a declared band or support
-      arrays whose truncation is at least ``SPARSE_SIDE_MIN`` wide (or exceeds
-      ``DENSE_SIDE_LIMIT``) and whose entries, on the occupied positions
-      ``lo..hi`` with offsets ``d = col - row``, span at most
+    - ``band``: a one-dimensional truncation at least ``SPARSE_SIDE_MIN``
+      wide (or exceeding ``DENSE_SIDE_LIMIT``) whose entries, on the
+      occupied positions ``lo..hi`` with offsets ``d = col - row``, span at most
       ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
       ``_Band`` arrays over ``lo..hi``, float64 when the entries are real,
       one shifted multiply-add per occupied diagonal of T per product, and
@@ -425,16 +420,16 @@ class _TracePowers:
       the two powers in use stay alive.  Multi-dimensional boxes stay off
       it: their rows put a stencil's diagonals a box row apart, so the
       band storage of its powers would be mostly empty;
-    - ``sparse``: the other structured truncations of that width that hold
-      at most ``side^2 / SPARSE_FILL_DIVISOR`` entries or exceed
-      ``DENSE_SIDE_LIMIT``, by scipy CSR products;
-    - ``dense``: everything else up to ``DENSE_SIDE_LIMIT``, built from the
-      kernel's memoised entries when it declares structure and entry by
-      entry otherwise.
+    - ``sparse``: the other truncations of that width that hold at most
+      ``side^2 / SPARSE_FILL_DIVISOR`` entries, by scipy CSR products;
+    - ``dense``: everything else up to ``DENSE_SIDE_LIMIT``.  A wider
+      truncation that is none of the above is refused: its CSR products
+      would cost as much as dense ones, and run slower.
 
-    Sides below ``SPARSE_SIDE_MIN`` thus keep the dense chain, whose
-    rounding the golden reports record.  ``sparse`` and ``dense`` stay
-    complex128; traces are ``complex`` in every mode.
+    Every mode is built from the kernel's memoised entries
+    (:func:`_truncation`).  Sides below ``SPARSE_SIDE_MIN`` keep the dense
+    chain, whose rounding the golden reports record.  ``sparse`` and
+    ``dense`` stay complex128; traces are ``complex`` in every mode.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
@@ -442,44 +437,39 @@ class _TracePowers:
             raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
         self.side = box_side(k.dim, cutoff)
         self._traces: list[complex] = []
-        if not _structured(k):
-            if self.side > DENSE_SIDE_LIMIT:
-                raise FeasibilityError(
-                    f"truncation side {self.side} exceeds the dense limit "
-                    f"{DENSE_SIDE_LIMIT} and the kernel declares neither a band "
-                    f"radius nor support arrays",
-                    count=self.side,
-                )
-            self._mode = "dense"
-            self._base = _assemble_dense(k, cutoff)
-        else:
-            rows, cols, vals = _truncation(k, cutoff)
-            wide = self.side >= SPARSE_SIDE_MIN or self.side > DENSE_SIDE_LIMIT
-            # one dimension only: a box's rows of length s put a 2-D stencil's
-            # diagonals s apart, so its band storage would be mostly empty
-            narrow = wide and k.dim == 1 and k.band_radius != 0
-            band = _narrow_band(rows, cols, vals) if narrow else None
-            if k.band_radius == 0:
-                self._mode = "diag"
-                self._base = _real_if_real(vals[vals != 0])
-            elif band is not None:
-                self._mode = "band"
-                self._base = band
-                # the diagonals of T holding a nonzero entry, ascending
-                self._offsets = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
-                self._powers = {1: band}
-            elif wide and (self.side > DENSE_SIDE_LIMIT
-                           or len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side):
-                from scipy import sparse
+        rows, cols, vals = _truncation(k, cutoff)
+        wide = self.side >= SPARSE_SIDE_MIN or self.side > DENSE_SIDE_LIMIT
+        # one dimension only: a box's rows of length s put a 2-D stencil's
+        # diagonals s apart, so its band storage would be mostly empty
+        narrow = wide and k.dim == 1 and k.band_radius != 0
+        band = _narrow_band(rows, cols, vals) if narrow else None
+        if k.band_radius == 0:
+            self._mode = "diag"
+            self._base = _real_if_real(vals[vals != 0])
+        elif band is not None:
+            self._mode = "band"
+            self._base = band
+            # the diagonals of T holding a nonzero entry, ascending
+            self._offsets = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
+            self._powers = {1: band}
+        elif wide and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side:
+            from scipy import sparse
 
-                self._mode = "sparse"
-                self._base = sparse.csr_matrix(
-                    (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
-                )
-            else:
-                self._mode = "dense"
-                self._base = np.zeros((self.side, self.side), dtype=np.complex128)
-                self._base[rows, cols] = vals
+            self._mode = "sparse"
+            self._base = sparse.csr_matrix(
+                (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
+            )
+        elif self.side > DENSE_SIDE_LIMIT:
+            raise FeasibilityError(
+                f"truncation side {self.side} exceeds the dense limit "
+                f"{DENSE_SIDE_LIMIT} and its {len(vals)} entries are neither "
+                f"diagonal, narrowly banded nor sparse",
+                count=self.side,
+            )
+        else:
+            self._mode = "dense"
+            self._base = np.zeros((self.side, self.side), dtype=np.complex128)
+            self._base[rows, cols] = vals
         self._cur = self._base
 
     def _power(self, a: int) -> _Band:
@@ -516,24 +506,6 @@ class _TracePowers:
         return complex(self._cur.diagonal().sum())
 
 
-def _band_entries(k: LatticeKernel, cutoff: int) -> tuple:
-    """Nonzero entries of a kernel that declares only a band: the pairs
-    (j, m) of the box with |j - m|_inf <= band, walked in lexicographic
-    order; each coordinate range is clipped to the box, so a band wider
-    than the box costs no more than the full side^2 walk."""
-    band = k.band_radius
-    pairs, vals = [], []
-    for j in iter_box(k.dim, cutoff):
-        near = [range(max(-cutoff, x - band), min(cutoff, x + band) + 1) for x in j]
-        for m in itertools.product(*near):
-            pairs.append(j + m)
-            vals.append(complex(k.eval(j, m)))
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2 * k.dim)
-    return _nonzero(_positions(pairs[:, :k.dim], cutoff),
-                    _positions(pairs[:, k.dim:], cutoff),
-                    np.array(vals, dtype=np.complex128))
-
-
 def truncation_trace_source(k: LatticeKernel, cutoff: int,
                             norm_hint: float | None = None) -> TracePowerSource:
     """Trace-power source m -> Tr(T^m) of the box truncation, with powers
@@ -564,27 +536,23 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
     """Determinant Det(I + lambda*T) of the box truncation via the trace
     series, with per-order terms and convergence diagnostics.
 
-    The truncation norm is estimated first when that is cheap; if
-    |lambda| times the norm reaches 1 the computation proceeds anyway and
-    a warning lands in the diagnostics, because the series disc is not
-    known a priori and the ratio test reports the observed behaviour.
+    The truncation norm is estimated first, from the same memoised entries
+    as the trace powers; if |lambda| times the norm reaches 1 the
+    computation proceeds anyway and a warning lands in the diagnostics,
+    because the series disc is not known a priori and the ratio test
+    reports the observed behaviour.
     """
     if order < 1 or cutoff < 1:
         raise ParameterError(
             f"order and cutoff must be >= 1, got order={order}, cutoff={cutoff}"
         )
-    diagnostics: dict = {}
-    norm = None
-    try:
-        norm = nuclear_norm_estimate(k, 1.0, cutoff)
-        diagnostics["nuclear_norm_estimate"] = norm
-        if abs(lam) * norm >= 1.0:
-            diagnostics.setdefault("warnings", []).append(
-                f"|lambda|*norm = {abs(lam) * norm:.6g} >= 1; the series may "
-                f"converge slowly or not at all"
-            )
-    except FeasibilityError as exc:
-        diagnostics["norm_check"] = f"skipped: {exc}"
+    norm = nuclear_norm_estimate(k, 1.0, cutoff)
+    diagnostics: dict = {"nuclear_norm_estimate": norm}
+    if abs(lam) * norm >= 1.0:
+        diagnostics["warnings"] = [
+            f"|lambda|*norm = {abs(lam) * norm:.6g} >= 1; the series may "
+            f"converge slowly or not at all"
+        ]
 
     src = truncation_trace_source(k, cutoff, norm_hint=norm)
     result = plemelj_det(src, lam, order=order, tol=tol)

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 from .lattice import (
-    BRUTE_PAIR_LIMIT,
     DENSE_SIDE_LIMIT,
     SAMPLE_CHUNK,
     SAMPLE_LIMIT,
@@ -44,7 +43,6 @@ from .lattice import (
     _box_points,
     _line_sums,
     _positions,
-    _structured,
     _truncation,
     iter_box,
     lattice_determinant,
@@ -335,29 +333,13 @@ def schur_bound(k: LatticeKernel, p: float, cutoff: int) -> float:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
-    if _structured(k):
-        # sorted by (row, col); a stable sort by column keeps each column's
-        # entries in ascending row, the order of the row-column walk
-        rows, cols, vals = _truncation(k, cutoff)
-        mods = np.hypot(vals.real, vals.imag)
-        by_col = np.argsort(cols, kind="stable")
-        row_sums = _line_sums(rows, mods).tolist()
-        col_sums = _line_sums(cols[by_col], mods[by_col]).tolist()
-    else:
-        points = list(iter_box(k.dim, cutoff))
-        side = len(points)
-        if side * side > BRUTE_PAIR_LIMIT:
-            raise FeasibilityError(
-                f"Schur bound needs {side * side} kernel evaluations at cutoff "
-                f"{cutoff} and the kernel declares no structure",
-                count=side * side,
-            )
-        row_sums, col_sums = [0.0] * side, [0.0] * side
-        for r, j in enumerate(points):
-            for c, m in enumerate(points):
-                mag = abs(k.value(j, m))
-                row_sums[r] += mag
-                col_sums[c] += mag
+    # sorted by (row, col); a stable sort by column keeps each column's
+    # entries in ascending row, the order of the row-column walk
+    rows, cols, vals = _truncation(k, cutoff)
+    mods = np.hypot(vals.real, vals.imag)
+    by_col = np.argsort(cols, kind="stable")
+    row_sums = _line_sums(rows, mods).tolist()
+    col_sums = _line_sums(cols[by_col], mods[by_col]).tolist()
     max_row = max(row_sums, default=0.0)
     max_col = max(col_sums, default=0.0)
     if math.isinf(p):

@@ -128,11 +128,11 @@ def non_finite_site(message: str) -> tuple:
 
 
 def assert_truncation_is_entry_walk(k, cutoff: int):
-    """The memoised entries of a structured kernel against the oracle's
-    entry-by-entry assembly at the same cutoff: equal bits where present,
-    zero elsewhere, strictly sorted by (row, col); the p = 1 norm and the
-    trace equal plain Python walks over that assembly bit for bit."""
-    from specdet import assemble_truncation, lattice_trace, nuclear_norm_estimate
+    """The memoised entries of a kernel against the oracle's entry-by-entry
+    assembly at the same cutoff: equal bits where present, zero elsewhere,
+    strictly sorted by (row, col); the p = 1 norm, the trace and the p = 2
+    Schur bound equal plain Python walks over that assembly bit for bit."""
+    from specdet import assemble_truncation, lattice_trace, nuclear_norm_estimate, schur_bound
     from specdet.lattice import _truncation
 
     a = as_array(assemble_truncation(k, cutoff))
@@ -144,12 +144,16 @@ def assert_truncation_is_entry_walk(k, cutoff: int):
     elsewhere[rows, cols] = False
     assert (a[elsewhere] == 0).all()
     total = 0.0
-    for row in a.tolist():
+    row_sums, col_sums = [0.0] * len(a), [0.0] * len(a)
+    for r, row in enumerate(a.tolist()):
         row_sum = 0.0
-        for v in row:
+        for c, v in enumerate(row):
             row_sum += abs(v)
+            row_sums[r] += abs(v)
+            col_sums[c] += abs(v)
         total += row_sum
     assert bits(nuclear_norm_estimate(k, 1.0, cutoff)) == bits(total)
+    assert bits(schur_bound(k, 2.0, cutoff)) == bits(max(col_sums) ** 0.5 * max(row_sums) ** 0.5)
     acc = 0.0j
     for n in range(len(a)):
         acc += complex(a[n, n])

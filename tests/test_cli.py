@@ -139,6 +139,23 @@ def test_feasibility_guard_exits_3():
     assert time.perf_counter() - start < 5.0
 
 
+def test_full_truncation_above_the_dense_limit_exits_3(tmp_path):
+    # a rank-one kernel with 2049-site factors fills its box of side 2049:
+    # neither diagonal, banded nor sparse, so its trace powers are refused
+    # rather than run as CSR products of a full matrix
+    sites = range(-1024, 1025)
+    spec = {"kind": "lattice_kernel", "family": "rank_one", "dim": 1,
+            "g": [[j, 0.5 / (1 + abs(j)), 0.0] for j in sites],
+            "h": [[j, 0.3 / (1 + j * j), -0.2 / (1 + j * j)] for j in sites]}
+    path = tmp_path / "rank_one_full.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, _, err = run_json(["det", "--input", str(path), "--cutoff", "1024"])
+    assert code == 3
+    assert json.loads(err)["error"] == "feasibility"
+    assert time.perf_counter() - start < 10.0
+
+
 def test_missing_file_exits_2():
     code, _, err = run_json(["det", "--input", "fixtures/no_such_file.json"])
     assert code == 2

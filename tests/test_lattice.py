@@ -144,11 +144,14 @@ def test_cycle_trace_matches_matrix_power_of_truncation():
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
-def test_sparse_path_agrees_with_dense(monkeypatch):
+def test_sparse_path_agrees_with_dense():
+    # 37 entries on 13 positions: too full for a band, but sparse in the
+    # box of side 201, whose traces are those of the box of side 13
     k = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=6)
+    assert lattice_mod._TracePowers(k, 6)._mode == "dense"
+    assert lattice_mod._TracePowers(k, 100)._mode == "sparse"
     dense = [cycle_trace(k, m, 6) for m in (1, 2, 3, 4)]
-    monkeypatch.setattr(lattice_mod, "DENSE_SIDE_LIMIT", 1)
-    sparse = [cycle_trace(k, m, 6) for m in (1, 2, 3, 4)]
+    sparse = [cycle_trace(k, m, 100) for m in (1, 2, 3, 4)]
     for a, b in zip(dense, sparse):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -342,6 +345,18 @@ def test_dense_kernels_and_small_sides_stay_dense():
     # a band of half-width 8 fills 17 of 141 entries per row: above side^2/32
     wide = banded_kernel({d: 0.05 for d in range(-8, 9)}, support=200)
     assert lattice_mod._TracePowers(wide, 70)._mode == "dense"
+
+
+@pytest.mark.parametrize("eval_fn, mode", [
+    (lambda j, m: {-1: -0.15, 0: 0.3, 1: 0.2 - 0.1j}.get(m[0] - j[0], 0.0j), "band"),
+    (lambda j, m: 0.0j if max(abs(j[0]), abs(m[0])) > 3
+     else complex(0.1 / (1 + abs(j[0] - 2 * m[0])), 0.02 * j[0]), "sparse"),
+], ids=["tridiagonal", "short-support"])
+def test_sparse_eval_only_truncation_leaves_the_dense_chain(monkeypatch, eval_fn, mode):
+    k = LatticeKernel(1, eval_fn, label="eval-only")
+    powers = lattice_mod._TracePowers(k, 70)  # side 141
+    assert powers._mode == mode
+    _assert_matches_dense_chain(monkeypatch, k, 70, powers)
 
 
 def test_kernel_without_structure_takes_the_dense_chain():
@@ -562,6 +577,90 @@ def test_hookless_kernel_refuses_huge_norm_enumeration():
     assert info.value.count == (2 * 5000 + 1) ** 2
 
 
+def _unwalkable(j, m):
+    raise AssertionError(f"kernel evaluated at (j={j}, m={m})")
+
+
+_READS = {
+    "norm": lambda k, r: nuclear_norm_estimate(k, 1.0, r),
+    "schur": lambda k, r: schur_bound(k, 2.0, r),
+    "trace": lattice_trace,
+    "trace-powers": lattice_mod.truncation_trace_source,
+    "determinant": lambda k, r: lattice_determinant(k, 0.1, cutoff=r),
+}
+
+
+@pytest.mark.parametrize("read", _READS.values(), ids=_READS.keys())
+def test_walk_guard_refuses_before_it_walks(read):
+    # (2R+1) * 3 - 2 pairs within band 1 of the box at R = 10^6
+    k = LatticeKernel(1, _unwalkable, band_radius=1, label="band-only")
+    with pytest.raises(FeasibilityError) as info:
+        read(k, 10**6)
+    assert info.value.count == 6_000_001
+    assert not k._entries
+
+
+class _Walked(Exception):
+    pass
+
+
+def _walked(j, m):
+    raise _Walked
+
+
+@pytest.mark.parametrize("read, last", [
+    (_READS["norm"], 1023), (_READS["schur"], 1023), (_READS["trace-powers"], 1023),
+    (_READS["determinant"], 1023), (_READS["trace"], 2**21 - 1),
+], ids=["norm", "schur", "trace-powers", "determinant", "trace"])
+def test_eval_only_kernel_is_walked_up_to_the_guard(read, last):
+    # the box of side 2047 (its trace: side 2^22 - 1) is walked, and the
+    # next cutoff is refused before its first evaluation
+    k = LatticeKernel(1, _walked, label="eval-only")
+    with pytest.raises(_Walked):
+        read(k, last)
+    k.eval = _unwalkable
+    with pytest.raises(FeasibilityError) as info:
+        read(k, last + 1)
+    side = 2 * last + 3
+    assert info.value.count == (side if read is lattice_trace else side * side)
+    assert info.value.count > lattice_mod.BRUTE_PAIR_LIMIT
+
+
+@pytest.mark.parametrize("dim, cutoff, band", [
+    (1, 3, 0), (1, 3, 2), (1, 3, 6), (1, 3, 50),
+    (2, 2, 1), (2, 2, 3), (2, 2, 4), (3, 1, 1), (3, 2, 2),
+])
+def test_walk_visits_each_pair_within_the_band_once_in_order(dim, cutoff, band):
+    def value(j, m):  # zero where sum(j) = -1 and sum(m) = 0
+        return complex(1 + sum(j), sum(m))
+
+    calls = []
+    k = LatticeKernel(dim, lambda j, m: calls.append((j, m)) or value(j, m), label="walked")
+    rows, cols, vals = lattice_mod._walk(k, cutoff, band)
+    box = _box(dim, cutoff)
+    expected = [(j, m) for j in box for m in box
+                if max(abs(x - y) for x, y in zip(j, m)) <= band]
+    assert calls == expected
+    nonzero = [(j, m) for j, m in expected if value(j, m) != 0]
+    assert [(box[r], box[c]) for r, c in zip(rows.tolist(), cols.tolist())] == nonzero
+    assert vals.tolist() == [value(j, m) for j, m in nonzero]
+
+
+def test_determinant_walks_an_eval_only_kernel_once():
+    calls = []
+
+    def eval_fn(j, m):
+        calls.append((j, m))
+        return (0.2 - 0.1j * j[0]) / (1 + abs(j[0] - m[0]) + m[0] * m[0]) / 41
+
+    k = LatticeKernel(1, eval_fn, label="eval-only")
+    result = lattice_determinant(k, 0.3, order=30, cutoff=20)
+    assert len(calls) == len(set(calls)) == 41 ** 2
+    assert result.converged
+    oracle = direct_determinant(assemble_truncation(k, 20), 0.3)
+    assert abs(result.value - oracle) <= 1e-12 * abs(oracle)
+
+
 def _box(dim, r):
     return list(itertools.product(range(-r, r + 1), repeat=dim))
 
@@ -596,6 +695,13 @@ def _family_kernel(family, dim, rng):
         return table_kernel(entries, dim=dim)
     if family == "poincare":
         return poincare_strict_kernel()
+    if family == "eval_only":  # entries come from the walk over the whole box
+        def eval_fn(j, m):
+            if (sum(j) + 2 * sum(m)) % 3 == 0:
+                return 0.0j
+            return complex(0.2 / (1 + sum(abs(x - y) for x, y in zip(j, m))), 0.03 * (j[0] - m[-1]))
+
+        return LatticeKernel(dim, eval_fn, label="eval-only")
 
     def eval_fn(j, m):  # band-only: entries come from the band walk
         gap = max(abs(x - y) for x, y in zip(j, m))
@@ -607,7 +713,8 @@ def _family_kernel(family, dim, rng):
 @pytest.mark.parametrize("cutoff", [1, 2, 3])  # below, at and above support 2
 @pytest.mark.parametrize("family, dim", [
     (family, dim)
-    for family in ("diagonal", "diagonal_rule", "rank_one", "banded", "table", "band_only")
+    for family in ("diagonal", "diagonal_rule", "rank_one", "banded", "table", "band_only",
+                   "eval_only")
     for dim in (1, 2)] + [("poincare", 1)])
 def test_truncation_entries_are_the_entry_walk(family, dim, cutoff):
     k = _family_kernel(family, dim, np.random.default_rng(60 + dim))
