@@ -587,6 +587,12 @@ def _sup_norm(j: Index) -> int:
     return max(abs(x) for x in j) if j else 0
 
 
+def _sup_norms(points: np.ndarray) -> np.ndarray:
+    """Sup norms of the rows of an int64 array, as uint64: |-2^63| wraps to
+    -2^63 in int64, inside every box."""
+    return np.abs(points).view(np.uint64).max(axis=1, initial=0)
+
+
 def _site_arrays(table: dict, width: int) -> tuple:
     """A table {site: value} as its sites in lexicographic order, an
     (n, width) int64 array, their uint64 sup norms and their complex128
@@ -596,8 +602,7 @@ def _site_arrays(table: dict, width: int) -> tuple:
     order = np.lexsort(points.T[::-1])  # sites are distinct: one total order
     points = points[order]
     values = np.array(list(table.values()), dtype=np.complex128)[order]
-    # as uint64: |-2^63| wraps to -2^63 in int64, inside every box
-    return points, np.abs(points).view(np.uint64).max(axis=1, initial=0), values
+    return points, _sup_norms(points), values
 
 
 def _site_support(points: np.ndarray, sup: np.ndarray, values: np.ndarray,

@@ -15,6 +15,7 @@ import cmath
 import itertools
 
 from .errors import EvaluationError, FeasibilityError, ParameterError
+from .lattice import DENSE_SIDE_LIMIT
 from .linalg import CMatrix, lu_determinant, mat_mul
 
 __all__ = [
@@ -30,8 +31,9 @@ __all__ = [
     "CYCLE_COUNT_GUARD",
 ]
 
-#: largest dense truncation side the oracle will assemble
-ASSEMBLY_SIDE_GUARD = 20000
+#: largest dense truncation side the oracle will assemble: side^2 entries are
+#: at most the pairs the fast paths' entry walk may evaluate
+ASSEMBLY_SIDE_GUARD = DENSE_SIDE_LIMIT
 #: largest number of closed chains the literal cycle sum will visit
 CYCLE_COUNT_GUARD = 10_000_000
 

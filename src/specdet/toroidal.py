@@ -15,7 +15,8 @@ through the matrix
 which is handed to :mod:`specdet.lattice` as a kernel supported on the box
 |.|_inf <= R.  Requested modes at or beyond N_x/2 are rejected outright
 rather than silently folded, since aliased coefficients would corrupt the
-matrix invisibly.
+matrix invisibly.  A symbol that lists its coefficients in closed form (a
+coefficient table) is quantized from that list, with no grid at all.
 
 The declared symbol order nu is never trusted for correctness; it only
 drives warnings and the decay diagnostics, because rapid decay in k is a
@@ -43,6 +44,8 @@ from .lattice import (
     _box_points,
     _line_sums,
     _positions,
+    _site_arrays,
+    _sup_norms,
     _truncation,
     iter_box,
     lattice_determinant,
@@ -68,6 +71,11 @@ __all__ = [
 
 #: increment ratio below which a norm profile counts as geometric decay
 CONVERGENCE_RATIO = 0.9
+#: coefficients (2R+1)^n * (2b+1)^n allowed in the window of one quantization
+#: read from a coefficient table, b its band radius: the largest window a
+#: sampled 1-D quantization keeps within SAMPLE_LIMIT (R=1023, modes
+#: |l| <= 2046 of each k), 134 MB
+WINDOW_LIMIT = SAMPLE_LIMIT // 4
 
 
 @dataclass
@@ -77,9 +85,10 @@ class ToroidalSymbol:
     ``eval`` takes (x, k) with x a tuple of floats in [0,1)^dim and k an
     integer tuple, and must be deterministic and finite on sampled points.
     ``x_grid`` fixes the number of samples per coordinate for Fourier
-    coefficients; when None a power-of-two grid of at least 4*(4R+1)
-    points is chosen per cutoff.  ``x_independent`` declares that sigma
-    does not depend on x, which is verified on sampled points.
+    coefficients; when None a power-of-two grid of at least 4*(2M+1)
+    points is chosen per cutoff, M = max(2R, mode_reach).
+    ``x_independent`` declares that sigma does not depend on x, which is
+    verified on sampled points.
 
     ``eval_grid``, when given, takes (n_x, ks), a sequence of integer
     tuples, and returns a new complex array of shape (len(ks),) + (n_x,)*dim
@@ -89,8 +98,19 @@ class ToroidalSymbol:
     symbols are sampled through it, one box row of k per call, when present
     and point by point through ``eval`` otherwise.
 
+    ``mode_reach``, when positive, declares that sigma(., k) is a
+    trigonometric polynomial whose modes theta all have |theta|_inf <=
+    mode_reach; a sampled quantization sizes its grid to hold them
+    unfolded.
+
+    ``coeffs``, when given, lists the coefficients in closed form as
+    ``(sites, values)``: an (n, 2*dim) int64 array of distinct sites (l, k)
+    and their finite complex128 values sigma_hat(l, k), zero at every site
+    not listed.  The quantization reads them as they are, without sampling.
+
     ``_tables`` caches the coefficient windows of the quantizations per
-    (n_x, R) and the per-k tables of :func:`symbol_fourier_coeff` per
+    (n_x, R), or per (None, R) with their band radius for listed
+    coefficients, and the per-k tables of :func:`symbol_fourier_coeff` per
     (k, n_x).
     """
 
@@ -102,6 +122,8 @@ class ToroidalSymbol:
     label: str = ""
     eval_grid: Callable[[int, Sequence[Index]], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+    mode_reach: int = 0
+    coeffs: tuple | None = field(default=None, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -243,19 +265,14 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
     return complex(_coeff_table(s, k, n_x)[tuple(v % n_x for v in l)])
 
 
-def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
-    """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
-    packaged as a lattice kernel with declared support R.
-
-    Every entry is read from the symbol's coefficient window for this grid
-    size and cutoff, built on the first call and shared by later ones:
-    pointwise ``eval`` is one lookup, ``diagonal_arrays`` reads the zero
-    mode and ``support_arrays`` gathers the dense truncation in one
-    indexing step."""
-    if cutoff < 1:
-        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    n_x = s.x_grid or _auto_grid(2 * cutoff)
-    _check_alias((2 * cutoff,) * s.dim, n_x, s.label)
+def _sampled_window(s: ToroidalSymbol, cutoff: int) -> tuple:
+    """(band radius, coefficient window) of a quantization read from grid
+    samples: the modes |l|_inf <= 2R of each k, or the zero mode alone for
+    an x-independent symbol.  The grid holds the symbol's declared modes and
+    the modes 2R unfolded."""
+    mode = max(2 * cutoff, s.mode_reach)
+    n_x = s.x_grid or _auto_grid(mode)
+    _check_alias((mode,) * s.dim, n_x, s.label)
     if not s.x_independent:
         # x-independent symbols sample a few points per k and stay unguarded
         count = (2 * cutoff + 1) ** s.dim * n_x ** s.dim
@@ -266,9 +283,66 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
                 f"{SAMPLE_LIMIT}",
                 count=count,
             )
-    window = _coeff_window(s, n_x, cutoff)
+    return (0 if s.x_independent else 2 * cutoff), _coeff_window(s, n_x, cutoff)
+
+
+def _table_window(s: ToroidalSymbol, cutoff: int) -> tuple:
+    """(band radius b, coefficient window) of a quantization read from the
+    listed coefficients: row c holds sigma_hat(l, k) for the c-th k of the
+    box and the modes |l|_inf <= b, lexicographic, zero where nothing is
+    listed.  b is the largest |l|_inf of a listed site (l, k) with k and
+    l + k in the box, so at most 2R: a mode beyond that connects no two box
+    points and is dropped rather than folded.  An explicit ``x_grid`` is
+    only checked for aliasing, as a sampled quantization would check it.
+    Cached per (None, R), read-only."""
+    if s.x_grid is not None:
+        _check_alias((2 * cutoff,) * s.dim, s.x_grid, s.label)
+    key = (None, cutoff)
+    cached = s._tables.get(key)
+    if cached is not None:
+        return cached
+    sites, values = s.coeffs
+    ls, ks = sites[:, :s.dim], sites[:, s.dim:]
+    # filter before adding: l + k may overflow int64 at far sites
+    near = (_sup_norms(ls) <= 2 * cutoff) & (_sup_norms(ks) <= cutoff)
+    ls, ks, values = ls[near], ks[near], values[near]
+    inside = _sup_norms(ls + ks) <= cutoff
+    ls, ks, values = ls[inside], ks[inside], values[inside]
+    reach = int(_sup_norms(ls).max(initial=0))
+    count = (2 * cutoff + 1) ** s.dim * (2 * reach + 1) ** s.dim
+    if count > WINDOW_LIMIT:
+        raise FeasibilityError(
+            f"quantizing symbol {s.label!r} at cutoff {cutoff} keeps {count} "
+            f"coefficients, the modes |l| <= {reach} of each k, above the guard "
+            f"of {WINDOW_LIMIT}",
+            count=count,
+        )
+    window = np.zeros(((2 * cutoff + 1) ** s.dim, (2 * reach + 1) ** s.dim),
+                      dtype=np.complex128)
+    window[_positions(ks, cutoff), _positions(ls, reach)] = values
+    window.flags.writeable = False
+    s._tables[key] = reach, window
+    return reach, window
+
+
+def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
+    """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
+    packaged as a lattice kernel with declared support R and band radius b.
+
+    Every entry is read from one coefficient window, the modes |l| <= b of
+    each k of the box: taken from the listed coefficients when the symbol
+    has them, and sampled and transformed otherwise (b = 2R, or 0 for an
+    x-independent symbol).  The window is built on the first call and shared
+    by later ones: pointwise ``eval`` is one lookup, ``diagonal_arrays``
+    reads the zero mode and ``support_arrays`` gathers the pairs
+    |j - m|_inf <= b, zeros included, in one indexing step."""
+    if cutoff < 1:
+        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
+    if s.coeffs is None:
+        reach, window = _sampled_window(s, cutoff)
+    else:
+        reach, window = _table_window(s, cutoff)
     width = 2 * cutoff + 1
-    reach = 0 if s.x_independent else 2 * cutoff  # the modes |l|_inf <= reach kept
     span = 2 * reach + 1
 
     def eval_fn(j: Index, m: Index) -> complex:
@@ -289,31 +363,30 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
         return _positions(points, r), window[_positions(points, cutoff), span ** s.dim // 2]
 
     def support_arrays(r):
-        if s.x_independent:  # diagonal: g(k) at the zero mode
-            pos, vals = diagonal_arrays(r)
-            return pos, pos, vals
-        points = _box_points(s.dim, min(r, cutoff))
-        pos = _positions(points, r)
-        side = len(pos)
-        if side > DENSE_SIDE_LIMIT:
+        inner = min(r, cutoff)
+        points = _box_points(s.dim, inner)
+        band = min(reach, 2 * inner)
+        if band == 2 * inner and len(points) > DENSE_SIDE_LIMIT:
             raise FeasibilityError(
                 f"quantization of symbol {s.label!r} at cutoff {r} is a dense "
-                f"truncation of side {side}, above the dense limit {DENSE_SIDE_LIMIT}",
-                count=side,
+                f"truncation of side {len(points)}, above the dense limit "
+                f"{DENSE_SIDE_LIMIT}",
+                count=len(points),
             )
-        # every entry, zeros included: (j, m) reads the window row of m at
-        # the mode j - m
-        modes = 0
-        for a in range(s.dim):
-            modes = modes * span + (points[:, a, None] - points[None, :, a] + reach)
-        dense = window[_positions(points, cutoff)[None, :], modes]
-        return np.repeat(pos, side), np.tile(pos, side), dense.ravel()
+        # (j, m = j + d) for the shifts |d| <= band, rows then shifts
+        # ascending, kept inside the box; it reads the window row of m at
+        # the mode j - m = -d
+        shifts = _box_points(s.dim, band)
+        m = points[:, None, :] + shifts[None, :, :]
+        inside = (np.abs(m) <= inner).all(axis=2)
+        rows = np.broadcast_to(_positions(points, r)[:, None], inside.shape)[inside]
+        modes = np.broadcast_to(_positions(-shifts, reach), inside.shape)[inside]
+        m = m[inside]
+        return rows, _positions(m, r), window[_positions(m, cutoff), modes]
 
-    # an x-dependent quantization is dense: its trace reads only the diagonal
-    band, diagonal = (0, None) if s.x_independent else (None, diagonal_arrays)
     return LatticeKernel(s.dim, eval_fn, declared_support=cutoff,
-                         band_radius=band, support_arrays=support_arrays,
-                         diagonal_arrays=diagonal, label=label)
+                         band_radius=reach, support_arrays=support_arrays,
+                         diagonal_arrays=diagonal_arrays, label=label)
 
 
 def poincare_norm(k: LatticeKernel, cutoff: int) -> float:
@@ -499,6 +572,10 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
             raise ParameterError(f"mode {theta} does not have dimension {dim}")
         mode_table[theta] = complex(c)
     x_indep = all(all(t == 0 for t in theta) for theta in mode_table)
+    # the phases x.theta are floats: a mode beyond the float range fails
+    # here (OverflowError) rather than sizing an unbounded grid
+    reach = max((abs(t) for theta in mode_table for t in theta), default=0)
+    float(reach)
 
     def eval_fn(x, k):
         osc = 0.0j
@@ -526,13 +603,17 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
             return out
 
     return ToroidalSymbol(dim, decay_order, eval_fn, x_independent=x_indep,
-                          label=label or "modulated", eval_grid=eval_grid)
+                          label=label or "modulated", eval_grid=eval_grid,
+                          mode_reach=reach)
 
 
 def table_symbol(entries, dim: int = 1, order: float = 0.0,
                  label: str = "") -> ToroidalSymbol:
     """Symbol with explicitly listed Fourier coefficients sigma_hat(l, k);
-    evaluates as the trig polynomial sum_l sigma_hat(l, k) e^{2*pi*i*x.l}."""
+    evaluates as the trig polynomial sum_l sigma_hat(l, k) e^{2*pi*i*x.l}
+    and is quantized from the list itself (``coeffs``).  Indices must fit
+    int64 and values must be finite."""
+    label = label or "coefficient-table"
     table = {}
     for (l, k), v in dict(entries).items():
         l = tuple(int(t) for t in (l if isinstance(l, (tuple, list)) else (l,)))
@@ -541,6 +622,12 @@ def table_symbol(entries, dim: int = 1, order: float = 0.0,
             raise ParameterError(f"entry index ({l}, {k}) does not have dimension {dim}")
         table[(l, k)] = complex(v)
     x_indep = all(all(t == 0 for t in l) for l, _ in table)
+    sites, _, values = _site_arrays(table, 2 * dim)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = sites[int(np.argmin(finite))].tolist()
+        raise EvaluationError(f"symbol {label!r} has a non-finite coefficient at "
+                              f"(l={tuple(bad[:dim])}, k={tuple(bad[dim:])})")
 
     def eval_fn(x, k):
         acc = 0.0j
@@ -563,5 +650,5 @@ def table_symbol(entries, dim: int = 1, order: float = 0.0,
                 row.real, row.imag = _wave_sum(waves, n_x, dim, by_k.get(k, ()))
         return out
 
-    return ToroidalSymbol(dim, order, eval_fn, x_independent=x_indep,
-                          label=label or "coefficient-table", eval_grid=eval_grid)
+    return ToroidalSymbol(dim, order, eval_fn, x_independent=x_indep, label=label,
+                          eval_grid=eval_grid, coeffs=(sites, values))

@@ -372,6 +372,56 @@ def test_far_lattice_sites_leave_the_reports_unchanged(tmp_path, family, argv):
     assert reports[1] == reports[0]
 
 
+#: coefficients that reach no point of the boxes below, to add to
+#: fixtures/toroidal_table.json: sigma_hat(256, 0), which a sampled 256-point
+#: grid folds onto sigma_hat(0, 0), modes past 2R, k past R, l + k past R,
+#: and int64 ends, whose sum l + k = -1 would land in every box
+FAR_COEFFICIENTS = [[256, 0, 0.5, 0.0], [300, -20, 0.25, 0.0], [0, 71, 0.5, 0.0],
+                    [100, 20, 0.25, 0.0], [1 << 62, 0, 0.5, 0.0], [LOWEST, 0, 0.5, 0.0],
+                    [0, LOWEST, 0.5, 0.0], [HIGHEST, LOWEST, 0.5, 0.0],
+                    [LOWEST, HIGHEST, 0.25, 0.0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--lambda", "0.5"],
+    ["det", "--mode", "series", "--lambda", "0.5", "--cutoff", "70"],  # band
+    ["trace"],
+    ["norm-profile"],
+], ids=["det", "det-wide", "trace", "norm-profile"])
+def test_far_table_coefficients_leave_the_reports_unchanged(tmp_path, argv):
+    spec = json.loads((FIXTURES / "toroidal_table.json").read_text())
+    path = tmp_path / "spec.json"
+    reports = []
+    for entries in (spec["entries"], FAR_COEFFICIENTS[:1] + spec["entries"] + FAR_COEFFICIENTS[1:]):
+        path.write_text(json.dumps({**spec, "entries": entries}))
+        reports.append(run(argv + ["--input", str(path), "--output", "json"]))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+
+
+def test_table_mode_beyond_the_grid_is_not_folded(tmp_path):
+    spec = json.loads((FIXTURES / "toroidal_table.json").read_text())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "entries": spec["entries"] + [[256, 0, 0.5, 0.0]]}))
+    code, report, _ = run_json(["trace", "--input", str(path)])
+    assert code == 0 and report["trace"] == report["oracle_trace"] == [0.5, 0.0]
+    code, report, _ = run_json(["det", "--input", str(path), "--lambda", "0.5"])
+    assert code == 0
+    assert report["series"]["value"] == report["oracle"]["value"] == [1.25, 0.0]
+
+
+@pytest.mark.parametrize("fixture", ["banded_wide.json", "toroidal_table.json"])
+def test_oracle_refuses_a_wide_assembly_before_starting(fixture):
+    # the series takes the band path at side 10001; the oracle's pure-Python
+    # assembly of 10^8 entries is refused
+    start = time.perf_counter()
+    code, _, err = run_json(["det", "--input", str(FIXTURES / fixture), "--cutoff", "5000"])
+    assert code == 3
+    assert json.loads(err) == {"error": "feasibility", "message":
+                               "truncation side 10001 exceeds the assembly guard 2048"}
+    assert time.perf_counter() - start < 5.0
+
+
 def test_block_oracle_trace_sees_a_wrong_series_trace(monkeypatch):
     import specdet.cli as cli
 

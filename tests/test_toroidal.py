@@ -324,12 +324,18 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
         return eval_grid(n, ks)
 
     grid.eval_grid = counted
-    k_grid = toroidal_matrix(grid, cutoff)
-    k_point = toroidal_matrix(pointwise, cutoff)
+    rows = (2 * cutoff + 1) ** (dim - 1)
+    k_grid, k_point = toroidal_matrix(grid, cutoff), toroidal_matrix(pointwise, cutoff)
+    if family == "table":
+        # listed coefficients are read as they are, with nothing sampled; the
+        # sampled window stays their referee
+        assert sampled == []
+    windows = [toroidal_mod._coeff_window(s, n_x, cutoff) for s in (grid, pointwise)]
     # one call per box row of 2R+1 consecutive k, none for a second matrix
-    assert sampled == [2 * cutoff + 1] * (2 * cutoff + 1) ** (dim - 1)
+    assert sampled == [2 * cutoff + 1] * rows
     k_again = toroidal_matrix(grid, cutoff)
-    assert len(sampled) == (2 * cutoff + 1) ** (dim - 1)
+    assert len(sampled) == rows
+    assert np.array_equal(windows[0].view(np.uint64), windows[1].view(np.uint64))
 
     for r in (cutoff - 1, cutoff, cutoff + 1):
         if r < 1:
@@ -340,12 +346,16 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
             assert [bits(a) for a in getattr(k_again, arrays)(r)] == want
 
     box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
+    modes = list(itertools.product(range(-2 * cutoff, 2 * cutoff + 1), repeat=dim))
     outside = (cutoff + 1,) + (0,) * (dim - 1)
-    for m in box:
+    for c, m in enumerate(box):
         table = _per_k_reference(pointwise, n_x, m)
-        for j in box:
-            want = bits(complex(table[tuple((a - b) % n_x for a, b in zip(j, m))]))
-            assert [bits(k.eval(j, m)) for k in (k_grid, k_point, k_again)] == [want] * 3
+        want = [bits(complex(table[tuple(v % n_x for v in l)])) for l in modes]
+        assert windows[0][c].view(np.uint64).tolist() == [b for pair in want for b in pair]
+        if family == "modulated":
+            for j in box:
+                at = modes.index(tuple(a - b for a, b in zip(j, m)))
+                assert [bits(k.eval(j, m)) for k in (k_grid, k_point, k_again)] == [want[at]] * 3
         assert k_grid.eval(outside, m) == 0 and k_grid.eval(m, outside) == 0
 
     # the public coefficients still read full per-k tables, up to n_x/2 - 1
@@ -410,7 +420,107 @@ def test_windowed_entries_match_exact_coefficients(family, dim, cutoff, x_grid):
     want = np.array([exact(tuple(a - b for a, b in zip(box[r], box[c])), box[c])
                      for r, c in zip(rows, cols)], dtype=np.complex128)
     assert np.abs(want).max() > 0
-    assert np.abs(vals - want).max() <= 1e-14 * np.abs(want).max()
+    if family == "modulated":
+        assert np.abs(vals - want).max() <= 1e-14 * np.abs(want).max()
+        return
+    # listed coefficients are read as they are, and the sampled window of
+    # the same symbol, every mode |l| <= 2R of every k, agrees with them
+    assert np.array_equal(vals, want)
+    n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
+    modes = list(itertools.product(range(-2 * cutoff, 2 * cutoff + 1), repeat=dim))
+    exact_window = np.array([[exact(l, m) for l in modes] for m in box], dtype=np.complex128)
+    window = toroidal_mod._coeff_window(s, n_x, cutoff)
+    assert np.abs(window - exact_window).max() <= 1e-14 * np.abs(exact_window).max()
+
+
+@pytest.mark.parametrize("cutoff", [12, 64])
+def test_listed_and_sampled_quantizations_agree(cutoff):
+    # the coefficient tables of the benchmark's custom_table requests: three
+    # modes per k.  At R=64 the listed quantization is a band and the
+    # sampled one dense.
+    rng = np.random.default_rng(100 + cutoff)
+    entries = {(l, k): complex(rng.uniform(0.05, 0.5) / (1 + k * k), rng.uniform(-0.1, 0.1))
+               for k in range(-cutoff, cutoff + 1) for l in (-1, 0, 1)}
+    exact = table_symbol(entries, order=-2.0)
+    # the same symbol without its listed coefficients, quantized from samples
+    sampled = ToroidalSymbol(1, -2.0, exact.eval, eval_grid=exact.eval_grid)
+    k_exact, k_sampled = toroidal_matrix(exact, cutoff), toroidal_matrix(sampled, cutoff)
+    assert (k_exact.band_radius, k_sampled.band_radius) == (1, 2 * cutoff)
+    if cutoff == 64:
+        modes = [lattice_mod._TracePowers(k, cutoff)._mode for k in (k_exact, k_sampled)]
+        assert modes == ["band", "dense"]
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    assert close(lattice_trace(k_exact, cutoff), lattice_trace(k_sampled, cutoff))
+    assert close(poincare_norm(k_exact, cutoff), poincare_norm(k_sampled, cutoff))
+    for lam in (0.1, 0.15 - 0.05j):
+        got, want = (toroidal_determinant(s, lam, order=30, cutoff=cutoff)
+                     for s in (exact, sampled))
+        assert got.converged and want.converged and got.order_used == want.order_used
+        assert close(got.value, want.value)
+        assert all(close(a, b) for a, b in zip(got.terms, want.terms))
+
+
+def test_listed_coefficients_beyond_the_box_are_dropped_not_folded():
+    # sigma_hat(256, 0) connects no two points of the box R = 8; on a sampled
+    # 256-point grid it would fold onto sigma_hat(0, 0)
+    base = {(0, 0): 0.5, (1, 1): 0.2 + 0.1j, (-1, 0): 0.2j}
+    # modes past 2R, k past R, j = l + k past R, and int64 ends whose sum
+    # l + k = -1 would land in the box
+    far = {(256, 0): 0.5, (141, 0): 0.25, (100, -20): 0.25, (0, 71): 0.5, (-3, -71): 0.1,
+           (1 << 62, 0): 0.5, (-(1 << 63), 0): 0.5, (0, -(1 << 63)): 0.5,
+           ((1 << 63) - 1, -(1 << 63)): 0.5, (-(1 << 63), (1 << 63) - 1): 0.5}
+    plain, padded = table_symbol(base, order=-2.0), table_symbol({**base, **far}, order=-2.0)
+    for cutoff in (1, 8, 70):
+        k_plain, k_padded = toroidal_matrix(plain, cutoff), toroidal_matrix(padded, cutoff)
+        assert k_padded.band_radius == k_plain.band_radius == 1
+        for r in (cutoff - 1, cutoff, cutoff + 1):
+            if r >= 1:
+                assert ([bits(a) for a in k_padded.support_arrays(r)]
+                        == [bits(a) for a in k_plain.support_arrays(r)])
+    assert lattice_trace(toroidal_matrix(padded, 8), 8) == 0.5
+    got, want = (toroidal_determinant(s, 0.5, order=30, cutoff=8) for s in (padded, plain))
+    assert bits(got.value) == bits(want.value)
+    assert abs(got.value - 1.25) <= 1e-11
+
+
+def test_listed_coefficients_must_be_finite():
+    for bad in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(EvaluationError, match=r"non-finite coefficient at \(l=\(1,\), k=\(-2,\)\)"):
+            table_symbol({(0, 0): 0.5, (1, -2): bad, (3, 4): math.inf}, label="bad")
+
+
+def test_listed_window_guard_refuses_before_building():
+    # sigma_hat(2R, -R) lands on j = R: the band radius is 2R, a dense window
+    cutoff = 1100
+    s = table_symbol({(0, 0): 0.5, (2 * cutoff, -cutoff): 0.25})
+    with pytest.raises(FeasibilityError) as info:
+        toroidal_matrix(s, cutoff)
+    assert info.value.count == (2 * cutoff + 1) * (4 * cutoff + 1) > toroidal_mod.WINDOW_LIMIT
+    assert not s._tables
+    # a narrow table is a band at any cutoff: nothing is sampled or refused
+    k = toroidal_matrix(table_symbol({(l, 0): 0.25 for l in (-1, 0, 1)}), 20000)
+    assert k.band_radius == 1
+    assert lattice_mod._TracePowers(k, 20000)._mode == "band"
+
+
+def test_modulated_grid_holds_every_mode():
+    # theta = 256 adds nothing to the box R = 8, but a 256-point grid (the
+    # automatic one for R = 8) would fold it onto the zero mode
+    modes = {1: 0.25, -1: 0.25}
+    plain = modulated_symbol(modes, -2.0)
+    far = modulated_symbol({**modes, 256: 0.5}, -2.0)
+    assert far.mode_reach == 256
+    want = lattice_trace(toroidal_matrix(plain, 8), 8)
+    assert abs(lattice_trace(toroidal_matrix(far, 8), 8) - want) <= 1e-13
+    far = modulated_symbol({**modes, 256: 0.5}, -2.0)
+    far.x_grid = 512
+    with pytest.raises(AliasingError):
+        toroidal_matrix(far, 8)
+    far.x_grid = 513
+    assert abs(lattice_trace(toroidal_matrix(far, 8), 8) - want) <= 1e-13
 
 
 def test_quantization_keeps_only_the_coefficient_window():

@@ -21,9 +21,13 @@ chain, which they keep at the CLI's default cutoff 8.
 
 ``--compare A B`` lists the cases whose exit code, stdout or stderr differ.
 Where two outputs differ only in their numbers, it gives the count of
-numbers that moved and the largest relative change ``|a - b| / max(|a|,
-|b|)`` with its pair; otherwise it says that the text differs.  It prints
-nothing else for equal sweeps, and exits 1 when some case differs.
+numbers that moved, the largest relative change ``|a - b| / max(|a|,
+|b|)``, the largest absolute change ``|a - b|`` and the largest relative
+change among the pairs with ``max(|a|, |b|) > 1e-9``, each with its pair:
+rounding noise that becomes an exact zero (``-1e-17 -> 0.0``) is a
+relative change of 1, and the last two tell it from a moved value.
+Otherwise it says that the text differs.  It prints nothing else for
+equal sweeps, and exits 1 when some case differs.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ COMMANDS = ([("det", mode) for mode in ("both", "series", "oracle")]
             + [("radius", None), ("compare", None), ("norm-profile", None)])
 LAMBDAS = ("0.1", "0.7,-0.2", "3")
 OUTPUTS = ("json", "text")
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
+#: a number, with its sign; text reports write complex values as "a - bi",
+#: so a sign may stand one space before its digits
+NUMBER = re.compile(r"(?:[-+] ?)?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
+#: magnitude above which a number counts as a value rather than rounding noise
+NOISE = 1e-9
 
 
 def cases(cutoff: int | None = None) -> list:
@@ -75,19 +83,32 @@ def sweep(src: Path, cutoff: int | None) -> dict:
     return results
 
 
+def _rel(pair) -> float:
+    x, y = pair
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def _abs(pair) -> float:
+    x, y = pair
+    return abs(x - y) if x != y else 0.0
+
+
 def _numbers_moved(a: str, b: str):
-    """(count, largest relative change, its pair) when ``a`` and ``b``
-    differ only in their numbers, else None."""
+    """(count, [(label, change, pair)]) when ``a`` and ``b`` differ only in
+    their numbers, else None: the largest relative change, the largest
+    absolute change and the largest relative change among the pairs above
+    NOISE, each with its pair (None for the last when no pair is above)."""
     if NUMBER.split(a) != NUMBER.split(b):
         return None
-    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y]
-
-    def rel(pair):
-        x, y = pair
-        return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
-
-    worst = max(pairs, key=rel, default=(0.0, 0.0))
-    return len(pairs), rel(worst), worst
+    pairs = [(float(x.replace(" ", "")), float(y.replace(" ", "")))
+             for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y]
+    values = [p for p in pairs if max(abs(p[0]), abs(p[1])) > NOISE]
+    worst = []
+    for label, among, change in (("relative", pairs, _rel), ("absolute", pairs, _abs),
+                                 (f"relative above {NOISE:g}", values, _rel)):
+        pair = max(among, key=change, default=None)
+        worst.append((label, None if pair is None else change(pair), pair))
+    return len(pairs), worst
 
 
 def compare(before: dict, after: dict) -> int:
@@ -112,9 +133,12 @@ def compare(before: dict, after: dict) -> int:
             if moved is None:
                 notes.append(f"{name} text differs")
             else:
-                count, worst, (x, y) = moved
-                notes.append(f"{name} {count} numbers moved, largest relative change "
-                             f"{worst:.3g} ({x!r} -> {y!r})")
+                count, worst = moved
+                largest = ", ".join(
+                    f"{label} none" if pair is None
+                    else f"{label} {change:.3g} ({pair[0]!r} -> {pair[1]!r})"
+                    for label, change, pair in worst)
+                notes.append(f"{name} {count} numbers moved, largest change: {largest}")
         print(f"{case}: " + "; ".join(notes))
     print(f"{differing} of {len(set(before) | set(after))} cases differ", file=sys.stderr)
     return 1 if differing else 0
