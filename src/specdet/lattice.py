@@ -88,17 +88,6 @@ SPARSE_FILL_DIVISOR = 32
 #: kernel evaluations allowed for one entry walk of a kernel without
 #: support arrays: every pair of a box DENSE_SIDE_LIMIT wide
 BRUTE_PAIR_LIMIT = DENSE_SIDE_LIMIT ** 2
-#: symbol samples (2R+1)^n * n_x^n allowed for one x-dependent toroidal
-#: quantization.  It bounds the sampling time; the kept coefficient window,
-#: (2R+1)^n * (4R+1)^n values, is about a quarter of the samples in 1-D and
-#: under 2 % of them in 2-D.
-SAMPLE_LIMIT = 1 << 25
-#: samples taken and transformed at once while quantizing: one box row of
-#: 2R+1 values of k, or fewer k where a row is larger.  On a 2-core VM, a
-#: two-mode modulated symbol just under SAMPLE_LIMIT, time and peak RSS:
-#:   1-D R=1023 (n_x 16384): 1.1-1.2 s, 277 MB (whole rows: 1.3 s, 673 MB)
-#:   2-D R=10   (n_x 256):   0.6-0.8 s, 91 MB (rows of 1.4e6 samples, whole)
-SAMPLE_CHUNK = 1 << 22
 
 
 def iter_box(dim: int, cutoff: int) -> Iterator[Index]:
@@ -410,7 +399,7 @@ class _TracePowers:
       exactly 0 (underflowed) are dropped, since they add nothing to this
       or any later trace; subnormal powers stay;
     - ``band``: a one-dimensional truncation at least ``SPARSE_SIDE_MIN``
-      wide (or exceeding ``DENSE_SIDE_LIMIT``) whose entries, on the
+      wide whose entries, on the
       occupied positions ``lo..hi`` with offsets ``d = col - row``, span at most
       ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
       ``_Band`` arrays over ``lo..hi``, float64 when the entries are real,
@@ -438,7 +427,7 @@ class _TracePowers:
         self.side = box_side(k.dim, cutoff)
         self._traces: list[complex] = []
         rows, cols, vals = _truncation(k, cutoff)
-        wide = self.side >= SPARSE_SIDE_MIN or self.side > DENSE_SIDE_LIMIT
+        wide = self.side >= SPARSE_SIDE_MIN
         # one dimension only: a box's rows of length s put a 2-D stencil's
         # diagonals s apart, so its band storage would be mostly empty
         narrow = wide and k.dim == 1 and k.band_radius != 0

@@ -16,7 +16,9 @@ which is handed to :mod:`specdet.lattice` as a kernel supported on the box
 |.|_inf <= R.  Requested modes at or beyond N_x/2 are rejected outright
 rather than silently folded, since aliased coefficients would corrupt the
 matrix invisibly.  A symbol that lists its coefficients in closed form (a
-coefficient table) is quantized from that list, with no grid at all.
+coefficient table), or that does not depend on x, is quantized from its
+listed entries, with no FFT; any other symbol is sampled on the grid and
+its quantization kept as the matrix itself.
 
 The declared symbol order nu is never trusted for correctness; it only
 drives warnings and the decay diagnostics, because rapid decay in k is a
@@ -37,14 +39,13 @@ import numpy as np
 from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 from .lattice import (
     DENSE_SIDE_LIMIT,
-    SAMPLE_CHUNK,
-    SAMPLE_LIMIT,
     Index,
     LatticeKernel,
     _box_points,
     _line_sums,
     _positions,
     _site_arrays,
+    _site_support,
     _sup_norms,
     _truncation,
     iter_box,
@@ -71,11 +72,18 @@ __all__ = [
 
 #: increment ratio below which a norm profile counts as geometric decay
 CONVERGENCE_RATIO = 0.9
-#: coefficients (2R+1)^n * (2b+1)^n allowed in the window of one quantization
-#: read from a coefficient table, b its band radius: the largest window a
-#: sampled 1-D quantization keeps within SAMPLE_LIMIT (R=1023, modes
-#: |l| <= 2046 of each k), 134 MB
-WINDOW_LIMIT = SAMPLE_LIMIT // 4
+#: symbol samples (2R+1)^n * n_x^n allowed for one sampled quantization.  It
+#: bounds the sampling time; the kept matrix, (2R+1)^2n values, is
+#: ((2R+1) / n_x)^n of the samples: under an eighth in 1-D and a sixty-fourth
+#: in 2-D on the automatic grid, under half per axis on any grid.
+SAMPLE_LIMIT = 1 << 25
+#: samples taken and transformed at once while quantizing: one box row of
+#: 2R+1 values of k, or fewer k where a row is larger.  On a 2-core VM, a
+#: two-mode modulated symbol just under SAMPLE_LIMIT, time and peak RSS of
+#: the quantization and its trace:
+#:   1-D R=1023 (n_x 16384): 0.8-1.2 s, 240 MB (whole rows: 1.1-1.5 s, 736 MB)
+#:   2-D R=10   (n_x 256):   0.5-0.7 s, 82 MB (rows of 1.4e6 samples, whole)
+SAMPLE_CHUNK = 1 << 22
 
 
 @dataclass
@@ -108,10 +116,10 @@ class ToroidalSymbol:
     and their finite complex128 values sigma_hat(l, k), zero at every site
     not listed.  The quantization reads them as they are, without sampling.
 
-    ``_tables`` caches the coefficient windows of the quantizations per
-    (n_x, R), or per (None, R) with their band radius for listed
-    coefficients, and the per-k tables of :func:`symbol_fourier_coeff` per
-    (k, n_x).
+    ``_tables`` caches each quantization's storage per cutoff R: the
+    sampled matrix per (n_x, R), or the listed entries per (None, R); and,
+    per (k, n_x), the value sigma(0, k) of an x-independent symbol or the
+    full DFT table of :func:`symbol_fourier_coeff`.
     """
 
     dim: int
@@ -211,181 +219,165 @@ def _coeff_table(s: ToroidalSymbol, k: Index, n_x: int) -> np.ndarray:
     return cached
 
 
-def _coeff_window(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
-    """The coefficients that the quantization at cutoff R reads: row c holds
-    sigma_hat(l, k) for the c-th k of the box |k| <= R and every mode
-    |l|_inf <= 2R, lexicographic; an x-independent symbol keeps only the zero
-    mode.  Cached per (n_x, R), read-only.
-
-    An x-dependent symbol is sampled in runs of consecutive k: one box row,
-    the 2R+1 k that share all but the last coordinate, or where a row holds
-    more than SAMPLE_CHUNK samples as many k as fit in that many.  Each run
-    is transformed by one batched FFT in place.  Every entry equals the one of
-    the full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
-    """
-    key = (n_x, cutoff)
-    cached = s._tables.get(key)
-    if cached is not None:
-        return cached
-    ks = list(iter_box(s.dim, cutoff))
-    if s.x_independent:
-        window = np.array([[_constant_value(s, k, n_x)] for k in ks], dtype=np.complex128)
-    else:
-        width = 2 * cutoff + 1
-        # per axis, the window's modes -2R..-1 are the last 2R of the FFT
-        # and its modes 0..2R the first 2R+1: 2^dim block copies per row
-        halves = ((slice(0, 2 * cutoff), slice(-2 * cutoff, None)),
-                  (slice(2 * cutoff, None), slice(0, width)))
-        blocks = [tuple(zip(*pair)) for pair in itertools.product(halves, repeat=s.dim)]
-        axes = tuple(range(1, s.dim + 1))
-        window = np.empty((len(ks), (4 * cutoff + 1) ** s.dim), dtype=np.complex128)
-        view = window.reshape((len(ks),) + (4 * cutoff + 1,) * s.dim)
-        step = min(width, max(1, SAMPLE_CHUNK // n_x ** s.dim))
-        for start in range(0, len(ks), step):
-            stack = _sample_stack(s, n_x, ks[start:start + step])
-            np.fft.fftn(stack, axes=axes, out=stack)
-            for dst, src in blocks:
-                view[(slice(start, start + len(stack)),) + dst] = stack[(slice(None),) + src]
-        window /= n_x ** s.dim
-    window.flags.writeable = False
-    s._tables[key] = window
-    return window
-
-
 def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> complex:
-    """Grid approximation of the x-Fourier coefficient sigma_hat(l, k)."""
+    """The x-Fourier coefficient sigma_hat(l, k): the listed value of a
+    symbol with listed coefficients (0 where nothing is listed), else its
+    uniform-grid DFT.  The grid is ``x_grid``, else the symbol's, else a
+    power of two holding the modes max(|l|_inf, mode_reach) unfolded; an
+    explicit grid must hold l (``AliasingError``), also where it is not
+    sampled."""
     l = tuple(int(v) for v in (l if isinstance(l, (tuple, list)) else (l,)))
     k = tuple(int(v) for v in (k if isinstance(k, (tuple, list)) else (k,)))
     if len(l) != s.dim or len(k) != s.dim:
         raise ParameterError(f"indices {l}, {k} do not have dimension {s.dim}")
-    n_x = x_grid or s.x_grid or _auto_grid(max((abs(v) for v in l), default=1))
-    _check_alias(l, n_x, s.label)
+    n_x = x_grid or s.x_grid
+    if n_x is not None:
+        _check_alias(l, n_x, s.label)
+    if s.coeffs is not None:
+        sites, values = s.coeffs
+        hit = np.flatnonzero((sites == l + k).all(axis=1))
+        return complex(values[hit[0]]) if len(hit) else 0.0j
+    n_x = n_x or _auto_grid(max(max(abs(v) for v in l), s.mode_reach))
     if s.x_independent:
         return 0.0j if any(l) else _constant_value(s, k, n_x)
     return complex(_coeff_table(s, k, n_x)[tuple(v % n_x for v in l)])
 
 
-def _sampled_window(s: ToroidalSymbol, cutoff: int) -> tuple:
-    """(band radius, coefficient window) of a quantization read from grid
-    samples: the modes |l|_inf <= 2R of each k, or the zero mode alone for
-    an x-independent symbol.  The grid holds the symbol's declared modes and
-    the modes 2R unfolded."""
-    mode = max(2 * cutoff, s.mode_reach)
-    n_x = s.x_grid or _auto_grid(mode)
-    _check_alias((mode,) * s.dim, n_x, s.label)
-    if not s.x_independent:
-        # x-independent symbols sample a few points per k and stay unguarded
-        count = (2 * cutoff + 1) ** s.dim * n_x ** s.dim
-        if count > SAMPLE_LIMIT:
-            raise FeasibilityError(
-                f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
-                f"samples on a {n_x}-point grid per axis, above the guard of "
-                f"{SAMPLE_LIMIT}",
-                count=count,
-            )
-    return (0 if s.x_independent else 2 * cutoff), _coeff_window(s, n_x, cutoff)
-
-
-def _table_window(s: ToroidalSymbol, cutoff: int) -> tuple:
-    """(band radius b, coefficient window) of a quantization read from the
-    listed coefficients: row c holds sigma_hat(l, k) for the c-th k of the
-    box and the modes |l|_inf <= b, lexicographic, zero where nothing is
-    listed.  b is the largest |l|_inf of a listed site (l, k) with k and
-    l + k in the box, so at most 2R: a mode beyond that connects no two box
-    points and is dropped rather than folded.  An explicit ``x_grid`` is
-    only checked for aliasing, as a sampled quantization would check it.
-    Cached per (None, R), read-only."""
-    if s.x_grid is not None:
-        _check_alias((2 * cutoff,) * s.dim, s.x_grid, s.label)
+def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
+    """(band radius b, ``support_arrays``, {(j, k): value}) of a quantization
+    read from listed entries: each listed coefficient sigma_hat(l, k), or
+    each value sigma(0, k) of an x-independent symbol at l = 0, is the
+    entry (l + k, k), kept where k and l + k lie in the box.  b is the
+    largest |l|_inf kept, so at most 2R: a mode beyond that connects no two
+    box points and is dropped rather than folded.  Cached per (None, R)."""
     key = (None, cutoff)
     cached = s._tables.get(key)
     if cached is not None:
         return cached
-    sites, values = s.coeffs
-    ls, ks = sites[:, :s.dim], sites[:, s.dim:]
-    # filter before adding: l + k may overflow int64 at far sites
-    near = (_sup_norms(ls) <= 2 * cutoff) & (_sup_norms(ks) <= cutoff)
-    ls, ks, values = ls[near], ks[near], values[near]
-    inside = _sup_norms(ls + ks) <= cutoff
-    ls, ks, values = ls[inside], ks[inside], values[inside]
-    reach = int(_sup_norms(ls).max(initial=0))
-    count = (2 * cutoff + 1) ** s.dim * (2 * reach + 1) ** s.dim
-    if count > WINDOW_LIMIT:
+    if s.coeffs is None:
+        ks = _box_points(s.dim, cutoff)
+        ls = np.zeros_like(ks)
+        values = np.array([_constant_value(s, k, n_x) for k in iter_box(s.dim, cutoff)],
+                          dtype=np.complex128)
+    else:
+        sites, values = s.coeffs
+        ls, ks = sites[:, :s.dim], sites[:, s.dim:]
+        # filter before adding: l + k may overflow int64 at far sites
+        near = (_sup_norms(ls) <= 2 * cutoff) & (_sup_norms(ks) <= cutoff)
+        ls, ks, values = ls[near], ks[near], values[near]
+    js = ls + ks
+    inside = _sup_norms(js) <= cutoff
+    ls, js, ks, values = ls[inside], js[inside], ks[inside], values[inside]
+    points = np.hstack((js, ks))
+    lookup = dict(zip(zip(map(tuple, js.tolist()), map(tuple, ks.tolist())), values.tolist()))
+    cached = s._tables[key] = (int(_sup_norms(ls).max(initial=0)),
+                               _site_support(points, _sup_norms(points), values, s.dim),
+                               lookup)
+    return cached
+
+
+def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
+    """The quantization A[j, k] = sigma_hat(j - k, k) of the box |.| <= R
+    from grid samples, rows and columns lexicographic; refused before
+    anything is sampled when it needs more than SAMPLE_LIMIT samples.
+    Cached per (n_x, R), read-only.
+
+    The symbol is sampled in runs of consecutive k: one box row, the 2R+1 k
+    that share all but the last coordinate, or where a row holds more than
+    SAMPLE_CHUNK samples as many k as fit in that many.  Each run is
+    transformed by one batched FFT in place, and the column of each k
+    gathers its modes (j - k) mod n_x.  Every entry equals the one of the
+    full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
+    """
+    key = (n_x, cutoff)
+    cached = s._tables.get(key)
+    if cached is not None:
+        return cached
+    count = (2 * cutoff + 1) ** s.dim * n_x ** s.dim
+    if count > SAMPLE_LIMIT:
         raise FeasibilityError(
-            f"quantizing symbol {s.label!r} at cutoff {cutoff} keeps {count} "
-            f"coefficients, the modes |l| <= {reach} of each k, above the guard "
-            f"of {WINDOW_LIMIT}",
+            f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
+            f"samples on a {n_x}-point grid per axis, above the guard of "
+            f"{SAMPLE_LIMIT}",
             count=count,
         )
-    window = np.zeros(((2 * cutoff + 1) ** s.dim, (2 * reach + 1) ** s.dim),
-                      dtype=np.complex128)
-    window[_positions(ks, cutoff), _positions(ls, reach)] = values
-    window.flags.writeable = False
-    s._tables[key] = reach, window
-    return reach, window
+    ks = list(iter_box(s.dim, cutoff))
+    points = _box_points(s.dim, cutoff)
+    axes = tuple(range(1, s.dim + 1))
+    matrix = np.empty((len(ks), len(ks)), dtype=np.complex128)
+    step = min(2 * cutoff + 1, max(1, SAMPLE_CHUNK // n_x ** s.dim))
+    for start in range(0, len(ks), step):
+        stack = _sample_stack(s, n_x, ks[start:start + step])
+        np.fft.fftn(stack, axes=axes, out=stack)
+        run = slice(start, start + len(stack))
+        modes = 0  # [j, k]: the flat FFT index of (j - k) mod n_x
+        for a in range(s.dim):
+            modes = modes * n_x + (points[:, None, a] - points[None, run, a]) % n_x
+        matrix[:, run] = stack.reshape(len(stack), -1)[np.arange(len(stack)), modes]
+    matrix /= n_x ** s.dim
+    matrix.flags.writeable = False
+    s._tables[key] = matrix
+    return matrix
 
 
 def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
-    packaged as a lattice kernel with declared support R and band radius b.
+    packaged as a lattice kernel with declared support R.
 
-    Every entry is read from one coefficient window, the modes |l| <= b of
-    each k of the box: taken from the listed coefficients when the symbol
-    has them, and sampled and transformed otherwise (b = 2R, or 0 for an
-    x-independent symbol).  The window is built on the first call and shared
-    by later ones: pointwise ``eval`` is one lookup, ``diagonal_arrays``
-    reads the zero mode and ``support_arrays`` gathers the pairs
-    |j - m|_inf <= b, zeros included, in one indexing step."""
+    A symbol with listed coefficients, or an x-independent one, is its
+    listed entries (:func:`_listed_entries`), read like a table kernel, with
+    band radius their largest |l|_inf (0 when x-independent); ``eval`` is a
+    dict lookup.  Any other symbol is sampled into the dense side x side
+    matrix (:func:`_sampled_matrix`): ``eval`` is one lookup,
+    ``diagonal_arrays`` reads its diagonal and ``support_arrays`` every pair
+    of the box.  Either is built on the first call and shared by later
+    ones.  The grid, ``x_grid`` or the automatic one, must hold the modes
+    max(2R, mode_reach) unfolded (``AliasingError``), also where nothing is
+    sampled."""
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    if s.coeffs is None:
-        reach, window = _sampled_window(s, cutoff)
-    else:
-        reach, window = _table_window(s, cutoff)
+    mode = max(2 * cutoff, s.mode_reach)
+    n_x = s.x_grid or _auto_grid(mode)
+    _check_alias((mode,) * s.dim, n_x, s.label)
+    label = f"quantized:{s.label}" if s.label else "quantized"
+    if s.coeffs is not None or s.x_independent:
+        reach, support_arrays, lookup = _listed_entries(s, n_x, cutoff)
+        return LatticeKernel(s.dim, lambda j, m: lookup.get((j, m), 0.0j),
+                             declared_support=cutoff, band_radius=reach,
+                             support_arrays=support_arrays, label=label)
+    matrix = _sampled_matrix(s, n_x, cutoff)
     width = 2 * cutoff + 1
-    span = 2 * reach + 1
 
     def eval_fn(j: Index, m: Index) -> complex:
         row = col = 0
         for a, b in zip(j, m):
-            if not (-cutoff <= a <= cutoff and -cutoff <= b <= cutoff
-                    and -reach <= a - b <= reach):
+            if not (-cutoff <= a <= cutoff and -cutoff <= b <= cutoff):
                 return 0.0j
-            row = row * width + b + cutoff
-            col = col * span + a - b + reach
-        return window.item(row, col)
-
-    label = f"quantized:{s.label}" if s.label else "quantized"
+            row = row * width + a + cutoff
+            col = col * width + b + cutoff
+        return matrix.item(row, col)
 
     def diagonal_arrays(r):
         # the box min(r, cutoff) placed at its positions in the box r
         points = _box_points(s.dim, min(r, cutoff))
-        return _positions(points, r), window[_positions(points, cutoff), span ** s.dim // 2]
+        return _positions(points, r), matrix.diagonal()[_positions(points, cutoff)]
 
     def support_arrays(r):
-        inner = min(r, cutoff)
-        points = _box_points(s.dim, inner)
-        band = min(reach, 2 * inner)
-        if band == 2 * inner and len(points) > DENSE_SIDE_LIMIT:
+        points = _box_points(s.dim, min(r, cutoff))
+        if len(points) > DENSE_SIDE_LIMIT:
             raise FeasibilityError(
                 f"quantization of symbol {s.label!r} at cutoff {r} is a dense "
                 f"truncation of side {len(points)}, above the dense limit "
                 f"{DENSE_SIDE_LIMIT}",
                 count=len(points),
             )
-        # (j, m = j + d) for the shifts |d| <= band, rows then shifts
-        # ascending, kept inside the box; it reads the window row of m at
-        # the mode j - m = -d
-        shifts = _box_points(s.dim, band)
-        m = points[:, None, :] + shifts[None, :, :]
-        inside = (np.abs(m) <= inner).all(axis=2)
-        rows = np.broadcast_to(_positions(points, r)[:, None], inside.shape)[inside]
-        modes = np.broadcast_to(_positions(-shifts, reach), inside.shape)[inside]
-        m = m[inside]
-        return rows, _positions(m, r), window[_positions(m, cutoff), modes]
+        # every pair of the box, rows then columns ascending
+        at, pos = _positions(points, cutoff), _positions(points, r)
+        return (np.repeat(pos, len(pos)), np.tile(pos, len(pos)),
+                matrix[np.ix_(at, at)].ravel())
 
     return LatticeKernel(s.dim, eval_fn, declared_support=cutoff,
-                         band_radius=reach, support_arrays=support_arrays,
+                         band_radius=2 * cutoff, support_arrays=support_arrays,
                          diagonal_arrays=diagonal_arrays, label=label)
 
 

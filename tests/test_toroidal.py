@@ -328,43 +328,50 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
     k_grid, k_point = toroidal_matrix(grid, cutoff), toroidal_matrix(pointwise, cutoff)
     if family == "table":
         # listed coefficients are read as they are, with nothing sampled; the
-        # sampled window stays their referee
+        # sampled matrix stays their referee
         assert sampled == []
-    windows = [toroidal_mod._coeff_window(s, n_x, cutoff) for s in (grid, pointwise)]
+    matrices = [toroidal_mod._sampled_matrix(s, n_x, cutoff) for s in (grid, pointwise)]
     # one call per box row of 2R+1 consecutive k, none for a second matrix
     assert sampled == [2 * cutoff + 1] * rows
     k_again = toroidal_matrix(grid, cutoff)
     assert len(sampled) == rows
-    assert np.array_equal(windows[0].view(np.uint64), windows[1].view(np.uint64))
+    assert np.array_equal(matrices[0].view(np.uint64), matrices[1].view(np.uint64))
 
     for r in (cutoff - 1, cutoff, cutoff + 1):
         if r < 1:
             continue
         for arrays in ("support_arrays", "diagonal_arrays"):
+            if getattr(k_point, arrays) is None:  # listed entries have no diagonal arrays
+                assert getattr(k_grid, arrays) is getattr(k_again, arrays) is None
+                continue
             want = [bits(a) for a in getattr(k_point, arrays)(r)]
             assert [bits(a) for a in getattr(k_grid, arrays)(r)] == want
             assert [bits(a) for a in getattr(k_again, arrays)(r)] == want
 
     box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
-    modes = list(itertools.product(range(-2 * cutoff, 2 * cutoff + 1), repeat=dim))
     outside = (cutoff + 1,) + (0,) * (dim - 1)
     for c, m in enumerate(box):
         table = _per_k_reference(pointwise, n_x, m)
-        want = [bits(complex(table[tuple(v % n_x for v in l)])) for l in modes]
-        assert windows[0][c].view(np.uint64).tolist() == [b for pair in want for b in pair]
+        want = [bits(complex(table[tuple((a - b) % n_x for a, b in zip(j, m))])) for j in box]
+        assert [bits(v) for v in matrices[0][:, c].tolist()] == want
         if family == "modulated":
-            for j in box:
-                at = modes.index(tuple(a - b for a, b in zip(j, m)))
-                assert [bits(k.eval(j, m)) for k in (k_grid, k_point, k_again)] == [want[at]] * 3
+            for j, w in zip(box, want):
+                assert [bits(k.eval(j, m)) for k in (k_grid, k_point, k_again)] == [w] * 3
         assert k_grid.eval(outside, m) == 0 and k_grid.eval(m, outside) == 0
 
-    # the public coefficients still read full per-k tables, up to n_x/2 - 1
+    # the public coefficients read full per-k tables, up to n_x/2 - 1, or
+    # the listed values themselves, zero where nothing is listed
+    listed = dict(zip(map(tuple, grid.coeffs[0].tolist()), grid.coeffs[1].tolist())) \
+        if family == "table" else None
     top = (n_x - 1) // 2
     modes = list(itertools.product(range(-top, top + 1), repeat=dim))
     for m in (box[0], box[len(box) // 2]):
         table = _per_k_reference(pointwise, n_x, m)
         for l in modes:
-            want = bits(complex(table[tuple(v % n_x for v in l)]))
+            if listed is None:
+                want = bits(complex(table[tuple(v % n_x for v in l)]))
+            else:
+                want = bits(listed.get(l + m, 0.0j))
             assert bits(symbol_fourier_coeff(grid, l, m, x_grid=n_x)) == want
             assert bits(symbol_fourier_coeff(pointwise, l, m, x_grid=n_x)) == want
 
@@ -379,12 +386,12 @@ def test_window_samples_at_most_a_chunk_at_once(monkeypatch, family, dim, cutoff
                       for _ in range(2))
     whole.x_grid = chunked.x_grid = x_grid
     n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
-    want = toroidal_mod._coeff_window(whole, n_x, cutoff)
+    want = toroidal_mod._sampled_matrix(whole, n_x, cutoff)
     sizes = []
     eval_grid = chunked.eval_grid
     chunked.eval_grid = lambda n, ks: sizes.append(len(ks) * n ** dim) or eval_grid(n, ks)
     monkeypatch.setattr(toroidal_mod, "SAMPLE_CHUNK", chunk)
-    got = toroidal_mod._coeff_window(chunked, n_x, cutoff)
+    got = toroidal_mod._sampled_matrix(chunked, n_x, cutoff)
     assert max(sizes) <= max(chunk, n_x ** dim)
     assert sum(sizes) == ((2 * cutoff + 1) * n_x) ** dim
     assert len(sizes) > (2 * cutoff + 1) ** (dim - 1)  # more calls than box rows
@@ -423,14 +430,14 @@ def test_windowed_entries_match_exact_coefficients(family, dim, cutoff, x_grid):
     if family == "modulated":
         assert np.abs(vals - want).max() <= 1e-14 * np.abs(want).max()
         return
-    # listed coefficients are read as they are, and the sampled window of
-    # the same symbol, every mode |l| <= 2R of every k, agrees with them
+    # listed coefficients are read as they are, and the sampled matrix of
+    # the same symbol, every pair of the box, agrees with them
     assert np.array_equal(vals, want)
     n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
-    modes = list(itertools.product(range(-2 * cutoff, 2 * cutoff + 1), repeat=dim))
-    exact_window = np.array([[exact(l, m) for l in modes] for m in box], dtype=np.complex128)
-    window = toroidal_mod._coeff_window(s, n_x, cutoff)
-    assert np.abs(window - exact_window).max() <= 1e-14 * np.abs(exact_window).max()
+    exact_matrix = np.array([[exact(tuple(a - b for a, b in zip(j, m)), m) for m in box]
+                             for j in box], dtype=np.complex128)
+    matrix = toroidal_mod._sampled_matrix(s, n_x, cutoff)
+    assert np.abs(matrix - exact_matrix).max() <= 1e-14 * np.abs(exact_matrix).max()
 
 
 @pytest.mark.parametrize("cutoff", [12, 64])
@@ -492,18 +499,54 @@ def test_listed_coefficients_must_be_finite():
             table_symbol({(0, 0): 0.5, (1, -2): bad, (3, 4): math.inf}, label="bad")
 
 
-def test_listed_window_guard_refuses_before_building():
-    # sigma_hat(2R, -R) lands on j = R: the band radius is 2R, a dense window
-    cutoff = 1100
-    s = table_symbol({(0, 0): 0.5, (2 * cutoff, -cutoff): 0.25})
-    with pytest.raises(FeasibilityError) as info:
-        toroidal_matrix(s, cutoff)
-    assert info.value.count == (2 * cutoff + 1) * (4 * cutoff + 1) > toroidal_mod.WINDOW_LIMIT
-    assert not s._tables
-    # a narrow table is a band at any cutoff: nothing is sampled or refused
-    k = toroidal_matrix(table_symbol({(l, 0): 0.25 for l in (-1, 0, 1)}), 20000)
-    assert k.band_radius == 1
-    assert lattice_mod._TracePowers(k, 20000)._mode == "band"
+def test_wide_listed_mode_costs_only_its_entries():
+    # sigma_hat(1000, -500) beside a three-mode table: the band radius is
+    # 1000, yet the truncation holds the four listed entries and nothing is
+    # sampled
+    cutoff = 20000
+    s = table_symbol({**{(l, 0): 0.25 for l in (-1, 0, 1)}, (1000, -500): 0.5})
+    k = toroidal_matrix(s, cutoff)
+    assert k.band_radius == 1000
+    assert len(lattice_mod._truncation(k, cutoff)[2]) == 4
+    result = toroidal_determinant(s, 0.3, order=30, cutoff=cutoff)
+    assert result.converged and abs(result.value - 1.075) <= 1e-12
+    assert list(s._tables) == [(None, cutoff)]  # the listed entries alone
+
+
+@pytest.mark.parametrize("family", ["power_decay", "table"])
+def test_listed_quantizations_sample_nothing(family):
+    # an x-independent symbol is checked on four points per k, once for
+    # both calls, and stays diagonal at any side; a table is read without
+    # evaluating anything
+    cutoff = 64
+    s = _quantized_symbol(family, 1, np.random.default_rng(70))
+    calls = []
+    evaluate = s.eval
+    s.eval = lambda x, k: calls.append(k) or evaluate(x, k)
+    s.eval_grid = None
+    kernels = [toroidal_matrix(s, cutoff) for _ in range(2)]
+    per_k = 4 if family == "power_decay" else 0
+    assert sorted(calls) == sorted([(k,) for k in range(-cutoff, cutoff + 1)] * per_k)
+    assert all(key[0] is None or isinstance(key[0], tuple) for key in s._tables)
+    assert [bits(a) for a in kernels[0].support_arrays(cutoff)] \
+        == [bits(a) for a in kernels[1].support_arrays(cutoff)]
+    if family == "power_decay":
+        assert lattice_mod._TracePowers(kernels[0], cutoff)._mode == "diag"
+
+
+def test_fourier_coefficients_do_not_fold_far_modes():
+    # the automatic grid holds the symbol's modes, and listed coefficients
+    # are answered as listed: a 16-point grid folds the mode 256 onto 0
+    far = modulated_symbol({1: 0.25, -1: 0.25, 256: 0.5}, -2.0)
+    assert abs(symbol_fourier_coeff(far, 0, 0)) <= 1e-15
+    assert abs(symbol_fourier_coeff(far, 256, 0) - 0.5) <= 1e-12
+    table = table_symbol({(0, 0): 0.5, (256, 0): 0.5})
+    assert symbol_fourier_coeff(table, 0, 0) == 0.5
+    assert symbol_fourier_coeff(table, 256, 0) == 0.5
+    assert symbol_fourier_coeff(table, 1, 0) == 0
+    assert symbol_fourier_coeff(table, 1 << 70, 0) == 0  # beyond int64, so not listed
+    with pytest.raises(AliasingError):  # an explicit grid must still hold the mode
+        symbol_fourier_coeff(table, 256, 0, x_grid=512)
 
 
 def test_modulated_grid_holds_every_mode():
@@ -525,7 +568,7 @@ def test_modulated_grid_holds_every_mode():
 
 def test_quantization_keeps_only_the_coefficient_window():
     # 2-D R=6 on the 128-point grid: 169 full tables would hold 44 MB, the
-    # window of modes |l| <= 12 holds 1.7 MB
+    # 169 x 169 matrix holds 0.46 MB
     import tracemalloc
 
     s = modulated_symbol({(1, 0): 0.25, (0, -1): 0.2 + 0.1j, (1, 1): 0.1}, -3.0, dim=2)
