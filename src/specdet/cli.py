@@ -192,9 +192,8 @@ def _block_oracle_trace(op) -> complex:
 
 def _spectral_oracle_trace(op, alpha: float) -> complex:
     acc = 0.0
-    for j in range(op.level_count):
-        acc += int(op.multiplicities[j]) * (
-            1.0 + float(op.eigenvalues[j])) ** (-alpha / op.nu)
+    for eig, mult in zip(op.eigenvalues.tolist(), op.multiplicities.tolist()):
+        acc += mult * (1.0 + eig) ** (-alpha / op.nu)
     return complex(acc)
 
 

@@ -74,16 +74,16 @@ SPARSE_SIDE_MIN = 128
 #: The same divisor bounds the band path: band when the diagonals of the
 #: entries span at most 1/SPARSE_FILL_DIVISOR of their occupied positions.
 #: Same machine, 30 orders of a complex Toeplitz band of half-width b at the
-#: boundary (span * 32 / positions in brackets), band chain against CSR chain
-#: against dense chain:
-#:   side  129: b=1  [0.74] 1.5 vs 5.0 vs 9.7 ms,   b=2  [1.24] 3.1 vs 7.8 vs 11 ms
-#:   side  257: b=3  [0.87] 8.5 vs 27 vs 59 ms,     b=4  [1.12] 14 vs 31 vs 51 ms
-#:   side  513: b=7  [0.94] 97 vs 209 vs 435 ms,    b=8  [1.06] 103 vs 197 vs 394 ms
-#:   side 1025: b=15 [0.97] 0.82 vs 1.9 vs 3.2 s,   b=16 [1.03] 1.0 vs 2.1 vs 3.0 s
-#:   side 2049: b=31 [0.98] 8.8 vs 15.6 s,          b=32 [1.02] 9.5 vs 13.5 s
-#: (no dense chain at side 2049).  Band wins on both sides of the boundary;
-#: the boundary stays because at span n/32 the band storage of T^15 already
-#: covers about half the square, and at n/16 all of it
+#: boundary (span * 32 / positions in brackets), band chain (one einsum
+#: per product) against CSR chain against dense chain:
+#:   side  129: b=1  [0.74] 0.6 vs 4.8 vs 7.7 ms,   b=2  [1.24] 1.6 vs 5.5 vs 6.0 ms
+#:   side  257: b=3  [0.87] 4.2 vs 24 vs 38 ms,     b=4  [1.12] 6.6 vs 33 vs 48 ms
+#:   side  513: b=7  [0.94] 35 vs 199 vs 335 ms,    b=8  [1.06] 47 vs 183 vs 307 ms
+#:   side 1025: b=15 [0.97] 0.35 vs 1.1 vs 3.0 s,   b=16 [1.03] 0.42 vs 2.0 vs 3.3 s
+#:   side 2049: b=31 [0.98] 2.9 vs 9.8 s,           b=32 [1.02] 3.3 vs 12.6 s
+#: (no dense chain at side 2049).  Band wins by 3-8 times over CSR on both
+#: sides of the boundary; the boundary stays because at span n/32 the band
+#: storage of T^15 already covers about half the square, and at n/16 all of it
 SPARSE_FILL_DIVISOR = 32
 #: kernel evaluations allowed for one entry walk of a kernel without
 #: support arrays: every pair of a box DENSE_SIDE_LIMIT wide
@@ -319,50 +319,68 @@ def _real_if_real(vals: np.ndarray) -> np.ndarray:
 
 class _Band:
     """A matrix on positions 0..n-1 that vanishes off the diagonals
-    ``lo <= o <= hi``, stored by diagonals in one zero-padded buffer of
+    ``lo <= o <= hi``, stored by diagonals in one zero buffer ``buf`` of
     ``dtype`` with two views of it: ``rows[o - lo, i]`` is the entry
     (i, i + o) and ``cols[o - lo, k]`` the entry (k - o, k), zero where the
-    other index leaves 0..n-1.  ``cols`` reads ``rows`` skewed, at no copy."""
+    other index leaves 0..n-1.  ``cols`` reads ``rows`` skewed, at no copy.
 
-    def __init__(self, lo: int, hi: int, n: int, dtype):
-        pad, width = max(-lo, hi, 0), hi - lo + 1
-        buf = np.zeros((width + 1, n + 2 * pad), dtype=dtype)
-        pitch = n + 2 * pad - 1  # one less than the row length: the skew
-        self.lo, self.hi = lo, hi
-        self.rows = buf[:width, pad:pad + n]
-        self.cols = buf.reshape(-1)[pad - lo:pad - lo + width * pitch].reshape(width, pitch)[:, :n]
+    The band is made to be multiplied by a factor T whose diagonals lie in
+    ``t_lo..t_hi``: ``buf`` holds ``margin = t_hi - t_lo`` zero rows before
+    ``rows`` and ``margin + 1`` after, and ``pad`` zero columns on each
+    side of every row, so the strided view of :func:`_band_times`, which
+    shifts P by every offset of T, reads zeros outside ``rows`` and never
+    leaves ``buf``."""
+
+    def __init__(self, lo: int, hi: int, n: int, dtype, t_lo: int, t_hi: int):
+        width, margin = hi - lo + 1, t_hi - t_lo
+        pad = max(-lo, hi, -t_lo, t_hi, 0)
+        pitch = n + 2 * pad
+        self.buf = np.zeros((width + 2 * margin + 1, pitch), dtype=dtype)
+        self.lo, self.hi, self.margin, self.pad = lo, hi, margin, pad
+        self.rows = self.buf[margin:margin + width, pad:pad + n]
+        skew = margin * pitch + pad - lo  # (pitch - 1)-strided rows start here
+        self.cols = self.buf.reshape(-1)[skew:skew + width * (pitch - 1)].reshape(
+            width, pitch - 1)[:, :n]
 
 
-def _band_times(t: _Band, offsets, p: _Band) -> _Band:
-    """T P by diagonals, clipped to the offsets |o| < n: one shifted
-    multiply-add per occupied diagonal e of T, ascending, since
-    (TP)[i, i + o + e] sums T[i, i + e] P[i + e, i + e + o].  A product
-    whose offsets all leave |o| < n (a power of a one-sided band) is an
-    empty band, lo = hi + 1, and so are its products."""
+def _band_times(t: _Band, offsets: range, p: _Band) -> _Band:
+    """T P by diagonals, clipped to the offsets |o| < n, in one contraction.
+
+    ``offsets`` is an arithmetic progression holding every diagonal e of T
+    with a nonzero entry (the others in it are zero rows of T).  Since
+    (TP)[i, i + o] sums T[i, i + e] P[i + e, i + o] over e, ascending,
+    ``np.einsum("ei,edi->di")`` takes T's diagonals against one strided view
+    of P's buffer whose (e, o, i) element is P[i + e, i + o]: the step
+    along o is one buffer row, along i one element, and along e one
+    element less one row per unit of e.  P's zero margins (see ``_Band``)
+    supply the terms that leave 0..n-1.  A product whose offsets all leave
+    |o| < n (a power of a one-sided band) is an empty band, lo = hi + 1,
+    and so are its products."""
     n = p.rows.shape[1]
     out = _Band(min(max(p.lo + t.lo, 1 - n), n), max(min(p.hi + t.hi, n - 1), -n), n,
-                p.rows.dtype)
-    for e in offsets:
-        # P's diagonals s0..s1-1 are those landing inside out's clipped range
-        s0 = max(0, out.lo - e - p.lo)
-        s1 = min(p.hi - p.lo, out.hi - e - p.lo) + 1
-        if s1 <= s0:
-            continue
-        i0, i1 = max(0, -e), min(n, n - e)
-        t0 = p.lo + s0 + e - out.lo
-        out.rows[t0:t0 + s1 - s0, i0:i1] += t.rows[e - t.lo, i0:i1] * p.rows[s0:s1, i0 + e:i1 + e]
+                p.rows.dtype, t.lo, t.hi)
+    if not len(out.rows) or not len(offsets):
+        return out
+    pitch, size = p.buf.shape[1], p.buf.itemsize
+    e0 = offsets[0]
+    start = (p.margin + out.lo - p.lo) * pitch + p.pad + e0 * (1 - pitch)
+    shifted = np.ndarray((len(offsets), len(out.rows), n), dtype=p.buf.dtype, buffer=p.buf,
+                         offset=start * size,
+                         strides=(offsets.step * (1 - pitch) * size, pitch * size, size))
+    t_diags = t.rows[e0 - t.lo:offsets[-1] - t.lo + 1:offsets.step]
+    np.einsum("ei,edi->di", t_diags, shifted, out=out.rows)
     return out
 
 
 def _band_pair_trace(a: _Band, b: _Band) -> complex:
     """Tr(AB) = sum over shared offsets o of sum_i A[i, i + o] B[i + o, i],
-    one product of the stacked diagonals summed in a fixed order."""
+    one contraction of the stacked diagonals."""
     o0, o1 = max(a.lo, -b.hi), min(a.hi, -b.lo)
     if o0 > o1:
         return 0j
     a_diags = a.rows[o0 - a.lo:o1 - a.lo + 1]
     b_diags = b.cols[-o1 - b.lo:-o0 - b.lo + 1][::-1]  # offsets -o0 down to -o1
-    return complex((a_diags * b_diags).sum())
+    return complex(np.einsum("di,di->", a_diags, b_diags))
 
 
 def _narrow_band(rows, cols, vals) -> _Band | None:
@@ -381,7 +399,7 @@ def _narrow_band(rows, cols, vals) -> _Band | None:
     if (hi - lo + 1) * SPARSE_FILL_DIVISOR > n:
         return None
     vals = _real_if_real(vals)
-    band = _Band(lo, hi, n, vals.dtype)
+    band = _Band(lo, hi, n, vals.dtype, lo, hi)
     band.rows[d - lo, rows - first] = vals
     return band
 
@@ -403,7 +421,7 @@ class _TracePowers:
       occupied positions ``lo..hi`` with offsets ``d = col - row``, span at most
       ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
       ``_Band`` arrays over ``lo..hi``, float64 when the entries are real,
-      one shifted multiply-add per occupied diagonal of T per product, and
+      one ``np.einsum`` contraction per product (:func:`_band_times`), and
       Tr(T^m) = Tr(T^a T^b) with
       a = ceil(m/2), b = floor(m/2): order m forms T^a at most, and only
       the two powers in use stay alive.  Multi-dimensional boxes stay off
@@ -438,8 +456,10 @@ class _TracePowers:
         elif band is not None:
             self._mode = "band"
             self._base = band
-            # the diagonals of T holding a nonzero entry, ascending
-            self._offsets = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
+            # one progression through the diagonals of T holding a nonzero entry
+            held = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
+            step = math.gcd(*np.diff(held).tolist()) or 1
+            self._offsets = range(held[0], held[-1] + 1, step) if held else range(0)
             self._powers = {1: band}
         elif wide and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side:
             from scipy import sparse

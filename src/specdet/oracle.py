@@ -28,12 +28,20 @@ __all__ = [
     "spectral_determinant_product",
     "bundle_determinant_product",
     "ASSEMBLY_SIDE_GUARD",
+    "LU_UPDATE_GUARD",
     "CYCLE_COUNT_GUARD",
 ]
 
 #: largest dense truncation side the oracle will assemble: side^2 entries are
 #: at most the pairs the fast paths' entry walk may evaluate
 ASSEMBLY_SIDE_GUARD = DENSE_SIDE_LIMIT
+#: largest LU the oracle will run, in multiply-subtract updates: (n^3 - n) / 3
+#: at side n, side 465 at most.  The pure-Python LU took 135-140 ns per
+#: update on dense complex matrices of sides 100-300 (2-core x86-64 VM,
+#: CPython 3.11), so it answers within about 5 s, where side 2001 would
+#: run for 6 minutes; the sides the tests, the fixture sweep and the
+#: benchmark workloads reach are at most 289
+LU_UPDATE_GUARD = 2 ** 25
 #: largest number of closed chains the literal cycle sum will visit
 CYCLE_COUNT_GUARD = 10_000_000
 
@@ -96,8 +104,15 @@ def direct_determinant(m: CMatrix, lam: complex) -> complex:
     """LU determinant of I + lambda*m."""
     if not m.is_square:
         raise ParameterError(f"direct determinant needs a square matrix, got {m.rows}x{m.cols}")
-    lam = complex(lam)
     n = m.rows
+    updates = (n ** 3 - n) // 3
+    if updates > LU_UPDATE_GUARD:
+        raise FeasibilityError(
+            f"LU determinant of side {n} needs {updates} updates, above the "
+            f"guard of {LU_UPDATE_GUARD}",
+            count=updates,
+        )
+    lam = complex(lam)
     shifted = CMatrix(n, n, tuple(
         lam * m.entries[i * n + j] + (1.0 if i == j else 0.0)
         for i in range(n) for j in range(n)
@@ -162,9 +177,10 @@ def spectral_determinant_product(sp, alpha: float, lam: complex) -> complex:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     lam = complex(lam)
     det = 1.0 + 0.0j
-    for j in range(sp.level_count):
-        factor = 1.0 + lam * (1.0 + float(sp.eigenvalues[j])) ** (-alpha / sp.nu)
-        det *= factor ** int(sp.multiplicities[j])
+    # Python floats and ints: indexed numpy scalars cost several times more
+    for eig, mult in zip(sp.eigenvalues.tolist(), sp.multiplicities.tolist()):
+        factor = 1.0 + lam * (1.0 + eig) ** (-alpha / sp.nu)
+        det *= factor ** mult
     return det
 
 

@@ -90,14 +90,18 @@ def test_wide_banded_fixture_takes_the_band_path():
     from specdet.lattice import _TracePowers
     from specdet.specfile import build_operator, parse_spec
 
-    op = build_operator(parse_spec(FIXTURES / "banded_wide.json"))
-    assert _TracePowers(op, 8)._mode == "dense"
-    assert _TracePowers(op, 64)._mode == "band"  # side 129
-    code, report, err = run_json(["det", "--input", "fixtures/banded_wide.json",
-                                  "--cutoff", "64"])
-    assert code == 0, err
-    assert report["series"]["converged"] is True
-    assert report["deviation"]["rel"] < 1e-12
+    # banded_gapped_complex.json: complex offsets -2, 0 and 1
+    for fixture, dtype in (("banded_wide.json", "float64"),
+                           ("banded_gapped_complex.json", "complex128")):
+        op = build_operator(parse_spec(FIXTURES / fixture))
+        assert _TracePowers(op, 8)._mode == "dense"
+        band = _TracePowers(op, 64)  # side 129
+        assert band._mode == "band" and band._base.rows.dtype == dtype
+        code, report, err = run_json(["det", "--input", f"fixtures/{fixture}",
+                                      "--cutoff", "64"])
+        assert code == 0, err
+        assert report["series"]["converged"] is True
+        assert report["deviation"]["rel"] < 1e-12
 
 
 def test_mode_series_flags_non_convergence_with_exit_4():
@@ -420,6 +424,21 @@ def test_oracle_refuses_a_wide_assembly_before_starting(fixture):
     assert json.loads(err) == {"error": "feasibility", "message":
                                "truncation side 10001 exceeds the assembly guard 2048"}
     assert time.perf_counter() - start < 5.0
+
+
+def test_oracle_refuses_a_long_lu_after_the_series():
+    # side 467 assembles (below 2048) but its LU needs (467^3 - 467) / 3
+    # updates, above LU_UPDATE_GUARD; the series alone still answers
+    argv = ["det", "--input", str(FIXTURES / "banded_wide.json"), "--cutoff", "233"]
+    start = time.perf_counter()
+    code, _, err = run_json(argv)
+    assert code == 3
+    assert json.loads(err) == {"error": "feasibility", "message":
+                               "LU determinant of side 467 needs 33949032 updates, "
+                               "above the guard of 33554432"}
+    assert time.perf_counter() - start < 5.0
+    code, report, _ = run_json([*argv, "--mode", "series"])
+    assert code == 0 and report["series"]["converged"] is True
 
 
 def test_block_oracle_trace_sees_a_wrong_series_trace(monkeypatch):

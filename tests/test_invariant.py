@@ -309,13 +309,70 @@ def _torus2_by_loop(J):
     return eig, np.array([counts[q] for q in norms], dtype=np.int64)
 
 
-@pytest.mark.parametrize("J", [0, 1, 2, 50, 1000, 10_000])
+@pytest.mark.parametrize("J", [0, 1, 2, 50, 1000, 2718, 7777, 10_000])
 def test_torus2_model_equals_the_lattice_point_loop(J):
     sp = torus2_model(J)
     eig, mult = _torus2_by_loop(J)
     assert sp.eigenvalues.dtype == np.float64 and sp.multiplicities.dtype == np.int64
     assert np.array_equal(sp.eigenvalues.view(np.uint64), eig.view(np.uint64))
     assert np.array_equal(sp.multiplicities, mult)
+
+
+def test_torus2_model_counts_once_up_to_ten_thousand_levels(monkeypatch):
+    # the first bound already holds the J + 1 norms: one count, no doubling
+    calls = []
+    count = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a: calls.append(1) or count(*a))
+    for J in [*range(300), *range(300, 10_001, 89), 10_000]:
+        calls.clear()
+        torus2_model(J)
+        assert len(calls) == 1, J
+
+
+def _spectral_det_by_index(sp, alpha, lam):
+    det = 1.0 + 0.0j
+    for j in range(sp.level_count):
+        factor = 1.0 + lam * (1.0 + float(sp.eigenvalues[j])) ** (-alpha / sp.nu)
+        det *= factor ** int(sp.multiplicities[j])
+    return det
+
+
+def _spectral_trace_by_index(sp, alpha):
+    acc = 0.0
+    for j in range(sp.level_count):
+        acc += int(sp.multiplicities[j]) * (1.0 + float(sp.eigenvalues[j])) ** (-alpha / sp.nu)
+    return complex(acc)
+
+
+@pytest.mark.parametrize("sp", [
+    circle_model(3000), sphere2_model(2000, nu=1.5), torus2_model(2500),
+    SpectralModel([0.0, 0.5, 0.5, 3.25, 20.0], [1, 3, 2, 6, 4], nu=2.0),
+], ids=["circle", "sphere2", "torus2", "table"])
+def test_spectral_oracles_equal_the_per_index_loop(sp):
+    from specdet.cli import _spectral_oracle_trace
+
+    for alpha, lam in ((3.0, 0.3), (2.5, -0.7 + 0.2j)):
+        assert bits(spectral_determinant_product(sp, alpha, lam)) == bits(
+            _spectral_det_by_index(sp, alpha, complex(lam)))
+        assert bits(_spectral_oracle_trace(sp, alpha)) == bits(
+            _spectral_trace_by_index(sp, alpha))
+
+
+def test_block_classes_pad_blocks_to_a_power_of_two_side():
+    from specdet.invariant import _WeightedBlockPowers, _side_groups
+
+    rng = np.random.default_rng(58)
+    sides = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 3, 6, 1, 12]
+    blocks = [rand_block(rng, n, scale=0.6 / n) for n in sides]
+    weights = rng.integers(1, 5, size=len(blocks)).tolist()
+    groups = _side_groups(blocks, weights)
+    assert len(groups) <= max(sides).bit_length() + 1
+    assert [stack.shape[1] for _, stack in groups] == [1, 2, 4, 8, 16, 17]
+    powers = _WeightedBlockPowers(groups)
+    for m in range(1, 41):
+        expected = sum(w * np.trace(np.linalg.matrix_power(b, m))
+                       for w, b in zip(weights, blocks))
+        assert abs(powers.trace(m) - expected) <= 1e-14 * abs(expected)
 
 
 def test_spectral_source_is_the_float64_dot_of_iterated_powers():

@@ -465,6 +465,57 @@ def test_band_storage_follows_the_entries(monkeypatch, make_kernel, dtype):
     assert all(type(powers.trace(m)) is complex for m in (1, 2, 30))
 
 
+def _band_product_by_offsets(t, p):
+    """(lo, hi, diagonals) of T P from the definition: a zero array over
+    the offsets lo..hi clipped to |o| < n, then for each diagonal e of T
+    holding a nonzero entry, ascending, and each diagonal s of P, one
+    multiply-add of T[i, i + e] P[i + e, i + e + s] into offset e + s,
+    over the rows i where both entries lie inside."""
+    n = p.rows.shape[1]
+    lo, hi = max(p.lo + t.lo, 1 - n), min(p.hi + t.hi, n - 1)
+    out = np.zeros((max(hi - lo + 1, 0), n), dtype=p.rows.dtype)
+    for e in range(t.lo, t.hi + 1):
+        if not t.rows[e - t.lo].any():
+            continue
+        i0, i1 = max(0, -e), min(n, n - e)
+        for s in range(p.lo, p.hi + 1):
+            if lo <= e + s <= hi:
+                out[e + s - lo, i0:i1] += (t.rows[e - t.lo, i0:i1]
+                                           * p.rows[s - p.lo, i0 + e:i1 + e])
+    return lo, hi, out
+
+
+@pytest.mark.parametrize("offsets, support, cutoff", [
+    ({-1: -0.15, 0: 0.3, 1: 0.2}, 200, 150),
+    ({-4: 0.2, 0: 0.1, 4: 0.3, 8: -0.1}, 300, 300),  # one offset in four
+    ({-2: 0.1, 0: 0.3, 1: -0.2}, 100, 64),
+    ({10: 0.5}, 200, 64),  # one-sided: empty from T^13
+    ({16: 0.4, 19: 0.2}, 200, 64),  # one-sided and gapped: empty from T^8
+], ids=["tridiagonal", "step-4", "gapped", "shift-10", "one-sided-gap"])
+@pytest.mark.parametrize("phase", [1.0, 0.8 + 0.6j], ids=["real", "complex"])
+def test_band_products_equal_the_per_offset_multiply_add(offsets, support, cutoff, phase):
+    # real products are the reference bit for bit: one contraction adds the
+    # same terms in the same order, plus zeros; complex ones move by rounding
+    k = banded_kernel({d: v * phase for d, v in offsets.items()}, support=support)
+    powers = lattice_mod._TracePowers(k, cutoff)
+    assert powers._mode == "band"
+    t = p = powers._base
+    for _ in range(2, 31):
+        lo, hi, expected = _band_product_by_offsets(t, p)
+        p = lattice_mod._band_times(t, powers._offsets, p)
+        if lo <= hi:
+            assert (p.lo, p.hi) == (lo, hi)
+        else:
+            assert p.lo > p.hi and not p.rows.size
+        if phase == 1.0:
+            assert p.rows.dtype == np.float64
+            assert np.array_equal(p.rows.view(np.uint64), expected.view(np.uint64))
+        else:
+            assert np.abs(p.rows - expected).max(initial=0.0) <= (
+                1e-15 * np.abs(expected).max(initial=0.0))
+    assert (p.lo > p.hi) == (min(offsets) > 0)
+
+
 def test_diagonal_fast_path_agrees_with_dense():
     entries = {j: rand_complex(np.random.default_rng(26), 0.5) for j in range(-3, 4)}
     diag = diagonal_kernel(entries)

@@ -62,6 +62,19 @@ def test_assembly_guard_reports_count():
     assert info.value.count == 2 * 10001 + 1
 
 
+def test_lu_guard_refuses_before_the_elimination_and_reports_count(monkeypatch):
+    from specdet import oracle
+
+    # side 289, the widest LU the tests and the fixture sweep run, answers;
+    # side 465 is the widest the guard admits: (n^3 - n) / 3 updates
+    assert direct_determinant(CMatrix.zeros(289, 289), 0.5) == 1
+    assert (465 ** 3 - 465) // 3 <= oracle.LU_UPDATE_GUARD < (466 ** 3 - 466) // 3
+    monkeypatch.setattr(oracle, "lu_determinant", lambda m: pytest.fail("LU started"))
+    with pytest.raises(FeasibilityError, match="side 466 needs 33731410 updates") as info:
+        direct_determinant(CMatrix.zeros(466, 466), 0.5)
+    assert info.value.count == 33731410
+
+
 def test_direct_determinant_of_zero_matrix():
     assert direct_determinant(CMatrix.zeros(3, 3), 0.7) == 1
 

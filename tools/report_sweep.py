@@ -11,7 +11,7 @@ A sweep runs every good fixture (``fixtures/*.json``) through
 ``specdet.cli.run_command``.  It runs ``det`` and ``trace`` in each
 ``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
 ``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
-json and text: 1080 cases on the 20 fixtures.  It writes the exit code,
+json and text: 1134 cases on the 21 fixtures.  It writes the exit code,
 stdout and stderr of each case to one JSON file, keyed by the case's
 arguments.  ``--src`` imports specdet from another source tree, such as an
 export of an earlier commit; the fixtures are always this tree's.
