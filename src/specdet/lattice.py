@@ -22,7 +22,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,28 +112,24 @@ class LatticeKernel:
     vals)``: int64 lexicographic positions in the box |.|_inf <= R and
     complex128 values, equal to ``eval`` bit for bit, of every entry that
     may be nonzero there, each at most once (explicit zeros are allowed;
-    every omitted entry is zero).  It unlocks norm and trace computations
-    at cutoffs far beyond dense enumeration: their cost follows the entries,
-    not the box.  Without them, the entries are read by one ``eval`` per
-    pair of the box within the band radius (every pair when no band is
-    declared), at most ``BRUTE_PAIR_LIMIT`` pairs.  Either way a kernel is
-    read once per cutoff: the entries, sorted and checked finite, are
-    memoised on the kernel and shared by the norm estimate, the trace, the
+    every omitted entry is zero); or to the whole box as one side x side
+    complex128 matrix, every entry counted as present.  It unlocks norm and
+    trace computations at cutoffs far beyond dense enumeration: their cost
+    follows the entries, not the box.  Without them, the entries are read
+    by one ``eval`` per pair of the box within the band radius (every pair
+    when no band is declared), at most ``BRUTE_PAIR_LIMIT`` pairs.  Either
+    way a kernel is read once per cutoff into one stored form
+    (:func:`_truncation`), shared by the norm estimate, the trace, the
     Schur bound and the trace powers at that cutoff.
-
-    ``diagonal_arrays``, when given, maps R to ``(positions, values)`` of
-    the diagonal entries K(n, n) of the box, ascending; a kernel whose entry
-    set is dense supplies it so that its trace reads side values, not side^2.
     """
 
     dim: int
     eval: Callable[[Index, Index], complex]
     declared_support: int | None = None
     band_radius: int | None = None
-    support_arrays: Callable[[int], tuple] | None = None
-    diagonal_arrays: Callable[[int], tuple] | None = None
+    support_arrays: Callable[[int], tuple | np.ndarray] | None = None
     label: str = ""
-    _entries: dict = field(default_factory=dict, repr=False, compare=False)
+    _truncations: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -189,21 +185,24 @@ def _nonzero(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> tuple:
 
 
 def _require_finite(k: LatticeKernel, cutoff: int, rows, cols, vals):
+    """Refuse non-finite ``vals``, naming the first in (row, col) order;
+    ``rows`` and ``cols`` are None when ``vals`` is the matrix of the box."""
     finite = np.isfinite(vals)
     if not finite.all():
         bad = int(np.argmin(finite))  # first non-finite entry in (row, col) order
+        row, col = divmod(bad, len(vals)) if rows is None else (rows[bad], cols[bad])
         raise EvaluationError(
             f"kernel {k.label!r} is non-finite at "
-            f"(j={_point(rows[bad], k.dim, cutoff)}, m={_point(cols[bad], k.dim, cutoff)})"
+            f"(j={_point(row, k.dim, cutoff)}, m={_point(col, k.dim, cutoff)})"
         )
 
 
-def _walk(k: LatticeKernel, cutoff: int, band: int) -> tuple:
-    """Nonzero entries ``(rows, cols, vals)`` of the pairs (j, m) of the box
-    with |j - m|_inf <= band, one ``eval`` each in lexicographic order.
-    Each coordinate range is clipped to the box, so a band of 2R or more
-    walks the side^2 pairs of the whole box.  Refused before the first
-    ``eval`` when the pairs exceed BRUTE_PAIR_LIMIT."""
+def _walk(k: LatticeKernel, cutoff: int, band: int):
+    """Entries of the pairs (j, m) of the box with |j - m|_inf <= band, one
+    ``eval`` each in lexicographic order, each coordinate range clipped to
+    the box: the nonzero ``(rows, cols, vals)``, or the side x side matrix
+    when a band of 2R or more walks every pair of the box.  Refused before
+    the first ``eval`` when the pairs exceed BRUTE_PAIR_LIMIT."""
     b = min(band, 2 * cutoff)
     count = ((2 * cutoff + 1) * (2 * b + 1) - b * (b + 1)) ** k.dim
     if count > BRUTE_PAIR_LIMIT:
@@ -218,6 +217,8 @@ def _walk(k: LatticeKernel, cutoff: int, band: int) -> tuple:
          for m in itertools.product(*(range(max(-cutoff, x - b), min(cutoff, x + b) + 1)
                                       for x in j))),
         dtype=np.complex128, count=count)
+    if b == 2 * cutoff:
+        return vals.reshape(box_side(k.dim, cutoff), -1)
     # the same walk by positions: row r holds the box lo..lo + n - 1 of m,
     # whose t-th point has coordinates lo + (t // stride) % n
     points = _box_points(k.dim, cutoff)
@@ -232,41 +233,129 @@ def _walk(k: LatticeKernel, cutoff: int, band: int) -> tuple:
     return _nonzero(np.repeat(np.arange(len(points)), sizes), _positions(m, cutoff), vals)
 
 
-def _truncation(k: LatticeKernel, cutoff: int) -> tuple:
-    """Entries ``(rows, cols, vals)`` of the box truncation, from
-    ``support_arrays`` when the kernel declares them and from ``_walk``
-    over its band (the whole box when it declares none) otherwise; sorted
-    by (row, col) and checked finite, built once per cutoff and kept on the
-    kernel, read-only."""
-    cached = k._entries.get(cutoff)
+class _Truncation(NamedTuple):
+    """A box truncation in the one form its ``mode`` reads: ``entries``,
+    the ``(rows, cols, vals)`` sorted by (row, col), for ``diag``, ``band``
+    and ``sparse``; the side x side ``matrix`` alone for ``dense``.  A
+    ``refused`` one keeps the form it was given in, for its trace alone."""
+
+    mode: str
+    entries: tuple | None
+    matrix: np.ndarray | None
+
+
+def _band_span(rows: np.ndarray, cols: np.ndarray) -> tuple | None:
+    """``(first, n, lo, hi)`` of entries sorted by (row, col): the positions
+    first..first + n - 1 they occupy and their least and greatest offset
+    col - row; None when there are none or their diagonals span more than
+    1/SPARSE_FILL_DIVISOR of those positions."""
+    if not len(rows):
+        return None
+    first = min(rows[0], cols.min())
+    n = int(max(rows[-1], cols.max()) - first) + 1
+    if len(rows) * SPARSE_FILL_DIVISOR > n * n:  # no band that narrow holds them
+        return None
+    d = cols - rows
+    lo, hi = int(d.min()), int(d.max())
+    return None if (hi - lo + 1) * SPARSE_FILL_DIVISOR > n else (first, n, lo, hi)
+
+
+def _mode(k: LatticeKernel, side: int, count: int, span: Callable[[], tuple | None]) -> str:
+    """The trace-power path (see :class:`_TracePowers`) of a truncation of
+    ``count`` entries: ``diag`` for band radius 0; ``band`` for a 1-D one at
+    least SPARSE_SIDE_MIN wide whose entries have a ``_band_span``, which
+    ``span()`` gives; ``sparse`` for the others of that width holding at
+    most side^2 / SPARSE_FILL_DIVISOR entries; ``dense`` for the rest up to
+    DENSE_SIDE_LIMIT, and ``refused`` above it."""
+    if k.band_radius == 0:
+        return "diag"
+    if side >= SPARSE_SIDE_MIN and count * SPARSE_FILL_DIVISOR <= side * side:
+        # one dimension only: a box's rows of length s put a 2-D stencil's
+        # diagonals s apart, so its band storage would be mostly empty
+        return "band" if k.dim == 1 and span() is not None else "sparse"
+    return "refused" if side > DENSE_SIDE_LIMIT else "dense"
+
+
+def _truncation(k: LatticeKernel, cutoff: int) -> _Truncation:
+    """The box truncation, from ``support_arrays`` when the kernel declares
+    them and from ``_walk`` over its band (the whole box when it declares
+    none) otherwise: checked finite, its mode chosen and held in the form
+    that mode reads (a dense one given as entries is scattered into its
+    matrix), built once per cutoff and kept on the kernel, read-only."""
+    cached = k._truncations.get(cutoff)
     if cached is not None:
         return cached
+    side = box_side(k.dim, cutoff)
     if k.support_arrays is not None:
-        rows, cols, vals = k.support_arrays(cutoff)
+        given = k.support_arrays(cutoff)
     else:
         band = k.band_radius
-        rows, cols, vals = _walk(k, cutoff, 2 * cutoff if band is None else band)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.complex128)
-    # compared pairwise: a key row * side + col overflows int64 on wide boxes
-    if ((rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))).any():
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    _require_finite(k, cutoff, rows, cols, vals)
-    for a in (rows, cols, vals):
+        given = _walk(k, cutoff, 2 * cutoff if band is None else band)
+    mode = None
+    if isinstance(given, np.ndarray):  # the whole box, row by row
+        matrix = np.asarray(given, dtype=np.complex128)
+        _require_finite(k, cutoff, None, None, matrix)
+        # support_arrays hand over every entry of the box, a walk its nonzeros
+        count = matrix.size if k.support_arrays is not None else np.count_nonzero(matrix)
+        mode = _mode(k, side, count, lambda: None)  # a band is told from the entries
+        if mode not in ("dense", "refused"):
+            flat, mode = np.flatnonzero(matrix), None
+            given = (*np.divmod(flat, side), matrix.reshape(-1)[flat])
+    entries = None
+    if mode is None:
+        rows = np.asarray(given[0], dtype=np.int64)
+        cols = np.asarray(given[1], dtype=np.int64)
+        vals = np.asarray(given[2], dtype=np.complex128)
+        # compared pairwise: a key row * side + col overflows int64 on wide boxes
+        if ((rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))).any():
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        _require_finite(k, cutoff, rows, cols, vals)
+        mode = _mode(k, side, len(vals), lambda: _band_span(rows, cols))
+        if mode == "dense":
+            matrix = np.zeros((side, side), dtype=np.complex128)
+            matrix[rows, cols] = vals
+        else:
+            entries, matrix = (rows, cols, vals), None
+    for a in entries or (matrix,):
         a.flags.writeable = False
-    k._entries[cutoff] = rows, cols, vals
-    return rows, cols, vals
+    truncation = k._truncations[cutoff] = _Truncation(mode, entries, matrix)
+    return truncation
 
 
-def _line_sums(lines: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sums of ``weights`` over the runs of equal values of the sorted
-    ``lines``, each added in array order: one per line that has entries, so
-    the cost follows the entries, not the box (an empty line adds +0.0)."""
+def _usable_truncation(k: LatticeKernel, cutoff: int) -> _Truncation:
+    """The truncation for a reader of every entry: the norm, the Schur
+    bound and the trace powers refuse a ``refused`` one."""
+    t = _truncation(k, cutoff)
+    if t.mode == "refused":
+        side = box_side(k.dim, cutoff)
+        raise FeasibilityError(
+            f"truncation side {side} exceeds the dense limit {DENSE_SIDE_LIMIT} and "
+            f"its {side ** 2 if t.entries is None else len(t.entries[2])} entries "
+            f"are neither diagonal, narrowly banded nor sparse",
+            count=side,
+        )
+    return t
+
+
+def _modulus_sums(k: LatticeKernel, cutoff: int, p: float = 1.0, axis: int = 1) -> np.ndarray:
+    """Sums of |K(j, m)|^p along each row (axis 1) or column (axis 0) of the
+    box truncation, each added in index order as a Python walk adds them:
+    every line of a dense one, else the lines holding entries, so the cost
+    follows the entries, not the box (an empty line would add +0.0)."""
+    _, entries, matrix = _usable_truncation(k, cutoff)
+    vals = matrix if entries is None else entries[2]
+    mods = np.hypot(vals.real, vals.imag)  # abs() of a Python complex, bit for bit
+    mods **= p
+    if entries is None:
+        return np.cumsum(mods, axis=axis, out=mods).take(-1, axis=axis)
+    lines, cols, _ = entries
+    if axis == 0:  # a stable sort by column keeps each column in ascending row
+        by_col = np.argsort(cols, kind="stable")
+        lines, mods = cols[by_col], mods[by_col]
     index = np.zeros(len(lines), dtype=np.intp)
     index[1:] = np.cumsum(lines[1:] != lines[:-1])
-    return np.bincount(index, weights=weights)
+    return np.bincount(index, weights=mods)
 
 
 def _running_sum(values: np.ndarray):
@@ -286,27 +375,22 @@ def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> 
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p < math.inf):
         raise ParameterError(f"p must lie in [1, inf), got {p}")
-    # np.hypot is abs() of a Python complex bit for bit; each row's moduli
-    # add in column order
-    rows, _, vals = _truncation(k, cutoff)
-    row_sums = _line_sums(rows, np.hypot(vals.real, vals.imag) ** p)
-    return float(_running_sum(row_sums ** (1.0 / p)))
+    return float(_running_sum(_modulus_sums(k, cutoff, p) ** (1.0 / p)))
 
 
 def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
     """Diagonal sum sum_{|n| <= R} K(n, n) in index-ascending order."""
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    if k.diagonal_arrays is not None:
-        pos, vals = k.diagonal_arrays(cutoff)
-        _require_finite(k, cutoff, pos, pos, vals)
-        return complex(_running_sum(vals))
     if k.support_arrays is None and k.band_radius is None:
         # the diagonal alone: side evaluations, not the side^2 of the box
         rows, cols, vals = _walk(k, cutoff, 0)
         _require_finite(k, cutoff, rows, cols, vals)
-    else:
-        rows, cols, vals = _truncation(k, cutoff)
+        return complex(_running_sum(vals))
+    _, entries, matrix = _truncation(k, cutoff)
+    if matrix is not None:
+        return complex(_running_sum(matrix.diagonal()))
+    rows, cols, vals = entries
     return complex(_running_sum(vals[rows == cols]))
 
 
@@ -383,102 +467,67 @@ def _band_pair_trace(a: _Band, b: _Band) -> complex:
     return complex(np.einsum("di,di->", a_diags, b_diags))
 
 
-def _narrow_band(rows, cols, vals) -> _Band | None:
-    """Entries sorted by (row, col) as a ``_Band`` over their occupied
-    positions, float64 when they are real, or None when their diagonals
-    span more than 1/SPARSE_FILL_DIVISOR of those positions (or there are
-    none)."""
-    if not len(vals):
-        return None
-    first = min(rows[0], cols.min())
-    n = int(max(rows[-1], cols.max()) - first) + 1
-    if len(vals) * SPARSE_FILL_DIVISOR > n * n:  # no band that narrow holds them
-        return None
-    d = cols - rows
-    lo, hi = int(d.min()), int(d.max())
-    if (hi - lo + 1) * SPARSE_FILL_DIVISOR > n:
-        return None
+def _narrow_band(rows, cols, vals) -> _Band:
+    """Entries sorted by (row, col) with a ``_band_span`` as a ``_Band``
+    over the positions they occupy, float64 when they are real."""
+    first, n, lo, hi = _band_span(rows, cols)
     vals = _real_if_real(vals)
     band = _Band(lo, hi, n, vals.dtype, lo, hi)
-    band.rows[d - lo, rows - first] = vals
+    band.rows[cols - rows - lo, rows - first] = vals
     return band
 
 
 class _TracePowers:
     """Incremental Tr(T^m) of the box truncation of a kernel.
 
-    Picks a representation once and caches traces as successive powers are
-    formed, so a determinant evaluation costs at most one matrix product per
-    series order.  ``_mode`` names the representation:
+    Reads the truncation in the form its mode (chosen by :func:`_mode`)
+    holds, and caches traces as successive powers are formed, so a
+    determinant evaluation costs at most one matrix product per series
+    order.  ``_mode`` names the representation:
 
-    - ``diag``: band radius 0.  Tr(T^m) is the power sum of the diagonal
-      values, so only the truncation's nonzero values are held, float64
-      when all are real.  After each product the values whose power is
-      exactly 0 (underflowed) are dropped, since they add nothing to this
-      or any later trace; subnormal powers stay;
-    - ``band``: a one-dimensional truncation at least ``SPARSE_SIDE_MIN``
-      wide whose entries, on the
-      occupied positions ``lo..hi`` with offsets ``d = col - row``, span at most
-      ``(hi - lo + 1) / SPARSE_FILL_DIVISOR`` diagonals.  Powers are
-      ``_Band`` arrays over ``lo..hi``, float64 when the entries are real,
-      one ``np.einsum`` contraction per product (:func:`_band_times`), and
-      Tr(T^m) = Tr(T^a T^b) with
+    - ``diag``: Tr(T^m) is the power sum of the diagonal values, so only
+      the truncation's nonzero values are held, float64 when all are real.
+      After each product the values whose power is exactly 0 (underflowed)
+      are dropped, since they add nothing to this or any later trace;
+      subnormal powers stay;
+    - ``band``: powers are ``_Band`` arrays over the occupied positions,
+      float64 when the entries are real, one ``np.einsum`` contraction per
+      product (:func:`_band_times`), and Tr(T^m) = Tr(T^a T^b) with
       a = ceil(m/2), b = floor(m/2): order m forms T^a at most, and only
-      the two powers in use stay alive.  Multi-dimensional boxes stay off
-      it: their rows put a stencil's diagonals a box row apart, so the
-      band storage of its powers would be mostly empty;
-    - ``sparse``: the other truncations of that width that hold at most
-      ``side^2 / SPARSE_FILL_DIVISOR`` entries, by scipy CSR products;
-    - ``dense``: everything else up to ``DENSE_SIDE_LIMIT``.  A wider
-      truncation that is none of the above is refused: its CSR products
-      would cost as much as dense ones, and run slower.
+      the two powers in use stay alive;
+    - ``sparse``: scipy CSR products;
+    - ``dense``: products of the truncation's own matrix.  A ``refused``
+      truncation is refused here: its CSR products would cost as much as
+      dense ones, and run slower.
 
-    Every mode is built from the kernel's memoised entries
-    (:func:`_truncation`).  Sides below ``SPARSE_SIDE_MIN`` keep the dense
-    chain, whose rounding the golden reports record.  ``sparse`` and
-    ``dense`` stay complex128; traces are ``complex`` in every mode.
+    Sides below ``SPARSE_SIDE_MIN`` keep the dense chain, whose rounding
+    the golden reports record.  ``sparse`` and ``dense`` stay complex128;
+    traces are ``complex`` in every mode.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
         if cutoff < 1:
             raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
+        self._mode, entries, self._base = _usable_truncation(k, cutoff)
         self.side = box_side(k.dim, cutoff)
         self._traces: list[complex] = []
-        rows, cols, vals = _truncation(k, cutoff)
-        wide = self.side >= SPARSE_SIDE_MIN
-        # one dimension only: a box's rows of length s put a 2-D stencil's
-        # diagonals s apart, so its band storage would be mostly empty
-        narrow = wide and k.dim == 1 and k.band_radius != 0
-        band = _narrow_band(rows, cols, vals) if narrow else None
-        if k.band_radius == 0:
-            self._mode = "diag"
-            self._base = _real_if_real(vals[vals != 0])
-        elif band is not None:
-            self._mode = "band"
-            self._base = band
-            # one progression through the diagonals of T holding a nonzero entry
-            held = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
-            step = math.gcd(*np.diff(held).tolist()) or 1
-            self._offsets = range(held[0], held[-1] + 1, step) if held else range(0)
-            self._powers = {1: band}
-        elif wide and len(vals) * SPARSE_FILL_DIVISOR <= self.side * self.side:
-            from scipy import sparse
+        if entries is not None:
+            rows, cols, vals = entries
+            if self._mode == "diag":
+                self._base = _real_if_real(vals[vals != 0])
+            elif self._mode == "band":
+                self._base = band = _narrow_band(rows, cols, vals)
+                # one progression through the diagonals of T holding a nonzero entry
+                held = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
+                step = math.gcd(*np.diff(held).tolist()) or 1
+                self._offsets = range(held[0], held[-1] + 1, step) if held else range(0)
+                self._powers = {1: band}
+            else:
+                from scipy import sparse
 
-            self._mode = "sparse"
-            self._base = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
-            )
-        elif self.side > DENSE_SIDE_LIMIT:
-            raise FeasibilityError(
-                f"truncation side {self.side} exceeds the dense limit "
-                f"{DENSE_SIDE_LIMIT} and its {len(vals)} entries are neither "
-                f"diagonal, narrowly banded nor sparse",
-                count=self.side,
-            )
-        else:
-            self._mode = "dense"
-            self._base = np.zeros((self.side, self.side), dtype=np.complex128)
-            self._base[rows, cols] = vals
+                self._base = sparse.csr_matrix(
+                    (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
+                )
         self._cur = self._base
 
     def _power(self, a: int) -> _Band:

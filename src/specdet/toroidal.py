@@ -38,16 +38,14 @@ import numpy as np
 
 from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 from .lattice import (
-    DENSE_SIDE_LIMIT,
     Index,
     LatticeKernel,
     _box_points,
-    _line_sums,
+    _modulus_sums,
     _positions,
     _site_arrays,
     _site_support,
     _sup_norms,
-    _truncation,
     iter_box,
     lattice_determinant,
     nuclear_norm_estimate,
@@ -328,10 +326,10 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     listed entries (:func:`_listed_entries`), read like a table kernel, with
     band radius their largest |l|_inf (0 when x-independent); ``eval`` is a
     dict lookup.  Any other symbol is sampled into the dense side x side
-    matrix (:func:`_sampled_matrix`): ``eval`` is one lookup,
-    ``diagonal_arrays`` reads its diagonal and ``support_arrays`` every pair
-    of the box.  Either is built on the first call and shared by later
-    ones.  The grid, ``x_grid`` or the automatic one, must hold the modes
+    matrix (:func:`_sampled_matrix`): ``eval`` is one lookup, and
+    ``support_arrays`` hands the matrix itself over at R (every pair of the
+    box at another cutoff).  Either is built on the first call and shared
+    by later ones.  The grid, ``x_grid`` or the automatic one, must hold the modes
     max(2R, mode_reach) unfolded (``AliasingError``), also where nothing is
     sampled."""
     if cutoff < 1:
@@ -357,28 +355,17 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
             col = col * width + b + cutoff
         return matrix.item(row, col)
 
-    def diagonal_arrays(r):
-        # the box min(r, cutoff) placed at its positions in the box r
-        points = _box_points(s.dim, min(r, cutoff))
-        return _positions(points, r), matrix.diagonal()[_positions(points, cutoff)]
-
     def support_arrays(r):
+        if r == cutoff:
+            return matrix
+        # the box min(r, cutoff) at its positions in the box r, every pair
         points = _box_points(s.dim, min(r, cutoff))
-        if len(points) > DENSE_SIDE_LIMIT:
-            raise FeasibilityError(
-                f"quantization of symbol {s.label!r} at cutoff {r} is a dense "
-                f"truncation of side {len(points)}, above the dense limit "
-                f"{DENSE_SIDE_LIMIT}",
-                count=len(points),
-            )
-        # every pair of the box, rows then columns ascending
         at, pos = _positions(points, cutoff), _positions(points, r)
         return (np.repeat(pos, len(pos)), np.tile(pos, len(pos)),
                 matrix[np.ix_(at, at)].ravel())
 
     return LatticeKernel(s.dim, eval_fn, declared_support=cutoff,
-                         band_radius=2 * cutoff, support_arrays=support_arrays,
-                         diagonal_arrays=diagonal_arrays, label=label)
+                         band_radius=2 * cutoff, support_arrays=support_arrays, label=label)
 
 
 def poincare_norm(k: LatticeKernel, cutoff: int) -> float:
@@ -398,15 +385,8 @@ def schur_bound(k: LatticeKernel, p: float, cutoff: int) -> float:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
-    # sorted by (row, col); a stable sort by column keeps each column's
-    # entries in ascending row, the order of the row-column walk
-    rows, cols, vals = _truncation(k, cutoff)
-    mods = np.hypot(vals.real, vals.imag)
-    by_col = np.argsort(cols, kind="stable")
-    row_sums = _line_sums(rows, mods).tolist()
-    col_sums = _line_sums(cols[by_col], mods[by_col]).tolist()
-    max_row = max(row_sums, default=0.0)
-    max_col = max(col_sums, default=0.0)
+    max_row = max(_modulus_sums(k, cutoff, axis=1).tolist(), default=0.0)
+    max_col = max(_modulus_sums(k, cutoff, axis=0).tolist(), default=0.0)
     if math.isinf(p):
         return max_row
     inv_p = 1.0 / p

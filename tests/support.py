@@ -127,16 +127,42 @@ def non_finite_site(message: str) -> tuple:
     return found.group(1), found.group(2)
 
 
+def matrix_entries(matrix: np.ndarray) -> tuple:
+    """The nonzero entries ``(rows, cols, vals)`` of a matrix, in (row, col)
+    order."""
+    rows, cols = np.nonzero(matrix)
+    return rows.astype(np.int64), cols.astype(np.int64), matrix[rows, cols]
+
+
+def support_entries(k, cutoff: int) -> tuple:
+    """``k.support_arrays(cutoff)`` as ``(rows, cols, vals)``: a matrix of
+    the box gives every pair, row by row."""
+    given = k.support_arrays(cutoff)
+    if isinstance(given, np.ndarray):
+        rows, cols = np.indices(given.shape, dtype=np.int64).reshape(2, -1)
+        return rows, cols, given.ravel()
+    return given
+
+
 def assert_truncation_is_entry_walk(k, cutoff: int):
-    """The memoised entries of a kernel against the oracle's entry-by-entry
-    assembly at the same cutoff: equal bits where present, zero elsewhere,
-    strictly sorted by (row, col); the p = 1 norm, the trace and the p = 2
-    Schur bound equal plain Python walks over that assembly bit for bit."""
+    """The memoised truncation of a kernel against the oracle's
+    entry-by-entry assembly at the same cutoff: a dense one is that matrix
+    alone; otherwise its entries have equal bits where present, zero
+    elsewhere, and are strictly sorted by (row, col).  The p = 1 norm, the
+    trace and the p = 2 Schur bound equal plain Python walks over that
+    assembly bit for bit."""
     from specdet import assemble_truncation, lattice_trace, nuclear_norm_estimate, schur_bound
     from specdet.lattice import _truncation
 
     a = as_array(assemble_truncation(k, cutoff))
-    rows, cols, vals = _truncation(k, cutoff)
+    t = _truncation(k, cutoff)
+    if t.mode == "dense":
+        assert t.entries is None and t.matrix.dtype == np.complex128
+        assert np.array_equal(t.matrix, a)
+        rows, cols, vals = matrix_entries(t.matrix)
+    else:
+        assert t.matrix is None
+        rows, cols, vals = t.entries
     assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
     assert (np.diff(rows * len(a) + cols) > 0).all()
     assert np.array_equal(vals.view(np.uint64), a[rows, cols].view(np.uint64))

@@ -33,8 +33,8 @@ from specdet import (
 )
 from specdet.errors import EvaluationError, FeasibilityError, ParameterError
 
-from support import (as_array, assert_truncation_is_entry_walk, bits, non_finite_site,
-                     rand_complex)
+from support import (as_array, assert_truncation_is_entry_walk, bits, matrix_entries,
+                     non_finite_site, rand_complex)
 
 
 def random_table_kernel(rng, support=3, density=0.5, scale=0.4):
@@ -169,6 +169,7 @@ def _assert_matches_dense_chain(monkeypatch, k, cutoff, powers):
     traces = [powers.trace(m) for m in range(1, 31)]
     with monkeypatch.context() as patch:
         patch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
+        patch.setattr(k, "_truncations", {})  # the mode is chosen once per truncation
         reference = lattice_mod._TracePowers(k, cutoff)
         assert reference._mode == "dense"
         for m, got in enumerate(traces, start=1):
@@ -376,7 +377,7 @@ def _side_vector_traces(k, cutoff, orders):
     """Tr(T^m) of a diagonal truncation by the complex side-vector chain:
     the box's diagonal as one complex128 vector, zeros included, raised one
     order at a time and summed."""
-    rows, _, vals = lattice_mod._truncation(k, cutoff)
+    rows, _, vals = lattice_mod._truncation(k, cutoff).entries
     v = np.zeros(lattice_mod.box_side(k.dim, cutoff), dtype=np.complex128)
     v[rows] = vals
     cur, traces = v, []
@@ -648,7 +649,7 @@ def test_walk_guard_refuses_before_it_walks(read):
     with pytest.raises(FeasibilityError) as info:
         read(k, 10**6)
     assert info.value.count == 6_000_001
-    assert not k._entries
+    assert not k._truncations
 
 
 class _Walked(Exception):
@@ -687,11 +688,15 @@ def test_walk_visits_each_pair_within_the_band_once_in_order(dim, cutoff, band):
 
     calls = []
     k = LatticeKernel(dim, lambda j, m: calls.append((j, m)) or value(j, m), label="walked")
-    rows, cols, vals = lattice_mod._walk(k, cutoff, band)
+    walked = lattice_mod._walk(k, cutoff, band)
     box = _box(dim, cutoff)
     expected = [(j, m) for j in box for m in box
                 if max(abs(x - y) for x, y in zip(j, m)) <= band]
     assert calls == expected
+    if band >= 2 * cutoff:  # every pair of the box: its matrix, zeros included
+        assert walked.ravel().tolist() == [value(j, m) for j, m in expected]
+        walked = matrix_entries(walked)
+    rows, cols, vals = walked
     nonzero = [(j, m) for j, m in expected if value(j, m) != 0]
     assert [(box[r], box[c]) for r, c in zip(rows.tolist(), cols.tolist())] == nonzero
     assert vals.tolist() == [value(j, m) for j, m in nonzero]
@@ -817,7 +822,7 @@ def test_entries_are_built_once_per_cutoff():
         lattice_trace(k, cutoff)
         lattice_mod._TracePowers(k, cutoff).trace(3)
     assert calls == [150, 190]
-    rows, _, vals = lattice_mod._truncation(k, 150)
+    rows, _, vals = lattice_mod._truncation(k, 150).entries
     assert not rows.flags.writeable and not vals.flags.writeable
 
 
@@ -852,7 +857,7 @@ def test_entries_are_sorted_on_a_box_whose_pair_count_overflows():
     cols = np.array([3, side - 1, 0, 5], dtype=np.int64)
     vals = np.array([1, 2, 3, 4], dtype=np.complex128)
     k = LatticeKernel(2, lambda j, m: 0j, support_arrays=lambda r: (rows, cols, vals))
-    got_rows, got_cols, got_vals = lattice_mod._truncation(k, cutoff)
+    got_rows, got_cols, got_vals = lattice_mod._truncation(k, cutoff).entries
     assert got_rows.tolist() == [0, 5, side - 1, side - 1]
     assert got_cols.tolist() == [side - 1, 5, 0, 3]
     assert got_vals.tolist() == [2, 4, 3, 1]

@@ -28,7 +28,8 @@ from specdet import (
 )
 from specdet.errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 
-from support import assert_truncation_is_entry_walk, bits, non_finite_site, rand_complex
+from support import (assert_truncation_is_entry_walk, bits, non_finite_site, rand_complex,
+                     support_entries)
 
 
 def test_x_independent_symbol_coefficients():
@@ -93,7 +94,7 @@ def test_x_independent_quantization_powers_follow_its_values(amplitude, dtype):
     k = toroidal_matrix(power_decay_symbol(-2.0, amplitude=amplitude), cutoff)
     powers = lattice_mod._TracePowers(k, cutoff)
     assert powers._mode == "diag" and powers._base.dtype == dtype
-    _, _, vals = lattice_mod._truncation(k, cutoff)
+    _, _, vals = lattice_mod._truncation(k, cutoff).entries
     cur = vals
     for m in range(1, 601):
         want = complex(cur.sum())
@@ -340,13 +341,9 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
     for r in (cutoff - 1, cutoff, cutoff + 1):
         if r < 1:
             continue
-        for arrays in ("support_arrays", "diagonal_arrays"):
-            if getattr(k_point, arrays) is None:  # listed entries have no diagonal arrays
-                assert getattr(k_grid, arrays) is getattr(k_again, arrays) is None
-                continue
-            want = [bits(a) for a in getattr(k_point, arrays)(r)]
-            assert [bits(a) for a in getattr(k_grid, arrays)(r)] == want
-            assert [bits(a) for a in getattr(k_again, arrays)(r)] == want
+        want = [bits(a) for a in support_entries(k_point, r)]
+        assert [bits(a) for a in support_entries(k_grid, r)] == want
+        assert [bits(a) for a in support_entries(k_again, r)] == want
 
     box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
     outside = (cutoff + 1,) + (0,) * (dim - 1)
@@ -422,7 +419,7 @@ def test_windowed_entries_match_exact_coefficients(family, dim, cutoff, x_grid):
 
     s.x_grid = x_grid
     k = toroidal_matrix(s, cutoff)
-    rows, cols, vals = k.support_arrays(cutoff)
+    rows, cols, vals = support_entries(k, cutoff)
     box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
     want = np.array([exact(tuple(a - b for a, b in zip(box[r], box[c])), box[c])
                      for r, c in zip(rows, cols)], dtype=np.complex128)
@@ -507,7 +504,7 @@ def test_wide_listed_mode_costs_only_its_entries():
     s = table_symbol({**{(l, 0): 0.25 for l in (-1, 0, 1)}, (1000, -500): 0.5})
     k = toroidal_matrix(s, cutoff)
     assert k.band_radius == 1000
-    assert len(lattice_mod._truncation(k, cutoff)[2]) == 4
+    assert len(lattice_mod._truncation(k, cutoff).entries[2]) == 4
     result = toroidal_determinant(s, 0.3, order=30, cutoff=cutoff)
     assert result.converged and abs(result.value - 1.075) <= 1e-12
     assert list(s._tables) == [(None, cutoff)]  # the listed entries alone
@@ -687,16 +684,20 @@ def test_dense_quantization_above_the_dense_limit_keeps_its_trace(monkeypatch, d
                                                                    modes):
     # the trace reads only the diagonal, as the entry-by-entry walk does;
     # the norm and the trace powers need every entry and are refused
-    monkeypatch.setattr(toroidal_mod, "DENSE_SIDE_LIMIT", 20)
-    k = toroidal_matrix(modulated_symbol(modes, -3.0, dim=dim), cutoff)
+    monkeypatch.setattr(lattice_mod, "DENSE_SIDE_LIMIT", 20)
+    s = modulated_symbol(modes, -3.0, dim=dim)
+    k = toroidal_matrix(s, cutoff)
     acc = 0.0j
     for n in itertools.product(range(-cutoff, cutoff + 1), repeat=dim):
         acc += k.value(n, n)
     assert bits(lattice_trace(k, cutoff)) == bits(acc)
-    assert not k._entries
+    # the refused truncation is the sampled matrix itself, held for its trace
+    t = lattice_mod._truncation(k, cutoff)
+    (matrix,) = [v for key, v in s._tables.items() if key[1] == cutoff]
+    assert t.mode == "refused" and t.matrix is matrix and t.entries is None
     side = (2 * cutoff + 1) ** dim
     for needs_every_entry in (poincare_norm, truncation_trace_source):
         with pytest.raises(FeasibilityError) as info:
             needs_every_entry(k, cutoff)
         assert info.value.count == side
-    assert not k._entries
+    assert list(k._truncations) == [cutoff]
