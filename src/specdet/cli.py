@@ -46,6 +46,7 @@ from .oracle import (
     assemble_truncation,
     block_determinant_product,
     bundle_determinant_product,
+    check_truncation_determinant,
     direct_determinant,
     spectral_determinant_product,
 )
@@ -91,13 +92,14 @@ def _round_tree(value):
 
 def _det_json(r: DetResult) -> dict:
     return {
-        "value": _cpx(r.value),
+        "value": None if r.reason else _cpx(r.value),
         "terms": [_cpx(t) for t in r.terms],
         "order_used": r.order_used,
         "cutoff_used": r.cutoff_used,
         "tail_estimate": _num(r.tail_estimate),
         "converged": r.converged,
         "diagnostics": _round_tree(r.diagnostics),
+        **({"reason": r.reason} if r.reason else {}),
     }
 
 
@@ -113,7 +115,9 @@ def _emit_json(report: dict, stream):
     stream.write(json.dumps(report, sort_keys=True) + "\n")
 
 
-def _fmt_complex(pair) -> str:
+def _fmt_complex(pair, reason=None) -> str:
+    if pair is None:
+        return f"null ({reason})"
     re, im = pair
     sign = "+" if (isinstance(im, str) or im >= 0) else "-"
     mag = im if isinstance(im, str) else abs(im)
@@ -125,39 +129,35 @@ def _emit_text(report: dict, stream):
     stream.write(f"specdet {cmd}: {report.get('label') or report.get('input')}"
                  f" ({report.get('kind')})\n")
     for key in ("lambda", "order", "cutoff", "tol", "mode"):
-        if key in report and report[key] is not None:
-            val = report[key]
-            if key == "lambda":
-                val = _fmt_complex(val)
+        if report.get(key) is not None:
+            val = _fmt_complex(report[key]) if key == "lambda" else report[key]
             stream.write(f"  {key:<12} = {val}\n")
     series = report.get("series")
     if series:
-        stream.write(f"  value        = {_fmt_complex(series['value'])}\n")
+        stream.write(f"  value        = {_fmt_complex(series['value'], series.get('reason'))}\n")
         stream.write(f"  converged    = {series['converged']}"
                      f"   order_used = {series['order_used']}"
                      f"   tail ~ {series['tail_estimate']}\n")
-        warnings = series.get("diagnostics", {}).get("warnings", [])
-        for w in warnings:
+        for w in series.get("diagnostics", {}).get("warnings", []):
             stream.write(f"  warning: {w}\n")
         stream.write("  terms:\n")
         for i, t in enumerate(series["terms"], start=1):
             stream.write(f"    m={i:<3d} {_fmt_complex(t)}\n")
     for key in ("oracle_value", "series_value", "trace", "oracle_trace", "radius",
                 "verdict"):
-        if key in report and report[key] is not None:
-            val = report[key]
-            if isinstance(val, list) and len(val) == 2 and not isinstance(val[0], list):
-                val = _fmt_complex(val)
+        val = report.get(key)
+        if val is not None or key == "series_value" and "reason" in report:
+            if not isinstance(val, (int, float, str)):  # a complex pair, or null
+                val = _fmt_complex(val, report.get("reason"))
             stream.write(f"  {key:<12} = {val}\n")
     if report.get("oracle") is not None:
         stream.write(f"  oracle_value = {_fmt_complex(report['oracle']['value'])}\n")
-    for key in ("deviation",):
-        if report.get(key) is not None:
-            stream.write(f"  deviation    = abs {report[key]['abs']}, "
-                         f"rel {report[key]['rel']}\n")
+    if report.get("deviation") is not None:
+        stream.write(f"  deviation    = abs {report['deviation']['abs']}, "
+                     f"rel {report['deviation']['rel']}\n")
     for key in ("abs_deviation", "rel_deviation"):
         if key in report:
-            stream.write(f"  {key:<13}= {report[key]}\n")
+            stream.write(f"  {key:<13}= {'null' if report[key] is None else report[key]}\n")
     if "points" in report:
         stream.write("  cutoff, norm:\n")
         for r, v in report["points"]:
@@ -171,10 +171,14 @@ def _emit_text(report: dict, stream):
 def _lattice_kind(kernel, series_det, norm_profile) -> tuple:
     """Entry of a kind whose truncation at a cutoff is that of the lattice
     kernel ``kernel(op, cutoff)``."""
+
+    def oracle_det(p, op, a):
+        check_truncation_determinant(op.dim, a.cutoff)  # before the kernel is built
+        return direct_determinant(assemble_truncation(kernel(op, a.cutoff), a.cutoff), a.lam)
+
     return (
         series_det,
-        lambda p, op, a: direct_determinant(
-            assemble_truncation(kernel(op, a.cutoff), a.cutoff), a.lam),
+        oracle_det,
         lambda p, op, a: lattice_trace(kernel(op, a.cutoff), a.cutoff),
         lambda p, op, a: mat_trace(assemble_truncation(kernel(op, a.cutoff), a.cutoff)),
         lambda p, op, a: truncation_trace_source(kernel(op, a.cutoff), a.cutoff),
@@ -276,22 +280,23 @@ def _dispatch(args, spec, op):
                                "series": None if series is None else _det_json(series),
                                "oracle": None if oracle is None else {"value": _cpx(oracle)},
                                "deviation": None})
-        if series is not None and oracle is not None:
+        if series is not None and oracle is not None and not series.reason:
             report["deviation"] = _deviation(series.value, oracle)
         return report, 4 if args.mode == "series" and not series.converged else 0
 
     if args.command == "compare":
         series, oracle = _routes("both", series_det, oracle_det, p, op, args)
-        dev = _deviation(series.value, oracle)
+        dev = {"abs": None, "rel": None} if series.reason else _deviation(series.value, oracle)
         report = dict(base, **{
             "lambda": _cpx(lam), "order": args.order, "cutoff": args.cutoff,
             "tol": _num(args.tol),
-            "series_value": _cpx(series.value),
+            "series_value": None if series.reason else _cpx(series.value),
             "oracle_value": _cpx(oracle),
             "abs_deviation": dev["abs"],
             "rel_deviation": dev["rel"],
             "converged": series.converged,
             "order_used": series.order_used,
+            **({"reason": series.reason} if series.reason else {}),
         })
         return report, 0
 

@@ -6,10 +6,10 @@ they are exactly enumerable, trivially nestable in R, and deterministic.
 Unbounded-support kernels are legal: results are then relative to the chosen
 cutoff, with the series tail reported rather than hidden.
 
-Trace powers Tr(T^m) of the truncated operator are computed from matrix
-powers (dense, diagonal, band or sparse depending on declared structure); the
-literal m-fold cycle sums live in :mod:`specdet.oracle` and are kept as
-cross-checks only, since nested sums cost N^m.
+Each truncation is held in one form, diagonal, band, sparse or dense by its
+structure, and its trace powers Tr(T^m) are computed from powers in that
+form; the literal m-fold cycle sums live in :mod:`specdet.oracle` and are
+kept as cross-checks only, since nested sums cost N^m.
 
 Everything is a pure function of immutable inputs.  Box enumeration may be
 partitioned across workers, but partial results must be re-reduced in the
@@ -22,7 +22,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -51,9 +51,8 @@ Index = tuple  # tuple[int, ...] of length dim
 
 #: largest truncation side handled densely before structure is required
 DENSE_SIDE_LIMIT = 2048
-#: smallest truncation side at which a kernel with a declared band or
-#: support arrays may take the band or sparse path.  On a 2-core x86-64 VM
-#: (numpy 2.4.6, scipy 1.17.1) one product of the 15th power of a
+#: smallest truncation side that may take the band or sparse path.  On a
+#: 2-core x86-64 VM (numpy 2.4.6, scipy 1.17.1) one product of the 15th power of a
 #: tridiagonal truncation took 8.3 ms dense and 0.42 ms sparse at side 381,
 #: 0.51 and 0.22 ms at side 128, and 0.12 and 0.20 ms at side 64: the
 #: crossover lies near side 100, below which scipy's per-product overhead
@@ -199,19 +198,15 @@ def _require_finite(k: LatticeKernel, cutoff: int, rows, cols, vals):
 
 def _walk(k: LatticeKernel, cutoff: int, band: int):
     """Entries of the pairs (j, m) of the box with |j - m|_inf <= band, one
-    ``eval`` each in lexicographic order, each coordinate range clipped to
-    the box: the nonzero ``(rows, cols, vals)``, or the side x side matrix
-    when a band of 2R or more walks every pair of the box.  Refused before
-    the first ``eval`` when the pairs exceed BRUTE_PAIR_LIMIT."""
+    ``eval`` each in lexicographic order, ranges clipped to the box: the nonzero
+    ``(rows, cols, vals)``, or the side x side matrix when a band of 2R or more
+    walks every pair.  Refused before any ``eval`` above BRUTE_PAIR_LIMIT pairs."""
     b = min(band, 2 * cutoff)
     count = ((2 * cutoff + 1) * (2 * b + 1) - b * (b + 1)) ** k.dim
     if count > BRUTE_PAIR_LIMIT:
-        raise FeasibilityError(
-            f"walking kernel {k.label!r} at cutoff {cutoff} needs {count} kernel "
-            f"evaluations, above the guard of {BRUTE_PAIR_LIMIT}; declare "
-            f"support_arrays to go further",
-            count=count,
-        )
+        raise FeasibilityError(f"walking kernel {k.label!r} at cutoff {cutoff} needs {count} "
+                               f"kernel evaluations, above the guard of {BRUTE_PAIR_LIMIT}; "
+                               f"declare support_arrays to go further", count=count)
     vals = np.fromiter(
         (complex(k.eval(j, m)) for j in iter_box(k.dim, cutoff)
          for m in itertools.product(*(range(max(-cutoff, x - b), min(cutoff, x + b) + 1)
@@ -233,22 +228,10 @@ def _walk(k: LatticeKernel, cutoff: int, band: int):
     return _nonzero(np.repeat(np.arange(len(points)), sizes), _positions(m, cutoff), vals)
 
 
-class _Truncation(NamedTuple):
-    """A box truncation in the one form its ``mode`` reads: ``entries``,
-    the ``(rows, cols, vals)`` sorted by (row, col), for ``diag``, ``band``
-    and ``sparse``; the side x side ``matrix`` alone for ``dense``.  A
-    ``refused`` one keeps the form it was given in, for its trace alone."""
-
-    mode: str
-    entries: tuple | None
-    matrix: np.ndarray | None
-
-
 def _band_span(rows: np.ndarray, cols: np.ndarray) -> tuple | None:
-    """``(first, n, lo, hi)`` of entries sorted by (row, col): the positions
-    first..first + n - 1 they occupy and their least and greatest offset
-    col - row; None when there are none or their diagonals span more than
-    1/SPARSE_FILL_DIVISOR of those positions."""
+    """``(first, n, lo, hi)`` of entries sorted by (row, col): their positions
+    first..first + n - 1 and least and greatest offset col - row; None when
+    none or their diagonals span over 1/SPARSE_FILL_DIVISOR of the positions."""
     if not len(rows):
         return None
     first = min(rows[0], cols.min())
@@ -261,11 +244,10 @@ def _band_span(rows: np.ndarray, cols: np.ndarray) -> tuple | None:
 
 
 def _mode(k: LatticeKernel, side: int, count: int, span: Callable[[], tuple | None]) -> str:
-    """The trace-power path (see :class:`_TracePowers`) of a truncation of
-    ``count`` entries: ``diag`` for band radius 0; ``band`` for a 1-D one at
-    least SPARSE_SIDE_MIN wide whose entries have a ``_band_span``, which
-    ``span()`` gives; ``sparse`` for the others of that width holding at
-    most side^2 / SPARSE_FILL_DIVISOR entries; ``dense`` for the rest up to
+    """The trace-power path of a truncation of ``count`` entries: ``diag``
+    for band radius 0; at sides from SPARSE_SIDE_MIN, ``band`` in 1-D when
+    ``span()``, their ``_band_span``, exists, else ``sparse``, if they fill
+    at most 1/SPARSE_FILL_DIVISOR of the box; ``dense`` for the rest up to
     DENSE_SIDE_LIMIT, and ``refused`` above it."""
     if k.band_radius == 0:
         return "diag"
@@ -276,74 +258,64 @@ def _mode(k: LatticeKernel, side: int, count: int, span: Callable[[], tuple | No
     return "refused" if side > DENSE_SIDE_LIMIT else "dense"
 
 
-def _truncation(k: LatticeKernel, cutoff: int) -> _Truncation:
-    """The box truncation, from ``support_arrays`` when the kernel declares
-    them and from ``_walk`` over its band (the whole box when it declares
-    none) otherwise: checked finite, its mode chosen and held in the form
-    that mode reads (a dense one given as entries is scattered into its
-    matrix), built once per cutoff and kept on the kernel, read-only."""
-    cached = k._truncations.get(cutoff)
-    if cached is not None:
-        return cached
+def _truncation(k: LatticeKernel, cutoff: int, every_entry: bool = True) -> tuple:
+    """``(mode, entries, matrix)`` of the box truncation, from
+    ``support_arrays`` or else ``_walk`` over the band (the whole box when
+    none is declared), checked finite, built once per cutoff and kept on
+    the kernel, read-only, in the one form its mode reads: ``entries``
+    (rows, cols, vals) sorted by (row, col) for ``diag``, ``band`` and
+    ``sparse``; the side x side ``matrix`` alone for ``dense``; the given
+    form for ``refused``, whose trace alone is read: readers of
+    ``every_entry`` (norm, Schur bound, trace powers) are refused."""
     side = box_side(k.dim, cutoff)
-    if k.support_arrays is not None:
-        given = k.support_arrays(cutoff)
-    else:
-        band = k.band_radius
-        given = _walk(k, cutoff, 2 * cutoff if band is None else band)
-    mode = None
-    if isinstance(given, np.ndarray):  # the whole box, row by row
-        matrix = np.asarray(given, dtype=np.complex128)
-        _require_finite(k, cutoff, None, None, matrix)
-        # support_arrays hand over every entry of the box, a walk its nonzeros
-        count = matrix.size if k.support_arrays is not None else np.count_nonzero(matrix)
-        mode = _mode(k, side, count, lambda: None)  # a band is told from the entries
-        if mode not in ("dense", "refused"):
-            flat, mode = np.flatnonzero(matrix), None
-            given = (*np.divmod(flat, side), matrix.reshape(-1)[flat])
-    entries = None
-    if mode is None:
-        rows = np.asarray(given[0], dtype=np.int64)
-        cols = np.asarray(given[1], dtype=np.int64)
-        vals = np.asarray(given[2], dtype=np.complex128)
-        # compared pairwise: a key row * side + col overflows int64 on wide boxes
-        if ((rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))).any():
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-        _require_finite(k, cutoff, rows, cols, vals)
-        mode = _mode(k, side, len(vals), lambda: _band_span(rows, cols))
-        if mode == "dense":
-            matrix = np.zeros((side, side), dtype=np.complex128)
-            matrix[rows, cols] = vals
+    if cutoff not in k._truncations:
+        if k.support_arrays is not None:
+            given = k.support_arrays(cutoff)
         else:
-            entries, matrix = (rows, cols, vals), None
-    for a in entries or (matrix,):
-        a.flags.writeable = False
-    truncation = k._truncations[cutoff] = _Truncation(mode, entries, matrix)
+            band = k.band_radius
+            given = _walk(k, cutoff, 2 * cutoff if band is None else band)
+        mode = entries = None
+        if isinstance(given, np.ndarray):  # the whole box, row by row
+            matrix = np.asarray(given, dtype=np.complex128)
+            _require_finite(k, cutoff, None, None, matrix)
+            # support_arrays hand over every entry of the box, a walk its nonzeros
+            count = matrix.size if k.support_arrays is not None else np.count_nonzero(matrix)
+            mode = _mode(k, side, count, lambda: None)  # a band is told from the entries
+            if mode not in ("dense", "refused"):
+                flat, mode = np.flatnonzero(matrix), None
+                given = (*np.divmod(flat, side), matrix.reshape(-1)[flat])
+        if mode is None:
+            rows, cols, vals = (np.asarray(a, dtype=t) for a, t in
+                                zip(given, (np.int64, np.int64, np.complex128)))
+            # compared pairwise: a key row * side + col overflows int64 on wide boxes
+            unsorted = (rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
+            if unsorted.any():
+                order = np.lexsort((cols, rows))
+                rows, cols, vals = rows[order], cols[order], vals[order]
+            _require_finite(k, cutoff, rows, cols, vals)
+            mode = _mode(k, side, len(vals), lambda: _band_span(rows, cols))
+            if mode == "dense":
+                matrix = np.zeros((side, side), dtype=np.complex128)
+                matrix[rows, cols] = vals
+            else:
+                entries, matrix = (rows, cols, vals), None
+        for a in entries or (matrix,):
+            a.flags.writeable = False
+        k._truncations[cutoff] = mode, entries, matrix
+    mode, entries, matrix = truncation = k._truncations[cutoff]
+    if every_entry and mode == "refused":
+        count = side ** 2 if entries is None else len(entries[2])
+        raise FeasibilityError(f"truncation side {side} exceeds the dense limit "
+                               f"{DENSE_SIDE_LIMIT} and its {count} entries are neither "
+                               f"diagonal, narrowly banded nor sparse", count=side)
     return truncation
-
-
-def _usable_truncation(k: LatticeKernel, cutoff: int) -> _Truncation:
-    """The truncation for a reader of every entry: the norm, the Schur
-    bound and the trace powers refuse a ``refused`` one."""
-    t = _truncation(k, cutoff)
-    if t.mode == "refused":
-        side = box_side(k.dim, cutoff)
-        raise FeasibilityError(
-            f"truncation side {side} exceeds the dense limit {DENSE_SIDE_LIMIT} and "
-            f"its {side ** 2 if t.entries is None else len(t.entries[2])} entries "
-            f"are neither diagonal, narrowly banded nor sparse",
-            count=side,
-        )
-    return t
 
 
 def _modulus_sums(k: LatticeKernel, cutoff: int, p: float = 1.0, axis: int = 1) -> np.ndarray:
     """Sums of |K(j, m)|^p along each row (axis 1) or column (axis 0) of the
-    box truncation, each added in index order as a Python walk adds them:
-    every line of a dense one, else the lines holding entries, so the cost
-    follows the entries, not the box (an empty line would add +0.0)."""
-    _, entries, matrix = _usable_truncation(k, cutoff)
+    truncation, added in index order as a Python walk adds them: every line
+    of a dense one, else only the lines holding entries (an empty line adds +0.0)."""
+    _, entries, matrix = _truncation(k, cutoff)
     vals = matrix if entries is None else entries[2]
     mods = np.hypot(vals.real, vals.imag)  # abs() of a Python complex, bit for bit
     mods **= p
@@ -387,11 +359,9 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
         rows, cols, vals = _walk(k, cutoff, 0)
         _require_finite(k, cutoff, rows, cols, vals)
         return complex(_running_sum(vals))
-    _, entries, matrix = _truncation(k, cutoff)
-    if matrix is not None:
-        return complex(_running_sum(matrix.diagonal()))
-    rows, cols, vals = entries
-    return complex(_running_sum(vals[rows == cols]))
+    _, entries, matrix = _truncation(k, cutoff, every_entry=False)
+    diagonal = matrix.diagonal() if entries is None else entries[2][entries[0] == entries[1]]
+    return complex(_running_sum(diagonal))
 
 
 def _real_if_real(vals: np.ndarray) -> np.ndarray:
@@ -413,11 +383,12 @@ class _Band:
     ``rows`` and ``margin + 1`` after, and ``pad`` zero columns on each
     side of every row, so the strided view of :func:`_band_times`, which
     shifts P by every offset of T, reads zeros outside ``rows`` and never
-    leaves ``buf``."""
+    leaves ``buf``; it is at least 1, so each row of ``cols``, of length
+    ``pitch - 1``, holds all n positions, also for the main diagonal alone."""
 
     def __init__(self, lo: int, hi: int, n: int, dtype, t_lo: int, t_hi: int):
         width, margin = hi - lo + 1, t_hi - t_lo
-        pad = max(-lo, hi, -t_lo, t_hi, 0)
+        pad = max(-lo, hi, -t_lo, t_hi, 1)
         pitch = n + 2 * pad
         self.buf = np.zeros((width + 2 * margin + 1, pitch), dtype=dtype)
         self.lo, self.hi, self.margin, self.pad = lo, hi, margin, pad
@@ -467,56 +438,41 @@ def _band_pair_trace(a: _Band, b: _Band) -> complex:
     return complex(np.einsum("di,di->", a_diags, b_diags))
 
 
-def _narrow_band(rows, cols, vals) -> _Band:
-    """Entries sorted by (row, col) with a ``_band_span`` as a ``_Band``
-    over the positions they occupy, float64 when they are real."""
-    first, n, lo, hi = _band_span(rows, cols)
-    vals = _real_if_real(vals)
-    band = _Band(lo, hi, n, vals.dtype, lo, hi)
-    band.rows[cols - rows - lo, rows - first] = vals
-    return band
-
-
 class _TracePowers:
-    """Incremental Tr(T^m) of the box truncation of a kernel.
+    """Incremental Tr(T^m) of the box truncation of a kernel, from powers in
+    the form its mode (:func:`_mode`) holds; traces are cached as powers are
+    formed, so a determinant costs at most one product per series order.
 
-    Reads the truncation in the form its mode (chosen by :func:`_mode`)
-    holds, and caches traces as successive powers are formed, so a
-    determinant evaluation costs at most one matrix product per series
-    order.  ``_mode`` names the representation:
+    - ``diag``: power sums of the nonzero values, float64 when all are real;
+      values whose power underflows to exactly 0 are dropped, since they
+      add nothing to this or any later trace (subnormal powers stay);
+    - ``band``: ``_Band`` powers over the occupied positions, float64 when
+      the entries are real, one ``np.einsum`` per product
+      (:func:`_band_times`), and Tr(T^m) = Tr(T^a T^b), a = ceil(m/2),
+      b = floor(m/2), so only the two powers in use stay alive;
+    - ``sparse``: scipy CSR products; ``dense``: products of the
+      truncation's own matrix (a ``refused`` one is refused: its CSR
+      products would cost as much as dense ones, and run slower).
 
-    - ``diag``: Tr(T^m) is the power sum of the diagonal values, so only
-      the truncation's nonzero values are held, float64 when all are real.
-      After each product the values whose power is exactly 0 (underflowed)
-      are dropped, since they add nothing to this or any later trace;
-      subnormal powers stay;
-    - ``band``: powers are ``_Band`` arrays over the occupied positions,
-      float64 when the entries are real, one ``np.einsum`` contraction per
-      product (:func:`_band_times`), and Tr(T^m) = Tr(T^a T^b) with
-      a = ceil(m/2), b = floor(m/2): order m forms T^a at most, and only
-      the two powers in use stay alive;
-    - ``sparse``: scipy CSR products;
-    - ``dense``: products of the truncation's own matrix.  A ``refused``
-      truncation is refused here: its CSR products would cost as much as
-      dense ones, and run slower.
-
-    Sides below ``SPARSE_SIDE_MIN`` keep the dense chain, whose rounding
-    the golden reports record.  ``sparse`` and ``dense`` stay complex128;
-    traces are ``complex`` in every mode.
+    Sides below ``SPARSE_SIDE_MIN`` keep the dense chain, whose rounding the
+    golden reports record.  ``sparse`` and ``dense`` stay complex128.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
         if cutoff < 1:
             raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-        self._mode, entries, self._base = _usable_truncation(k, cutoff)
+        self._mode, entries, self._base = _truncation(k, cutoff)
         self.side = box_side(k.dim, cutoff)
         self._traces: list[complex] = []
         if entries is not None:
             rows, cols, vals = entries
             if self._mode == "diag":
                 self._base = _real_if_real(vals[vals != 0])
-            elif self._mode == "band":
-                self._base = band = _narrow_band(rows, cols, vals)
+            elif self._mode == "band":  # over the positions the entries occupy
+                first, n, lo, hi = _band_span(rows, cols)
+                vals = _real_if_real(vals)
+                self._base = band = _Band(lo, hi, n, vals.dtype, lo, hi)
+                band.rows[cols - rows - lo, rows - first] = vals
                 # one progression through the diagonals of T holding a nonzero entry
                 held = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
                 step = math.gcd(*np.diff(held).tolist()) or 1
@@ -576,13 +532,10 @@ def cycle_trace(k: LatticeKernel, m: int, cutoff: int) -> complex:
     """Tr(T^m) over the box truncation, i.e. the sum over closed index
     chains j_0 -> j_1 -> ... -> j_m = j_0 of prod_s K(j_{s-1}, j_s).
 
-    Computed through powers of the truncation in the representation that
-    :class:`_TracePowers` picks for its structure (at most m - 1 products,
-    each O(N^3) dense with N the box side, about m/2 products of O(N w)
-    per occupied diagonal for a band whose powers span w diagonals)
-    rather than the literal N^m nested sum; the two agree on the truncation
-    up to rounding, and the nested sum is retained in :mod:`specdet.oracle`
-    as a cross-check.
+    Computed through powers in the form :func:`_mode` picks (at most m - 1
+    products, each O(N^3) dense with N the box side, about m/2 of O(N w)
+    for a band whose powers span w diagonals) rather than the literal N^m
+    nested sum, which :mod:`specdet.oracle` keeps as a cross-check.
     """
     if m < 1:
         raise ParameterError(f"cycle order must be >= 1, got {m}")
@@ -594,16 +547,15 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
     """Determinant Det(I + lambda*T) of the box truncation via the trace
     series, with per-order terms and convergence diagnostics.
 
-    The truncation norm is estimated first, from the same memoised entries
+    The truncation norm is estimated first, from the same stored truncation
     as the trace powers; if |lambda| times the norm reaches 1 the
     computation proceeds anyway and a warning lands in the diagnostics,
     because the series disc is not known a priori and the ratio test
     reports the observed behaviour.
     """
     if order < 1 or cutoff < 1:
-        raise ParameterError(
-            f"order and cutoff must be >= 1, got order={order}, cutoff={cutoff}"
-        )
+        raise ParameterError(f"order and cutoff must be >= 1, got order={order}, "
+                             f"cutoff={cutoff}")
     norm = nuclear_norm_estimate(k, 1.0, cutoff)
     diagnostics: dict = {"nuclear_norm_estimate": norm}
     if abs(lam) * norm >= 1.0:
@@ -615,13 +567,10 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
     src = truncation_trace_source(k, cutoff, norm_hint=norm)
     result = plemelj_det(src, lam, order=order, tol=tol)
     result.cutoff_used = cutoff
-    merged = dict(diagnostics)
-    for key, val in result.diagnostics.items():
-        if key == "warnings" and "warnings" in merged:
-            merged["warnings"] = merged["warnings"] + val
-        else:
-            merged[key] = val
-    result.diagnostics = merged
+    warnings = diagnostics.get("warnings", []) + result.diagnostics.get("warnings", [])
+    result.diagnostics = {**diagnostics, **result.diagnostics}
+    if warnings:
+        result.diagnostics["warnings"] = warnings
     return result
 
 

@@ -21,6 +21,7 @@ from .linalg import CMatrix, lu_determinant, mat_mul
 __all__ = [
     "TruncationIndexMap",
     "assemble_truncation",
+    "check_truncation_determinant",
     "direct_determinant",
     "literal_cycle_sum",
     "literal_power_symbol",
@@ -70,6 +71,27 @@ class TruncationIndexMap:
         return self._pos[tuple(point)]
 
 
+def _assembly_guard(side: int):
+    if side > ASSEMBLY_SIDE_GUARD:
+        raise FeasibilityError(f"truncation side {side} exceeds the assembly guard "
+                               f"{ASSEMBLY_SIDE_GUARD}", count=side)
+
+
+def _lu_guard(n: int):
+    if (updates := (n ** 3 - n) // 3) > LU_UPDATE_GUARD:
+        raise FeasibilityError(f"LU determinant of side {n} needs {updates} updates, "
+                               f"above the guard of {LU_UPDATE_GUARD}", count=updates)
+
+
+def check_truncation_determinant(dim: int, cutoff: int):
+    """Refuse, before anything is built, the determinant of a truncation
+    that :func:`assemble_truncation` or :func:`direct_determinant` would
+    refuse, as they would; a cutoff below 1 is left to them."""
+    if cutoff >= 1:
+        _assembly_guard((2 * cutoff + 1) ** dim)
+        _lu_guard((2 * cutoff + 1) ** dim)
+
+
 def assemble_truncation(k, cutoff: int) -> CMatrix:
     """Dense matrix of the kernel over the box, row = output index.
 
@@ -80,12 +102,7 @@ def assemble_truncation(k, cutoff: int) -> CMatrix:
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     side = (2 * cutoff + 1) ** k.dim
-    if side > ASSEMBLY_SIDE_GUARD:
-        raise FeasibilityError(
-            f"truncation side {side} exceeds the assembly guard "
-            f"{ASSEMBLY_SIDE_GUARD}",
-            count=side,
-        )
+    _assembly_guard(side)
     imap = TruncationIndexMap(k.dim, cutoff)
     entries = []
     for i in imap.points:
@@ -105,13 +122,7 @@ def direct_determinant(m: CMatrix, lam: complex) -> complex:
     if not m.is_square:
         raise ParameterError(f"direct determinant needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    updates = (n ** 3 - n) // 3
-    if updates > LU_UPDATE_GUARD:
-        raise FeasibilityError(
-            f"LU determinant of side {n} needs {updates} updates, above the "
-            f"guard of {LU_UPDATE_GUARD}",
-            count=updates,
-        )
+    _lu_guard(n)
     lam = complex(lam)
     shifted = CMatrix(n, n, tuple(
         lam * m.entries[i * n + j] + (1.0 if i == j else 0.0)

@@ -59,7 +59,9 @@ class DetResult:
     ((-1)^(m+1)/m) * lambda^m * Tr(T^m) and ``value`` equals
     exp(sum(terms)).  ``converged`` is the ratio-test verdict described in
     :func:`plemelj_det`; ``tail_estimate`` is the geometric extrapolation of
-    the unsummed tail (infinite when the ratio test fails).
+    the unsummed tail (infinite when the ratio test fails).  ``reason`` says
+    why ``value`` is no answer: ``outside_disc`` for an infinite tail,
+    ``overflow`` when exp of the partial sum leaves the float range.
     """
 
     value: complex
@@ -69,6 +71,7 @@ class DetResult:
     tail_estimate: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
+    reason: str | None = None
 
 
 def _exceeds_hint(magnitude: float, hint: float, m: int) -> bool:
@@ -156,11 +159,12 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
             f"trace powers exceeded norm_hint^m at orders {hint_violations[:5]}"
         )
 
+    reason = "outside_disc" if math.isinf(tail) else None
     if total.real > _EXP_OVERFLOW:
         # far outside the series disc: exp of the partial log-sum exceeds
         # the float range, so report the divergence instead of crashing
         value = complex(math.inf, 0.0)
-        converged = False
+        converged, reason = False, "overflow"
         diagnostics.setdefault("warnings", []).append(
             f"partial log-series sum {total.real:.3g} overflows exp; the "
             f"series is divergent at this lambda"
@@ -176,6 +180,7 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
         tail_estimate=tail,
         converged=converged,
         diagnostics=diagnostics,
+        reason=reason,
     )
 
 

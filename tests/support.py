@@ -155,14 +155,14 @@ def assert_truncation_is_entry_walk(k, cutoff: int):
     from specdet.lattice import _truncation
 
     a = as_array(assemble_truncation(k, cutoff))
-    t = _truncation(k, cutoff)
-    if t.mode == "dense":
-        assert t.entries is None and t.matrix.dtype == np.complex128
-        assert np.array_equal(t.matrix, a)
-        rows, cols, vals = matrix_entries(t.matrix)
+    mode, entries, matrix = _truncation(k, cutoff)
+    if mode == "dense":
+        assert entries is None and matrix.dtype == np.complex128
+        assert np.array_equal(matrix, a)
+        rows, cols, vals = matrix_entries(matrix)
     else:
-        assert t.matrix is None
-        rows, cols, vals = t.entries
+        assert matrix is None
+        rows, cols, vals = entries
     assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
     assert (np.diff(rows * len(a) + cols) > 0).all()
     assert np.array_equal(vals.view(np.uint64), a[rows, cols].view(np.uint64))

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from specdet import CMatrix
 from specdet.cli import run_command
+from specdet.errors import FeasibilityError
 
 FIXTURES = pathlib.Path("fixtures")
 GOLDEN = pathlib.Path("tests/golden")
@@ -439,6 +441,61 @@ def test_oracle_refuses_a_long_lu_after_the_series():
     assert time.perf_counter() - start < 5.0
     code, report, _ = run_json([*argv, "--mode", "series"])
     assert code == 0 and report["series"]["converged"] is True
+
+
+@pytest.mark.parametrize("fixture, cutoff", [("toroidal_modulated.json", 1000),
+                                             ("banded_wide.json", 233)])
+def test_oracle_refuses_before_building_the_truncation(monkeypatch, fixture, cutoff):
+    # the LU guard is sized from the box side alone: neither the kernel nor
+    # its entry-by-entry assembly is built, and the refusal is the one
+    # direct_determinant gives, with the same count
+    import specdet.cli as cli
+    import specdet.oracle as oracle
+
+    def unreachable(*args):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setattr(cli, "toroidal_matrix", unreachable)
+    monkeypatch.setattr(cli, "assemble_truncation", unreachable)
+    side = 2 * cutoff + 1
+    with pytest.raises(FeasibilityError) as want:
+        oracle.check_truncation_determinant(1, cutoff)
+    assert want.value.count == (side ** 3 - side) // 3
+    start = time.perf_counter()
+    code, _, err = run_json(["det", "--input", str(FIXTURES / fixture), "--cutoff",
+                             str(cutoff), "--mode", "oracle"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and json.loads(err) == {"error": "feasibility", "message": str(want.value)}
+    # the same message and count as direct_determinant's own check
+    monkeypatch.setattr(oracle, "LU_UPDATE_GUARD", 100)
+    with pytest.raises(FeasibilityError) as direct:
+        oracle.direct_determinant(CMatrix.zeros(9, 9), 0.5)
+    with pytest.raises(FeasibilityError) as early:
+        oracle.check_truncation_determinant(1, 4)
+    assert (str(early.value), early.value.count) == (str(direct.value), direct.value.count)
+
+
+@pytest.mark.parametrize("fixture, lam, order, reason", [
+    ("rank_one.json", "3", "30", "outside_disc"),
+    ("rank_one.json", "3e10", "29", "overflow"),
+])
+def test_a_series_with_no_answer_reports_null_with_a_reason(fixture, lam, order, reason):
+    argv = ["--input", str(FIXTURES / fixture), "--lambda", lam, "--order", order]
+    code, report, _ = run_json(["det", *argv])
+    assert code == 0 and report["deviation"] is None
+    assert report["series"]["value"] is None and report["series"]["reason"] == reason
+    assert report["series"]["converged"] is False and report["oracle"]["value"] is not None
+    code, report, _ = run_json(["det", *argv, "--mode", "series"])
+    assert code == 4 and report["series"]["reason"] == reason
+    code, report, _ = run_json(["compare", *argv])
+    assert code == 0 and report["reason"] == reason
+    assert report["series_value"] is report["abs_deviation"] is report["rel_deviation"] is None
+    code, out, _ = run(["det", *argv])
+    assert code == 0 and f"  value        = null ({reason})\n" in out
+    assert "deviation" not in out
+    code, out, _ = run(["compare", *argv])
+    assert code == 0 and f"  series_value = null ({reason})\n" in out
+    assert "  abs_deviation= null\n  rel_deviation= null\n" in out
 
 
 def test_block_oracle_trace_sees_a_wrong_series_trace(monkeypatch):

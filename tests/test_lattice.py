@@ -377,7 +377,7 @@ def _side_vector_traces(k, cutoff, orders):
     """Tr(T^m) of a diagonal truncation by the complex side-vector chain:
     the box's diagonal as one complex128 vector, zeros included, raised one
     order at a time and summed."""
-    rows, _, vals = lattice_mod._truncation(k, cutoff).entries
+    rows, _, vals = lattice_mod._truncation(k, cutoff)[1]
     v = np.zeros(lattice_mod.box_side(k.dim, cutoff), dtype=np.complex128)
     v[rows] = vals
     cur, traces = v, []
@@ -526,6 +526,44 @@ def test_diagonal_fast_path_agrees_with_dense():
         a = cycle_trace(diag, m, 3)
         b = cycle_trace(table, m, 3)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def test_main_diagonal_alone_takes_the_band_path():
+    # a table of diagonal sites declares no band radius, so from side 128 its
+    # one occupied diagonal is a band of width 1, whose skewed view needs a
+    # padded row to hold every position
+    entries = {j: 0.9 / (1 + j * j) * (1 if j % 3 else -1) for j in range(-64, 65)}
+    table = table_kernel({(j, j): v for j, v in entries.items()})
+    powers = lattice_mod._TracePowers(table, 64)
+    assert powers._mode == "band" and (powers._base.lo, powers._base.hi) == (0, 0)
+    diag = lattice_mod._TracePowers(diagonal_kernel(entries), 64)
+    for m in range(1, 41):
+        want = diag.trace(m)
+        assert abs(powers.trace(m) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("make_kernel", [
+    lambda r: LatticeKernel(1, lambda j, m: 0.5 / (1 + (j[0] - m[0]) ** 2), label="eval-only"),
+    lambda r: rank_one_kernel({j: 1.0 / (1 + j * j) for j in range(-r, r + 1)},
+                              {j: 0.5 - 0.1j * j for j in range(-r, r + 1)}),
+], ids=["eval-only", "rank-one"])
+def test_a_dense_truncation_holds_its_matrix_alone(make_kernel):
+    # 16 bytes per entry, not the 48 of sorted (row, col, value) arrays
+    import tracemalloc
+
+    cutoff, side = 300, 601
+    k = make_kernel(cutoff)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        truncation = lattice_mod._truncation(k, cutoff)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= side * side * 16 + 256 * side
+    mode, entries, matrix = truncation
+    assert mode == "dense" and entries is None and matrix.shape == (side, side)
+    assert not matrix.flags.writeable
 
 
 def test_determinant_of_zero_kernel():
@@ -822,7 +860,7 @@ def test_entries_are_built_once_per_cutoff():
         lattice_trace(k, cutoff)
         lattice_mod._TracePowers(k, cutoff).trace(3)
     assert calls == [150, 190]
-    rows, _, vals = lattice_mod._truncation(k, 150).entries
+    rows, _, vals = lattice_mod._truncation(k, 150)[1]
     assert not rows.flags.writeable and not vals.flags.writeable
 
 
@@ -857,7 +895,7 @@ def test_entries_are_sorted_on_a_box_whose_pair_count_overflows():
     cols = np.array([3, side - 1, 0, 5], dtype=np.int64)
     vals = np.array([1, 2, 3, 4], dtype=np.complex128)
     k = LatticeKernel(2, lambda j, m: 0j, support_arrays=lambda r: (rows, cols, vals))
-    got_rows, got_cols, got_vals = lattice_mod._truncation(k, cutoff).entries
+    got_rows, got_cols, got_vals = lattice_mod._truncation(k, cutoff)[1]
     assert got_rows.tolist() == [0, 5, side - 1, side - 1]
     assert got_cols.tolist() == [side - 1, 5, 0, 3]
     assert got_vals.tolist() == [2, 4, 3, 1]

@@ -146,6 +146,17 @@ def test_divergent_series_reports_overflow_instead_of_crashing():
     assert any("diverg" in w for w in result.diagnostics.get("warnings", []))
 
 
+def test_reason_says_why_the_series_gives_no_answer():
+    # none inside the disc, converged or not; a failed ratio test is
+    # outside_disc, an exp past the float range overflow
+    assert plemelj_det(eigen_source([0.5]), 0.5, order=40).reason is None
+    slow = plemelj_det(eigen_source([0.8]), 0.5, order=25, tol=1e-300)
+    assert not slow.converged and math.isfinite(slow.tail_estimate) and slow.reason is None
+    outside = plemelj_det(eigen_source([1.0]), 3.0, order=30)
+    assert math.isinf(outside.tail_estimate) and outside.reason == "outside_disc"
+    assert plemelj_det(eigen_source([1.5]), 1.0, order=29, tol=1e-300).reason == "overflow"
+
+
 def test_non_finite_trace_power_names_the_order():
     src = TracePowerSource(lambda m: float("inf") if m == 3 else 0.0)
     with pytest.raises(EvaluationError, match="order 3"):

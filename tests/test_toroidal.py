@@ -94,7 +94,7 @@ def test_x_independent_quantization_powers_follow_its_values(amplitude, dtype):
     k = toroidal_matrix(power_decay_symbol(-2.0, amplitude=amplitude), cutoff)
     powers = lattice_mod._TracePowers(k, cutoff)
     assert powers._mode == "diag" and powers._base.dtype == dtype
-    _, _, vals = lattice_mod._truncation(k, cutoff).entries
+    _, _, vals = lattice_mod._truncation(k, cutoff)[1]
     cur = vals
     for m in range(1, 601):
         want = complex(cur.sum())
@@ -504,7 +504,7 @@ def test_wide_listed_mode_costs_only_its_entries():
     s = table_symbol({**{(l, 0): 0.25 for l in (-1, 0, 1)}, (1000, -500): 0.5})
     k = toroidal_matrix(s, cutoff)
     assert k.band_radius == 1000
-    assert len(lattice_mod._truncation(k, cutoff).entries[2]) == 4
+    assert len(lattice_mod._truncation(k, cutoff)[1][2]) == 4
     result = toroidal_determinant(s, 0.3, order=30, cutoff=cutoff)
     assert result.converged and abs(result.value - 1.075) <= 1e-12
     assert list(s._tables) == [(None, cutoff)]  # the listed entries alone
@@ -676,6 +676,17 @@ def test_two_dimensional_bad_coefficient_is_named_like_the_entry_walk():
         == ("(2, -1)", "(1, 0)")
 
 
+def test_a_sampled_quantization_hands_over_its_matrix():
+    # the stored truncation is the cached matrix itself: no copy, no entries
+    cutoff = 70
+    s = modulated_symbol({1: 0.25, -2: 0.1j}, -2.0)
+    k = toroidal_matrix(s, cutoff)
+    mode, entries, matrix = lattice_mod._truncation(k, cutoff)
+    assert mode == "dense" and entries is None
+    assert np.shares_memory(matrix, s._tables[(toroidal_mod._auto_grid(2 * cutoff), cutoff)])
+    assert bits(lattice_trace(k, cutoff)) == bits(complex(sum(matrix.diagonal().tolist())))
+
+
 @pytest.mark.parametrize("dim, cutoff, modes", [
     (1, 10, {1: 0.25}),
     (2, 3, {(1, 0): 0.25, (0, -1): 0.2 + 0.1j}),
@@ -692,9 +703,9 @@ def test_dense_quantization_above_the_dense_limit_keeps_its_trace(monkeypatch, d
         acc += k.value(n, n)
     assert bits(lattice_trace(k, cutoff)) == bits(acc)
     # the refused truncation is the sampled matrix itself, held for its trace
-    t = lattice_mod._truncation(k, cutoff)
-    (matrix,) = [v for key, v in s._tables.items() if key[1] == cutoff]
-    assert t.mode == "refused" and t.matrix is matrix and t.entries is None
+    mode, entries, held = lattice_mod._truncation(k, cutoff, every_entry=False)
+    assert mode == "refused" and entries is None
+    assert held is s._tables[(toroidal_mod._auto_grid(2 * cutoff), cutoff)]
     side = (2 * cutoff + 1) ** dim
     for needs_every_entry in (poincare_norm, truncation_trace_source):
         with pytest.raises(FeasibilityError) as info:
