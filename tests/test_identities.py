@@ -12,7 +12,6 @@ it, each kind either agrees or refuses with a reason (``DetResult.reason``).
 import numpy as np
 import pytest
 
-import specdet.lattice as lattice_mod
 from specdet import (
     BlockSymbol,
     LatticeKernel,
@@ -113,7 +112,3 @@ def test_listed_table_agrees_with_its_lattice_kernel_inside_the_disc(cutoff, lam
 def test_outside_the_disc_every_kind_agrees_or_refuses(cutoff, lam):
     for results in (_diagonal_kinds(cutoff, lam), _table_kinds(cutoff, 4 * lam)):
         _agree_or_refuse(results)
-
-
-def test_the_cutoffs_cross_the_dense_limit_of_the_side():
-    assert 2 * CUTOFFS[0] + 1 < lattice_mod.SPARSE_SIDE_MIN <= 2 * CUTOFFS[1] + 1
