@@ -62,7 +62,6 @@ class DualObject:
     """Finite list of retained dual blocks as (id, dimension) pairs."""
 
     blocks: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "blocks",

@@ -171,14 +171,11 @@ def _emit_text(report: dict, stream):
 def _lattice_kind(kernel, series_det, norm_profile) -> tuple:
     """Entry of a kind whose truncation at a cutoff is that of the lattice
     kernel ``kernel(op, cutoff)``."""
-
-    def oracle_det(p, op, a):
-        check_truncation_determinant(op.dim, a.cutoff)  # before the kernel is built
-        return direct_determinant(assemble_truncation(kernel(op, a.cutoff), a.cutoff), a.lam)
-
     return (
         series_det,
-        oracle_det,
+        lambda p, op, a: check_truncation_determinant(op.dim, a.cutoff),
+        lambda p, op, a: direct_determinant(
+            assemble_truncation(kernel(op, a.cutoff), a.cutoff), a.lam),
         lambda p, op, a: lattice_trace(kernel(op, a.cutoff), a.cutoff),
         lambda p, op, a: mat_trace(assemble_truncation(kernel(op, a.cutoff), a.cutoff)),
         lambda p, op, a: truncation_trace_source(kernel(op, a.cutoff), a.cutoff),
@@ -208,12 +205,15 @@ def _bundle_oracle_trace(op) -> complex:
     return acc
 
 
-#: spec kind (as in specfile._KINDS) -> (series det, oracle det, series trace,
-#: oracle trace, trace source, norm profile).  The first five take (params,
-#: op, args); the norm profile takes (op, cutoffs) and is None for kinds
-#: without a summed-entry norm.  Each calls the library through the names
-#: imported into this module, looked up on each call, so rebinding one of
-#: them here (as span tracing does) reaches every kind.
+#: spec kind (as in specfile._KINDS) -> (series det, oracle size check,
+#: oracle det, series trace, oracle trace, trace source, norm profile).  The
+#: first six take (params, op, args); the size check refuses, before
+#: anything is built, what the oracle det would refuse for its size, and is
+#: None where there is nothing to check.  The norm profile takes (op,
+#: cutoffs) and is None for kinds without a summed-entry norm.  Each calls
+#: the library through the names imported into this module, looked up on
+#: each call, so rebinding one of them here (as span tracing does) reaches
+#: every kind.
 _KINDS = {
     "lattice_kernel": _lattice_kind(
         lambda op, cutoff: op,
@@ -227,6 +227,7 @@ _KINDS = {
         lambda op, cutoffs: norm_growth_profile(op, cutoffs)),
     "block_symbol": (
         lambda p, op, a: invariant_determinant(op, a.lam, order=a.order, tol=a.tol),
+        None,
         lambda p, op, a: block_determinant_product(op, a.lam),
         lambda p, op, a: block_trace(op),
         lambda p, op, a: _block_oracle_trace(op),
@@ -236,6 +237,7 @@ _KINDS = {
         lambda p, op, a: manifold_determinant(op, p["alpha"], a.lam, order=a.order,
                                               tol=a.tol,
                                               manifold_dim=p.get("manifold_dim")),
+        None,
         lambda p, op, a: spectral_determinant_product(op, p["alpha"], a.lam),
         lambda p, op, a: spectral_trace_source(op, p["alpha"]).trace_power(1),
         lambda p, op, a: _spectral_oracle_trace(op, p["alpha"]),
@@ -243,6 +245,7 @@ _KINDS = {
         None),
     "bundle_symbol": (
         lambda p, op, a: bundle_determinant(op, a.lam, order=a.order, tol=a.tol),
+        None,
         lambda p, op, a: bundle_determinant_product(op, a.lam),
         lambda p, op, a: bundle_trace(op),
         lambda p, op, a: _bundle_oracle_trace(op),
@@ -255,15 +258,19 @@ def _profile_cutoffs(cutoff: int) -> list:
     return sorted({max(1, cutoff >> s) for s in range(5)})
 
 
-def _routes(mode: str, series, oracle, *call) -> tuple:
+def _routes(mode: str, series, oracle, *call, check=None) -> tuple:
     """(series, oracle) results of the routes ``--mode`` selects, series
-    first; a route not taken gives None."""
+    first; a route not taken gives None.  ``check``, the oracle's size
+    check, runs before either when the oracle is taken, so that an oracle
+    refused for its size does not wait for the series first."""
+    if check is not None and mode != "series":
+        check(*call)
     first = series(*call) if mode != "oracle" else None
     return first, (oracle(*call) if mode != "series" else None)
 
 
 def _dispatch(args, spec, op):
-    (series_det, oracle_det, series_trace, oracle_trace, trace_source,
+    (series_det, oracle_size, oracle_det, series_trace, oracle_trace, trace_source,
      norm_profile) = _KINDS[spec.kind]
     p, lam = spec.params, args.lam
     base = {
@@ -273,7 +280,8 @@ def _dispatch(args, spec, op):
         "label": spec.label,
     }
     if args.command == "det":
-        series, oracle = _routes(args.mode, series_det, oracle_det, p, op, args)
+        series, oracle = _routes(args.mode, series_det, oracle_det, p, op, args,
+                                 check=oracle_size)
         report = dict(base, **{"lambda": _cpx(lam), "order": args.order,
                                "cutoff": args.cutoff, "tol": _num(args.tol),
                                "mode": args.mode,
@@ -285,7 +293,8 @@ def _dispatch(args, spec, op):
         return report, 4 if args.mode == "series" and not series.converged else 0
 
     if args.command == "compare":
-        series, oracle = _routes("both", series_det, oracle_det, p, op, args)
+        series, oracle = _routes("both", series_det, oracle_det, p, op, args,
+                                 check=oracle_size)
         dev = {"abs": None, "rel": None} if series.reason else _deviation(series.value, oracle)
         report = dict(base, **{
             "lambda": _cpx(lam), "order": args.order, "cutoff": args.cutoff,

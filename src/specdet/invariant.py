@@ -76,10 +76,6 @@ class BlockSymbol:
         self.blocks = tuple(_read_only(b, (len(b),) * 2, f"block {l}")
                             for l, b in enumerate(self.blocks))
 
-    @property
-    def level_count(self) -> int:
-        return len(self.blocks)
-
 
 def _flat_sum(values) -> complex:
     """Left-to-right sum of complex values from 0j."""
@@ -134,6 +130,8 @@ class _WeightedBlockPowers:
         self._traces: list[complex] = []
 
     def trace(self, m: int) -> complex:
+        if m < 1:
+            raise ParameterError(f"trace power must be >= 1, got {m}")
         while len(self._traces) < m:
             if self._traces:
                 self._current = [p * base if base.ndim == 1 else np.matmul(p, base)

@@ -11,9 +11,8 @@ structure, and its trace powers Tr(T^m) are computed from powers in that
 form; the literal m-fold cycle sums live in :mod:`specdet.oracle` and are
 kept as cross-checks only, since nested sums cost N^m.
 
-Everything is a pure function of immutable inputs.  Box enumeration may be
-partitioned across workers, but partial results must be re-reduced in the
-fixed lexicographic partition order to preserve bitwise determinism.
+Everything is a pure function of immutable inputs, and every sum is taken
+in lexicographic order, so results are bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -103,9 +102,9 @@ class LatticeKernel:
     """Complex kernel on Z^dim x Z^dim with declared structure.
 
     ``eval`` maps a pair of length-``dim`` integer tuples to a complex
-    value and must be deterministic.  ``declared_support`` promises the
-    kernel vanishes outside the box |.|_inf <= R0 (spot-checked here);
-    ``band_radius`` promises it vanishes for |j - m|_inf > b.
+    value and must be deterministic; it is not called while the kernel is
+    built.  ``band_radius`` promises the kernel vanishes for
+    |j - m|_inf > b; the walk and the mode choice read it.
 
     ``support_arrays``, when given, maps a cutoff R to ``(rows, cols,
     vals)``: int64 lexicographic positions in the box |.|_inf <= R and
@@ -124,7 +123,6 @@ class LatticeKernel:
 
     dim: int
     eval: Callable[[Index, Index], complex]
-    declared_support: int | None = None
     band_radius: int | None = None
     support_arrays: Callable[[int], tuple | np.ndarray] | None = None
     label: str = ""
@@ -133,22 +131,6 @@ class LatticeKernel:
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError(f"kernel dimension must be >= 1, got {self.dim}")
-        if self.declared_support is not None:
-            self._spot_check_support()
-
-    def _spot_check_support(self):
-        r0 = self.declared_support
-        origin = (0,) * self.dim
-        far = [(r0 + 1,) + (0,) * (self.dim - 1),
-               (0,) * (self.dim - 1) + (r0 + 3,),
-               (r0 + 7,) * self.dim]
-        for outside in far:
-            for j, m in ((outside, origin), (origin, outside), (outside, outside)):
-                if self.eval(j, m) != 0:
-                    raise EvaluationError(
-                        f"kernel {self.label!r} declares support radius {r0} "
-                        f"but is nonzero at (j={j}, m={m})"
-                    )
 
     def value(self, j: Index, m: Index) -> complex:
         v = complex(self.eval(j, m))
@@ -633,8 +615,7 @@ def diagonal_kernel(entries, dim: int = 1, label: str = "diagonal") -> LatticeKe
     def eval_fn(j, m):
         return table.get(j, 0.0j) if j == m else 0.0j
 
-    return LatticeKernel(dim, eval_fn, declared_support=int(sup.max(initial=0)),
-                         band_radius=0,
+    return LatticeKernel(dim, eval_fn, band_radius=0,
                          support_arrays=_site_support(np.hstack((points, points)), sup,
                                                       values, dim),
                          label=label)
@@ -653,8 +634,8 @@ def diagonal_kernel_from_rule(rule: Callable[[Index], complex], dim: int = 1,
                         dtype=np.complex128)
         return pos, pos, vals
 
-    return LatticeKernel(dim, eval_fn, declared_support=None, band_radius=0,
-                         support_arrays=support_arrays, label=label)
+    return LatticeKernel(dim, eval_fn, band_radius=0, support_arrays=support_arrays,
+                         label=label)
 
 
 def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKernel:
@@ -662,7 +643,6 @@ def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKerne
     gt = {_as_index(j, dim): complex(v) for j, v in dict(g).items()}
     ht = {_as_index(j, dim): complex(v) for j, v in dict(h).items()}
     factors = [_site_arrays(gt, dim), _site_arrays(ht, dim)]
-    support = max(int(sup.max(initial=0)) for _, sup, _ in factors)
     spoiled = [not np.isfinite(values).all() for _, _, values in factors]
 
     def eval_fn(j, m):
@@ -691,8 +671,7 @@ def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKerne
             vals.imag = np.multiply.outer(gv.real, hv.imag) + np.multiply.outer(gv.imag, hv.real)
         return _nonzero(np.repeat(rows, len(cols)), np.tile(cols, len(rows)), vals.ravel())
 
-    return LatticeKernel(dim, eval_fn, declared_support=support,
-                         support_arrays=support_arrays, label=label)
+    return LatticeKernel(dim, eval_fn, support_arrays=support_arrays, label=label)
 
 
 def banded_kernel(offsets, support: int, dim: int = 1,
@@ -719,8 +698,8 @@ def banded_kernel(offsets, support: int, dim: int = 1,
         vals = np.broadcast_to(shift_vals[near], inside.shape)[inside]
         return _nonzero(rows, _positions(m[inside], cutoff), vals)
 
-    return LatticeKernel(dim, eval_fn, declared_support=support, band_radius=band,
-                         support_arrays=support_arrays, label=label)
+    return LatticeKernel(dim, eval_fn, band_radius=band, support_arrays=support_arrays,
+                         label=label)
 
 
 def table_kernel(entries, dim: int = 1, label: str = "table") -> LatticeKernel:
@@ -733,8 +712,7 @@ def table_kernel(entries, dim: int = 1, label: str = "table") -> LatticeKernel:
     def eval_fn(j, m):
         return table.get((j, m), 0.0j)
 
-    return LatticeKernel(dim, eval_fn, declared_support=int(sup.max(initial=0)),
-                         support_arrays=_site_support(points, sup, values, dim),
+    return LatticeKernel(dim, eval_fn, support_arrays=_site_support(points, sup, values, dim),
                          label=label)
 
 
@@ -762,5 +740,4 @@ def poincare_strict_kernel(label: str = "poincare-strict") -> LatticeKernel:
         cols = np.concatenate((diag, row_one)) + cutoff
         return rows, cols, np.concatenate((1.0 / diag ** 2, 1.0 / row_one))
 
-    return LatticeKernel(1, eval_fn, declared_support=None,
-                         support_arrays=support_arrays, label=label)
+    return LatticeKernel(1, eval_fn, support_arrays=support_arrays, label=label)

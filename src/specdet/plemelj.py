@@ -12,9 +12,8 @@ itself to a :class:`TracePowerSource` and shares one tested implementation.
 
 The exponential of the partial log-series is used directly; no complex
 logarithm of a product is ever taken, so there is no branch ambiguity.
-
-Sources may serve trace_power queries for distinct orders concurrently;
-term assembly itself is sequential in the order index.
+Terms are assembled one at a time in ascending order; every source
+memoises its powers per order and serves one query at a time.
 """
 
 from __future__ import annotations

@@ -448,7 +448,7 @@ def _build_block(p: dict, label: str) -> BlockSymbol:
 
 
 def _build_bundle(p: dict, label: str) -> BundleSymbol:
-    dual = DualObject(tuple((i, d) for i, d in p["dual"]), label=label)
+    dual = DualObject(tuple((i, d) for i, d in p["dual"]))
     entries = dict(zip([(i, r, xi) for i, r, xi, _ in p["sigma"]],
                        _arrays([rec[3] for rec in p["sigma"]])))
     return BundleSymbol.from_entries(p["fiber_dim"], dual, entries, label=label)

@@ -116,8 +116,9 @@ class ToroidalSymbol:
 
     ``_tables`` caches each quantization's storage per cutoff R: the
     sampled matrix per (n_x, R), or the listed entries per (None, R); and,
-    per (k, n_x), the value sigma(0, k) of an x-independent symbol or the
-    full DFT table of :func:`symbol_fourier_coeff`.
+    per (k, n_x), the full DFT table that :func:`symbol_fourier_coeff`
+    reads of an x-dependent symbol.  The values sigma(0, k) of an
+    x-independent symbol are not kept apart from its listed entries.
     """
 
     dim: int
@@ -168,12 +169,7 @@ def _sample_value(s: ToroidalSymbol, x: tuple, k: Index) -> complex:
 def _constant_value(s: ToroidalSymbol, k: Index, n_x: int) -> complex:
     """sigma(0, k) of an x-independent symbol, whose coefficient table is
     sigma(0, k) at the zero mode and zero elsewhere; the claim is verified on
-    a few grid points instead of transforming a constant array.  Cached per
-    (k, n_x)."""
-    key = (k, n_x)
-    cached = s._tables.get(key)
-    if cached is not None:
-        return cached
+    a few grid points instead of transforming a constant array."""
     base = _sample_value(s, (0.0,) * s.dim, k)
     for probe in (1, 3, 5):
         x = ((probe / n_x) % 1.0,) * s.dim
@@ -183,7 +179,6 @@ def _constant_value(s: ToroidalSymbol, k: Index, n_x: int) -> complex:
                 f"symbol {s.label!r} is declared x-independent but "
                 f"sigma({x}, {k}) differs from sigma(0, {k})"
             )
-    s._tables[key] = base
     return base
 
 
@@ -320,7 +315,7 @@ def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
 
 def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
-    packaged as a lattice kernel with declared support R.
+    packaged as a lattice kernel that vanishes outside that box.
 
     A symbol with listed coefficients, or an x-independent one, is its
     listed entries (:func:`_listed_entries`), read like a table kernel, with
@@ -340,8 +335,7 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     label = f"quantized:{s.label}" if s.label else "quantized"
     if s.coeffs is not None or s.x_independent:
         reach, support_arrays, lookup = _listed_entries(s, n_x, cutoff)
-        return LatticeKernel(s.dim, lambda j, m: lookup.get((j, m), 0.0j),
-                             declared_support=cutoff, band_radius=reach,
+        return LatticeKernel(s.dim, lambda j, m: lookup.get((j, m), 0.0j), band_radius=reach,
                              support_arrays=support_arrays, label=label)
     matrix = _sampled_matrix(s, n_x, cutoff)
     width = 2 * cutoff + 1
@@ -364,8 +358,8 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
         return (np.repeat(pos, len(pos)), np.tile(pos, len(pos)),
                 matrix[np.ix_(at, at)].ravel())
 
-    return LatticeKernel(s.dim, eval_fn, declared_support=cutoff,
-                         band_radius=2 * cutoff, support_arrays=support_arrays, label=label)
+    return LatticeKernel(s.dim, eval_fn, band_radius=2 * cutoff,
+                         support_arrays=support_arrays, label=label)
 
 
 def poincare_norm(k: LatticeKernel, cutoff: int) -> float:

@@ -430,7 +430,8 @@ def test_oracle_refuses_a_wide_assembly_before_starting(fixture):
 
 def test_oracle_refuses_a_long_lu_after_the_series():
     # side 467 assembles (below 2048) but its LU needs (467^3 - 467) / 3
-    # updates, above LU_UPDATE_GUARD; the series alone still answers
+    # updates, above LU_UPDATE_GUARD: the oracle's size check refuses before
+    # the series runs, and the series alone still answers
     argv = ["det", "--input", str(FIXTURES / "banded_wide.json"), "--cutoff", "233"]
     start = time.perf_counter()
     code, _, err = run_json(argv)
@@ -473,6 +474,142 @@ def test_oracle_refuses_before_building_the_truncation(monkeypatch, fixture, cut
     with pytest.raises(FeasibilityError) as early:
         oracle.check_truncation_determinant(1, 4)
     assert (str(early.value), early.value.count) == (str(direct.value), direct.value.count)
+
+
+@pytest.mark.parametrize("command", ["det", "compare"])
+def test_an_oversized_oracle_is_refused_before_the_series(monkeypatch, command):
+    # under det's default --mode both and under compare the oracle's LU guard
+    # refuses side 2001 before the series samples the symbol, with the
+    # message the oracle route gives after it
+    import specdet.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the series ran before the oracle's size check")
+
+    monkeypatch.setattr(cli, "toroidal_determinant", unreachable)
+    start = time.perf_counter()
+    code, _, err = run_json([command, "--input", str(FIXTURES / "toroidal_modulated.json"),
+                             "--cutoff", "1000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and json.loads(err) == {
+        "error": "feasibility",
+        "message": "LU determinant of side 2001 needs 2670668000 updates, "
+                   "above the guard of 33554432"}
+
+
+M1 = [[[0.5, 0.0]]]  # a 1x1 matrix
+LATTICE = dict(family="diagonal", entries=[[0, 0.5, 0.0]])
+SPECTRAL = dict(model="circle", J=2, alpha=2.0)
+BUNDLE = dict(fiber_dim=1, dual=[["a", 1]], sigma=[[1, 1, "a", M1]])
+
+
+#: case -> (spec, field, message of its validation error); each reaches a
+#: field check of specfile that no fixture or refusal record reaches
+FIELD_REFUSALS = {
+    "not-an-object": ([1, 2], "kind", "spec file must hold a JSON object"),
+    "label": (dict(kind="spectral_model", label=3, **SPECTRAL), "label",
+              "expected a string, got 3"),
+    "missing-field": (dict(kind="lattice_kernel"), "family", "required field is missing"),
+    "lattice-family": (dict(kind="lattice_kernel", family="nope"), "family",
+                       "unknown family 'nope' (have ['banded', 'diagonal', 'rank_one', "
+                       "'table'])"),
+    "lattice-dim": (dict(kind="lattice_kernel", dim=2, **LATTICE), "dim",
+                    "built-in lattice families are one-dimensional"),
+    "lattice-support": (dict(kind="lattice_kernel", family="banded", offsets=[[1, 0.5, 0.0]],
+                             support=-1), "support", "support must be >= 0"),
+    "lattice-entries": (dict(kind="lattice_kernel", family="diagonal", entries=3), "entries",
+                        "expected a list, got 3"),
+    "toroidal-family": (dict(kind="toroidal_symbol", family="nope"), "family",
+                        "unknown family 'nope' (have ['custom_table', 'modulated', "
+                        "'power_decay', 'sharpness'])"),
+    "toroidal-dim": (dict(kind="toroidal_symbol", family="sharpness", dim=0), "dim",
+                     "dim must be >= 1"),
+    "toroidal-x-grid": (dict(kind="toroidal_symbol", family="sharpness", x_grid=1), "x_grid",
+                        "x_grid must be >= 2"),
+    "blocks-empty": (dict(kind="block_symbol", blocks=[]), "blocks",
+                     "expected a nonempty list of matrices"),
+    "blocks-non-square": (dict(kind="block_symbol", blocks=[[[[1.0, 0.0], [0.0, 0.0]]]]),
+                          "block[0]", "matrix is 1x2, must be square"),
+    "blocks-matrix": (dict(kind="block_symbol", blocks=[3]), "block[0]",
+                      "expected a nonempty list of rows, got 3"),
+    "blocks-dims-type": (dict(kind="block_symbol", blocks=[M1], dims=3), "dims",
+                         "expected a list of sizes, got 3"),
+    "blocks-dims-count": (dict(kind="block_symbol", blocks=[M1], dims=[1, 1]), "dims",
+                          "2 sizes for 1 blocks"),
+    "spectral-model": (dict(kind="spectral_model", model="nope"), "model",
+                       "unknown model 'nope' (have ['circle', 'sphere2', 'table', "
+                       "'torus2'])"),
+    "spectral-alpha": (dict(SPECTRAL, kind="spectral_model", alpha=0), "alpha",
+                       "alpha must be positive"),
+    "spectral-nu": (dict(kind="spectral_model", nu=-2.0, **SPECTRAL), "nu",
+                    "nu must be positive"),
+    "spectral-manifold-dim": (dict(kind="spectral_model", manifold_dim=0, **SPECTRAL),
+                              "manifold_dim", "manifold_dim must be >= 1"),
+    "spectral-eigenvalues": (dict(kind="spectral_model", model="table", alpha=2.0,
+                                  eigenvalues=[], multiplicities=[]),
+                             "eigenvalues", "expected a nonempty list"),
+    "spectral-multiplicities": (dict(kind="spectral_model", model="table", alpha=2.0,
+                                     eigenvalues=[0.0, 1.0], multiplicities=[1]),
+                                "multiplicities", "expected 2 multiplicities"),
+    "spectral-J": (dict(SPECTRAL, kind="spectral_model", J=-1), "J",
+                   "J must be >= 0"),
+    "bundle-fiber-dim": (dict(BUNDLE, kind="bundle_symbol", fiber_dim=0), "fiber_dim",
+                         "fiber_dim must be >= 1"),
+    "bundle-dual": (dict(BUNDLE, kind="bundle_symbol", dual={}), "dual",
+                    "expected a nonempty list of [id, dim] pairs"),
+    "bundle-dual-record": (dict(BUNDLE, kind="bundle_symbol", dual=[["a"]]), "dual[0]",
+                           "expected [id, dim], got ['a']"),
+    "bundle-dual-dim": (dict(BUNDLE, kind="bundle_symbol", dual=[["a", 0]]),
+                        "dual[0][1]", "block dimension must be >= 1"),
+    "bundle-sigma": (dict(BUNDLE, kind="bundle_symbol", sigma={}), "sigma",
+                     "expected a list of [i, r, xi, matrix] records, got {}"),
+    "bundle-dual-id": (dict(BUNDLE, kind="bundle_symbol", sigma=[[1, 1, "b", M1]]),
+                       "sigma[0]", "unknown dual id 'b'"),
+    "bundle-fiber-index": (dict(BUNDLE, kind="bundle_symbol", sigma=[[2, 1, "a", M1]]),
+                           "sigma[0]", "fiber indices (2, 1) outside 1..1"),
+    "bundle-duplicate": (dict(BUNDLE, kind="bundle_symbol", sigma=[[1, 1, "a", M1]] * 2),
+                         "sigma[1]", "duplicate sigma entry for (1, 1, 'a')"),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_REFUSALS)
+def test_field_refusals_name_the_field(tmp_path, case):
+    spec, field, message = FIELD_REFUSALS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_json(["det", "--input", str(path)])
+    assert (code, out) == (2, None)
+    assert json.loads(err) == {"error": "validation", "field": field,
+                               "message": f"{field}: {message}"}
+
+
+def test_x_grid_reaches_the_quantization(tmp_path, monkeypatch):
+    # a valid x_grid is the grid the symbol is sampled on; one that cannot
+    # hold the modes of the box is refused as aliasing
+    import specdet.toroidal as toroidal
+
+    grids = []
+    sampled = toroidal._sampled_matrix
+    monkeypatch.setattr(toroidal, "_sampled_matrix",
+                        lambda s, n_x, cutoff: grids.append(n_x) or sampled(s, n_x, cutoff))
+    spec = json.loads((FIXTURES / "toroidal_modulated.json").read_text())
+    reports = []
+    for x_grid in (None, 40):
+        path = tmp_path / f"grid_{x_grid}.json"
+        path.write_text(json.dumps(spec if x_grid is None else {**spec, "x_grid": x_grid}))
+        code, report, _ = run_json(["det", "--input", str(path), "--cutoff", "2",
+                                    "--mode", "series"])
+        assert code == 0
+        reports.append(report["series"]["value"])
+    assert grids == [toroidal._auto_grid(max(4, 2)), 40] and grids[0] != 40
+    # the symbol is a trigonometric polynomial: both grids give its coefficients
+    assert abs(complex(*reports[1]) - complex(*reports[0])) <= 1e-15
+    path = tmp_path / "grid_8.json"
+    path.write_text(json.dumps({**spec, "x_grid": 8}))
+    code, _, err = run_json(["det", "--input", str(path), "--cutoff", "2"])
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "computation" and "aliases on a 8-point grid" in payload["message"]
 
 
 @pytest.mark.parametrize("fixture, lam, order, reason", [

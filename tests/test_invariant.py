@@ -5,11 +5,14 @@ import pytest
 
 from specdet import (
     BlockSymbol,
+    BundleSymbol,
     CMatrix,
+    DualObject,
     SpectralModel,
     block_power_trace,
     block_trace,
     block_trace_source,
+    bundle_trace_source,
     circle_model,
     invariant_determinant,
     lu_determinant,
@@ -19,6 +22,7 @@ from specdet import (
     mat_trace,
     sphere2_model,
     spectral_determinant_product,
+    spectral_trace_source,
     torus2_model,
     weyl_tail_check,
 )
@@ -83,6 +87,24 @@ def test_block_source_matches_cmatrix_route():
     for m in range(1, 41):
         expected = block_power_trace(s, m)
         assert abs(src.trace_power(m) - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("source", ["block", "bundle", "spectral"])
+def test_sources_refuse_trace_powers_below_one(source):
+    # before and after powers are formed: a formed power must not answer
+    # for m = 0 or a negative m
+    if source == "block":
+        src = block_trace_source(BlockSymbol((np.eye(2) * 0.5, np.ones((1, 1)))))
+    elif source == "bundle":
+        a = BundleSymbol.identity(2, DualObject((("xi", 2),)))
+        src = bundle_trace_source(a)
+    else:
+        src = spectral_trace_source(sphere2_model(3), 3.0)
+    for _ in range(2):
+        for m in (0, -2):
+            with pytest.raises(ParameterError, match=f"trace power must be >= 1, got {m}$"):
+                src.trace_power(m)
+        src.trace_power(3)
 
 
 def test_block_source_of_nilpotent_and_empty_symbols():

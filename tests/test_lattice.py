@@ -24,12 +24,16 @@ from specdet import (
     mat_mul,
     mat_power_trace,
     mat_trace,
+    modulated_symbol,
     nuclear_norm_estimate,
     poincare_strict_kernel,
+    power_decay_symbol,
     radius_estimate,
     rank_one_kernel,
     schur_bound,
     table_kernel,
+    table_symbol,
+    toroidal_matrix,
 )
 from specdet.errors import EvaluationError, FeasibilityError, ParameterError
 
@@ -655,9 +659,32 @@ def test_non_finite_kernel_names_offending_index():
         cycle_trace(k, 2, 2)
 
 
-def test_declared_support_is_spot_checked():
-    with pytest.raises(EvaluationError, match="support"):
-        LatticeKernel(1, lambda j, m: 1.0, declared_support=2)
+@pytest.mark.parametrize("build", [
+    lambda: diagonal_kernel({0: 1.0, 2: 0.5}),
+    lambda: diagonal_kernel_from_rule(lambda j: 2.0 ** -abs(j[0])),
+    lambda: rank_one_kernel({0: 1.0, 1: 0.5}, {-1: 0.25, 0: 1.0}),
+    lambda: banded_kernel({-1: 0.25, 1: 0.5}, support=3),
+    lambda: table_kernel({(0, 1): 0.5, (2, -2): 0.25}),
+    lambda: poincare_strict_kernel(),
+    lambda: toroidal_matrix(power_decay_symbol(-2.0), 4),
+    lambda: toroidal_matrix(table_symbol({(1, 0): 0.5, (0, 2): 0.25}), 4),
+    lambda: toroidal_matrix(modulated_symbol({1: 0.25, -1: 0.25}, -2.0), 4),
+], ids=["diagonal", "diagonal-rule", "rank-one", "banded", "table", "poincare-strict",
+        "toroidal-constant", "toroidal-table", "toroidal-sampled"])
+def test_building_a_kernel_evaluates_nothing(monkeypatch, build):
+    calls = []
+    post_init = LatticeKernel.__post_init__
+
+    def counting(k):
+        evaluate = k.eval
+        k.eval = lambda j, m: calls.append((j, m)) or evaluate(j, m)
+        post_init(k)
+
+    monkeypatch.setattr(LatticeKernel, "__post_init__", counting)
+    k = build()
+    assert calls == []
+    k.eval((0,), (0,))
+    assert calls == [((0,), (0,))]
 
 
 def test_hookless_kernel_refuses_huge_norm_enumeration():
@@ -945,7 +972,7 @@ def test_support_arrays_are_the_sorted_build(monkeypatch, family, dim):
     with monkeypatch.context() as m:
         m.setattr(lattice_mod, "_site_arrays", sorted_site_arrays)
         ref, table_ref = make(), as_table()
-    assert (k.declared_support, k.band_radius) == (ref.declared_support, ref.band_radius)
+    assert k.band_radius == ref.band_radius
     for cutoff in (1, 2, 3, 5):
         got, want = k.support_arrays(cutoff), table_ref.support_arrays(cutoff)
         assert [a.dtype for a in got] == [np.int64, np.int64, np.complex128]

@@ -524,7 +524,7 @@ def test_listed_quantizations_sample_nothing(family):
     kernels = [toroidal_matrix(s, cutoff) for _ in range(2)]
     per_k = 4 if family == "power_decay" else 0
     assert sorted(calls) == sorted([(k,) for k in range(-cutoff, cutoff + 1)] * per_k)
-    assert all(key[0] is None or isinstance(key[0], tuple) for key in s._tables)
+    assert list(s._tables) == [(None, cutoff)]  # the listed entries alone
     assert [bits(a) for a in kernels[0].support_arrays(cutoff)] \
         == [bits(a) for a in kernels[1].support_arrays(cutoff)]
     if family == "power_decay":
