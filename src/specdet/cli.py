@@ -14,7 +14,9 @@ series and oracle determinant, series and oracle trace, trace-power source
 and, for lattice kernels and toroidal symbols, the norm profile.
 
 Floats in JSON reports are rounded to 12 significant digits, which makes
-reports byte-stable across runs of the same build.
+reports byte-stable across runs of the same build.  They stay so across
+BLAS thread counts for spectral sums, which are summed in single-thread
+chunks, but not for dense trace powers: at side 129 their last bits move.
 """
 
 from __future__ import annotations

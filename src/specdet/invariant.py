@@ -111,6 +111,20 @@ def block_power_trace(s: BlockSymbol, m: int) -> complex:
     return acc
 
 
+#: longest vector one ``np.dot`` sums: OpenBLAS 0.3.31 splits longer ones
+#: across threads, whose partial sums meet in an order set by their count
+DOT_CHUNK = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``np.dot`` of two vectors, by chunks of DOT_CHUNK added left to right:
+    the same bits on any BLAS thread count, ``np.dot``'s up to DOT_CHUNK."""
+    total = np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK])
+    for start in range(DOT_CHUNK, len(a), DOT_CHUNK):
+        total += np.dot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK])
+    return total
+
+
 class _WeightedBlockPowers:
     """Incremental trace powers sum_b w_b Tr(B_b^m) over groups of square blocks.
 
@@ -119,7 +133,7 @@ class _WeightedBlockPowers:
     or the (g,) values of 1x1 blocks.  Each order costs one batched
     ``np.matmul`` per stack and one ``np.einsum("bii,b->")`` of its
     diagonals against the weights, or one elementwise product and one
-    ``np.dot`` per vector of values; the groups add in the order given.
+    ``_dot`` per vector of values; the groups add in the order given.
     Blocks sum within their group first, so grouping the same blocks
     differently can move the last bits of a trace.
     """
@@ -138,7 +152,7 @@ class _WeightedBlockPowers:
                                  for p, (_, base) in zip(self._current, self._groups)]
             acc = 0.0j
             for (w, _), p in zip(self._groups, self._current):
-                acc += complex(np.dot(w, p) if p.ndim == 1 else np.einsum("bii,b->", p, w))
+                acc += complex(_dot(w, p) if p.ndim == 1 else np.einsum("bii,b->", p, w))
             self._traces.append(acc)
         return self._traces[m - 1]
 
@@ -252,11 +266,11 @@ def weyl_tail_check(sp: SpectralModel, alpha: float, J: int | None = None) -> fl
         raise ParameterError("tail check needs at least one level")
     weights = sp.multiplicities[: J + 1].astype(np.float64)
     values = (1.0 + sp.eigenvalues[: J + 1]) ** (-alpha / sp.nu)
-    total = float(np.dot(weights, values))
+    total = float(_dot(weights, values))
     if total == 0.0:
         return 0.0
     half = J // 2
-    tail = float(np.dot(weights[half + 1:], values[half + 1:]))
+    tail = float(_dot(weights[half + 1:], values[half + 1:]))
     return tail / total
 
 

@@ -585,8 +585,8 @@ def _sup_norms(points: np.ndarray) -> np.ndarray:
 def _site_arrays(table: dict, width: int) -> tuple:
     """A table {site: value} as its sites in lexicographic order, an
     (n, width) int64 array, their uint64 sup norms and their complex128
-    values.  A site is a tuple of ``width`` ints, or a pair of tuples of
-    ``width``/2 ints each, read as their concatenation."""
+    values, which the family constructors below are built from.  A site is
+    a tuple of ``width`` ints, or a pair of tuples of ``width``/2 ints each."""
     points = np.array(list(table), dtype=np.int64).reshape(-1, width)
     order = np.lexsort(points.T[::-1])  # sites are distinct: one total order
     points = points[order]
@@ -594,31 +594,36 @@ def _site_arrays(table: dict, width: int) -> tuple:
     return points, _sup_norms(points), values
 
 
-def _site_support(points: np.ndarray, sup: np.ndarray, values: np.ndarray,
-                  dim: int) -> Callable[[int], tuple]:
-    """``support_arrays`` of a kernel given by finitely many entries: the
-    site arrays of a table {(j, m): value}, j and m of ``dim`` ints."""
+def _table_sites(points, sup, values, dim: int, label: str,
+                 band_radius: int | None = None) -> LatticeKernel:
+    """The kernel of the site arrays of a table {(j, m): value}, j and m of
+    ``dim`` ints; ``eval`` reads a dict built on its first call."""
+    table = None
+
+    def eval_fn(j, m):
+        nonlocal table
+        if table is None:
+            table = dict(zip(zip(map(tuple, points[:, :dim].tolist()),
+                                 map(tuple, points[:, dim:].tolist())), values.tolist()))
+        return table.get((j, m), 0.0j)
 
     def support_arrays(cutoff):
         inside = sup <= cutoff
         return _nonzero(_positions(points[inside, :dim], cutoff),
                         _positions(points[inside, dim:], cutoff), values[inside])
 
-    return support_arrays
+    return LatticeKernel(dim, eval_fn, band_radius=band_radius,
+                         support_arrays=support_arrays, label=label)
+
+
+def _diagonal_sites(points, sup, values, dim: int, label: str) -> LatticeKernel:
+    return _table_sites(np.hstack((points, points)), sup, values, dim, label, band_radius=0)
 
 
 def diagonal_kernel(entries, dim: int = 1, label: str = "diagonal") -> LatticeKernel:
     """K(j, j) = given value on a finite set of diagonal sites, else 0."""
     table = {_as_index(j, dim): complex(v) for j, v in dict(entries).items()}
-    points, sup, values = _site_arrays(table, dim)
-
-    def eval_fn(j, m):
-        return table.get(j, 0.0j) if j == m else 0.0j
-
-    return LatticeKernel(dim, eval_fn, band_radius=0,
-                         support_arrays=_site_support(np.hstack((points, points)), sup,
-                                                      values, dim),
-                         label=label)
+    return _diagonal_sites(*_site_arrays(table, dim), dim, label)
 
 
 def diagonal_kernel_from_rule(rule: Callable[[Index], complex], dim: int = 1,
@@ -638,15 +643,15 @@ def diagonal_kernel_from_rule(rule: Callable[[Index], complex], dim: int = 1,
                          label=label)
 
 
-def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKernel:
-    """K(j, m) = g(j) * h(m) for finitely supported tables g and h."""
-    gt = {_as_index(j, dim): complex(v) for j, v in dict(g).items()}
-    ht = {_as_index(j, dim): complex(v) for j, v in dict(h).items()}
-    factors = [_site_arrays(gt, dim), _site_arrays(ht, dim)]
+def _rank_one_sites(factors: list, dim: int, label: str) -> LatticeKernel:
     spoiled = [not np.isfinite(values).all() for _, _, values in factors]
+    tables = None
 
     def eval_fn(j, m):
-        return gt.get(j, 0.0j) * ht.get(m, 0.0j)
+        nonlocal tables
+        if tables is None:
+            tables = [dict(zip(map(tuple, p.tolist()), v.tolist())) for p, _, v in factors]
+        return tables[0].get(j, 0.0j) * tables[1].get(m, 0.0j)
 
     def factor(cutoff, which):
         # a non-finite value of the other factor makes its whole line
@@ -674,18 +679,25 @@ def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKerne
     return LatticeKernel(dim, eval_fn, support_arrays=support_arrays, label=label)
 
 
-def banded_kernel(offsets, support: int, dim: int = 1,
-                  label: str = "banded") -> LatticeKernel:
-    """Toeplitz band on a box: K(j, m) = c_{m-j} for |j|,|m| <= support."""
+def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKernel:
+    """K(j, m) = g(j) * h(m) for finitely supported tables g and h."""
+    g, h = ({_as_index(j, dim): complex(v) for j, v in dict(f).items()} for f in (g, h))
+    return _rank_one_sites([_site_arrays(g, dim), _site_arrays(h, dim)], dim, label)
+
+
+def _banded_sites(shift_pts, shift_sup, shift_vals, support: int, dim: int,
+                  label: str) -> LatticeKernel:
     if support < 0:
         raise ParameterError(f"support must be >= 0, got {support}")
-    off = {_as_index(d, dim): complex(v) for d, v in dict(offsets).items()}
-    shift_pts, shift_sup, shift_vals = _site_arrays(off, dim)
     band = int(shift_sup.max(initial=0))
+    off = None
 
     def eval_fn(j, m):
+        nonlocal off
         if _sup_norm(j) > support or _sup_norm(m) > support:
             return 0.0j
+        if off is None:
+            off = dict(zip(map(tuple, shift_pts.tolist()), shift_vals.tolist()))
         return off.get(tuple(y - x for x, y in zip(j, m)), 0.0j)
 
     def support_arrays(cutoff):
@@ -702,18 +714,18 @@ def banded_kernel(offsets, support: int, dim: int = 1,
                          label=label)
 
 
+def banded_kernel(offsets, support: int, dim: int = 1,
+                  label: str = "banded") -> LatticeKernel:
+    """Toeplitz band on a box: K(j, m) = c_{m-j} for |j|,|m| <= support."""
+    off = {_as_index(d, dim): complex(v) for d, v in dict(offsets).items()}
+    return _banded_sites(*_site_arrays(off, dim), support, dim, label)
+
+
 def table_kernel(entries, dim: int = 1, label: str = "table") -> LatticeKernel:
     """Kernel from an explicit finite list of ((j, m), value) sites."""
-    table = {}
-    for (j, m), v in dict(entries).items():
-        table[(_as_index(j, dim), _as_index(m, dim))] = complex(v)
-    points, sup, values = _site_arrays(table, 2 * dim)
-
-    def eval_fn(j, m):
-        return table.get((j, m), 0.0j)
-
-    return LatticeKernel(dim, eval_fn, support_arrays=_site_support(points, sup, values, dim),
-                         label=label)
+    table = {(_as_index(j, dim), _as_index(m, dim)): complex(v)
+             for (j, m), v in dict(entries).items()}
+    return _table_sites(*_site_arrays(table, 2 * dim), dim, label)
 
 
 def poincare_strict_kernel(label: str = "poincare-strict") -> LatticeKernel:

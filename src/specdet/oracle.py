@@ -59,7 +59,6 @@ class TruncationIndexMap:
         self.dim = dim
         self.cutoff = cutoff
         self.points = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
-        self._pos = {pt: i for i, pt in enumerate(self.points)}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -68,7 +67,8 @@ class TruncationIndexMap:
         return self.points[position]
 
     def position(self, point) -> int:
-        return self._pos[tuple(point)]
+        return sum((x + self.cutoff) * (2 * self.cutoff + 1) ** (self.dim - 1 - a)
+                   for a, x in enumerate(point))
 
 
 def _assembly_guard(side: int):
@@ -124,11 +124,9 @@ def direct_determinant(m: CMatrix, lam: complex) -> complex:
     n = m.rows
     _lu_guard(n)
     lam = complex(lam)
-    shifted = CMatrix(n, n, tuple(
-        lam * m.entries[i * n + j] + (1.0 if i == j else 0.0)
-        for i in range(n) for j in range(n)
-    ))
-    return lu_determinant(shifted)
+    shifted = [lam * z + 0.0 for z in m.entries]
+    shifted[::n + 1] = [lam * z + 1.0 for z in m.entries[::n + 1]]
+    return lu_determinant(CMatrix(n, n, tuple(shifted)))
 
 
 def literal_cycle_sum(k, m: int, cutoff: int) -> complex:

@@ -96,8 +96,8 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
     """
     if order < 1:
         raise ParameterError(f"series order must be >= 1, got {order}")
-    if not tol > 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tolerance must be positive and finite, got {tol}")
     lam = complex(lam)
     diagnostics: dict = {}
     hint_violations: list[int] = []

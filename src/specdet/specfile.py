@@ -14,7 +14,10 @@ normalizing it would return, so it is kept as it is, and no field path
 is built.  Any other list (int values to convert, bools, strings,
 non-finite numbers, records of the wrong length) goes through the
 per-item walk, which normalizes it or names the first bad item, so the
-normalized values and every message are the walk's.
+normalized values and every message are the walk's.  Params keep the
+lists; the builders turn each lattice or coefficient list into sorted int64
+site arrays and complex128 values in one pass (``_sites``), and refuse a
+site listed twice, naming the later record, after every other check.
 
 The kind table ``_KINDS`` at the end of the module is the one list of
 kinds: it maps each kind to its validator (spec object to normalized
@@ -36,17 +39,18 @@ from .errors import SpecParseError, SpecValidationError
 from .invariant import BlockSymbol, SpectralModel, circle_model, sphere2_model, torus2_model
 from .lattice import (
     LatticeKernel,
-    banded_kernel,
-    diagonal_kernel,
-    rank_one_kernel,
-    table_kernel,
+    _banded_sites,
+    _diagonal_sites,
+    _rank_one_sites,
+    _sup_norms,
+    _table_sites,
 )
 from .toroidal import (
     ToroidalSymbol,
+    _listed_symbol,
     modulated_symbol,
     power_decay_symbol,
     sharpness_symbol,
-    table_symbol,
 )
 
 __all__ = ["OperatorSpec", "parse_spec", "parse_spec_text", "emit_spec", "build_operator"]
@@ -454,21 +458,41 @@ def _build_bundle(p: dict, label: str) -> BundleSymbol:
     return BundleSymbol.from_entries(p["fiber_dim"], dual, entries, label=label)
 
 
+def _refuse_repeat(records: list, slots: int, fld: str):
+    """Refuse the first record whose site an earlier record lists."""
+    first = {}
+    for n, rec in enumerate(records):
+        site = tuple(rec[:slots])
+        if site in first:
+            _fail(f"site {site} is listed twice (first at {fld}[{first[site]}])", f"{fld}[{n}]")
+        first[site] = n
+
+
+def _sites(records: list, slots: int, fld: str) -> tuple:
+    """Site arrays (lattice._site_arrays) of validated [idx..., re, im] records,
+    from one pass over them flattened; a site listed twice is refused."""
+    flat = np.fromiter(chain.from_iterable(records), dtype=object,
+                       count=len(records) * (slots + 2)).reshape(-1, slots + 2)
+    sites = flat[:, :slots].astype(np.int64)
+    order = np.lexsort(sites.T[::-1])
+    sites = sites[order]
+    if (sites[1:] == sites[:-1]).all(axis=1).any():
+        _refuse_repeat(records, slots, fld)
+    values = flat[:, slots:].astype(np.float64).view(np.complex128)[order, 0]
+    return sites, _sup_norms(sites), values
+
+
 def _build_lattice(p: dict, label: str) -> LatticeKernel:
-    family = p["family"]
-    if family == "diagonal":
-        entries = {rec[0]: complex(rec[1], rec[2]) for rec in p["entries"]}
-        return diagonal_kernel(entries, dim=p["dim"], label=label or "diagonal")
+    family, dim = p["family"], p["dim"]
     if family == "rank_one":
-        g = {rec[0]: complex(rec[1], rec[2]) for rec in p["g"]}
-        h = {rec[0]: complex(rec[1], rec[2]) for rec in p["h"]}
-        return rank_one_kernel(g, h, dim=p["dim"], label=label or "rank-one")
+        return _rank_one_sites([_sites(p[f], dim, f) for f in ("g", "h")], dim,
+                               label or "rank-one")
     if family == "banded":
-        offsets = {rec[0]: complex(rec[1], rec[2]) for rec in p["offsets"]}
-        return banded_kernel(offsets, p["support"], dim=p["dim"],
-                             label=label or "banded")
-    entries = {(rec[0], rec[1]): complex(rec[2], rec[3]) for rec in p["entries"]}
-    return table_kernel(entries, dim=p["dim"], label=label or "table")
+        return _banded_sites(*_sites(p["offsets"], dim, "offsets"), p["support"], dim,
+                             label or "banded")
+    if family == "diagonal":
+        return _diagonal_sites(*_sites(p["entries"], dim, "entries"), dim, label or "diagonal")
+    return _table_sites(*_sites(p["entries"], 2 * dim, "entries"), dim, label or "table")
 
 
 def _build_toroidal(p: dict, label: str) -> ToroidalSymbol:
@@ -481,17 +505,15 @@ def _build_toroidal(p: dict, label: str) -> ToroidalSymbol:
     elif family == "sharpness":
         sym = sharpness_symbol(dim=dim, label=label)
     elif family == "modulated":
-        modes = {tuple(rec[:dim]) if dim > 1 else rec[0]: complex(rec[dim], rec[dim + 1])
-                 for rec in p["modes"]}
+        # Python ints, in listed order: modes may pass int64, and samples add them in order
+        modes = {tuple(rec[:dim]): complex(rec[dim], rec[dim + 1]) for rec in p["modes"]}
         sym = modulated_symbol(modes, p["decay_order"], dim=dim,
                                amplitude=_complex(p["amplitude"]), label=label)
+        if len(modes) < len(p["modes"]):
+            _refuse_repeat(p["modes"], dim, "modes")
     else:
-        entries = {}
-        for rec in p["entries"]:
-            l = tuple(rec[:dim]) if dim > 1 else rec[dim - 1]
-            k = tuple(rec[dim:2 * dim]) if dim > 1 else rec[2 * dim - 1]
-            entries[(l, k)] = complex(rec[2 * dim], rec[2 * dim + 1])
-        sym = table_symbol(entries, dim=dim, order=p["order"], label=label)
+        sites, _, values = _sites(p["entries"], 2 * dim, "entries")
+        sym = _listed_symbol(sites, values, dim, p["order"], label)
     if "x_grid" in p:
         sym.x_grid = p["x_grid"]
     return sym

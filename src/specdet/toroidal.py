@@ -29,6 +29,7 @@ profile is for.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,11 +41,12 @@ from .errors import AliasingError, EvaluationError, FeasibilityError, ParameterE
 from .lattice import (
     Index,
     LatticeKernel,
+    _as_index,
     _box_points,
     _modulus_sums,
     _positions,
     _site_arrays,
-    _site_support,
+    _table_sites,
     _sup_norms,
     iter_box,
     lattice_determinant,
@@ -237,7 +239,7 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
 
 
 def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
-    """(band radius b, ``support_arrays``, {(j, k): value}) of a quantization
+    """(band radius b, site arrays of {(j, k): value}) of a quantization
     read from listed entries: each listed coefficient sigma_hat(l, k), or
     each value sigma(0, k) of an x-independent symbol at l = 0, is the
     entry (l + k, k), kept where k and l + k lie in the box.  b is the
@@ -262,10 +264,8 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     inside = _sup_norms(js) <= cutoff
     ls, js, ks, values = ls[inside], js[inside], ks[inside], values[inside]
     points = np.hstack((js, ks))
-    lookup = dict(zip(zip(map(tuple, js.tolist()), map(tuple, ks.tolist())), values.tolist()))
     cached = s._tables[key] = (int(_sup_norms(ls).max(initial=0)),
-                               _site_support(points, _sup_norms(points), values, s.dim),
-                               lookup)
+                               points, _sup_norms(points), values)
     return cached
 
 
@@ -318,10 +318,10 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     packaged as a lattice kernel that vanishes outside that box.
 
     A symbol with listed coefficients, or an x-independent one, is its
-    listed entries (:func:`_listed_entries`), read like a table kernel, with
-    band radius their largest |l|_inf (0 when x-independent); ``eval`` is a
-    dict lookup.  Any other symbol is sampled into the dense side x side
-    matrix (:func:`_sampled_matrix`): ``eval`` is one lookup, and
+    listed entries (:func:`_listed_entries`) as a table kernel, with band
+    radius their largest |l|_inf (0 when x-independent).  Any other symbol
+    is sampled into the dense side x side matrix (:func:`_sampled_matrix`):
+    ``eval`` is one lookup, and
     ``support_arrays`` hands the matrix itself over at R (every pair of the
     box at another cutoff).  Either is built on the first call and shared
     by later ones.  The grid, ``x_grid`` or the automatic one, must hold the modes
@@ -334,9 +334,8 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
     _check_alias((mode,) * s.dim, n_x, s.label)
     label = f"quantized:{s.label}" if s.label else "quantized"
     if s.coeffs is not None or s.x_independent:
-        reach, support_arrays, lookup = _listed_entries(s, n_x, cutoff)
-        return LatticeKernel(s.dim, lambda j, m: lookup.get((j, m), 0.0j), band_radius=reach,
-                             support_arrays=support_arrays, label=label)
+        reach, *sites = _listed_entries(s, n_x, cutoff)
+        return _table_sites(*sites, s.dim, label, band_radius=reach)
     matrix = _sampled_matrix(s, n_x, cutoff)
     width = 2 * cutoff + 1
 
@@ -531,12 +530,7 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
     """Trigonometric polynomial in x times a power decay in k:
     sigma(x, k) = (sum_theta c_theta e^{2*pi*i*x.theta}) * c*(1+|k|^2)^(nu/2)."""
     amplitude = complex(amplitude)
-    mode_table = {}
-    for theta, c in dict(modes).items():
-        theta = tuple(int(t) for t in (theta if isinstance(theta, (tuple, list)) else (theta,)))
-        if len(theta) != dim:
-            raise ParameterError(f"mode {theta} does not have dimension {dim}")
-        mode_table[theta] = complex(c)
+    mode_table = {_as_index(theta, dim): complex(c) for theta, c in dict(modes).items()}
     x_indep = all(all(t == 0 for t in theta) for theta in mode_table)
     # the phases x.theta are floats: a mode beyond the float range fails
     # here (OverflowError) rather than sizing an unbounded grid
@@ -573,39 +567,31 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
                           mode_reach=reach)
 
 
-def table_symbol(entries, dim: int = 1, order: float = 0.0,
-                 label: str = "") -> ToroidalSymbol:
-    """Symbol with explicitly listed Fourier coefficients sigma_hat(l, k);
-    evaluates as the trig polynomial sum_l sigma_hat(l, k) e^{2*pi*i*x.l}
-    and is quantized from the list itself (``coeffs``).  Indices must fit
-    int64 and values must be finite."""
+def _listed_symbol(sites: np.ndarray, values: np.ndarray, dim: int, order: float,
+                   label: str) -> ToroidalSymbol:
+    """:func:`table_symbol` of the sorted site arrays (l, k) of its coefficients."""
     label = label or "coefficient-table"
-    table = {}
-    for (l, k), v in dict(entries).items():
-        l = tuple(int(t) for t in (l if isinstance(l, (tuple, list)) else (l,)))
-        k = tuple(int(t) for t in (k if isinstance(k, (tuple, list)) else (k,)))
-        if len(l) != dim or len(k) != dim:
-            raise ParameterError(f"entry index ({l}, {k}) does not have dimension {dim}")
-        table[(l, k)] = complex(v)
-    x_indep = all(all(t == 0 for t in l) for l, _ in table)
-    sites, _, values = _site_arrays(table, 2 * dim)
     finite = np.isfinite(values)
     if not finite.all():
         bad = sites[int(np.argmin(finite))].tolist()
         raise EvaluationError(f"symbol {label!r} has a non-finite coefficient at "
                               f"(l={tuple(bad[:dim])}, k={tuple(bad[dim:])})")
 
+    @functools.cache
+    def by_k() -> dict:
+        """k -> [(l, sigma_hat(l, k))] in site order, built on the first call."""
+        terms = {}
+        for l, k, v in zip(map(tuple, sites[:, :dim].tolist()),
+                           map(tuple, sites[:, dim:].tolist()), values.tolist()):
+            terms.setdefault(k, []).append((l, v))
+        return terms
+
     def eval_fn(x, k):
         acc = 0.0j
-        for (l, kk), v in table.items():
-            if kk == k:
-                phase = sum(xi * li for xi, li in zip(x, l))
-                acc += v * cmath.exp(2j * math.pi * phase)
+        for l, v in by_k().get(k, ()):
+            phase = sum(xi * li for xi, li in zip(x, l))
+            acc += v * cmath.exp(2j * math.pi * phase)
         return acc
-
-    by_k = {}  # k -> [(l, sigma_hat(l, k))] in the order eval_fn adds them
-    for (l, kk), v in table.items():
-        by_k.setdefault(kk, []).append((l, v))
 
     waves = {}
 
@@ -613,8 +599,21 @@ def table_symbol(entries, dim: int = 1, order: float = 0.0,
         out = np.empty((len(ks),) + (n_x,) * dim, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             for row, k in zip(out, ks):
-                row.real, row.imag = _wave_sum(waves, n_x, dim, by_k.get(k, ()))
+                row.real, row.imag = _wave_sum(waves, n_x, dim, by_k().get(k, ()))
         return out
 
-    return ToroidalSymbol(dim, order, eval_fn, x_independent=x_indep, label=label,
-                          eval_grid=eval_grid, coeffs=(sites, values))
+    return ToroidalSymbol(dim, order, eval_fn, x_independent=not sites[:, :dim].any(),
+                          label=label, eval_grid=eval_grid, coeffs=(sites, values))
+
+
+def table_symbol(entries, dim: int = 1, order: float = 0.0,
+                 label: str = "") -> ToroidalSymbol:
+    """Symbol with explicitly listed Fourier coefficients sigma_hat(l, k);
+    evaluates as the trig polynomial sum_l sigma_hat(l, k) e^{2*pi*i*x.l},
+    adding the terms of each k in ascending l, and is quantized from the
+    list itself (``coeffs``).  Indices must fit int64 and values must be
+    finite."""
+    table = {(_as_index(l, dim), _as_index(k, dim)): complex(v)
+             for (l, k), v in dict(entries).items()}
+    sites, _, values = _site_arrays(table, 2 * dim)
+    return _listed_symbol(sites, values, dim, order, label)

@@ -654,3 +654,12 @@ def test_block_oracle_trace_sums_block_traces(tmp_path):
     code, report, _ = run_json(["trace", "--input", str(path), "--mode", "both"])
     assert code == 0
     assert report["deviation"]["abs"] == 2.0  # the traces print rounded to 12 digits
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tolerance_is_refused(tol):
+    code, out, err = run(["det", "--input", "fixtures/rank_one.json", "--tol", tol,
+                          "--output", "json"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "computation",
+                               "message": f"tolerance must be positive and finite, got {tol}"}

@@ -425,3 +425,30 @@ def test_weighted_block_powers_mix_value_and_stack_groups():
         expected = np.dot([1, 2, 1, 3, 1, 2], values ** m) + sum(
             w * np.trace(np.linalg.matrix_power(b, m)) for w, b in zip([2, 1, 5], stack))
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+_THREADS_PROBE = """
+from specdet import circle_model, spectral_trace_source, weyl_tail_check
+for sp in (circle_model(10000), circle_model(25000)):
+    src = spectral_trace_source(sp, 3.449)
+    print(repr([src.trace_power(m) for m in range(1, 6)]), repr(weyl_tail_check(sp, 3.449)))
+"""
+
+
+def test_spectral_sums_do_not_depend_on_the_blas_thread_count():
+    # 10,001 and 25,001 levels: OpenBLAS splits a dot product of over 10,000
+    # elements across threads, so one np.dot of them moves with the count
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import specdet
+
+    src = str(pathlib.Path(specdet.__file__).resolve().parent.parent)
+    reports = [subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                       PYTHONPATH=src)).stdout
+               for threads in ("1", "2")]
+    assert reports[0] == reports[1] and len(reports[0].splitlines()) == 2

@@ -185,3 +185,11 @@ def test_radius_estimate_dominant_eigenvalue():
 def test_radius_estimate_needs_three_orders():
     with pytest.raises(ParameterError):
         radius_estimate(TracePowerSource(lambda m: 1.0), order=2)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # an infinite tolerance would stop the series after EARLY_STOP_RUN terms
+    # and call it converged
+    with pytest.raises(ParameterError, match="tolerance must be positive and finite"):
+        plemelj_det(eigen_source([0.5, 0.25]), 0.3, tol=tol)

@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import math
 
@@ -261,3 +263,163 @@ def test_whole_list_check_gives_what_the_walk_gives(monkeypatch, style):
     walked = [parse_spec_text(text) for text in texts]
     # repr tells an int from a float and -0.0 from 0.0
     assert [repr(spec) for spec in specs] == [repr(spec) for spec in walked]
+
+
+LOWEST, HIGHEST = -(1 << 63), (1 << 63) - 1
+
+
+def _spec_and_dict_builds(obj: dict, dim: int):
+    """The operator a spec's builder makes of ``obj`` (validated when it is
+    a valid spec; lattice specs hold one dimension, so 2-D lattice params go
+    to the builder as they are) and the one its family's dict constructor
+    makes of the same records."""
+    from specdet import (banded_kernel, diagonal_kernel, modulated_symbol, rank_one_kernel,
+                         table_kernel, table_symbol)
+
+    def table(records, slots):
+        split = (lambda idx: tuple(idx)) if slots == dim else \
+            (lambda idx: (tuple(idx[:dim]), tuple(idx[dim:])))
+        return {split(rec[:slots]): complex(rec[slots], rec[slots + 1]) for rec in records}
+
+    family = obj["family"]
+    if obj["kind"] == "lattice_kernel":
+        from_spec = (build_operator(parse_spec_text(json.dumps(obj))) if dim == 1
+                     else specfile._build_lattice({**obj, "dim": dim}, ""))
+        if family == "diagonal":
+            return from_spec, diagonal_kernel(table(obj["entries"], dim), dim=dim)
+        if family == "rank_one":
+            return from_spec, rank_one_kernel(table(obj["g"], dim), table(obj["h"], dim), dim=dim)
+        if family == "banded":
+            return from_spec, banded_kernel(table(obj["offsets"], dim), obj["support"], dim=dim)
+        return from_spec, table_kernel(table(obj["entries"], 2 * dim), dim=dim)
+    from_spec = build_operator(parse_spec_text(json.dumps(obj)))
+    if family == "modulated":
+        return from_spec, modulated_symbol(table(obj["modes"], dim), obj["decay_order"],
+                                           dim=dim, amplitude=complex(*obj["amplitude"]))
+    return from_spec, table_symbol(table(obj["entries"], 2 * dim), dim=dim, order=obj["order"])
+
+
+def _far_records(rng, dim: int, slots: int, count: int, reach: int = 3) -> list:
+    """``count`` records of distinct random sites near the origin, in a random
+    order, then sites at the ends of the int64 range."""
+    sites = {tuple(int(v) for v in rng.integers(-reach, reach + 1, size=slots))
+             for _ in range(4 * count)}
+    near = [list(site) + [float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))]
+            for site in sorted(sites, key=lambda _: rng.uniform())[:count]]
+    far = dict.fromkeys([(LOWEST,) * slots, (HIGHEST,) + (0,) * (slots - 1),
+                         (0,) * (slots - 1) + (LOWEST,)])
+    return near + [list(site) + [0.5, -0.25] for site in far]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["diagonal", "rank_one", "banded", "table",
+                                    "custom_table", "modulated"])
+def test_spec_and_dict_constructors_build_the_same_operator(family, dim):
+    from specdet import toroidal_matrix
+    from support import bits, support_entries
+
+    rng = np.random.default_rng(7 * dim + len(family))
+    if family in ("diagonal", "table"):
+        obj = {"kind": "lattice_kernel", "family": family,
+               "entries": _far_records(rng, dim, dim if family == "diagonal" else 2 * dim, 12)}
+    elif family == "rank_one":
+        obj = {"kind": "lattice_kernel", "family": family,
+               "g": _far_records(rng, dim, dim, 6), "h": _far_records(rng, dim, dim, 6)}
+    elif family == "banded":
+        obj = {"kind": "lattice_kernel", "family": family, "support": 2,
+               "offsets": _far_records(rng, dim, dim, 5, reach=1)}
+    elif family == "custom_table":
+        obj = {"kind": "toroidal_symbol", "family": family, "dim": dim, "order": -2.0,
+               "entries": _far_records(rng, dim, 2 * dim, 12)}
+    else:  # modes within reach of a sampled grid, in a random order
+        obj = {"kind": "toroidal_symbol", "family": family, "dim": dim, "decay_order": -2.5,
+               "amplitude": [0.75, 0.25], "modes": _far_records(rng, dim, dim, 4)[:4]}
+    from_spec, from_dict = _spec_and_dict_builds(obj, dim)
+    cutoff = 2
+    if obj["kind"] == "toroidal_symbol":
+        assert from_spec.x_independent is from_dict.x_independent
+        if family == "custom_table":
+            assert [a.tobytes() for a in from_spec.coeffs] == [a.tobytes() for a in from_dict.coeffs]
+        box = list(itertools.product(range(-cutoff, cutoff + 1), repeat=dim))
+        for x, k in itertools.product([(0.0,) * dim, (0.375,) * dim, (0.8125, 0.25)[:dim]], box):
+            assert bits(from_spec.eval(x, k)) == bits(from_dict.eval(x, k))
+        from_spec, from_dict = toroidal_matrix(from_spec, cutoff), toroidal_matrix(from_dict, cutoff)
+    assert from_spec.band_radius == from_dict.band_radius
+    for r in (1, cutoff, cutoff + 1):
+        assert ([a.tobytes() for a in support_entries(from_spec, r)]
+                == [a.tobytes() for a in support_entries(from_dict, r)])
+    box = list(itertools.product(range(-cutoff - 1, cutoff + 2), repeat=dim))
+    for j, m in itertools.product(box, box):
+        assert bits(from_spec.eval(j, m)) == bits(from_dict.eval(j, m))
+
+
+#: a spec per list of sites, its list with a site listed twice, and the
+#: message naming the later record
+REPEATS = [
+    ({"kind": "lattice_kernel", "family": "diagonal"},
+     "entries", [[0, 0.5, 0.0], [1, 0.2, 0.0], [0, 0.7, 0.0]],
+     "entries[2]: site (0,) is listed twice (first at entries[0])"),
+    ({"kind": "lattice_kernel", "family": "rank_one", "h": [[0, 1.0, 0.0]]},
+     "g", [[3, 0.5, 0.0], [-1, 0.2, 0.0], [-1, 0.1, 0.1], [3, 0.5, 0.0]],
+     "g[2]: site (-1,) is listed twice (first at g[1])"),
+    ({"kind": "lattice_kernel", "family": "rank_one", "g": [[0, 1.0, 0.0]]},
+     "h", [[LOWEST, 0.5, 0.0], [2, 0.2, 0.0], [LOWEST, 0.5, 0.0]],
+     f"h[2]: site ({LOWEST},) is listed twice (first at h[0])"),
+    ({"kind": "lattice_kernel", "family": "banded", "support": 4},
+     "offsets", [[-1, 0.2, 0.0], [0, 0.1, 0.0], [1, 0.2, 0.0], [0, 0.1, 0.0]],
+     "offsets[3]: site (0,) is listed twice (first at offsets[1])"),
+    ({"kind": "lattice_kernel", "family": "table"},
+     "entries", [[0, 1, 0.5, 0.0], [1, 0, 0.2, 0.0], [1, 0, 0.2, 0.0], [0, 1, 0.5, 0.0]],
+     "entries[2]: site (1, 0) is listed twice (first at entries[1])"),
+    ({"kind": "toroidal_symbol", "family": "custom_table"},
+     "entries", [[0, 0, 0.5, 0.0], [1, 1, 0.2, 0.1], [-1, 0, 0.0, 0.2], [0, 0, 0.7, 0.0]],
+     "entries[3]: site (0, 0) is listed twice (first at entries[0])"),
+    ({"kind": "toroidal_symbol", "family": "custom_table", "dim": 2},
+     "entries", [[0, 0, 1, 0, 0.5, 0.0], [0, 0, 0, 1, 0.5, 0.0], [0, 0, 1, 0, 0.5, 0.0]],
+     "entries[2]: site (0, 0, 1, 0) is listed twice (first at entries[0])"),
+    ({"kind": "toroidal_symbol", "family": "modulated", "decay_order": -2.0},
+     "modes", [[1, 0.25, 0.0], [-1, 0.25, 0.0], [1, 0.25, 0.0]],
+     "modes[2]: site (1,) is listed twice (first at modes[0])"),
+    ({"kind": "toroidal_symbol", "family": "modulated", "decay_order": -3.0, "dim": 2},
+     "modes", [[1, 0, 0.25, 0.0], [0, 1, 0.25, 0.0], [0, 1, 0.5, 0.0]],
+     "modes[2]: site (0, 1) is listed twice (first at modes[1])"),
+]
+
+
+@pytest.mark.parametrize("base, fld, records, message", REPEATS,
+                         ids=[f"{b['family']}-{b.get('dim', 1)}d-{f}" for b, f, _, _ in REPEATS])
+def test_a_site_listed_twice_is_refused(tmp_path, base, fld, records, message):
+    from specdet.cli import run_command
+
+    spec = parse_spec_text(json.dumps({**base, fld: records}))  # each record is valid
+    with pytest.raises(SpecValidationError) as info:
+        build_operator(spec)
+    assert (info.value.field, str(info.value)) == (message.split(":")[0], message)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**base, fld: records}))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["det", "--input", str(path), "--output", "json"], out, err) == 2
+    assert out.getvalue() == ""
+    assert json.loads(err.getvalue()) == {"error": "validation", "field": message.split(":")[0],
+                                          "message": message}
+    # the same sites once each build
+    firsts = {json.dumps(rec[:-2]): rec for rec in reversed(records)}
+    build_operator(parse_spec_text(json.dumps({**base, fld: list(firsts.values())[::-1]})))
+
+
+@pytest.mark.parametrize("base, fld, records, message", REPEATS[::4] + REPEATS[-2:-1])
+def test_a_repeated_site_is_named_after_the_existing_checks(base, fld, records, message):
+    # a 400-digit index beside the repeat fails as before: as an int64 (a
+    # site list) or as a float (a mode) too large to convert
+    records = records + [[10 ** 399] + records[0][1:]]
+    expected = ("int too large to convert to float" if fld == "modes"
+                else "Python int too large to convert to C long")
+    with pytest.raises(OverflowError, match=expected):
+        build_operator(parse_spec_text(json.dumps({**base, fld: records})))
+
+
+def test_repeated_eigenvalues_of_a_spectral_table_are_kept():
+    spec = parse_spec_text(json.dumps({"kind": "spectral_model", "model": "table", "alpha": 2.0,
+                                       "eigenvalues": [0.0, 1.0, 1.0, 4.0],
+                                       "multiplicities": [1, 2, 2, 2]}))
+    assert build_operator(spec).eigenvalues.tolist() == [0.0, 1.0, 1.0, 4.0]

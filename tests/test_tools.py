@@ -1,10 +1,14 @@
 """``tools/report_sweep.py --compare``, the comparison every change's sweep
 is read through: equal sweeps pass silently, and each kind of difference
-is named."""
+is named.  ``tools/ab_timing.py`` times two trees only when their reports
+agree, and names each request where they do not."""
 
 import importlib.util
 import json
 import pathlib
+import re
+import shutil
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,3 +74,43 @@ def test_rounding_noise_to_zero_is_no_moved_value(tmp_path, monkeypatch, capsys)
     assert out == ("det --input a.json: stdout 1 numbers moved, largest change: "
                    "relative 1 (-1e-17 -> 0.0), absolute 1e-17 (-1e-17 -> 0.0), "
                    "relative above 1e-09 none\n")
+
+
+AB_TIMING = ROOT / "tools" / "ab_timing.py"
+
+
+def _ab_timing(a, b):
+    """``tools/ab_timing.py`` on cli_mix seed 3, one pass."""
+    return subprocess.run([sys.executable, str(AB_TIMING), "--a", str(a), "--b", str(b),
+                           "--workload", "cli_mix", "--seed", "3", "--passes", "1"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_ab_timing_of_a_tree_against_itself_reports_both_sides():
+    proc = _ab_timing(ROOT / "src", ROOT / "src")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert (report["workload"], report["seed"], report["passes"]) == ("cli_mix", 3, 1)
+    assert report["requests"] > 200
+    metrics = {"requests_per_s", "latency_p50_s", "latency_p90_s"}
+    assert set(report["a"]) == set(report["b"]) == set(report["ratio"]) == metrics
+    assert all(report[side][key] > 0 for side in ("a", "b") for key in metrics)
+
+
+def test_ab_timing_names_each_request_whose_report_differs(tmp_path):
+    # a copy of specdet whose trace reports gain a line
+    shutil.copytree(ROOT / "src" / "specdet", tmp_path / "specdet",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "specdet" / "cli.py"
+    head = '    """Run one CLI invocation; returns the process exit code."""\n'
+    text = cli.read_text()
+    assert text.count(head) == 1
+    cli.write_text(text.replace(head, head + '    if argv and argv[0] == "trace":\n'
+                                            '        stdout.write("changed\\n")\n'))
+    proc = _ab_timing(ROOT / "src", tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 1
+    assert all(line.startswith("report differs: trace --input ") for line in lines)
+    differ, total = re.fullmatch(r"(\d+) of (\d+) requests differ\n", proc.stderr).groups()
+    assert int(differ) == len(lines) < int(total)
