@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specdet
 from specdet import (
     BlockSymbol,
     BundleSymbol,
@@ -438,13 +443,6 @@ for sp in (circle_model(10000), circle_model(25000)):
 def test_spectral_sums_do_not_depend_on_the_blas_thread_count():
     # 10,001 and 25,001 levels: OpenBLAS splits a dot product of over 10,000
     # elements across threads, so one np.dot of them moves with the count
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import specdet
-
     src = str(pathlib.Path(specdet.__file__).resolve().parent.parent)
     reports = [subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True,
                               text=True, check=True, timeout=120,

@@ -13,12 +13,22 @@ from specdet import (
     LatticeKernel,
     SpectralModel,
     ToroidalSymbol,
+    banded_kernel,
     build_operator,
+    diagonal_kernel,
     emit_spec,
+    modulated_symbol,
     parse_spec,
     parse_spec_text,
+    rank_one_kernel,
+    table_kernel,
+    table_symbol,
+    toroidal_matrix,
 )
+from specdet.cli import run_command
 from specdet.errors import SpecParseError, SpecValidationError
+
+from support import bits, support_entries
 
 FIXTURES = "fixtures"
 
@@ -273,9 +283,6 @@ def _spec_and_dict_builds(obj: dict, dim: int):
     a valid spec; lattice specs hold one dimension, so 2-D lattice params go
     to the builder as they are) and the one its family's dict constructor
     makes of the same records."""
-    from specdet import (banded_kernel, diagonal_kernel, modulated_symbol, rank_one_kernel,
-                         table_kernel, table_symbol)
-
     def table(records, slots):
         split = (lambda idx: tuple(idx)) if slots == dim else \
             (lambda idx: (tuple(idx[:dim]), tuple(idx[dim:])))
@@ -315,9 +322,6 @@ def _far_records(rng, dim: int, slots: int, count: int, reach: int = 3) -> list:
 @pytest.mark.parametrize("family", ["diagonal", "rank_one", "banded", "table",
                                     "custom_table", "modulated"])
 def test_spec_and_dict_constructors_build_the_same_operator(family, dim):
-    from specdet import toroidal_matrix
-    from support import bits, support_entries
-
     rng = np.random.default_rng(7 * dim + len(family))
     if family in ("diagonal", "table"):
         obj = {"kind": "lattice_kernel", "family": family,
@@ -389,8 +393,6 @@ REPEATS = [
 @pytest.mark.parametrize("base, fld, records, message", REPEATS,
                          ids=[f"{b['family']}-{b.get('dim', 1)}d-{f}" for b, f, _, _ in REPEATS])
 def test_a_site_listed_twice_is_refused(tmp_path, base, fld, records, message):
-    from specdet.cli import run_command
-
     spec = parse_spec_text(json.dumps({**base, fld: records}))  # each record is valid
     with pytest.raises(SpecValidationError) as info:
         build_operator(spec)
