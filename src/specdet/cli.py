@@ -148,12 +148,14 @@ def _emit_text(report: dict, stream):
     for key in ("oracle_value", "series_value", "trace", "oracle_trace", "radius",
                 "verdict"):
         val = report.get(key)
-        if val is not None or key == "series_value" and "reason" in report:
+        reason = report.get("oracle_reason" if key == "oracle_value" else "reason")
+        if val is not None or key in ("oracle_value", "series_value") and reason:
             if not isinstance(val, (int, float, str)):  # a complex pair, or null
-                val = _fmt_complex(val, report.get("reason"))
+                val = _fmt_complex(val, reason)
             stream.write(f"  {key:<12} = {val}\n")
-    if report.get("oracle") is not None:
-        stream.write(f"  oracle_value = {_fmt_complex(report['oracle']['value'])}\n")
+    oracle = report.get("oracle")
+    if oracle is not None:
+        stream.write(f"  oracle_value = {_fmt_complex(oracle['value'], oracle.get('reason'))}\n")
     if report.get("deviation") is not None:
         stream.write(f"  deviation    = abs {report['deviation']['abs']}, "
                      f"rel {report['deviation']['rel']}\n")
@@ -260,6 +262,19 @@ def _profile_cutoffs(cutoff: int) -> list:
     return sorted({max(1, cutoff >> s) for s in range(5)})
 
 
+def _finite(oracle_det):
+    """The oracle determinant route ``oracle_det``, answering None where
+    its value leaves the float range: a power that raises OverflowError,
+    or an LU or a product that ends non-finite."""
+    def route(*call):
+        try:
+            value = complex(oracle_det(*call))
+        except OverflowError:
+            return None
+        return value if cmath.isfinite(value) else None
+    return route
+
+
 def _routes(mode: str, series, oracle, *call, check=None) -> tuple:
     """(series, oracle) results of the routes ``--mode`` selects, series
     first; a route not taken gives None.  ``check``, the oracle's size
@@ -282,27 +297,31 @@ def _dispatch(args, spec, op):
         "label": spec.label,
     }
     if args.command == "det":
-        series, oracle = _routes(args.mode, series_det, oracle_det, p, op, args,
+        series, oracle = _routes(args.mode, series_det, _finite(oracle_det), p, op, args,
                                  check=oracle_size)
         report = dict(base, **{"lambda": _cpx(lam), "order": args.order,
                                "cutoff": args.cutoff, "tol": _num(args.tol),
                                "mode": args.mode,
                                "series": None if series is None else _det_json(series),
-                               "oracle": None if oracle is None else {"value": _cpx(oracle)},
+                               "oracle": None if args.mode == "series" else
+                               {"value": None, "reason": "overflow"} if oracle is None
+                               else {"value": _cpx(oracle)},
                                "deviation": None})
         if series is not None and oracle is not None and not series.reason:
             report["deviation"] = _deviation(series.value, oracle)
         return report, 4 if args.mode == "series" and not series.converged else 0
 
     if args.command == "compare":
-        series, oracle = _routes("both", series_det, oracle_det, p, op, args,
+        series, oracle = _routes("both", series_det, _finite(oracle_det), p, op, args,
                                  check=oracle_size)
-        dev = {"abs": None, "rel": None} if series.reason else _deviation(series.value, oracle)
+        dev = {"abs": None, "rel": None} if series.reason or oracle is None \
+            else _deviation(series.value, oracle)
         report = dict(base, **{
             "lambda": _cpx(lam), "order": args.order, "cutoff": args.cutoff,
             "tol": _num(args.tol),
             "series_value": None if series.reason else _cpx(series.value),
-            "oracle_value": _cpx(oracle),
+            "oracle_value": None if oracle is None else _cpx(oracle),
+            **({"oracle_reason": "overflow"} if oracle is None else {}),
             "abs_deviation": dev["abs"],
             "rel_deviation": dev["rel"],
             "converged": series.converged,

@@ -249,27 +249,23 @@ class SpectralModel:
         return int(self.eigenvalues.size)
 
 
-def weyl_tail_check(sp: SpectralModel, alpha: float, J: int | None = None) -> float:
+def weyl_tail_check(sp: SpectralModel, alpha: float) -> float:
     """Fraction of the spectral sum carried by the top half of the levels.
 
     Computes sum_{J/2 < j <= J} d_j (1+lambda_j)^(-alpha/nu) divided by the
-    full partial sum over j <= J.  A ratio below
+    full sum over j <= J, the last level of the model.  A ratio below
     ``WEYL_RATIO_THRESHOLD`` flags comfortable convergence; larger ratios
     flag a slow or divergent tail.  Meaningful from a few dozen levels up
     (trivially 0 for a single-level model).
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    last = sp.level_count - 1
-    J = last if J is None else min(int(J), last)
-    if J < 0:
-        raise ParameterError("tail check needs at least one level")
-    weights = sp.multiplicities[: J + 1].astype(np.float64)
-    values = (1.0 + sp.eigenvalues[: J + 1]) ** (-alpha / sp.nu)
+    weights = sp.multiplicities.astype(np.float64)
+    values = (1.0 + sp.eigenvalues) ** (-alpha / sp.nu)
     total = float(_dot(weights, values))
     if total == 0.0:
         return 0.0
-    half = J // 2
+    half = (sp.level_count - 1) // 2
     tail = float(_dot(weights[half + 1:], values[half + 1:]))
     return tail / total
 

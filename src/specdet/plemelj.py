@@ -60,7 +60,9 @@ class DetResult:
     :func:`plemelj_det`; ``tail_estimate`` is the geometric extrapolation of
     the unsummed tail (infinite when the ratio test fails).  ``reason`` says
     why ``value`` is no answer: ``outside_disc`` for an infinite tail,
-    ``overflow`` when exp of the partial sum leaves the float range.
+    ``overflow`` when a term, the partial sum or exp of the partial sum
+    leaves the float range; the series then stops before the term that
+    overflows, which is not kept.
     """
 
     value: complex
@@ -92,7 +94,10 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
     tol*max(1, |partial sum|).  Afterwards, with t the last two terms and
     rho = |t_M / t_{M-1}|, the tail estimate is |t_M|*rho/(1-rho) when
     rho < 1 (infinite otherwise) and ``converged`` requires either the
-    early stop or rho < 1 together with a below-tolerance last term.
+    early stop or rho < 1 together with a below-tolerance last term.  A
+    zero trace power gives the term 0 whatever lambda^m is; the first term
+    that is not finite, or that makes the partial sum so, stops the series
+    with reason ``overflow``.
     """
     if order < 1:
         raise ParameterError(f"series order must be >= 1, got {order}")
@@ -106,7 +111,7 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
     total = 0.0j
     lam_pow = 1.0 + 0.0j
     small_run = 0
-    early_stopped = False
+    early_stopped = overflowed = False
     for m in range(1, order + 1):
         tp = complex(src.trace_power(m))
         if not cmath.isfinite(tp):
@@ -118,7 +123,11 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
             hint_violations.append(m)
         lam_pow *= lam
         sign = 1.0 if m % 2 == 1 else -1.0
-        t = (sign / m) * lam_pow * tp
+        # lambda^m may be inf or nan where Tr(T^m) = 0, and inf * 0 is nan
+        t = (sign / m) * lam_pow * tp if tp else 0.0j
+        if not (cmath.isfinite(t) and cmath.isfinite(total + t)):
+            overflowed = True
+            break
         terms.append(t)
         total += t
         if abs(t) < tol * max(1.0, abs(total)):
@@ -130,13 +139,10 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
             small_run = 0
 
     order_used = len(terms)
-    last = abs(terms[-1])
-    if order_used >= 2:
-        prev = abs(terms[-2])
-        if prev > 0.0:
-            rho = last / prev
-        else:
-            rho = 0.0 if last == 0.0 else math.inf
+    last = abs(terms[-1]) if terms else 0.0
+    prev = abs(terms[-2]) if order_used >= 2 else 0.0
+    if prev > 0.0:
+        rho = last / prev
     else:
         rho = 0.0 if last == 0.0 else math.inf
 
@@ -159,7 +165,14 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
         )
 
     reason = "outside_disc" if math.isinf(tail) else None
-    if total.real > _EXP_OVERFLOW:
+    if overflowed:
+        value, tail = complex(math.inf, 0.0), math.inf
+        converged, reason = False, "overflow"
+        diagnostics.setdefault("warnings", []).append(
+            f"the series term of order {order_used + 1}, or the partial sum with "
+            f"it, leaves the float range; the series is divergent at this lambda"
+        )
+    elif total.real > _EXP_OVERFLOW:
         # far outside the series disc: exp of the partial log-sum exceeds
         # the float range, so report the divergence instead of crashing
         value = complex(math.inf, 0.0)

@@ -116,11 +116,9 @@ class ToroidalSymbol:
     and their finite complex128 values sigma_hat(l, k), zero at every site
     not listed.  The quantization reads them as they are, without sampling.
 
-    ``_tables`` caches each quantization's storage per cutoff R: the
-    sampled matrix per (n_x, R), or the listed entries per (None, R); and,
-    per (k, n_x), the full DFT table that :func:`symbol_fourier_coeff`
-    reads of an x-dependent symbol.  The values sigma(0, k) of an
-    x-independent symbol are not kept apart from its listed entries.
+    ``_quantized`` remembers the last quantization :func:`toroidal_matrix`
+    built, as ``((n_x, R), kernel)``, so that every route of one request
+    reads the same kernel.
     """
 
     dim: int
@@ -133,7 +131,7 @@ class ToroidalSymbol:
         default=None, repr=False, compare=False)
     mode_reach: int = 0
     coeffs: tuple | None = field(default=None, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _quantized: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -203,17 +201,6 @@ def _sample_stack(s: ToroidalSymbol, n_x: int, ks: Sequence[Index]) -> np.ndarra
     return stack
 
 
-def _coeff_table(s: ToroidalSymbol, k: Index, n_x: int) -> np.ndarray:
-    """Full DFT coefficient table of sigma(., k) for an x-dependent symbol;
-    cached per (k, n_x)."""
-    key = (k, n_x)
-    cached = s._tables.get(key)
-    if cached is None:
-        samples = _sample_stack(s, n_x, [k])[0]
-        cached = s._tables[key] = np.fft.fftn(samples) / samples.size
-    return cached
-
-
 def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> complex:
     """The x-Fourier coefficient sigma_hat(l, k): the listed value of a
     symbol with listed coefficients (0 where nothing is listed), else its
@@ -221,10 +208,7 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
     power of two holding the modes max(|l|_inf, mode_reach) unfolded; an
     explicit grid must hold l (``AliasingError``), also where it is not
     sampled."""
-    l = tuple(int(v) for v in (l if isinstance(l, (tuple, list)) else (l,)))
-    k = tuple(int(v) for v in (k if isinstance(k, (tuple, list)) else (k,)))
-    if len(l) != s.dim or len(k) != s.dim:
-        raise ParameterError(f"indices {l}, {k} do not have dimension {s.dim}")
+    l, k = _as_index(l, s.dim), _as_index(k, s.dim)
     n_x = x_grid or s.x_grid
     if n_x is not None:
         _check_alias(l, n_x, s.label)
@@ -235,7 +219,8 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
     n_x = n_x or _auto_grid(max(max(abs(v) for v in l), s.mode_reach))
     if s.x_independent:
         return 0.0j if any(l) else _constant_value(s, k, n_x)
-    return complex(_coeff_table(s, k, n_x)[tuple(v % n_x for v in l)])
+    samples = _sample_stack(s, n_x, [k])[0]
+    return complex((np.fft.fftn(samples) / samples.size)[tuple(v % n_x for v in l)])
 
 
 def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
@@ -244,11 +229,7 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     each value sigma(0, k) of an x-independent symbol at l = 0, is the
     entry (l + k, k), kept where k and l + k lie in the box.  b is the
     largest |l|_inf kept, so at most 2R: a mode beyond that connects no two
-    box points and is dropped rather than folded.  Cached per (None, R)."""
-    key = (None, cutoff)
-    cached = s._tables.get(key)
-    if cached is not None:
-        return cached
+    box points and is dropped rather than folded."""
     if s.coeffs is None:
         ks = _box_points(s.dim, cutoff)
         ls = np.zeros_like(ks)
@@ -264,16 +245,14 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     inside = _sup_norms(js) <= cutoff
     ls, js, ks, values = ls[inside], js[inside], ks[inside], values[inside]
     points = np.hstack((js, ks))
-    cached = s._tables[key] = (int(_sup_norms(ls).max(initial=0)),
-                               points, _sup_norms(points), values)
-    return cached
+    return int(_sup_norms(ls).max(initial=0)), points, _sup_norms(points), values
 
 
 def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
     """The quantization A[j, k] = sigma_hat(j - k, k) of the box |.| <= R
     from grid samples, rows and columns lexicographic; refused before
-    anything is sampled when it needs more than SAMPLE_LIMIT samples.
-    Cached per (n_x, R), read-only.
+    anything is sampled when it needs more than SAMPLE_LIMIT samples.  The
+    matrix is read-only.
 
     The symbol is sampled in runs of consecutive k: one box row, the 2R+1 k
     that share all but the last coordinate, or where a row holds more than
@@ -282,10 +261,6 @@ def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
     gathers its modes (j - k) mod n_x.  Every entry equals the one of the
     full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
     """
-    key = (n_x, cutoff)
-    cached = s._tables.get(key)
-    if cached is not None:
-        return cached
     count = (2 * cutoff + 1) ** s.dim * n_x ** s.dim
     if count > SAMPLE_LIMIT:
         raise FeasibilityError(
@@ -309,34 +284,12 @@ def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
         matrix[:, run] = stack.reshape(len(stack), -1)[np.arange(len(stack)), modes]
     matrix /= n_x ** s.dim
     matrix.flags.writeable = False
-    s._tables[key] = matrix
     return matrix
 
 
-def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
-    """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
-    packaged as a lattice kernel that vanishes outside that box.
-
-    A symbol with listed coefficients, or an x-independent one, is its
-    listed entries (:func:`_listed_entries`) as a table kernel, with band
-    radius their largest |l|_inf (0 when x-independent).  Any other symbol
-    is sampled into the dense side x side matrix (:func:`_sampled_matrix`):
-    ``eval`` is one lookup, and
-    ``support_arrays`` hands the matrix itself over at R (every pair of the
-    box at another cutoff).  Either is built on the first call and shared
-    by later ones.  The grid, ``x_grid`` or the automatic one, must hold the modes
-    max(2R, mode_reach) unfolded (``AliasingError``), also where nothing is
-    sampled."""
-    if cutoff < 1:
-        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    mode = max(2 * cutoff, s.mode_reach)
-    n_x = s.x_grid or _auto_grid(mode)
-    _check_alias((mode,) * s.dim, n_x, s.label)
-    label = f"quantized:{s.label}" if s.label else "quantized"
-    if s.coeffs is not None or s.x_independent:
-        reach, *sites = _listed_entries(s, n_x, cutoff)
-        return _table_sites(*sites, s.dim, label, band_radius=reach)
-    matrix = _sampled_matrix(s, n_x, cutoff)
+def _matrix_kernel(matrix: np.ndarray, dim: int, cutoff: int, label: str) -> LatticeKernel:
+    """The kernel of a side x side matrix of the box |.| <= R, rows and
+    columns lexicographic, that vanishes outside that box."""
     width = 2 * cutoff + 1
 
     def eval_fn(j: Index, m: Index) -> complex:
@@ -352,13 +305,46 @@ def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
         if r == cutoff:
             return matrix
         # the box min(r, cutoff) at its positions in the box r, every pair
-        points = _box_points(s.dim, min(r, cutoff))
+        points = _box_points(dim, min(r, cutoff))
         at, pos = _positions(points, cutoff), _positions(points, r)
         return (np.repeat(pos, len(pos)), np.tile(pos, len(pos)),
                 matrix[np.ix_(at, at)].ravel())
 
-    return LatticeKernel(s.dim, eval_fn, band_radius=2 * cutoff,
+    return LatticeKernel(dim, eval_fn, band_radius=2 * cutoff,
                          support_arrays=support_arrays, label=label)
+
+
+def toroidal_matrix(s: ToroidalSymbol, cutoff: int) -> LatticeKernel:
+    """Quantization matrix A[j, k] = sigma_hat(j - k, k) on the box |.| <= R,
+    packaged as a lattice kernel that vanishes outside that box.
+
+    A symbol with listed coefficients, or an x-independent one, is its
+    listed entries (:func:`_listed_entries`) as a table kernel, with band
+    radius their largest |l|_inf (0 when x-independent).  Any other symbol
+    is sampled into the dense side x side matrix (:func:`_sampled_matrix`):
+    ``eval`` is one lookup, and
+    ``support_arrays`` hands the matrix itself over at R (every pair of the
+    box at another cutoff).  The symbol remembers the last kernel built
+    (``_quantized``), so a second call at the same grid and cutoff returns
+    it, with its stored truncation.  The grid, ``x_grid`` or the automatic
+    one, must hold the modes max(2R, mode_reach) unfolded
+    (``AliasingError``), also where nothing is sampled."""
+    if cutoff < 1:
+        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
+    mode = max(2 * cutoff, s.mode_reach)
+    n_x = s.x_grid or _auto_grid(mode)
+    _check_alias((mode,) * s.dim, n_x, s.label)
+    held = s._quantized  # read once: another thread may replace it
+    if held is not None and held[0] == (n_x, cutoff):
+        return held[1]
+    label = f"quantized:{s.label}" if s.label else "quantized"
+    if s.coeffs is not None or s.x_independent:
+        reach, *sites = _listed_entries(s, n_x, cutoff)
+        kernel = _table_sites(*sites, s.dim, label, band_radius=reach)
+    else:
+        kernel = _matrix_kernel(_sampled_matrix(s, n_x, cutoff), s.dim, cutoff, label)
+    s._quantized = ((n_x, cutoff), kernel)
+    return kernel
 
 
 def poincare_norm(k: LatticeKernel, cutoff: int) -> float:

@@ -308,11 +308,10 @@ def test_python_m_specdet_runs_the_cli():
 
 
 @pytest.mark.parametrize("command", ["det", "compare"])
-@pytest.mark.parametrize("fixture,lam", [("spectral_sphere.json", "1e200"),
-                                         ("diag_inverse_square.json", "1e308,1e308")])
+@pytest.mark.parametrize("fixture,lam", [("diag_inverse_square.json", "1e308,1e308")])
 def test_overflow_is_a_computation_error(command, fixture, lam):
-    # complex exponentiation in the spectral oracle, abs(lambda) in the
-    # lattice norm check: both raise OverflowError inside the library
+    # abs(lambda) in the lattice norm check raises OverflowError inside the
+    # library, on the series route (an oracle that overflows is a null value)
     code, out, err = run([command, "--input", f"fixtures/{fixture}", "--lambda", lam,
                           "--output", "json"])
     assert (code, out) == (2, "")
@@ -663,3 +662,70 @@ def test_non_finite_tolerance_is_refused(tol):
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "computation",
                                "message": f"tolerance must be positive and finite, got {tol}"}
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("lam", ["1e160", "1e300", "1e300,1e300"])
+@pytest.mark.parametrize("fixture", GOOD_FIXTURES)
+def test_reports_stay_strict_json_at_extreme_lambda(fixture, lam):
+    # far outside every series disc: terms, sums and oracle products leave
+    # the float range, and each report says so with a null, never NaN
+    argv = ["--input", str(FIXTURES / fixture), "--lambda", lam]
+    for command in (["det", "--mode", "both"], ["det", "--mode", "series"],
+                    ["det", "--mode", "oracle"], ["compare"]):
+        code, out, err = run([*command, *argv, "--output", "json"])
+        assert code in (0, 4), err
+        report = json.loads(out, parse_constant=_no_constant)
+        if fixture == "zero.json" and report.get("series"):
+            assert report["series"]["value"] == [1.0, 0.0]
+        code, out, err = run([*command, *argv])
+        assert code in (0, 4) and "nan" not in out.lower(), err
+
+
+@pytest.mark.parametrize("command", ["det", "compare"])
+@pytest.mark.parametrize("fixture,lam", [("spectral_sphere.json", "1e200"),
+                                         ("spectral_sphere.json", "1e300"),
+                                         ("bundle_small.json", "1e160"),
+                                         ("block_symbol.json", "1e300")])
+def test_an_oracle_that_overflows_reports_null(command, fixture, lam):
+    # complex exponentiation in the spectral and bundle oracles, an LU
+    # that ends non-finite in the block oracle: a null value with a reason
+    argv = [command, "--input", f"fixtures/{fixture}", "--lambda", lam]
+    code, report, _ = run_json(argv)
+    assert code == 0
+    if command == "det":
+        assert report["oracle"] == {"value": None, "reason": "overflow"}
+        assert report["deviation"] is None
+    else:
+        assert report["oracle_value"] is None and report["oracle_reason"] == "overflow"
+        assert report["abs_deviation"] is report["rel_deviation"] is None
+    code, out, _ = run(argv)
+    assert code == 0 and "  oracle_value = null (overflow)\n" in out
+
+
+def test_an_oracle_route_alone_reports_its_overflow():
+    block = ["--input", str(FIXTURES / "block_symbol.json"), "--lambda", "1e300"]
+    code, report, _ = run_json(["det", *block, "--mode", "oracle"])
+    assert code == 0 and report["oracle"] == {"value": None, "reason": "overflow"}
+    assert report["series"] is None
+    code, out, _ = run(["det", *block, "--mode", "oracle"])
+    assert code == 0 and "  oracle_value = null (overflow)\n" in out
+    # a finite oracle beside an overflowing series keeps its value
+    code, report, _ = run_json(["compare", "--input", str(FIXTURES / "rank_one.json"),
+                                "--lambda", "1e160", "--order", "4"])
+    assert report["reason"] == "overflow" and report["oracle_value"] == [7e159, 0.0]
+    assert "oracle_reason" not in report
+
+
+def test_one_term_series_reports_its_one_term():
+    code, report, _ = run_json(["det", "--input", str(FIXTURES / "zero.json"), "--order", "1"])
+    assert code == 0 and report["series"]["value"] == [1.0, 0.0]
+    assert report["series"]["converged"] and report["series"]["terms"] == [[0.0, 0.0]]
+    code, report, _ = run_json(["det", "--input", str(FIXTURES / "rank_one.json"),
+                                "--order", "1", "--mode", "series"])
+    assert code == 4 and report["series"]["order_used"] == 1
+    assert report["series"]["reason"] == "outside_disc"
+    assert report["series"]["tail_estimate"] == "inf"

@@ -157,6 +157,30 @@ def test_reason_says_why_the_series_gives_no_answer():
     assert plemelj_det(eigen_source([1.5]), 1.0, order=29, tol=1e-300).reason == "overflow"
 
 
+@pytest.mark.parametrize("lam", [1e160, 1e300, complex(1e300, 1e300)])
+def test_zero_trace_powers_give_zero_terms_at_any_lambda(lam):
+    # lambda^m leaves the float range, and inf * 0 would be nan
+    result = plemelj_det(TracePowerSource(lambda m: 0.0), lam, order=4)
+    assert result.value == 1 and result.converged and result.reason is None
+    assert result.terms == (0j, 0j, 0j)
+
+
+def test_the_first_term_that_overflows_stops_the_series():
+    # a finite first term, then lambda^2 * Tr(T^2) past the float range
+    result = plemelj_det(eigen_source([0.7]), 1e160, order=4)
+    assert result.terms == (7e159 + 0j,) and result.order_used == 1
+    assert result.reason == "overflow" and not result.converged
+    assert math.isinf(result.tail_estimate)
+    # the very first term overflows: no term is kept
+    result = plemelj_det(TracePowerSource(lambda m: 1e308), 1e10, order=4)
+    assert result.terms == () and result.order_used == 0
+    assert result.reason == "overflow" and not result.converged
+    assert any("order 1" in w for w in result.diagnostics["warnings"])
+    # finite terms whose partial sum overflows stop the series as well
+    result = plemelj_det(TracePowerSource(lambda m: 1.5e308 * (-1) ** (m + 1)), 1.0, order=4)
+    assert result.terms == (1.5e308 + 0j,) and result.reason == "overflow"
+
+
 def test_non_finite_trace_power_names_the_order():
     src = TracePowerSource(lambda m: float("inf") if m == 3 else 0.0)
     with pytest.raises(EvaluationError, match="order 3"):

@@ -1,7 +1,8 @@
 """``tools/report_sweep.py --compare``, the comparison every change's sweep
 is read through: equal sweeps pass silently, and each kind of difference
 is named.  ``tools/ab_timing.py`` times two trees only when their reports
-agree, and names each request where they do not."""
+agree, and names each request where they do not.  ``tools/peak_rss.py``
+prints the exit code and peak memory of one command."""
 
 import importlib.util
 import json
@@ -11,8 +12,11 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORT_SWEEP = ROOT / "tools" / "report_sweep.py"
+PEAK_RSS = ROOT / "tools" / "peak_rss.py"
 
 
 def _report_sweep():
@@ -114,3 +118,14 @@ def test_ab_timing_names_each_request_whose_report_differs(tmp_path):
     assert all(line.startswith("report differs: trace --input ") for line in lines)
     differ, total = re.fullmatch(r"(\d+) of (\d+) requests differ\n", proc.stderr).groups()
     assert int(differ) == len(lines) < int(total)
+
+
+@pytest.mark.parametrize("spec, code", [("fixtures/zero.json", 0), ("fixtures/missing.json", 2)])
+def test_peak_rss_prints_the_exit_code_and_a_positive_peak(spec, code):
+    proc = subprocess.run([sys.executable, str(PEAK_RSS), "det", "--input", spec],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    line = re.fullmatch(r"exit (\d+)  wall (\S+) s  peak_rss (\S+) MB\n", proc.stdout)
+    assert line is not None, proc.stdout
+    assert int(line[1]) == code
+    assert float(line[2]) > 0 and float(line[3]) > 0

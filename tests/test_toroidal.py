@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -298,14 +300,19 @@ def _grid_and_pointwise(make):
     return grid, pointwise
 
 
-def _per_k_reference(s, n_x, k):
-    """The DFT table of sigma(., k) sampled point by point, as the entries
-    A[j, k] read it at the mode (j - k) mod n_x."""
+def _per_k_samples(s, n_x, k):
+    """sigma(p / n_x, k) sampled point by point on the n_x-point grid."""
     grid = np.arange(n_x) / n_x
     samples = np.empty((n_x,) * s.dim, dtype=np.complex128)
     for pos in itertools.product(range(n_x), repeat=s.dim):
         samples[pos] = s.eval(tuple(grid[p] for p in pos), k)
-    return np.fft.fftn(samples) / n_x ** s.dim
+    return samples
+
+
+def _per_k_reference(s, n_x, k):
+    """The DFT table of sigma(., k) sampled point by point, as the entries
+    A[j, k] read it at the mode (j - k) mod n_x."""
+    return np.fft.fftn(_per_k_samples(s, n_x, k)) / n_x ** s.dim
 
 
 # (1, 9, 37), (1, 2, 12) and (2, 2, 12) sit at the alias limit 4R < n_x
@@ -331,11 +338,13 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
         # listed coefficients are read as they are, with nothing sampled; the
         # sampled matrix stays their referee
         assert sampled == []
-    matrices = [toroidal_mod._sampled_matrix(s, n_x, cutoff) for s in (grid, pointwise)]
-    # one call per box row of 2R+1 consecutive k, none for a second matrix
+        matrices = [toroidal_mod._sampled_matrix(s, n_x, cutoff) for s in (grid, pointwise)]
+    else:
+        matrices = [k.support_arrays(cutoff) for k in (k_grid, k_point)]
+    # one call per box row of 2R+1 consecutive k, none for a second kernel
     assert sampled == [2 * cutoff + 1] * rows
     k_again = toroidal_matrix(grid, cutoff)
-    assert len(sampled) == rows
+    assert k_again is k_grid and len(sampled) == rows
     assert np.array_equal(matrices[0].view(np.uint64), matrices[1].view(np.uint64))
 
     for r in (cutoff - 1, cutoff, cutoff + 1):
@@ -357,20 +366,27 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
         assert k_grid.eval(outside, m) == 0 and k_grid.eval(m, outside) == 0
 
     # the public coefficients read full per-k tables, up to n_x/2 - 1, or
-    # the listed values themselves, zero where nothing is listed
+    # the listed values themselves, zero where nothing is listed.  A sampled
+    # coefficient samples its k anew on each call, so the pointwise symbol
+    # is asked its samples once per k (equal samples give every mode equal)
+    # and its coefficients at the corner and centre modes.
     listed = dict(zip(map(tuple, grid.coeffs[0].tolist()), grid.coeffs[1].tolist())) \
         if family == "table" else None
     top = (n_x - 1) // 2
     modes = list(itertools.product(range(-top, top + 1), repeat=dim))
     for m in (box[0], box[len(box) // 2]):
-        table = _per_k_reference(pointwise, n_x, m)
+        samples = _per_k_samples(pointwise, n_x, m)
+        table = np.fft.fftn(samples) / n_x ** dim
+        if listed is None:
+            assert bits(toroidal_mod._sample_stack(pointwise, n_x, [m])[0]) == bits(samples)
         for l in modes:
             if listed is None:
                 want = bits(complex(table[tuple(v % n_x for v in l)]))
             else:
                 want = bits(listed.get(l + m, 0.0j))
             assert bits(symbol_fourier_coeff(grid, l, m, x_grid=n_x)) == want
-            assert bits(symbol_fourier_coeff(pointwise, l, m, x_grid=n_x)) == want
+            if listed is not None or l in (modes[0], modes[len(modes) // 2], modes[-1]):
+                assert bits(symbol_fourier_coeff(pointwise, l, m, x_grid=n_x)) == want
 
 
 # chunks of 5 k in 1-D, of 3 and 4 k across box rows in 2-D, and of one k
@@ -496,10 +512,11 @@ def test_listed_coefficients_must_be_finite():
             table_symbol({(0, 0): 0.5, (1, -2): bad, (3, 4): math.inf}, label="bad")
 
 
-def test_wide_listed_mode_costs_only_its_entries():
+def test_wide_listed_mode_costs_only_its_entries(monkeypatch):
     # sigma_hat(1000, -500) beside a three-mode table: the band radius is
     # 1000, yet the truncation holds the four listed entries and nothing is
     # sampled
+    monkeypatch.setattr(toroidal_mod, "_sample_stack", None)  # not callable
     cutoff = 20000
     s = table_symbol({**{(l, 0): 0.25 for l in (-1, 0, 1)}, (1000, -500): 0.5})
     k = toroidal_matrix(s, cutoff)
@@ -507,7 +524,8 @@ def test_wide_listed_mode_costs_only_its_entries():
     assert len(lattice_mod._truncation(k, cutoff)[1][2]) == 4
     result = toroidal_determinant(s, 0.3, order=30, cutoff=cutoff)
     assert result.converged and abs(result.value - 1.075) <= 1e-12
-    assert list(s._tables) == [(None, cutoff)]  # the listed entries alone
+    # the series read the remembered kernel and its stored truncation
+    assert s._quantized[1] is k and list(k._truncations) == [cutoff]
 
 
 @pytest.mark.parametrize("family", ["power_decay", "table"])
@@ -524,9 +542,9 @@ def test_listed_quantizations_sample_nothing(family):
     kernels = [toroidal_matrix(s, cutoff) for _ in range(2)]
     per_k = 4 if family == "power_decay" else 0
     assert sorted(calls) == sorted([(k,) for k in range(-cutoff, cutoff + 1)] * per_k)
-    assert list(s._tables) == [(None, cutoff)]  # the listed entries alone
-    assert [bits(a) for a in kernels[0].support_arrays(cutoff)] \
-        == [bits(a) for a in kernels[1].support_arrays(cutoff)]
+    # listed once: the second call returns the remembered kernel
+    assert kernels[0] is kernels[1] is s._quantized[1]
+    assert s._quantized[0] == (toroidal_mod._auto_grid(2 * cutoff), cutoff)
     if family == "power_decay":
         assert lattice_mod._TracePowers(kernels[0], cutoff)._mode == "diag"
 
@@ -598,10 +616,43 @@ def test_sample_guard_refuses_before_sampling():
     with pytest.raises(FeasibilityError) as info:
         toroidal_matrix(s, 5000)
     assert info.value.count == 10001 * 131072
-    assert not s._tables
+    assert s._quantized is None
+    # a refused cutoff leaves the remembered kernel of another in place
+    k = toroidal_matrix(s, 2)
+    with pytest.raises(FeasibilityError):
+        toroidal_matrix(s, 5000)
+    assert s._quantized[1] is k
     # x-independent symbols sample a few points per k and are not guarded
     k = toroidal_matrix(power_decay_symbol(-2.0), 5000)
     assert k.eval((5000,), (5000,)) == pytest.approx(1.0 / (1.0 + 5000 ** 2))
+
+
+def test_threads_at_different_cutoffs_each_get_their_own_kernel():
+    # one symbol, four threads, each at its own cutoff: the remembered
+    # kernel is replaced all the time, yet each call returns a kernel of
+    # its own cutoff, 2R + 1 diagonal entries
+    s = power_decay_symbol(-2.0)
+    wrong, done = [], []
+
+    def work(cutoff):
+        for _ in range(200):
+            k = toroidal_matrix(s, cutoff)
+            if len(k.support_arrays(10)[2]) != 2 * cutoff + 1:
+                wrong.append(cutoff)
+        done.append(cutoff)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(r,)) for r in (1, 2, 3, 4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [1, 2, 3, 4] and wrong == []
 
 
 def test_two_dimensional_symbol_round_trip():
@@ -677,13 +728,21 @@ def test_two_dimensional_bad_coefficient_is_named_like_the_entry_walk():
 
 
 def test_a_sampled_quantization_hands_over_its_matrix():
-    # the stored truncation is the cached matrix itself: no copy, no entries
+    # the stored truncation is the sampled matrix itself: no copy, no
+    # entries; the symbol is sampled once per (grid, cutoff)
     cutoff = 70
     s = modulated_symbol({1: 0.25, -2: 0.1j}, -2.0)
+    sampled = []
+    eval_grid = s.eval_grid
+    s.eval_grid = lambda n, ks: sampled.append(n) or eval_grid(n, ks)
     k = toroidal_matrix(s, cutoff)
     mode, entries, matrix = lattice_mod._truncation(k, cutoff)
     assert mode == "dense" and entries is None
-    assert np.shares_memory(matrix, s._tables[(toroidal_mod._auto_grid(2 * cutoff), cutoff)])
+    assert matrix is k.support_arrays(cutoff) and not matrix.flags.writeable
+    assert toroidal_matrix(s, cutoff) is k
+    assert sampled == [toroidal_mod._auto_grid(2 * cutoff)]
+    s.x_grid = 512  # another grid at the same cutoff is sampled anew
+    assert toroidal_matrix(s, cutoff) is not k and sampled[1:] == [512]
     assert bits(lattice_trace(k, cutoff)) == bits(complex(sum(matrix.diagonal().tolist())))
 
 
@@ -705,7 +764,7 @@ def test_dense_quantization_above_the_dense_limit_keeps_its_trace(monkeypatch, d
     # the refused truncation is the sampled matrix itself, held for its trace
     mode, entries, held = lattice_mod._truncation(k, cutoff, every_entry=False)
     assert mode == "refused" and entries is None
-    assert held is s._tables[(toroidal_mod._auto_grid(2 * cutoff), cutoff)]
+    assert held is k.support_arrays(cutoff) and s._quantized[1] is k
     side = (2 * cutoff + 1) ** dim
     for needs_every_entry in (poincare_norm, truncation_trace_source):
         with pytest.raises(FeasibilityError) as info:
