@@ -9,6 +9,11 @@ refusal, 4 non-converged series under ``--mode series``.  Errors go to
 stderr; in JSON mode each is one JSON object on one line, command-line
 usage errors included (``{"error": "usage", "message": ...}``).
 
+A command line made of a command and exact options is read from the option
+table ``_OPTIONS`` (see :func:`_plain_args`); anything else is read by the
+argparse parser built from the same table, with the same result.  Help and
+usage errors are argparse's, and so are abbreviated options.
+
 Each spec kind is computed through its entry in the kind table ``_KINDS``:
 series and oracle determinant, series and oracle trace, trace-power source
 and, for lattice kernels and toroidal symbols, the norm profile.
@@ -105,12 +110,21 @@ def _det_json(r: DetResult) -> dict:
     }
 
 
+def _half_modulus(z: complex) -> float:
+    return abs(complex(z.real / 2, z.imag / 2))
+
+
 def _deviation(series: complex, oracle: complex) -> dict:
-    abs_dev = abs(series - oracle)
-    return {
-        "abs": _num(abs_dev),
-        "rel": _num(abs_dev / max(1.0, abs(oracle))),
-    }
+    diff = series - oracle
+    try:
+        abs_dev = abs(diff)
+        rel = abs_dev / max(1.0, abs(oracle))
+    except OverflowError:
+        # a modulus past the float range: halved moduli are finite, and the
+        # absolute deviation, twice the halved one, becomes inf
+        abs_dev = 2.0 * _half_modulus(diff)
+        rel = _half_modulus(diff) / max(0.5, _half_modulus(oracle))
+    return {"abs": _num(abs_dev), "rel": _num(rel)}
 
 
 def _emit_json(report: dict, stream):
@@ -399,53 +413,107 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n", message)
 
 
+#: subcommand -> help line
+_COMMANDS = {
+    "det": "determinant of I + lambda*T",
+    "trace": "trace of T",
+    "norm-profile": "summed-entry norm growth across cutoffs",
+    "radius": "root-test estimate of the series radius",
+    "compare": "series vs oracle determinant deviation",
+}
+
+#: option -> its argparse.add_argument keywords; every subcommand takes
+#: every option.  _plain_args reads the same table and takes a default as
+#: it stands, which matches argparse only because no option has a string
+#: default together with a type (argparse would convert such a default).
+_OPTIONS = {
+    "--input": dict(required=True, help="operator spec file (JSON)"),
+    "--lambda": dict(dest="lam", type=_parse_lambda, default=complex(0.1, 0.0),
+                     metavar="RE,IM", help="evaluation point (default 0.1,0)"),
+    "--order": dict(type=int, default=30, help="series truncation order (default 30)"),
+    "--cutoff": dict(type=int, default=8, help="truncation box radius (default 8)"),
+    "--tol": dict(type=float, default=1e-10, help="series tolerance (default 1e-10)"),
+    "--mode": dict(choices=("series", "oracle", "both"), default="both",
+                   help="computation route (default both)"),
+    "--output": dict(choices=("json", "text"), default="text",
+                     help="report format (default text)"),
+}
+
+#: option -> (namespace attribute, type, choices), as argparse derives them
+_PLAIN = {flag: (kw.get("dest", flag[2:]), kw.get("type"), kw.get("choices"))
+          for flag, kw in _OPTIONS.items()}
+_DEFAULTS = {_PLAIN[flag][0]: kw.get("default") for flag, kw in _OPTIONS.items()}
+_REQUIRED = frozenset(_PLAIN[flag][0] for flag, kw in _OPTIONS.items() if kw.get("required"))
+
+
+def _plain_args(argv: list):
+    """The namespace argparse returns for a command line made of a command
+    and exact options, each ``--opt=value`` or ``--opt value`` with a value
+    that does not start with ``-``; None for any other command line, which
+    argparse then reads (abbreviations, other values, help, errors).  Like
+    argparse, it checks every occurrence of an option and keeps the last."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in _PLAIN:
+            return None
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops a '--' value
+            return None
+        dest, convert, choices = _PLAIN[flag]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not _REQUIRED <= values.keys():
+        return None
+    return argparse.Namespace(**{**_DEFAULTS, **values})
+
+
+def _is_output_flag(flag: str) -> bool:
+    """Whether argparse reads ``flag`` as ``--output``: written in full, or
+    as a prefix of ``--output`` that no other option has."""
+    return "--output".startswith(flag) and not any(
+        other.startswith(flag) for other in _OPTIONS if other != "--output")
+
+
 def _asks_for_json(argv: list) -> bool:
     """Whether a command line the parser rejected asks for ``--output json``
-    (the last ``--output`` option, written in full, wins)."""
+    (the last ``--output`` option, in full or abbreviated, wins)."""
     output = None
     for arg, following in zip(argv, argv[1:] + [None]):
-        if arg == "--output":
-            output = following
-        elif arg.startswith("--output="):
-            output = arg.partition("=")[2]
+        flag, eq, value = arg.partition("=")
+        if _is_output_flag(flag):
+            output = value if eq else following
     return output == "json"
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused: building it
-    costs several times what parsing one command line does."""
+    """The argument parser, built from _COMMANDS and _OPTIONS on first use
+    and then reused: building it costs several times what parsing one
+    command line does."""
     common = _Parser(add_help=False)
-    common.add_argument("--input", required=True, help="operator spec file (JSON)")
-    common.add_argument("--lambda", dest="lam", type=_parse_lambda,
-                        default=complex(0.1, 0.0), metavar="RE,IM",
-                        help="evaluation point (default 0.1,0)")
-    common.add_argument("--order", type=int, default=30,
-                        help="series truncation order (default 30)")
-    common.add_argument("--cutoff", type=int, default=8,
-                        help="truncation box radius (default 8)")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="series tolerance (default 1e-10)")
-    common.add_argument("--mode", choices=("series", "oracle", "both"),
-                        default="both", help="computation route (default both)")
-    common.add_argument("--output", choices=("json", "text"), default="text",
-                        help="report format (default text)")
-
+    for flag, kw in _OPTIONS.items():
+        common.add_argument(flag, **kw)
     parser = _Parser(
         prog="specdet",
         description="Determinants and traces of operators given by symbols "
                     "and kernels, with brute-force oracle cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("det", parents=[common],
-                   help="determinant of I + lambda*T")
-    sub.add_parser("trace", parents=[common], help="trace of T")
-    sub.add_parser("norm-profile", parents=[common],
-                   help="summed-entry norm growth across cutoffs")
-    sub.add_parser("radius", parents=[common],
-                   help="root-test estimate of the series radius")
-    sub.add_parser("compare", parents=[common],
-                   help="series vs oracle determinant deviation")
+    for command, text in _COMMANDS.items():
+        sub.add_parser(command, parents=[common], help=text)
     return parser
 
 
@@ -467,7 +535,7 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _plain_args(argv) or _build_parser().parse_args(argv)
     except _ParserExit as exc:
         if exc.status == 0:
             stdout.write(exc.text)

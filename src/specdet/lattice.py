@@ -540,9 +540,13 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
                              f"cutoff={cutoff}")
     norm = nuclear_norm_estimate(k, 1.0, cutoff)
     diagnostics: dict = {"nuclear_norm_estimate": norm}
-    if abs(lam) * norm >= 1.0:
+    try:
+        reach = abs(lam) * norm
+    except OverflowError:  # |lambda| past the float range; the series reports overflow
+        reach = math.inf if norm > 0.0 else 0.0
+    if reach >= 1.0:
         diagnostics["warnings"] = [
-            f"|lambda|*norm = {abs(lam) * norm:.6g} >= 1; the series may "
+            f"|lambda|*norm = {reach:.6g} >= 1; the series may "
             f"converge slowly or not at all"
         ]
 

@@ -97,7 +97,8 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
     early stop or rho < 1 together with a below-tolerance last term.  A
     zero trace power gives the term 0 whatever lambda^m is; the first term
     that is not finite, or that makes the partial sum so, stops the series
-    with reason ``overflow``.
+    with reason ``overflow``, as does one whose modulus, or that of the
+    partial sum with it, passes the float range.
     """
     if order < 1:
         raise ParameterError(f"series order must be >= 1, got {order}")
@@ -125,12 +126,16 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
         sign = 1.0 if m % 2 == 1 else -1.0
         # lambda^m may be inf or nan where Tr(T^m) = 0, and inf * 0 is nan
         t = (sign / m) * lam_pow * tp if tp else 0.0j
-        if not (cmath.isfinite(t) and cmath.isfinite(total + t)):
+        try:
+            mag, mag_total = abs(t), abs(total + t)
+        except OverflowError:  # a finite complex whose modulus passes the float range
+            mag = mag_total = math.inf
+        if not (mag < math.inf and mag_total < math.inf):  # inf or nan
             overflowed = True
             break
         terms.append(t)
         total += t
-        if abs(t) < tol * max(1.0, abs(total)):
+        if mag < tol * max(1.0, mag_total):
             small_run += 1
             if small_run >= EARLY_STOP_RUN:
                 early_stopped = True

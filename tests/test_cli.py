@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import pathlib
 import time
 
@@ -276,10 +277,19 @@ def test_usage_errors_go_to_the_given_stderr(capsys, argv, prog, message):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: {prog} ") and err.endswith(f"{prog}: error: {message}\n")
-    for output in (["--output", "json"], ["--output=json"]):
+    # argparse reads a unique prefix of --output as --output
+    for output in (["--output", "json"], ["--output=json"], ["--outp", "json"], ["--ou=json"]):
         assert run(argv + output) == (2, "", json.dumps(
             {"error": "usage", "message": message}, sort_keys=True) + "\n")
     assert capsys.readouterr() == ("", "")
+
+
+def test_an_ambiguous_output_prefix_is_argparse_error_text():
+    # --o matches --order and --output: argparse's error, not a JSON one
+    code, out, err = run(["det", "--input", "fixtures/zero.json", "--o", "json"])
+    assert (code, out) == (2, "")
+    assert err.endswith("specdet det: error: ambiguous option: --o could match --order, "
+                        "--output\n")
 
 
 def test_help_goes_to_the_given_stdout(capsys):
@@ -309,14 +319,37 @@ def test_python_m_specdet_runs_the_cli():
 
 @pytest.mark.parametrize("command", ["det", "compare"])
 @pytest.mark.parametrize("fixture,lam", [("diag_inverse_square.json", "1e308,1e308")])
-def test_overflow_is_a_computation_error(command, fixture, lam):
-    # abs(lambda) in the lattice norm check raises OverflowError inside the
-    # library, on the series route (an oracle that overflows is a null value)
-    code, out, err = run([command, "--input", f"fixtures/{fixture}", "--lambda", lam,
-                          "--output", "json"])
-    assert (code, out) == (2, "")
-    [line] = err.splitlines()
-    assert json.loads(line)["error"] == "computation"
+def test_modulus_overflow_reports_null(command, fixture, lam):
+    # the first term has finite parts but a modulus past the float range,
+    # where abs() raises OverflowError: the series stops with reason
+    # overflow, as where a part overflows
+    argv = [command, "--input", f"fixtures/{fixture}", "--lambda", lam]
+    code, report, _ = run_json(argv)
+    assert code == 0
+    if command == "det":
+        assert report["series"]["value"] is None and report["deviation"] is None
+        assert report["series"]["reason"] == "overflow" and report["series"]["terms"] == []
+    else:
+        assert report["series_value"] is None and report["reason"] == "overflow"
+        assert report["abs_deviation"] is report["rel_deviation"] is None
+    code, out, _ = run(argv)
+    assert code == 0 and "null (overflow)\n" in out
+
+
+def test_a_deviation_whose_modulus_overflows_stays_finite_where_it_can(tmp_path):
+    import specdet.cli as cli
+
+    # a trace with finite parts whose modulus passes the float range: abs()
+    # of the oracle trace raised OverflowError, and trace exited 2
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "block_symbol", "dims": [1],
+                                "blocks": [[[[1.5e308, 1.5e308]]]]}))
+    code, report, _ = run_json(["trace", "--input", str(path)])
+    assert code == 0 and report["deviation"] == {"abs": 0.0, "rel": 0.0}
+    assert cli._deviation(0j, complex(1.5e308, 1.5e308)) == {"abs": "inf", "rel": 1.0}
+    near = cli._deviation(complex(1.5e308, 1.5e308), complex(1.5e308, 1.4e308))
+    assert near["abs"] == 1e307 and near["rel"] == pytest.approx(0.1 / math.hypot(1.5, 1.4))
+    assert cli._deviation(1.0 + 0j, 3.0 + 0j) == {"abs": 2.0, "rel": 0.666666666667}
 
 
 @pytest.mark.parametrize("fixture", GOOD_FIXTURES)
@@ -668,7 +701,7 @@ def _no_constant(name):
     raise AssertionError(f"report holds {name}, which is not JSON")
 
 
-@pytest.mark.parametrize("lam", ["1e160", "1e300", "1e300,1e300"])
+@pytest.mark.parametrize("lam", ["1e160", "1e300", "1e300,1e300", "1.5e308,1.5e308"])
 @pytest.mark.parametrize("fixture", GOOD_FIXTURES)
 def test_reports_stay_strict_json_at_extreme_lambda(fixture, lam):
     # far outside every series disc: terms, sums and oracle products leave

@@ -181,6 +181,16 @@ def test_the_first_term_that_overflows_stops_the_series():
     assert result.terms == (1.5e308 + 0j,) and result.reason == "overflow"
 
 
+def test_a_term_whose_modulus_overflows_stops_the_series():
+    # finite parts, but abs() of the term raises OverflowError
+    result = plemelj_det(TracePowerSource(lambda m: 1.0), 1.5e308 + 1.5e308j)
+    assert result.terms == () and result.reason == "overflow" and not result.converged
+    assert math.isinf(result.tail_estimate)
+    # a finite first term, then a partial sum whose modulus overflows
+    result = plemelj_det(TracePowerSource(lambda m: 0.75e308 if m == 1 else -0.75e308j), -2.0)
+    assert result.terms == (-1.5e308 + 0j,) and result.reason == "overflow"
+
+
 def test_non_finite_trace_power_names_the_order():
     src = TracePowerSource(lambda m: float("inf") if m == 3 else 0.0)
     with pytest.raises(EvaluationError, match="order 3"):

@@ -11,11 +11,15 @@ A sweep runs every good fixture (``fixtures/*.json``) through
 ``specdet.cli.run_command``.  It runs ``det`` and ``trace`` in each
 ``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
 ``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
-json and text: 1134 cases on the 21 fixtures.  It writes the exit code,
-stdout and stderr of each case to one JSON file, keyed by the case's
-arguments.  ``--src`` imports specdet from another source tree, such as an
-export of an earlier commit; the fixtures are always this tree's.
-``--cutoff R`` passes ``--cutoff R`` to every case: at R >= 64 the 1-D
+json and text: 1134 cases on the 21 fixtures.  These are all written as
+``--opt value`` with a lambda of at least 0, so 11 command-line shapes on
+one fixture follow (``SHAPES``): both value forms with a negative lambda,
+abbreviated and repeated options, usage errors and help, most of which
+only argparse reads.  It writes the exit code, stdout and stderr of each
+of the 1145 cases to one JSON file, keyed by the case's arguments.
+``--src`` imports specdet from another source tree, such as an export of
+an earlier commit; the fixtures are always this tree's.
+``--cutoff R`` passes ``--cutoff R`` to every fixture case: at R >= 64 the 1-D
 lattice fixtures are at least 128 wide and leave the dense trace-power
 chain, which they keep at the CLI's default cutoff 8.
 
@@ -46,6 +50,14 @@ COMMANDS = ([("det", mode) for mode in ("both", "series", "oracle")]
             + [("radius", None), ("compare", None), ("norm-profile", None)])
 LAMBDAS = ("0.1", "0.7,-0.2", "3")
 OUTPUTS = ("json", "text")
+SHAPE_FIXTURE = "fixtures/rank_one.json"
+#: command lines shaped unlike the fixture cases, whatever --cutoff is
+SHAPES = [["-h"], ["det", "-h"], ["det", "--outp", "json"]] + [
+    ["det", "--input", SHAPE_FIXTURE, *rest]
+    for rest in (["--lambda=-0.3,0"], ["--lambda", "-0.3"], ["--lam", "0.3"],
+                 ["--outp", "json"], ["--output=json", "--output", "text"],
+                 ["--output", "yaml", "--output", "json"], ["--order", "x"],
+                 ["--bandwidth", "3"])]
 #: a number, with its sign; text reports write complex values as "a - bi",
 #: so a sign may stand one space before its digits
 NUMBER = re.compile(r"(?:[-+] ?)?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
@@ -54,7 +66,8 @@ NOISE = 1e-9
 
 
 def cases(cutoff: int | None = None) -> list:
-    """argv lists of the sweep, fixture paths relative to the repository root."""
+    """argv lists of the sweep, fixture paths relative to the repository
+    root: the fixture cases, then SHAPES."""
     fixtures = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "fixtures").glob("*.json"))
     out = []
     for path in fixtures:
@@ -64,7 +77,7 @@ def cases(cutoff: int | None = None) -> list:
                     argv = [command, "--input", path, "--lambda", lam, "--output", fmt]
                     argv += ["--mode", mode] if mode else []
                     out.append(argv + (["--cutoff", str(cutoff)] if cutoff else []))
-    return out
+    return out + SHAPES
 
 
 def sweep(src: Path, cutoff: int | None) -> dict:
