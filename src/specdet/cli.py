@@ -210,9 +210,9 @@ def _block_oracle_trace(op) -> complex:
 
 
 def _spectral_oracle_trace(op, alpha: float) -> complex:
-    acc = 0.0
+    acc, exponent = 0.0, -alpha / op.nu
     for eig, mult in zip(op.eigenvalues.tolist(), op.multiplicities.tolist()):
-        acc += mult * (1.0 + eig) ** (-alpha / op.nu)
+        acc += mult * (1.0 + eig) ** exponent
     return complex(acc)
 
 

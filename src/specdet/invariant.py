@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError, ShapeError
+from .lattice import _real_if_real
 from .linalg import CMatrix, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -129,13 +130,15 @@ class _WeightedBlockPowers:
     """Incremental trace powers sum_b w_b Tr(B_b^m) over groups of square blocks.
 
     Each group is ``(weights, stack)``: a float64 vector of g weights and
-    either a (g, s, s) complex stack of blocks, zero-padded to one side s,
-    or the (g,) values of 1x1 blocks.  Each order costs one batched
-    ``np.matmul`` per stack and one ``np.einsum("bii,b->")`` of its
-    diagonals against the weights, or one elementwise product and one
-    ``_dot`` per vector of values; the groups add in the order given.
-    Blocks sum within their group first, so grouping the same blocks
-    differently can move the last bits of a trace.
+    either a (g, s, s) stack of blocks, zero-padded to one side s, or the
+    (g,) values of 1x1 blocks, each float64 or complex128 as
+    :func:`_side_groups` and the spectral values make them.  Each order
+    costs one batched ``np.matmul`` per stack and one
+    ``np.einsum("bii,b->")`` of its diagonals against the weights, or one
+    elementwise product and one ``_dot`` per vector of values; the groups
+    add in the order given, and traces are ``complex``.  Blocks sum within
+    their group first, so grouping the same blocks differently can move
+    the last bits of a trace.
     """
 
     def __init__(self, groups):
@@ -162,7 +165,9 @@ def _side_groups(blocks, weights) -> list:
     power-of-two side class ``(side - 1).bit_length()``, in order of each
     class's first block.  Each block is zero-padded to the largest side in
     its class, which leaves its trace powers as they are: a few batched
-    products, each at most 8 times the work of the unpadded blocks."""
+    products, each at most 8 times the work of the unpadded blocks.  A
+    stack is float64 when none of its blocks has a nonzero imaginary part,
+    else complex128 (:func:`_real_if_real`); the blocks keep their own."""
     by_class: dict = {}
     for b, w in zip(blocks, weights):
         by_class.setdefault((len(b) - 1).bit_length(), []).append((w, b))
@@ -172,7 +177,7 @@ def _side_groups(blocks, weights) -> list:
         stack = np.zeros((len(group), side, side), dtype=np.complex128)
         for s, (_, b) in zip(stack, group):
             s[:len(b), :len(b)] = b
-        groups.append(([w for w, _ in group], stack))
+        groups.append(([w for w, _ in group], _real_if_real(stack)))
     return groups
 
 

@@ -347,9 +347,11 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
 
 
 def _real_if_real(vals: np.ndarray) -> np.ndarray:
-    """Complex values as float64 when no imaginary part is nonzero: a real
-    product is the real part of the complex one bit for bit, at a quarter
-    of the multiplies."""
+    """Complex values as a new float64 array when no imaginary part is
+    nonzero, else themselves: the base of real trace powers, whose products
+    take a quarter of the multiplies.  An elementwise real product is the
+    real part of the complex one bit for bit; a matrix product (dgemm
+    against zgemm) may differ from it in the last bits."""
     return vals if vals.imag.any() else np.ascontiguousarray(vals.real)
 
 
@@ -425,19 +427,23 @@ class _TracePowers:
     the form its mode (:func:`_mode`) holds; traces are cached as powers are
     formed, so a determinant costs at most one product per series order.
 
-    - ``diag``: power sums of the nonzero values, float64 when all are real;
-      values whose power underflows to exactly 0 are dropped, since they
-      add nothing to this or any later trace (subnormal powers stay);
-    - ``band``: ``_Band`` powers over the occupied positions, float64 when
-      the entries are real, one ``np.einsum`` per product
-      (:func:`_band_times`), and Tr(T^m) = Tr(T^a T^b), a = ceil(m/2),
-      b = floor(m/2), so only the two powers in use stay alive;
+    - ``diag``: power sums of the nonzero values; values whose power
+      underflows to exactly 0 are dropped, since they add nothing to this
+      or any later trace (subnormal powers stay);
+    - ``band``: ``_Band`` powers over the occupied positions, one
+      ``np.einsum`` per product (:func:`_band_times`), and
+      Tr(T^m) = Tr(T^a T^b), a = ceil(m/2), b = floor(m/2), so only the
+      two powers in use stay alive;
     - ``sparse``: scipy CSR products; ``dense``: products of the
-      truncation's own matrix (a ``refused`` one is refused: its CSR
-      products would cost as much as dense ones, and run slower).
+      truncation's matrix (a ``refused`` one is refused: its CSR products
+      would cost as much as dense ones, and run slower).
 
-    Sides below ``SPARSE_SIDE_MIN`` keep the dense chain, whose rounding the
-    golden reports record.  ``sparse`` and ``dense`` stay complex128.
+    In every mode the base is float64 when no entry has a nonzero imaginary
+    part, else complex128 (:func:`_real_if_real`); a real base is this
+    instance's own copy, and the stored truncation stays complex128.
+    Traces are ``complex`` either way.  A real chain may round differently
+    from the complex one in the last bits; on the shipped fixtures no CLI
+    report shows it, at cutoff 8 or 64.
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
@@ -463,9 +469,10 @@ class _TracePowers:
             else:
                 from scipy import sparse
 
-                self._base = sparse.csr_matrix(
-                    (vals, (rows, cols)), shape=(self.side, self.side), dtype=np.complex128
-                )
+                self._base = sparse.csr_matrix((_real_if_real(vals), (rows, cols)),
+                                               shape=(self.side, self.side))
+        else:  # dense: the stored matrix itself, or a float64 copy of it
+            self._base = _real_if_real(self._base)
         self._cur = self._base
 
     def _power(self, a: int) -> _Band:

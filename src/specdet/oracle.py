@@ -186,9 +186,10 @@ def spectral_determinant_product(sp, alpha: float, lam: complex) -> complex:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     lam = complex(lam)
     det = 1.0 + 0.0j
+    exponent = -alpha / sp.nu
     # Python floats and ints: indexed numpy scalars cost several times more
     for eig, mult in zip(sp.eigenvalues.tolist(), sp.multiplicities.tolist()):
-        factor = 1.0 + lam * (1.0 + eig) ** (-alpha / sp.nu)
+        factor = 1.0 + lam * (1.0 + eig) ** exponent
         det *= factor ** mult
     return det
 

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import EvaluationError, ParameterError
 
 __all__ = ["TracePowerSource", "DetResult", "plemelj_det", "radius_estimate"]
@@ -113,35 +115,40 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
     lam_pow = 1.0 + 0.0j
     small_run = 0
     early_stopped = overflowed = False
-    for m in range(1, order + 1):
-        tp = complex(src.trace_power(m))
-        if not cmath.isfinite(tp):
-            raise EvaluationError(
-                f"trace power of order {m} is non-finite ({tp!r})"
-                + (f" for source {src.label!r}" if src.label else "")
-            )
-        if src.norm_hint is not None and _exceeds_hint(abs(tp), src.norm_hint, m):
-            hint_violations.append(m)
-        lam_pow *= lam
-        sign = 1.0 if m % 2 == 1 else -1.0
-        # lambda^m may be inf or nan where Tr(T^m) = 0, and inf * 0 is nan
-        t = (sign / m) * lam_pow * tp if tp else 0.0j
-        try:
-            mag, mag_total = abs(t), abs(total + t)
-        except OverflowError:  # a finite complex whose modulus passes the float range
-            mag = mag_total = math.inf
-        if not (mag < math.inf and mag_total < math.inf):  # inf or nan
-            overflowed = True
-            break
-        terms.append(t)
-        total += t
-        if mag < tol * max(1.0, mag_total):
-            small_run += 1
-            if small_run >= EARLY_STOP_RUN:
-                early_stopped = True
+    # a source's products may leave the float range: the non-finite trace is
+    # refused below, so numpy's warning on stderr would only repeat that.
+    # One errstate per series: one per order, in the sources, cost 4-5 % of
+    # the CLI's request rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, order + 1):
+            tp = complex(src.trace_power(m))
+            if not cmath.isfinite(tp):
+                raise EvaluationError(
+                    f"trace power of order {m} is non-finite ({tp!r})"
+                    + (f" for source {src.label!r}" if src.label else "")
+                )
+            if src.norm_hint is not None and _exceeds_hint(abs(tp), src.norm_hint, m):
+                hint_violations.append(m)
+            lam_pow *= lam
+            sign = 1.0 if m % 2 == 1 else -1.0
+            # lambda^m may be inf or nan where Tr(T^m) = 0, and inf * 0 is nan
+            t = (sign / m) * lam_pow * tp if tp else 0.0j
+            try:
+                mag, mag_total = abs(t), abs(total + t)
+            except OverflowError:  # a finite complex whose modulus passes the float range
+                mag = mag_total = math.inf
+            if not (mag < math.inf and mag_total < math.inf):  # inf or nan
+                overflowed = True
                 break
-        else:
-            small_run = 0
+            terms.append(t)
+            total += t
+            if mag < tol * max(1.0, mag_total):
+                small_run += 1
+                if small_run >= EARLY_STOP_RUN:
+                    early_stopped = True
+                    break
+            else:
+                small_run = 0
 
     order_used = len(terms)
     last = abs(terms[-1]) if terms else 0.0
@@ -213,13 +220,14 @@ def radius_estimate(src: TracePowerSource, order: int) -> float:
         raise ParameterError(f"radius estimate needs order >= 3, got {order}")
     start = (order + 1) // 2
     worst = 0.0
-    for m in range(start, order + 1):
-        tp = complex(src.trace_power(m))
-        if not cmath.isfinite(tp):
-            raise EvaluationError(f"trace power of order {m} is non-finite ({tp!r})")
-        mag = abs(tp)
-        if mag > 0.0:
-            worst = max(worst, mag ** (1.0 / m))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in plemelj_det
+        for m in range(start, order + 1):
+            tp = complex(src.trace_power(m))
+            if not cmath.isfinite(tp):
+                raise EvaluationError(f"trace power of order {m} is non-finite ({tp!r})")
+            mag = abs(tp)
+            if mag > 0.0:
+                worst = max(worst, mag ** (1.0 / m))
     if worst == 0.0:
         return math.inf
     return 1.0 / worst

@@ -352,6 +352,34 @@ def test_a_deviation_whose_modulus_overflows_stays_finite_where_it_can(tmp_path)
     assert cli._deviation(1.0 + 0j, 3.0 + 0j) == {"abs": 2.0, "rel": 0.666666666667}
 
 
+@pytest.mark.parametrize("spec, argv, trace", [
+    ({"kind": "block_symbol", "dims": [1], "blocks": [[[[1.5e308, 1.5e308]]]]}, [], "nan+nanj"),
+    ({"kind": "block_symbol", "dims": [1], "blocks": [[[[1e300, 0.0]]]]}, [], "inf+0j"),
+    ({"kind": "lattice_kernel", "family": "diagonal", "dim": 1, "entries": [[1, 1e300, 0.0]]},
+     [], "inf+0j"),
+    ({"kind": "lattice_kernel", "family": "rank_one", "dim": 1, "g": [[0, 1e300, 0.0]],
+      "h": [[0, 1.0, 0.0], [1, 1.0, 0.0]]}, ["--cutoff", "8"], "inf+0j"),
+    ({"kind": "lattice_kernel", "family": "banded", "dim": 1, "support": 4,
+      "offsets": [[-1, 1e300, 0.0], [1, 1e300, 0.0]]}, ["--cutoff", "8"], "inf+0j"),
+], ids=["block-complex", "block-real", "diagonal", "rank-one", "banded"])
+@pytest.mark.parametrize("command", ["det", "compare", "radius"])
+def test_trace_powers_past_the_float_range_leave_one_error_line(tmp_path, spec, argv, trace,
+                                                                command):
+    import warnings
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([command, "--input", str(path), "--output", "json", *argv])
+    assert caught == [] and (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    payload = json.loads(err)
+    assert payload["error"] == "computation" and "is non-finite" in payload["message"]
+    if command != "radius":  # the root test starts at order 15
+        assert f"trace power of order 2 is non-finite (({trace}))" in payload["message"]
+
+
 @pytest.mark.parametrize("fixture", GOOD_FIXTURES)
 def test_order_zero_exits_2_and_names_the_order(fixture):
     code, report, err = run_json(["det", "--input", f"fixtures/{fixture}", "--order", "0"])

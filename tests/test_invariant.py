@@ -402,6 +402,69 @@ def test_block_classes_pad_blocks_to_a_power_of_two_side():
         assert abs(powers.trace(m) - expected) <= 1e-14 * abs(expected)
 
 
+def _positive_block(rng, n, imag=0.0):
+    """An n x n block of positive entries, so no trace power cancels, with
+    ``imag`` added to its first diagonal entry as an imaginary part."""
+    block = rng.uniform(0.1, 1.0, size=(n, n)) * (0.6 / n) + 0j
+    block[0, 0] += 1j * imag
+    return block
+
+
+def _assert_real_stacks_follow_the_complex_chain(src, dtypes):
+    """The stacks behind a block or bundle source have ``dtypes``, and over
+    40 orders its traces follow the complex128 chain of the same stacks:
+    one batched ``np.matmul`` per order, the diagonals taken by
+    ``np.einsum`` against the weights and the groups added in order; bit
+    for bit when every stack is complex, else within 1e-14 relative."""
+    groups = src.trace_power.__self__._groups
+    assert [stack.dtype for _, stack in groups] == dtypes
+    groups = [(w, stack.astype(np.complex128)) for w, stack in groups]
+    cur = [stack for _, stack in groups]
+    for m in range(1, 41):
+        if m > 1:
+            cur = [np.matmul(p, stack) for p, (_, stack) in zip(cur, groups)]
+        want = 0j
+        for (w, _), p in zip(groups, cur):
+            want += complex(np.einsum("bii,b->", p, w))
+        got = src.trace_power(m)
+        assert type(got) is complex
+        if np.float64 in dtypes:
+            assert abs(got - want) <= 1e-14 * abs(want)
+        else:
+            assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (0.01, np.complex128)],
+                         ids=["real", "complex"])
+def test_block_stacks_are_float64_exactly_when_the_blocks_are_real(imag, dtype):
+    rng = np.random.default_rng(62)
+    s = BlockSymbol([_positive_block(rng, n, imag) for n in (1, 2, 3, 5, 8, 8, 4)])
+    assert all(b.dtype == np.complex128 and not b.flags.writeable for b in s.blocks)
+    _assert_real_stacks_follow_the_complex_chain(block_trace_source(s), [dtype] * 4)
+
+
+def test_each_block_stack_keeps_its_own_dtype():
+    # side class 1 holds real blocks only; class 2 one real and one complex
+    rng = np.random.default_rng(63)
+    blocks = [_positive_block(rng, 2), _positive_block(rng, 3), _positive_block(rng, 2),
+              _positive_block(rng, 4, imag=0.05)]
+    _assert_real_stacks_follow_the_complex_chain(block_trace_source(BlockSymbol(blocks)),
+                                                 [np.float64, np.complex128])
+
+
+@pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (0.01, np.complex128)],
+                         ids=["real", "complex"])
+def test_bundle_stacks_are_float64_exactly_when_the_symbol_is_real(imag, dtype):
+    rng = np.random.default_rng(64)
+    dual = DualObject((("a", 1), ("b", 2), ("c", 3), ("d", 2)))
+    entries = {(i, r, xi): _positive_block(rng, d, imag) * 0.5
+               for xi, d in dual.blocks for i in (1, 2) for r in (1, 2)}
+    a = BundleSymbol.from_entries(2, dual, entries)
+    assert all(s.dtype == np.complex128 for s in a.sigma.values())
+    # flattened sides 2, 4, 6, 4: three side classes
+    _assert_real_stacks_follow_the_complex_chain(bundle_trace_source(a), [dtype] * 3)
+
+
 def test_spectral_source_is_the_float64_dot_of_iterated_powers():
     # spectral models are one group of 1x1 blocks: per order one float64
     # elementwise product and one float64 np.dot, the arithmetic the golden

@@ -470,6 +470,75 @@ def test_band_storage_follows_the_entries(monkeypatch, make_kernel, dtype):
     assert all(type(powers.trace(m)) is complex for m in (1, 2, 30))
 
 
+def _assert_follows_the_complex_chain(powers, stored):
+    """Over 40 orders, the traces of ``powers`` against the complex128 chain
+    of ``stored`` (a dense array or a CSR matrix of the truncation) times
+    itself with ``@``, each power's diagonal summed: bit for bit from a
+    complex base, within 1e-14 relative from a real one."""
+    base = stored.astype(np.complex128)
+    cur = base
+    for m in range(1, 41):
+        if m > 1:
+            cur = cur @ base
+        want, got = complex(cur.diagonal().sum()), powers.trace(m)
+        assert type(got) is complex
+        if powers._base.dtype == np.complex128:
+            assert bits(got) == bits(want)
+        else:
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _positive_rank_one(rng, support, imag=0.0):
+    """A rank-one kernel of positive factors, so no trace power cancels;
+    ``imag`` adds an imaginary part to one value of ``h``."""
+    g = dict(zip(range(-support, support + 1), rng.uniform(0.1, 1.0, 2 * support + 1)))
+    h = {j: 0.5 * x / (2 * support + 1) for j, x in
+         zip(range(-support, support + 1), rng.uniform(0.1, 1.0, 2 * support + 1))}
+    h[0] += 1j * imag
+    return rank_one_kernel(g, h)
+
+
+def _positive_table_2d(rng, imag=0.0):
+    """A 2-D table kernel holding every pair of the 25 sites |j|_inf <= 2,
+    positive, so no trace power cancels; ``imag`` adds an imaginary part to
+    one entry.  Its 625 entries fill at most 1/32 of any box from side 169."""
+    sites = list(itertools.product(range(-2, 3), repeat=2))
+    entries = {(j, m): v for (j, m), v in zip(itertools.product(sites, sites),
+                                              rng.uniform(0.0, 0.05, len(sites) ** 2))}
+    entries[((0, 0), (1, 1))] += 1j * imag
+    return table_kernel(entries, dim=2)
+
+
+@pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (0.01, np.complex128)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("cutoff", [8, 12, 50])  # sides 17, 25, 101
+def test_dense_base_is_float64_exactly_when_the_entries_are_real(cutoff, imag, dtype):
+    k = _positive_rank_one(np.random.default_rng(cutoff), 50, imag)
+    powers = lattice_mod._TracePowers(k, cutoff)
+    stored = k._truncations[cutoff][2]
+    assert powers._mode == "dense" and powers._base.dtype == dtype
+    assert stored.dtype == np.complex128 and not stored.flags.writeable
+    # a real base is this instance's copy; the stored truncation keeps one form
+    assert (powers._base is stored) == (dtype == np.complex128)
+    _assert_follows_the_complex_chain(powers, stored)
+
+
+@pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (0.01, np.complex128)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("cutoff", [6, 9])  # sides 169 and 361
+def test_sparse_values_are_float64_exactly_when_the_entries_are_real(cutoff, imag, dtype):
+    from scipy import sparse
+
+    k = _positive_table_2d(np.random.default_rng(cutoff), imag)
+    powers = lattice_mod._TracePowers(k, cutoff)
+    assert powers.side >= lattice_mod.SPARSE_SIDE_MIN
+    assert powers._mode == "sparse" and powers._base.dtype == dtype
+    rows, cols, vals = k._truncations[cutoff][1]
+    assert vals.dtype == np.complex128
+    _assert_follows_the_complex_chain(
+        powers, sparse.csr_matrix((vals, (rows, cols)), shape=(powers.side,) * 2))
+
+
 def _band_product_by_offsets(t, p):
     """(lo, hi, diagonals) of T P from the definition: a zero array over
     the offsets lo..hi clipped to |o| < n, then for each diagonal e of T

@@ -1,8 +1,8 @@
 """``tools/report_sweep.py --compare``, the comparison every change's sweep
 is read through: equal sweeps pass silently, and each kind of difference
 is named.  ``tools/ab_timing.py`` times two trees only when their reports
-agree, and names each request where they do not.  ``tools/peak_rss.py``
-prints the exit code and peak memory of one command."""
+agree, and names each request where they do not, with what differs.
+``tools/peak_rss.py`` prints the exit code and peak memory of one command."""
 
 import importlib.util
 import json
@@ -116,6 +116,30 @@ def test_ab_timing_names_each_request_whose_report_differs(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) > 1
     assert all(line.startswith("report differs: trace --input ") for line in lines)
+    differ, total = re.fullmatch(r"(\d+) of (\d+) requests differ\n", proc.stderr).groups()
+    assert int(differ) == len(lines) < int(total)
+
+
+def test_ab_timing_says_which_numbers_moved(tmp_path):
+    # a copy of specdet whose absolute deviations grow by 2.5e-16: one
+    # number of a report moves, as when a product rounds differently
+    shutil.copytree(ROOT / "src" / "specdet", tmp_path / "specdet",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "specdet" / "cli.py"
+    line = '    return {"abs": _num(abs_dev), "rel": _num(rel)}\n'
+    text = cli.read_text()
+    assert text.count(line) == 1
+    cli.write_text(text.replace(line, line.replace("_num(abs_dev)", "_num(abs_dev + 2.5e-16)")))
+    proc = _ab_timing(ROOT / "src", tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 1
+    for line in lines:
+        argv, summary = re.fullmatch(r"report differs: (.+?): (stdout .*)", line).groups()
+        assert argv.split()[0] in ("det", "trace", "compare")
+        assert re.fullmatch(r"stdout 1 numbers moved, largest change: relative \S+ \(.+\), "
+                            r"absolute \S+ \(.+\), relative above 1e-09 .+", summary)
+    assert "relative 1 (0.0 -> 2.5e-16), absolute 2.5e-16 (0.0 -> 2.5e-16)" in proc.stdout
     differ, total = re.fullmatch(r"(\d+) of (\d+) requests differ\n", proc.stderr).groups()
     assert int(differ) == len(lines) < int(total)
 

@@ -11,8 +11,11 @@ Both packages are copied into a temporary directory as ``specdet_a`` and
 this process.  The workload's spec files and request list come from
 ``bench/workloads.py`` for the given seed, as ``bench/run.py`` makes them.
 
-First every request runs once on each tree: the exit codes and stdout must
-be equal, else each differing request is printed and the exit code is 1.
+First every request runs once on each tree: the exit codes, stdout and
+stderr must be equal, else each differing request is printed with what
+differs, as ``tools/report_sweep.py --compare`` names it (the exit codes,
+or the count of numbers that moved and the largest changes), and the exit
+code is 1, with nothing timed.
 Then ``--passes`` passes time every request on both trees back to back,
 ``a`` first on even (pass + request) and ``b`` first on odd, and each
 request's latency on a tree is the fastest of its passes, as in
@@ -62,7 +65,7 @@ def _call(run_command, argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     code = run_command(list(argv), out, err)
-    return time.perf_counter() - start, code, out.getvalue()
+    return time.perf_counter() - start, code, out.getvalue(), err.getvalue()
 
 
 def main(argv=None) -> int:
@@ -80,7 +83,8 @@ def main(argv=None) -> int:
     # BLAS reads its thread count when numpy is first imported, below
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(len(os.sched_getaffinity(0)))
-    sys.path.insert(0, str(ROOT / "bench"))
+    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tools")]
+    import report_sweep
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,7 +110,8 @@ def main(argv=None) -> int:
             (_, *report_a), (_, *report_b) = (_call(run, req) for run in commands)
             if report_a != report_b:
                 differ += 1
-                print(f"report differs: {' '.join(req)}")
+                print(f"report differs: {' '.join(req)}: "
+                      f"{report_sweep.describe(report_a, report_b)}")
         if differ:
             print(f"{differ} of {len(requests)} requests differ", file=sys.stderr)
             return 1

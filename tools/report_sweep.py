@@ -124,35 +124,39 @@ def _numbers_moved(a: str, b: str):
     return len(pairs), worst
 
 
+def describe(before, after) -> str:
+    """What differs between two unequal ``[exit code, stdout, stderr]``
+    results: the exit codes, else for each differing stream the numbers
+    that moved (``_numbers_moved``) or that its text differs."""
+    (code_a, out_a, err_a), (code_b, out_b, err_b) = before, after
+    if code_a != code_b:
+        return f"exit {code_a} -> {code_b}"
+    notes = []
+    for name, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+        if a == b:
+            continue
+        moved = _numbers_moved(a, b)
+        if moved is None:
+            notes.append(f"{name} text differs")
+        else:
+            count, worst = moved
+            largest = ", ".join(
+                f"{label} none" if pair is None
+                else f"{label} {change:.3g} ({pair[0]!r} -> {pair[1]!r})"
+                for label, change, pair in worst)
+            notes.append(f"{name} {count} numbers moved, largest change: {largest}")
+    return "; ".join(notes)
+
+
 def compare(before: dict, after: dict) -> int:
     differing = 0
     for case in sorted(set(before) | set(after)):
         if case not in before or case not in after:
             differing += 1
             print(f"{case}: only in {'the second' if case in after else 'the first'} sweep")
-            continue
-        if before[case] == after[case]:
-            continue
-        differing += 1
-        (code_a, out_a, err_a), (code_b, out_b, err_b) = before[case], after[case]
-        if code_a != code_b:
-            print(f"{case}: exit {code_a} -> {code_b}")
-            continue
-        notes = []
-        for name, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
-            if a == b:
-                continue
-            moved = _numbers_moved(a, b)
-            if moved is None:
-                notes.append(f"{name} text differs")
-            else:
-                count, worst = moved
-                largest = ", ".join(
-                    f"{label} none" if pair is None
-                    else f"{label} {change:.3g} ({pair[0]!r} -> {pair[1]!r})"
-                    for label, change, pair in worst)
-                notes.append(f"{name} {count} numbers moved, largest change: {largest}")
-        print(f"{case}: " + "; ".join(notes))
+        elif before[case] != after[case]:
+            differing += 1
+            print(f"{case}: {describe(before[case], after[case])}")
     print(f"{differing} of {len(set(before) | set(after))} cases differ", file=sys.stderr)
     return 1 if differing else 0
 
