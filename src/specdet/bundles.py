@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .invariant import _WeightedBlockPowers, _flat_sum, _read_only, _side_groups
+from .invariant import _WeightedBlockPowers, _read_only, _side_groups
+from .lattice import _running_sum
 from .linalg import CMatrix, mat_add, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -177,8 +178,8 @@ def bundle_trace(a: BundleSymbol) -> complex:
     acc = 0.0j
     for xi, d in a.dual.blocks:
         sigma = a.sigma[xi]
-        acc += d * _flat_sum(_flat_sum(sigma[i, i].diagonal().tolist())
-                             for i in range(a.fiber_dim))
+        acc += d * _running_sum([_running_sum(sigma[i, i].diagonal())
+                                 for i in range(a.fiber_dim)])
     return acc
 
 

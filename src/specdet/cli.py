@@ -36,6 +36,7 @@ import sys
 from .bundles import bundle_trace, bundle_trace_source, bundle_determinant, flatten_symbol
 from .errors import (
     FeasibilityError,
+    ParameterError,
     SpecParseError,
     SpecValidationError,
     SpecdetError,
@@ -366,6 +367,8 @@ def _dispatch(args, spec, op):
         have = " or ".join(k for k, entry in _KINDS.items() if entry[-1])
         raise SpecValidationError(f"norm-profile applies to {have} specs, not {spec.kind}",
                                   field="kind")
+    if args.cutoff < 1:  # as the other commands refuse it, before any norm
+        raise ParameterError(f"cutoff must be >= 1, got {args.cutoff}")
     profile = norm_profile(op, _profile_cutoffs(args.cutoff))
     report = dict(base, cutoff=args.cutoff,
                   cutoffs=[r for r, _ in profile.points],

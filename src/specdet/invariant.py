@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError, ShapeError
-from .lattice import _real_if_real
+from .lattice import _real_if_real, _running_sum
 from .linalg import CMatrix, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -78,21 +78,13 @@ class BlockSymbol:
                             for l, b in enumerate(self.blocks))
 
 
-def _flat_sum(values) -> complex:
-    """Left-to-right sum of complex values from 0j."""
-    acc = 0.0j
-    for z in values:
-        acc += z
-    return acc
-
-
 def block_trace(s: BlockSymbol) -> complex:
     """Tr(T) = sum_l Tr(sigma(l)) over the retained levels.
 
     Accumulates diagonal entries in one flat left-to-right pass, matching
     the diagonal sum of the assembled block-diagonal matrix bit for bit.
     """
-    return _flat_sum(z for b in s.blocks for z in b.diagonal().tolist())
+    return complex(_running_sum(*(b.diagonal() for b in s.blocks)))
 
 
 def block_power_trace(s: BlockSymbol, m: int) -> complex:

@@ -116,9 +116,11 @@ class LatticeKernel:
     follows the entries, not the box.  Without them, the entries are read
     by one ``eval`` per pair of the box within the band radius (every pair
     when no band is declared), at most ``BRUTE_PAIR_LIMIT`` pairs.  Either
-    way a kernel is read once per cutoff into one stored form
-    (:func:`_truncation`), shared by the norm estimate, the trace, the
-    Schur bound and the trace powers at that cutoff.
+    way a kernel is read into one stored form (:func:`_truncation`), shared
+    by the norm estimate, the trace, the Schur bound and the trace powers
+    at that cutoff.  ``_truncated`` remembers the last one built, as
+    ``(cutoff, (mode, entries, matrix))``, so that every route of one
+    request reads the same truncation; a read at another cutoff replaces it.
     """
 
     dim: int
@@ -126,7 +128,7 @@ class LatticeKernel:
     band_radius: int | None = None
     support_arrays: Callable[[int], tuple | np.ndarray] | None = None
     label: str = ""
-    _truncations: dict = field(default_factory=dict, repr=False, compare=False)
+    _truncated: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -243,14 +245,18 @@ def _mode(k: LatticeKernel, side: int, count: int, span: Callable[[], tuple | No
 def _truncation(k: LatticeKernel, cutoff: int, every_entry: bool = True) -> tuple:
     """``(mode, entries, matrix)`` of the box truncation, from
     ``support_arrays`` or else ``_walk`` over the band (the whole box when
-    none is declared), checked finite, built once per cutoff and kept on
-    the kernel, read-only, in the one form its mode reads: ``entries``
-    (rows, cols, vals) sorted by (row, col) for ``diag``, ``band`` and
-    ``sparse``; the side x side ``matrix`` alone for ``dense``; the given
-    form for ``refused``, whose trace alone is read: readers of
-    ``every_entry`` (norm, Schur bound, trace powers) are refused."""
+    none is declared), checked finite and kept on the kernel, read-only, as
+    its one remembered truncation (``_truncated``), in the one form its
+    mode reads: ``entries`` (rows, cols, vals) sorted by (row, col) for
+    ``diag``, ``band`` and ``sparse``; the side x side ``matrix`` alone for
+    ``dense``; the given form for ``refused``, whose trace alone is read:
+    readers of ``every_entry`` (norm, Schur bound, trace powers) are
+    refused.  The values or the matrix are float64 when no entry has a
+    nonzero imaginary part, else complex128 (:func:`_real_if_real`): the
+    arithmetic of the trace powers, which read them as they are stored."""
     side = box_side(k.dim, cutoff)
-    if cutoff not in k._truncations:
+    held = k._truncated  # read once: another thread may replace it
+    if held is None or held[0] != cutoff:
         if k.support_arrays is not None:
             given = k.support_arrays(cutoff)
         else:
@@ -263,7 +269,9 @@ def _truncation(k: LatticeKernel, cutoff: int, every_entry: bool = True) -> tupl
             # support_arrays hand over every entry of the box, a walk its nonzeros
             count = matrix.size if k.support_arrays is not None else np.count_nonzero(matrix)
             mode = _mode(k, side, count, lambda: None)  # a band is told from the entries
-            if mode not in ("dense", "refused"):
+            if mode in ("dense", "refused"):
+                matrix = _real_if_real(matrix)
+            else:
                 flat, mode = np.flatnonzero(matrix), None
                 given = (*np.divmod(flat, side), matrix.reshape(-1)[flat])
         if mode is None:
@@ -275,16 +283,17 @@ def _truncation(k: LatticeKernel, cutoff: int, every_entry: bool = True) -> tupl
                 order = np.lexsort((cols, rows))
                 rows, cols, vals = rows[order], cols[order], vals[order]
             _require_finite(k, cutoff, rows, cols, vals)
+            vals = _real_if_real(vals)
             mode = _mode(k, side, len(vals), lambda: _band_span(rows, cols))
             if mode == "dense":
-                matrix = np.zeros((side, side), dtype=np.complex128)
+                matrix = np.zeros((side, side), dtype=vals.dtype)
                 matrix[rows, cols] = vals
             else:
                 entries, matrix = (rows, cols, vals), None
         for a in entries or (matrix,):
             a.flags.writeable = False
-        k._truncations[cutoff] = mode, entries, matrix
-    mode, entries, matrix = truncation = k._truncations[cutoff]
+        held = k._truncated = cutoff, (mode, entries, matrix)
+    mode, entries, matrix = truncation = held[1]
     if every_entry and mode == "refused":
         count = side ** 2 if entries is None else len(entries[2])
         raise FeasibilityError(f"truncation side {side} exceeds the dense limit "
@@ -312,9 +321,10 @@ def _modulus_sums(k: LatticeKernel, cutoff: int, p: float = 1.0, axis: int = 1) 
     return np.bincount(index, weights=mods)
 
 
-def _running_sum(values: np.ndarray):
-    """Left-to-right sum from zero, as a Python accumulation loop forms it."""
-    return np.cumsum(np.concatenate(([0], values)))[-1].item()
+def _running_sum(*parts):
+    """Left-to-right sum from zero of the values of ``parts`` in turn, as a
+    Python accumulation loop forms it."""
+    return np.cumsum(np.concatenate(([0], *parts)))[-1].item()
 
 
 def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> float:
@@ -348,9 +358,9 @@ def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
 
 def _real_if_real(vals: np.ndarray) -> np.ndarray:
     """Complex values as a new float64 array when no imaginary part is
-    nonzero, else themselves: the base of real trace powers, whose products
-    take a quarter of the multiplies.  An elementwise real product is the
-    real part of the complex one bit for bit; a matrix product (dgemm
+    nonzero, else themselves: the stored form of real trace powers, whose
+    products take a quarter of the multiplies.  An elementwise real product
+    is the real part of the complex one bit for bit; a matrix product (dgemm
     against zgemm) may differ from it in the last bits."""
     return vals if vals.imag.any() else np.ascontiguousarray(vals.real)
 
@@ -438,9 +448,9 @@ class _TracePowers:
       truncation's matrix (a ``refused`` one is refused: its CSR products
       would cost as much as dense ones, and run slower).
 
-    In every mode the base is float64 when no entry has a nonzero imaginary
-    part, else complex128 (:func:`_real_if_real`); a real base is this
-    instance's own copy, and the stored truncation stays complex128.
+    Every mode reads the stored truncation in its stored dtype, float64
+    when no entry has a nonzero imaginary part, else complex128 (see
+    :func:`_truncation`); the dense base is the stored matrix itself.
     Traces are ``complex`` either way.  A real chain may round differently
     from the complex one in the last bits; on the shipped fixtures no CLI
     report shows it, at cutoff 8 or 64.
@@ -455,10 +465,9 @@ class _TracePowers:
         if entries is not None:
             rows, cols, vals = entries
             if self._mode == "diag":
-                self._base = _real_if_real(vals[vals != 0])
+                self._base = vals[vals != 0]
             elif self._mode == "band":  # over the positions the entries occupy
                 first, n, lo, hi = _band_span(rows, cols)
-                vals = _real_if_real(vals)
                 self._base = band = _Band(lo, hi, n, vals.dtype, lo, hi)
                 band.rows[cols - rows - lo, rows - first] = vals
                 # one progression through the diagonals of T holding a nonzero entry
@@ -469,10 +478,8 @@ class _TracePowers:
             else:
                 from scipy import sparse
 
-                self._base = sparse.csr_matrix((_real_if_real(vals), (rows, cols)),
+                self._base = sparse.csr_matrix((vals, (rows, cols)),
                                                shape=(self.side, self.side))
-        else:  # dense: the stored matrix itself, or a float64 copy of it
-            self._base = _real_if_real(self._base)
         self._cur = self._base
 
     def _power(self, a: int) -> _Band:

@@ -103,8 +103,9 @@ class ToroidalSymbol:
     whose entry at (i, p) is ``eval((p_1/n_x, ..., p_dim/n_x), ks[i])``,
     equal bit for bit, so that coefficients do not depend on which of the
     two sampled them; the caller may overwrite the array.  x-dependent
-    symbols are sampled through it, one box row of k per call, when present
-    and point by point through ``eval`` otherwise.
+    symbols without ``coeffs`` are sampled through it, one box row of k per
+    call, when present and point by point through ``eval`` otherwise; a
+    symbol with ``coeffs`` is never sampled, so it needs none.
 
     ``mode_reach``, when positive, declares that sigma(., k) is a
     trigonometric polynomial whose modes theta all have |theta|_inf <=
@@ -446,9 +447,10 @@ def _k_norm_sq(k: Index) -> float:
     return float(sum(x * x for x in k))
 
 
-# The grid samplers below replay the scalar evaluators' arithmetic on whole
-# arrays, one IEEE operation per step, so their samples equal ``eval`` bit
-# for bit.  A complex product is CPython's formula on (real, imag) pairs,
+# The grid sampler of modulated_symbol replays its scalar evaluator's
+# arithmetic on whole arrays, one IEEE operation per step, so its samples
+# equal ``eval`` bit for bit.  A complex product is CPython's formula on
+# (real, imag) pairs,
 #     (a, b) * (c, d) = (a*c - b*d, a*d + b*c),
 # also when one factor is a float g, which CPython up to 3.13 promotes to
 # (g, 0.0).  The waves use real np.cos/np.sin and so rely on numpy taking
@@ -474,16 +476,12 @@ def _mul(a_re, a_im, b_re, b_im):
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def _wave_sum(waves: dict, n_x: int, dim: int, terms):
+def _wave_sum(n_x: int, dim: int, terms):
     """sum_theta c_theta e^{2*pi*i*x.theta} accumulated from 0.0j in the
-    order of ``terms``, a sequence of (theta, c) pairs; ``waves`` caches
-    the grid waves per (n_x, theta)."""
+    order of ``terms``, a sequence of (theta, c) pairs."""
     acc_re = acc_im = np.zeros((n_x,) * dim)
     for theta, c in terms:
-        key = (n_x, theta)
-        if key not in waves:
-            waves[key] = _grid_wave(n_x, dim, theta)
-        p_re, p_im = _mul(c.real, c.imag, *waves[key])
+        p_re, p_im = _mul(c.real, c.imag, *_grid_wave(n_x, dim, theta))
         acc_re, acc_im = acc_re + p_re, acc_im + p_im
     return acc_re, acc_im
 
@@ -530,14 +528,16 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
             osc += c * cmath.exp(2j * math.pi * phase)
         return osc * amplitude * (1.0 + _k_norm_sq(k)) ** (decay_order / 2.0)
 
-    waves, x_parts = {}, {}  # x_parts: n_x -> osc(x) * amplitude on the grid
+    x_part = None  # the last grid sampled: (n_x, osc(x) * amplitude on it)
 
     def eval_grid(n_x, ks):
+        nonlocal x_part
         with np.errstate(over="ignore", invalid="ignore"):
-            if n_x not in x_parts:
-                osc = _wave_sum(waves, n_x, dim, mode_table.items())
-                x_parts[n_x] = _mul(*osc, amplitude.real, amplitude.imag)
-            x_re, x_im = x_parts[n_x]
+            held = x_part  # read once: another thread may replace it
+            if held is None or held[0] != n_x:
+                osc = _wave_sum(n_x, dim, mode_table.items())
+                held = x_part = n_x, _mul(*osc, amplitude.real, amplitude.imag)
+            x_re, x_im = held[1]
             # one Python ** per k, as in eval, broadcast against the x-part
             g = np.array([(1.0 + _k_norm_sq(k)) ** (decay_order / 2.0) for k in ks])
             g = g.reshape((len(ks),) + (1,) * dim)
@@ -579,17 +579,8 @@ def _listed_symbol(sites: np.ndarray, values: np.ndarray, dim: int, order: float
             acc += v * cmath.exp(2j * math.pi * phase)
         return acc
 
-    waves = {}
-
-    def eval_grid(n_x, ks):
-        out = np.empty((len(ks),) + (n_x,) * dim, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row, k in zip(out, ks):
-                row.real, row.imag = _wave_sum(waves, n_x, dim, by_k().get(k, ()))
-        return out
-
     return ToroidalSymbol(dim, order, eval_fn, x_independent=not sites[:, :dim].any(),
-                          label=label, eval_grid=eval_grid, coeffs=(sites, values))
+                          label=label, coeffs=(sites, values))
 
 
 def table_symbol(entries, dim: int = 1, order: float = 0.0,

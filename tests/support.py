@@ -145,27 +145,33 @@ def support_entries(k, cutoff: int) -> tuple:
 
 
 def assert_truncation_is_entry_walk(k, cutoff: int):
-    """The memoised truncation of a kernel against the oracle's
+    """The remembered truncation of a kernel against the oracle's
     entry-by-entry assembly at the same cutoff: a dense one is that matrix
     alone; otherwise its entries have equal bits where present, zero
-    elsewhere, and are strictly sorted by (row, col).  The p = 1 norm, the
-    trace and the p = 2 Schur bound equal plain Python walks over that
+    elsewhere, and are strictly sorted by (row, col).  It is stored float64
+    exactly when no entry of the assembly has a nonzero imaginary part, and
+    its real values then have the bits of the real parts.  The p = 1 norm,
+    the trace and the p = 2 Schur bound equal plain Python walks over that
     assembly bit for bit."""
     from specdet import assemble_truncation, lattice_trace, nuclear_norm_estimate, schur_bound
     from specdet.lattice import _truncation
 
     a = as_array(assemble_truncation(k, cutoff))
     mode, entries, matrix = _truncation(k, cutoff)
+    real = not a.imag.any()
+    want = a.real if real else a
     if mode == "dense":
-        assert entries is None and matrix.dtype == np.complex128
-        assert np.array_equal(matrix, a)
+        assert entries is None
+        assert np.array_equal(matrix, want)
         rows, cols, vals = matrix_entries(matrix)
     else:
         assert matrix is None
         rows, cols, vals = entries
-    assert rows.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
+    assert k._truncated[0] == cutoff
+    assert rows.dtype == cols.dtype == np.int64
+    assert vals.dtype == (np.float64 if real else np.complex128)
     assert (np.diff(rows * len(a) + cols) > 0).all()
-    assert np.array_equal(vals.view(np.uint64), a[rows, cols].view(np.uint64))
+    assert np.array_equal(vals.view(np.uint64), want[rows, cols].view(np.uint64))
     elsewhere = np.ones(a.shape, dtype=bool)
     elsewhere[rows, cols] = False
     assert (a[elsewhere] == 0).all()

@@ -68,6 +68,32 @@ def test_norm_profile_rejects_other_kinds():
     assert "norm-profile" in err
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+@pytest.mark.parametrize("spec", ["rank_one", "toroidal_modulated"])
+def test_norm_profile_refuses_a_cutoff_below_one(monkeypatch, spec, cutoff):
+    # as det, trace, radius and compare do, before any norm is computed
+    import specdet.cli as cli
+
+    def no_norm(*args):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(cli, "poincare_norm", no_norm)
+    monkeypatch.setattr(cli, "norm_growth_profile", no_norm)
+    argv = ["norm-profile", "--input", f"fixtures/{spec}.json", f"--cutoff={cutoff}"]
+    message = f"cutoff must be >= 1, got {cutoff}"
+    code, out, err = run(argv + ["--output", "json"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": "computation", "message": message})]
+    assert run(argv) == (2, "", f"specdet: computation error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["rank_one", "toroidal_modulated"])
+def test_norm_profile_of_a_small_cutoff_starts_at_one(spec):
+    code, report, _ = run_json(["norm-profile", "--input", f"fixtures/{spec}.json",
+                                "--cutoff", "3"])
+    assert (code, report["cutoff"], report["cutoffs"]) == (0, 3, [1, 3])
+
+
 def test_every_fixture_passes_mode_both():
     for name in GOOD_FIXTURES:
         code, report, err = run_json(["det", "--input", f"fixtures/{name}"])

@@ -74,7 +74,8 @@ def _diagonal_kinds(cutoff, lam):
         "blocks": invariant_determinant(blocks, lam, order=ORDER),
     }
     # the eval-only kernel crosses the dense form and the band form
-    assert eval_only._truncations[cutoff][0] == ("dense" if cutoff == 8 else "band")
+    held, (mode, _, _) = eval_only._truncated  # the one truncation it remembers
+    assert (held, mode) == (cutoff, "dense" if cutoff == 8 else "band")
     return kinds
 
 
@@ -92,7 +93,8 @@ def _table_kinds(cutoff, lam):
                                                order=ORDER, cutoff=cutoff),
         "lattice-table": lattice_determinant(kernel, lam, order=ORDER, cutoff=cutoff),
     }
-    assert kernel._truncations[cutoff][0] == ("dense" if cutoff == 8 else "band")
+    held, (mode, _, _) = kernel._truncated  # the one truncation it remembers
+    assert (held, mode) == (cutoff, "dense" if cutoff == 8 else "band")
     return kinds
 
 
@@ -138,7 +140,8 @@ def _diagonal_2d_kinds(cutoff, lam):
                                                 cutoff=cutoff),
         "lattice-eval-only": lattice_determinant(eval_only, lam, order=ORDER, cutoff=cutoff),
     }
-    assert eval_only._truncations[cutoff][0] == ("sparse" if cutoff == 8 else "diag")
+    held, (mode, _, _) = eval_only._truncated  # the one truncation it remembers
+    assert (held, mode) == (cutoff, "sparse" if cutoff == 8 else "diag")
     return kinds
 
 

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specdet.lattice as lattice_mod
 from specdet import (
@@ -173,7 +174,7 @@ def _assert_matches_dense_chain(monkeypatch, k, cutoff, powers):
     traces = [powers.trace(m) for m in range(1, 31)]
     with monkeypatch.context() as patch:
         patch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
-        patch.setattr(k, "_truncations", {})  # the mode is chosen once per truncation
+        patch.setattr(k, "_truncated", None)  # the mode is chosen once per truncation
         reference = lattice_mod._TracePowers(k, cutoff)
         assert reference._mode == "dense"
         for m, got in enumerate(traces, start=1):
@@ -515,11 +516,12 @@ def _positive_table_2d(rng, imag=0.0):
 def test_dense_base_is_float64_exactly_when_the_entries_are_real(cutoff, imag, dtype):
     k = _positive_rank_one(np.random.default_rng(cutoff), 50, imag)
     powers = lattice_mod._TracePowers(k, cutoff)
-    stored = k._truncations[cutoff][2]
+    held, (mode, entries, stored) = k._truncated
+    assert (held, mode, entries) == (cutoff, "dense", None)
     assert powers._mode == "dense" and powers._base.dtype == dtype
-    assert stored.dtype == np.complex128 and not stored.flags.writeable
-    # a real base is this instance's copy; the stored truncation keeps one form
-    assert (powers._base is stored) == (dtype == np.complex128)
+    assert stored.dtype == dtype and not stored.flags.writeable
+    # the base is the stored matrix itself: the truncation is kept in one form
+    assert np.shares_memory(powers._base, stored)
     _assert_follows_the_complex_chain(powers, stored)
 
 
@@ -533,8 +535,9 @@ def test_sparse_values_are_float64_exactly_when_the_entries_are_real(cutoff, ima
     powers = lattice_mod._TracePowers(k, cutoff)
     assert powers.side >= lattice_mod.SPARSE_SIDE_MIN
     assert powers._mode == "sparse" and powers._base.dtype == dtype
-    rows, cols, vals = k._truncations[cutoff][1]
-    assert vals.dtype == np.complex128
+    held, (_, (rows, cols, vals), matrix) = k._truncated
+    assert held == cutoff and matrix is None
+    assert vals.dtype == dtype and not vals.flags.writeable
     _assert_follows_the_complex_chain(
         powers, sparse.csr_matrix((vals, (rows, cols)), shape=(powers.side,) * 2))
 
@@ -783,7 +786,7 @@ def test_walk_guard_refuses_before_it_walks(read):
     with pytest.raises(FeasibilityError) as info:
         read(k, 10**6)
     assert info.value.count == 6_000_001
-    assert not k._truncations
+    assert k._truncated is None
 
 
 class _Walked(Exception):
@@ -955,7 +958,9 @@ def test_entries_are_built_once_per_cutoff():
         nuclear_norm_estimate(k, 1.0, cutoff)
         lattice_trace(k, cutoff)
         lattice_mod._TracePowers(k, cutoff).trace(3)
-    assert calls == [150, 190]
+    # one truncation is remembered: each cutoff in a row is read once
+    assert calls == [150, 190, 150]
+    assert k._truncated[0] == 150
     rows, _, vals = lattice_mod._truncation(k, 150)[1]
     assert not rows.flags.writeable and not vals.flags.writeable
 
@@ -1047,3 +1052,67 @@ def test_support_arrays_are_the_sorted_build(monkeypatch, family, dim):
         assert [a.dtype for a in got] == [np.int64, np.int64, np.complex128]
         assert [a.dtype for a in want] == [a.dtype for a in got]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+#: kernel -> (fresh copy, cutoffs it is read at), crossing the dense, band,
+#: sparse and diag forms and real and complex values
+_ORDER_KERNELS = {
+    "banded-real": (lambda: banded_kernel({0: 0.3, 1: 0.2, -1: -0.15}, support=80),
+                    [1, 5, 63, 64, 70]),
+    "banded-complex": (lambda: banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=80),
+                       [1, 5, 63, 64, 70]),
+    "table-2d": (lambda: _positive_table_2d(np.random.default_rng(3), imag=0.01),
+                 [1, 2, 6, 7]),
+    "rank-one": (lambda: _positive_rank_one(np.random.default_rng(4), 50), [1, 8, 12, 50]),
+    "diagonal": (lambda: diagonal_kernel({j: 0.5 / (1 + j * j) for j in range(-100, 101)}),
+                 [1, 8, 64, 100]),
+    "eval-only-band": (_band_only_tridiagonal, [1, 8, 64]),
+}
+
+_ORDER_READS = {
+    "norm": lambda k, r: nuclear_norm_estimate(k, 1.0, r),
+    "schur": lambda k, r: schur_bound(k, 2.0, r),
+    "trace": lattice_trace,
+    "powers": lambda k, r: [lattice_mod.truncation_trace_source(k, r).trace_power(m)
+                            for m in range(1, 31)],
+}
+
+
+@st.composite
+def _read_sequences(draw):
+    """A kernel and reads of it at each of its cutoffs in any order, then
+    at some of them again."""
+    name = draw(st.sampled_from(sorted(_ORDER_KERNELS)))
+    cutoffs = _ORDER_KERNELS[name][1]
+    order = draw(st.permutations(cutoffs)) + draw(st.lists(st.sampled_from(cutoffs),
+                                                            max_size=3))
+    return name, [(r, draw(st.sampled_from(sorted(_ORDER_READS)))) for r in order]
+
+
+def _bits_of(value):
+    return [bits(v) for v in value] if isinstance(value, list) else bits(value)
+
+
+def test_the_order_of_reads_does_not_matter():
+    # each read of one kernel equals the same read of a fresh kernel bit for
+    # bit, and only the last cutoff read is remembered
+    fresh = {}
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_read_sequences())
+    def agree(case):
+        name, reads = case
+        make = _ORDER_KERNELS[name][0]
+        k = make()
+        for cutoff, read in reads:
+            key = (name, cutoff, read)
+            if key not in fresh:
+                fresh[key] = _bits_of(_ORDER_READS[read](make(), cutoff))
+            assert _bits_of(_ORDER_READS[read](k, cutoff)) == fresh[key]
+            assert k._truncated[0] == cutoff
+        assert k._truncated[0] == reads[-1][0]
+
+    agree()
+    # every kernel was read at every cutoff, and each read was taken
+    assert len({key[:2] for key in fresh}) == sum(len(c) for _, c in _ORDER_KERNELS.values())
+    assert {key[2] for key in fresh} == set(_ORDER_READS)

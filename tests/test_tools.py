@@ -2,10 +2,12 @@
 is read through: equal sweeps pass silently, and each kind of difference
 is named.  ``tools/ab_timing.py`` times two trees only when their reports
 agree, and names each request where they do not, with what differs.
-``tools/peak_rss.py`` prints the exit code and peak memory of one command."""
+``tools/peak_rss.py`` prints the exit code and peak memory of one command.
+Neither leaves bytecode in the source tree it runs."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import shutil
@@ -153,3 +155,35 @@ def test_peak_rss_prints_the_exit_code_and_a_positive_peak(spec, code):
     assert line is not None, proc.stdout
     assert int(line[1]) == code
     assert float(line[2]) > 0 and float(line[3]) > 0
+
+
+#: a child that sweeps two cases of a source tree through ``report_sweep.sweep``
+SWEEP_CHILD = """
+import importlib.util, pathlib, sys
+spec = importlib.util.spec_from_file_location("report_sweep", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+sys.dont_write_bytecode = True  # for the tool itself; sweep must set it again
+spec.loader.exec_module(module)
+sys.dont_write_bytecode = False
+module.cases = lambda cutoff: [["det", "--input", "fixtures/rank_one.json"],
+                               ["trace", "--input", "fixtures/toroidal_modulated.json"]]
+results = module.sweep(pathlib.Path(sys.argv[2]), None)
+print(sorted(code for code, _, _ in results.values()))
+"""
+
+
+@pytest.mark.parametrize("tool", ["peak_rss", "report_sweep"])
+def test_tools_write_no_bytecode_into_the_tree_they_run(tmp_path, tool):
+    # bytecode in a measured tree speeds up its imports, and so moves setup_s
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "specdet", src / "specdet",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    argv = ([str(PEAK_RSS), "--src", str(src), "det", "--input", "fixtures/rank_one.json"]
+            if tool == "peak_rss" else ["-c", SWEEP_CHILD, str(REPORT_SWEEP), str(src)])
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("exit 0  " if tool == "peak_rss" else "[0, 0]")
+    assert not list(src.rglob("__pycache__"))

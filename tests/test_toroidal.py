@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specdet.lattice as lattice_mod
 import specdet.toroidal as toroidal_mod
@@ -293,9 +294,11 @@ def test_false_x_independence_claim_is_caught():
 
 
 def _grid_and_pointwise(make):
-    """Two fresh copies of a symbol; the second samples point by point."""
+    """Two fresh copies of a symbol; the second samples point by point.  A
+    symbol with listed coefficients has no grid sampler: both copies of it
+    sample point by point."""
     grid, pointwise = make(), make()
-    assert grid.eval_grid is not None
+    assert (grid.eval_grid is None) == (grid.coeffs is not None)
     pointwise.eval_grid = None
     return grid, pointwise
 
@@ -325,27 +328,26 @@ def test_grid_sampling_is_bitwise_pointwise(family, dim, cutoff, x_grid):
     grid.x_grid = pointwise.x_grid = x_grid
     n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
     sampled = []
-    eval_grid = grid.eval_grid
-
-    def counted(n, ks):
-        sampled.append(len(ks))
-        return eval_grid(n, ks)
-
-    grid.eval_grid = counted
+    if family == "table":
+        evaluate = grid.eval
+        grid.eval = lambda x, k: sampled.append(k) or evaluate(x, k)
+    else:
+        eval_grid = grid.eval_grid
+        grid.eval_grid = lambda n, ks: sampled.append(len(ks)) or eval_grid(n, ks)
     rows = (2 * cutoff + 1) ** (dim - 1)
     k_grid, k_point = toroidal_matrix(grid, cutoff), toroidal_matrix(pointwise, cutoff)
     if family == "table":
-        # listed coefficients are read as they are, with nothing sampled; the
-        # sampled matrix stays their referee
+        # listed coefficients are read as they are, with nothing evaluated;
+        # the pointwise sampled matrix stays their referee
         assert sampled == []
-        matrices = [toroidal_mod._sampled_matrix(s, n_x, cutoff) for s in (grid, pointwise)]
+        matrices = [toroidal_mod._sampled_matrix(pointwise, n_x, cutoff)]
     else:
         matrices = [k.support_arrays(cutoff) for k in (k_grid, k_point)]
-    # one call per box row of 2R+1 consecutive k, none for a second kernel
-    assert sampled == [2 * cutoff + 1] * rows
+        # one call per box row of 2R+1 consecutive k, none for a second kernel
+        assert sampled == [2 * cutoff + 1] * rows
+        assert np.array_equal(matrices[0].view(np.uint64), matrices[1].view(np.uint64))
     k_again = toroidal_matrix(grid, cutoff)
-    assert k_again is k_grid and len(sampled) == rows
-    assert np.array_equal(matrices[0].view(np.uint64), matrices[1].view(np.uint64))
+    assert k_again is k_grid and len(sampled) == (0 if family == "table" else rows)
 
     for r in (cutoff - 1, cutoff, cutoff + 1):
         if r < 1:
@@ -401,8 +403,9 @@ def test_window_samples_at_most_a_chunk_at_once(monkeypatch, family, dim, cutoff
     n_x = x_grid or toroidal_mod._auto_grid(2 * cutoff)
     want = toroidal_mod._sampled_matrix(whole, n_x, cutoff)
     sizes = []
-    eval_grid = chunked.eval_grid
-    chunked.eval_grid = lambda n, ks: sizes.append(len(ks) * n ** dim) or eval_grid(n, ks)
+    sample_stack = toroidal_mod._sample_stack
+    monkeypatch.setattr(toroidal_mod, "_sample_stack", lambda s, n, ks: sizes.append(
+        len(ks) * n ** dim) or sample_stack(s, n, ks))
     monkeypatch.setattr(toroidal_mod, "SAMPLE_CHUNK", chunk)
     got = toroidal_mod._sampled_matrix(chunked, n_x, cutoff)
     assert max(sizes) <= max(chunk, n_x ** dim)
@@ -463,7 +466,8 @@ def test_listed_and_sampled_quantizations_agree(cutoff):
                for k in range(-cutoff, cutoff + 1) for l in (-1, 0, 1)}
     exact = table_symbol(entries, order=-2.0)
     # the same symbol without its listed coefficients, quantized from samples
-    sampled = ToroidalSymbol(1, -2.0, exact.eval, eval_grid=exact.eval_grid)
+    # taken point by point
+    sampled = ToroidalSymbol(1, -2.0, exact.eval)
     k_exact, k_sampled = toroidal_matrix(exact, cutoff), toroidal_matrix(sampled, cutoff)
     assert (k_exact.band_radius, k_sampled.band_radius) == (1, 2 * cutoff)
     if cutoff == 64:
@@ -525,7 +529,7 @@ def test_wide_listed_mode_costs_only_its_entries(monkeypatch):
     result = toroidal_determinant(s, 0.3, order=30, cutoff=cutoff)
     assert result.converged and abs(result.value - 1.075) <= 1e-12
     # the series read the remembered kernel and its stored truncation
-    assert s._quantized[1] is k and list(k._truncations) == [cutoff]
+    assert s._quantized[1] is k and k._truncated[0] == cutoff
 
 
 @pytest.mark.parametrize("family", ["power_decay", "table"])
@@ -770,4 +774,35 @@ def test_dense_quantization_above_the_dense_limit_keeps_its_trace(monkeypatch, d
         with pytest.raises(FeasibilityError) as info:
             needs_every_entry(k, cutoff)
         assert info.value.count == side
-    assert list(k._truncations) == [cutoff]
+    assert k._truncated[0] == cutoff
+
+
+_MODULATED_MODES = {1: {1: 0.25, -2: 0.1j, 0: 0.3}, 2: {(1, 0): 0.25, (0, -2): 0.2 + 0.1j}}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_alternating_grids_sample_as_fresh_symbols(dim):
+    # one modulated symbol quantized at grids and cutoffs in any order, with
+    # repeats: each matrix equals that of a fresh symbol bit for bit
+    def make():
+        return modulated_symbol(_MODULATED_MODES[dim], -2.0, dim=dim, amplitude=0.8 - 0.3j)
+
+    fresh = {}
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([16, 17, 24, 32]), st.sampled_from([1, 2, 3])),
+                    min_size=1, max_size=6))
+    def agree(reads):
+        s = make()
+        for n_x, cutoff in reads:
+            if (n_x, cutoff) not in fresh:
+                other = make()
+                other.x_grid = n_x
+                fresh[n_x, cutoff] = bits(toroidal_matrix(other, cutoff).support_arrays(cutoff))
+            s.x_grid = n_x
+            got = toroidal_matrix(s, cutoff).support_arrays(cutoff)
+            assert bits(got) == fresh[n_x, cutoff]
+            assert s._quantized[0] == (n_x, cutoff)
+
+    agree()
+    assert len(fresh) == 12

@@ -8,7 +8,8 @@ Usage, from the repository root:
 
 Everything after the options is the argv of one ``specdet`` command.  It
 runs through ``specdet.cli.run_command`` in a new Python process, which
-imports specdet from ``--src`` (this tree's ``src`` by default); the report
+imports specdet from ``--src`` (this tree's ``src`` by default) under
+``-B``, so that it writes no bytecode into the tree it measures; the report
 is discarded and errors go to stderr.  The line printed gives the exit
 code, the wall time of the child process, start-up and imports included,
 and its peak resident set size (``ru_maxrss``) in MB of 2^20 bytes.
@@ -38,7 +39,7 @@ def main() -> int:
     if not args.argv:
         parser.error("no specdet command given")
     start = time.perf_counter()
-    code = subprocess.run([sys.executable, "-c", CHILD, args.src, *args.argv],
+    code = subprocess.run([sys.executable, "-B", "-c", CHILD, args.src, *args.argv],
                           stdout=subprocess.DEVNULL).returncode
     wall = time.perf_counter() - start
     peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux

@@ -81,6 +81,7 @@ def cases(cutoff: int | None = None) -> list:
 
 
 def sweep(src: Path, cutoff: int | None) -> dict:
+    sys.dont_write_bytecode = True  # a cache in the swept tree moves later timings
     sys.path.insert(0, str(src))
     import specdet
     from specdet.cli import run_command
