@@ -304,41 +304,36 @@ def _routes(mode: str, series, oracle, *call, check=None) -> tuple:
 def _dispatch(args, spec, op):
     (series_det, oracle_size, oracle_det, series_trace, oracle_trace, trace_source,
      norm_profile) = _KINDS[spec.kind]
-    p, lam = spec.params, args.lam
+    if args.cutoff < 1:  # also where the series does not truncate, before any route
+        raise ParameterError(f"cutoff must be >= 1, got {args.cutoff}")
+    p = spec.params
     base = {
         "command": args.command,
         "input": args.input,
         "kind": spec.kind,
         "label": spec.label,
     }
-    if args.command == "det":
-        series, oracle = _routes(args.mode, series_det, _finite(oracle_det), p, op, args,
+    if args.command in ("det", "compare"):
+        mode = args.mode if args.command == "det" else "both"
+        series, oracle = _routes(mode, series_det, _finite(oracle_det), p, op, args,
                                  check=oracle_size)
-        report = dict(base, **{"lambda": _cpx(lam), "order": args.order,
-                               "cutoff": args.cutoff, "tol": _num(args.tol),
-                               "mode": args.mode,
-                               "series": None if series is None else _det_json(series),
-                               "oracle": None if args.mode == "series" else
-                               {"value": None, "reason": "overflow"} if oracle is None
-                               else {"value": _cpx(oracle)},
-                               "deviation": None})
-        if series is not None and oracle is not None and not series.reason:
-            report["deviation"] = _deviation(series.value, oracle)
-        return report, 4 if args.mode == "series" and not series.converged else 0
-
-    if args.command == "compare":
-        series, oracle = _routes("both", series_det, _finite(oracle_det), p, op, args,
-                                 check=oracle_size)
-        dev = {"abs": None, "rel": None} if series.reason or oracle is None \
+        dev = None if series is None or oracle is None or series.reason \
             else _deviation(series.value, oracle)
+        base.update({"lambda": _cpx(args.lam), "order": args.order, "cutoff": args.cutoff,
+                     "tol": _num(args.tol)})
+        if args.command == "det":
+            report = dict(base, mode=mode, deviation=dev,
+                          series=None if series is None else _det_json(series),
+                          oracle=None if mode == "series" else
+                          {"value": None, "reason": "overflow"} if oracle is None
+                          else {"value": _cpx(oracle)})
+            return report, 4 if mode == "series" and not series.converged else 0
         report = dict(base, **{
-            "lambda": _cpx(lam), "order": args.order, "cutoff": args.cutoff,
-            "tol": _num(args.tol),
             "series_value": None if series.reason else _cpx(series.value),
             "oracle_value": None if oracle is None else _cpx(oracle),
             **({"oracle_reason": "overflow"} if oracle is None else {}),
-            "abs_deviation": dev["abs"],
-            "rel_deviation": dev["rel"],
+            "abs_deviation": None if dev is None else dev["abs"],
+            "rel_deviation": None if dev is None else dev["rel"],
             "converged": series.converged,
             "order_used": series.order_used,
             **({"reason": series.reason} if series.reason else {}),
@@ -367,8 +362,6 @@ def _dispatch(args, spec, op):
         have = " or ".join(k for k, entry in _KINDS.items() if entry[-1])
         raise SpecValidationError(f"norm-profile applies to {have} specs, not {spec.kind}",
                                   field="kind")
-    if args.cutoff < 1:  # as the other commands refuse it, before any norm
-        raise ParameterError(f"cutoff must be >= 1, got {args.cutoff}")
     profile = norm_profile(op, _profile_cutoffs(args.cutoff))
     report = dict(base, cutoff=args.cutoff,
                   cutoffs=[r for r, _ in profile.points],

@@ -296,14 +296,19 @@ def manifold_determinant(sp: SpectralModel, alpha: float, lam: complex,
 # Built-in spectra
 # ---------------------------------------------------------------------------
 
+def _levels(J: int) -> int:
+    """The number J + 1 of levels 0..J a built-in spectrum keeps."""
+    if J < 0:
+        raise ParameterError(f"J must be >= 0, got {J}")
+    return J + 1
+
+
 def circle_model(J: int, nu: float = 2.0, label: str = "circle") -> SpectralModel:
     """Laplacian spectrum on the unit circle: lambda_k = 4*pi^2*k^2 with
     multiplicity 1 at k = 0 and 2 for k >= 1."""
-    if J < 0:
-        raise ParameterError(f"J must be >= 0, got {J}")
-    k = np.arange(J + 1, dtype=np.float64)
+    k = np.arange(_levels(J), dtype=np.float64)
     eig = 4.0 * math.pi ** 2 * k ** 2
-    mult = np.full(J + 1, 2, dtype=np.int64)
+    mult = np.full(len(k), 2, dtype=np.int64)
     mult[0] = 1
     return SpectralModel(eig, mult, nu, label=label)
 
@@ -311,10 +316,8 @@ def circle_model(J: int, nu: float = 2.0, label: str = "circle") -> SpectralMode
 def sphere2_model(J: int, nu: float = 2.0, label: str = "sphere2") -> SpectralModel:
     """Laplacian spectrum on the 2-sphere: lambda_j = j(j+1) with
     multiplicity 2j + 1."""
-    if J < 0:
-        raise ParameterError(f"J must be >= 0, got {J}")
-    j = np.arange(J + 1, dtype=np.float64)
-    return SpectralModel(j * (j + 1.0), (2 * np.arange(J + 1) + 1).astype(np.int64),
+    j = np.arange(_levels(J), dtype=np.float64)
+    return SpectralModel(j * (j + 1.0), (2 * j + 1).astype(np.int64),
                          nu, label=label)
 
 
@@ -322,19 +325,18 @@ def torus2_model(J: int, nu: float = 2.0, label: str = "torus2") -> SpectralMode
     """Laplacian spectrum on the flat 2-torus by lattice-point counting:
     the J+1 smallest distinct values 4*pi^2*q over q = |m|^2, m in Z^2,
     with multiplicity the number of lattice points of that squared norm."""
-    if J < 0:
-        raise ParameterError(f"J must be >= 0, got {J}")
+    n = _levels(J)
     # About 0.764 N / sqrt(ln N) integers up to N are sums of two squares
     # (Landau-Ramanujan), a slight undercount at these N: t sqrt(ln(t + 2)),
     # t = (J + 1) / 0.764, exceeds the (J+1)-th norm by 1.7-4.3 % for every
     # J up to 10^4, and 5 % more keeps the count to one pass there
-    t = (J + 1) / 0.764
+    t = n / 0.764
     bound = math.isqrt(int(1.05 * t * math.sqrt(math.log(t + 2)))) + 1
     while True:
         squares = np.arange(-bound, bound + 1, dtype=np.int64) ** 2
         counts = np.bincount(np.add.outer(squares, squares).ravel())[: bound * bound + 1]
-        norms = np.flatnonzero(counts)[: J + 1]
-        if len(norms) == J + 1:
+        norms = np.flatnonzero(counts)[:n]
+        if len(norms) == n:
             break
         bound *= 2
     eig = 4.0 * math.pi ** 2 * norms.astype(np.float64)

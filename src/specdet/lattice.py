@@ -661,6 +661,14 @@ def diagonal_kernel_from_rule(rule: Callable[[Index], complex], dim: int = 1,
                          label=label)
 
 
+def _mul(a_re, a_im, b_re, b_im):
+    """CPython's complex product on (real, imag) pairs,
+        (a, b) * (c, d) = (a*c - b*d, a*d + b*c),
+    also when one factor is a float g, which CPython up to 3.13 promotes to
+    (g, 0.0): on arrays, each Python complex product bit for bit."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
 def _rank_one_sites(factors: list, dim: int, label: str) -> LatticeKernel:
     spoiled = [not np.isfinite(values).all() for _, _, values in factors]
     tables = None
@@ -687,11 +695,9 @@ def _rank_one_sites(factors: list, dim: int, label: str) -> LatticeKernel:
     def support_arrays(cutoff):
         rows, gv = factor(cutoff, 0)
         cols, hv = factor(cutoff, 1)
-        # CPython's complex product on (real, imag) pairs
         vals = np.empty((len(rows), len(cols)), dtype=np.complex128)
-        with np.errstate(invalid="ignore", over="ignore"):
-            vals.real = np.multiply.outer(gv.real, hv.real) - np.multiply.outer(gv.imag, hv.imag)
-            vals.imag = np.multiply.outer(gv.real, hv.imag) + np.multiply.outer(gv.imag, hv.real)
+        with np.errstate(invalid="ignore", over="ignore"):  # eval_fn's g(j) * h(m)
+            vals.real, vals.imag = _mul(gv.real[:, None], gv.imag[:, None], hv.real, hv.imag)
         return _nonzero(np.repeat(rows, len(cols)), np.tile(cols, len(rows)), vals.ravel())
 
     return LatticeKernel(dim, eval_fn, support_arrays=support_arrays, label=label)

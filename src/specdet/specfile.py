@@ -85,6 +85,20 @@ def _as_number(value, fld: str) -> float:
     return value
 
 
+def _at_least(value, fld: str, low: int) -> int:
+    value = _as_int(value, fld)
+    if value < low:
+        _fail(f"{fld} must be >= {low}", fld)
+    return value
+
+
+def _positive(value, fld: str) -> float:
+    value = _as_number(value, fld)
+    if not value > 0:
+        _fail(f"{fld} must be positive", fld)
+    return value
+
+
 def _as_pair(value, fld: str) -> list:
     """Normalize a complex field: plain number or [re, im]."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -219,10 +233,7 @@ def _validate_lattice(obj: dict) -> dict:
         params["h"] = _as_entry_list(_require(obj, "h"), "h", 1)
     elif family == "banded":
         params["offsets"] = _as_entry_list(_require(obj, "offsets"), "offsets", 1)
-        support = _as_int(_require(obj, "support"), "support")
-        if support < 0:
-            _fail("support must be >= 0", "support")
-        params["support"] = support
+        params["support"] = _at_least(_require(obj, "support"), "support", 0)
     else:
         params["entries"] = _as_entry_list(_require(obj, "entries"), "entries", 2)
     return params
@@ -240,15 +251,10 @@ def _validate_toroidal(obj: dict) -> dict:
         _fail(f"unknown family {family!r} (have {sorted(families)})", "family")
     _check_keys(obj, {"kind", "label", "family", "dim", "x_grid"} | families[family],
                 f"toroidal_symbol family {family!r}")
-    dim = _as_int(obj.get("dim", 1), "dim")
-    if dim < 1:
-        _fail("dim must be >= 1", "dim")
+    dim = _at_least(obj.get("dim", 1), "dim", 1)
     params = {"family": family, "dim": dim}
     if "x_grid" in obj:
-        x_grid = _as_int(obj["x_grid"], "x_grid")
-        if x_grid < 2:
-            _fail("x_grid must be >= 2", "x_grid")
-        params["x_grid"] = x_grid
+        params["x_grid"] = _at_least(obj["x_grid"], "x_grid", 2)
     if family == "power_decay":
         params["order"] = _as_number(_require(obj, "order"), "order")
         params["amplitude"] = _as_pair(obj.get("amplitude", 1.0), "amplitude")
@@ -303,20 +309,10 @@ def _validate_spectral(obj: dict) -> dict:
         _fail(f"unknown model {model!r} (have {sorted(models)})", "model")
     _check_keys(obj, {"kind", "label", "model", "alpha", "nu", "manifold_dim"}
                 | models[model], f"spectral_model {model!r}")
-    params = {"model": model}
-    alpha = _as_number(_require(obj, "alpha"), "alpha")
-    if not alpha > 0:
-        _fail("alpha must be positive", "alpha")
-    params["alpha"] = alpha
-    nu = _as_number(obj.get("nu", 2.0), "nu")
-    if not nu > 0:
-        _fail("nu must be positive", "nu")
-    params["nu"] = nu
+    params = {"model": model, "alpha": _positive(_require(obj, "alpha"), "alpha"),
+              "nu": _positive(obj.get("nu", 2.0), "nu")}
     if "manifold_dim" in obj:
-        md = _as_int(obj["manifold_dim"], "manifold_dim")
-        if md < 1:
-            _fail("manifold_dim must be >= 1", "manifold_dim")
-        params["manifold_dim"] = md
+        params["manifold_dim"] = _at_least(obj["manifold_dim"], "manifold_dim", 1)
     if model == "table":
         eig = _require(obj, "eigenvalues")
         mult = _require(obj, "multiplicities")
@@ -337,18 +333,13 @@ def _validate_spectral(obj: dict) -> dict:
         params["eigenvalues"] = values
         params["multiplicities"] = counts
     else:
-        J = _as_int(_require(obj, "J"), "J")
-        if J < 0:
-            _fail("J must be >= 0", "J")
-        params["J"] = J
+        params["J"] = _at_least(_require(obj, "J"), "J", 0)
     return params
 
 
 def _validate_bundle(obj: dict) -> dict:
     _check_keys(obj, {"kind", "label", "fiber_dim", "dual", "sigma"}, "bundle_symbol")
-    fiber_dim = _as_int(_require(obj, "fiber_dim"), "fiber_dim")
-    if fiber_dim < 1:
-        _fail("fiber_dim must be >= 1", "fiber_dim")
+    fiber_dim = _at_least(_require(obj, "fiber_dim"), "fiber_dim", 1)
     raw_dual = _require(obj, "dual")
     if not isinstance(raw_dual, list) or not raw_dual:
         _fail("expected a nonempty list of [id, dim] pairs", "dual")

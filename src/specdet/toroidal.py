@@ -44,6 +44,7 @@ from .lattice import (
     _as_index,
     _box_points,
     _modulus_sums,
+    _mul,
     _positions,
     _site_arrays,
     _table_sites,
@@ -449,13 +450,10 @@ def _k_norm_sq(k: Index) -> float:
 
 # The grid sampler of modulated_symbol replays its scalar evaluator's
 # arithmetic on whole arrays, one IEEE operation per step, so its samples
-# equal ``eval`` bit for bit.  A complex product is CPython's formula on
-# (real, imag) pairs,
-#     (a, b) * (c, d) = (a*c - b*d, a*d + b*c),
-# also when one factor is a float g, which CPython up to 3.13 promotes to
-# (g, 0.0).  The waves use real np.cos/np.sin and so rely on numpy taking
-# float64 cos/sin from the C library, as cmath.exp does; the bitwise test
-# in tests/test_toroidal.py checks this.  Complex np.exp has its own code
+# equal ``eval`` bit for bit; its complex products are lattice._mul.  The
+# waves use real np.cos/np.sin and so rely on numpy taking float64 cos/sin
+# from the C library, as cmath.exp does; the bitwise test in
+# tests/test_toroidal.py checks this.  Complex np.exp has its own code
 # path and need not agree with cmath.exp in the last bit.
 
 def _grid_wave(n_x: int, dim: int, theta: Index):
@@ -469,11 +467,6 @@ def _grid_wave(n_x: int, dim: int, theta: Index):
     # cmath.exp returns (1.0 * cos(y), 1.0 * sin(y)); phase is never -0.0
     y = (2 * math.pi) * phase
     return np.cos(y), np.sin(y)
-
-
-def _mul(a_re, a_im, b_re, b_im):
-    """CPython's complex product on (real, imag) pairs."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def _wave_sum(n_x: int, dim: int, terms):
@@ -542,7 +535,8 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
             g = np.array([(1.0 + _k_norm_sq(k)) ** (decay_order / 2.0) for k in ks])
             g = g.reshape((len(ks),) + (1,) * dim)
             out = np.empty(g.shape[:1] + x_re.shape, dtype=np.complex128)
-            # _mul(x_re, x_im, g, 0.0), computed in the halves of out
+            # _mul(x_re, x_im, g, 0.0), computed in the halves of out so
+            # that no temporary is the size of the sample stack
             re, im = out.real, out.imag
             np.subtract(np.multiply(x_re, g, out=re), x_im * 0.0, out=re)
             np.add(x_re * 0.0, np.multiply(x_im, g, out=im), out=im)

@@ -87,6 +87,20 @@ def test_norm_profile_refuses_a_cutoff_below_one(monkeypatch, spec, cutoff):
     assert run(argv) == (2, "", f"specdet: computation error: {message}\n")
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+@pytest.mark.parametrize("command", ["det", "trace", "radius", "compare"])
+@pytest.mark.parametrize("spec", ["rank_one", "toroidal_modulated", "block_symbol",
+                                  "spectral_table", "bundle_small"])
+def test_every_kind_refuses_a_cutoff_below_one(spec, command, cutoff):
+    # also the kinds whose series does not truncate
+    argv = [command, "--input", f"fixtures/{spec}.json", f"--cutoff={cutoff}"]
+    message = f"cutoff must be >= 1, got {cutoff}"
+    code, out, err = run(argv + ["--output", "json"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": "computation", "message": message})]
+    assert run(argv) == (2, "", f"specdet: computation error: {message}\n")
+
+
 @pytest.mark.parametrize("spec", ["rank_one", "toroidal_modulated"])
 def test_norm_profile_of_a_small_cutoff_starts_at_one(spec):
     code, report, _ = run_json(["norm-profile", "--input", f"fixtures/{spec}.json",
@@ -816,3 +830,35 @@ def test_one_term_series_reports_its_one_term():
     assert code == 4 and report["series"]["order_used"] == 1
     assert report["series"]["reason"] == "outside_disc"
     assert report["series"]["tail_estimate"] == "inf"
+
+
+#: case -> (argv, whether det reports a deviation, whether compare does);
+#: compare takes both routes whatever --mode says
+DEVIATION_CASES = {
+    "finite": (["--input", "fixtures/rank_one.json", "--lambda", "0.5"], True, True),
+    "both-overflow": (["--input", "fixtures/bundle_small.json", "--lambda", "1e160"],
+                      False, False),
+    "outside-disc": (["--input", "fixtures/rank_one.json", "--lambda", "3"], False, False),
+    "series-only": (["--input", "fixtures/rank_one.json", "--mode", "series"], False, True),
+}
+
+
+@pytest.mark.parametrize("case", DEVIATION_CASES)
+def test_det_and_compare_report_one_deviation(case):
+    # no deviation where a route is missing or the series has a reason;
+    # det's deviation is compare's pair of deviations
+    argv, det_has, compare_has = DEVIATION_CASES[case]
+    (det_code, det, _), (compare_code, compared, _) = (
+        run_json([command, *argv]) for command in ("det", "compare"))
+    assert det_code == compare_code == 0
+    pair = {"abs": compared["abs_deviation"], "rel": compared["rel_deviation"]}
+    assert all(isinstance(v, float) if compare_has else v is None for v in pair.values())
+    assert det["deviation"] == (pair if det_has else None)
+    (_, det_text, _), (_, compare_text, _) = (run([command, *argv])
+                                              for command in ("det", "compare"))
+    assert ("deviation" in det_text) == det_has
+    if det_has:
+        assert f"  deviation    = abs {pair['abs']}, rel {pair['rel']}\n" in det_text
+    shown = {k: "null" if v is None else v for k, v in pair.items()}
+    assert (f"  abs_deviation= {shown['abs']}\n  rel_deviation= {shown['rel']}\n"
+            in compare_text)

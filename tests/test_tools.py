@@ -172,6 +172,20 @@ print(sorted(code for code, _, _ in results.values()))
 """
 
 
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_report_sweep_runs_blas_on_one_thread_unless_told(threads):
+    # sweeps taken at different thread counts differ in dense trace powers
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update({} if threads is None else {"OPENBLAS_NUM_THREADS": threads})
+    proc = subprocess.run([sys.executable, "-c", SWEEP_CHILD, str(REPORT_SWEEP),
+                           str(ROOT / "src")], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (f"specdet from {ROOT / 'src' / 'specdet'}, "
+                           f"BLAS threads {threads or 1}\n")
+
+
 @pytest.mark.parametrize("tool", ["peak_rss", "report_sweep"])
 def test_tools_write_no_bytecode_into_the_tree_they_run(tmp_path, tool):
     # bytecode in a measured tree speeds up its imports, and so moves setup_s

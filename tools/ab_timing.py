@@ -49,18 +49,6 @@ METRICS = ("requests_per_s", "latency_p50_s", "latency_p90_s")
 PACKAGES = ("specdet_a", "specdet_b")
 
 
-def _percentile(values, q):
-    """Nearest-rank percentile, as bench/run.py takes it."""
-    ordered = sorted(values)
-    return ordered[max(0, -(-len(ordered) * q // 100) - 1)]
-
-
-def _metrics(latencies) -> dict:
-    return {"requests_per_s": len(latencies) / sum(latencies),
-            "latency_p50_s": statistics.median(latencies),
-            "latency_p90_s": _percentile(latencies, 90)}
-
-
 def _call(run_command, argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -86,6 +74,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tools")]
     import report_sweep
     import workloads
+    from run import percentile
 
     with tempfile.TemporaryDirectory() as tmp:
         commands = []
@@ -122,7 +111,9 @@ def main(argv=None) -> int:
                 for side in ((0, 1) if (p + i) % 2 == 0 else (1, 0)):
                     best[side][i] = min(best[side][i], _call(commands[side], req)[0])
 
-    a, b = (_metrics(latencies) for latencies in best)
+    a, b = ({"requests_per_s": len(latencies) / sum(latencies),
+             "latency_p50_s": statistics.median(latencies),
+             "latency_p90_s": percentile(latencies, 90)} for latencies in best)
     ratio = {key: b[key] / a[key] for key in METRICS}
     for name, tree, m in (("a", args.a, a), ("b", args.b, b)):
         print(f"{name} {tree}: {m['requests_per_s']:.1f} req/s  "

@@ -19,6 +19,10 @@ only argparse reads.  It writes the exit code, stdout and stderr of each
 of the 1145 cases to one JSON file, keyed by the case's arguments.
 ``--src`` imports specdet from another source tree, such as an export of
 an earlier commit; the fixtures are always this tree's.
+A sweep runs BLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` says otherwise, and prints the
+OpenBLAS count beside the source tree: dense trace powers at side 129 move
+in their last bits with the thread count.
 ``--cutoff R`` passes ``--cutoff R`` to every fixture case: at R >= 64 the 1-D
 lattice fixtures are at least 128 wide and leave the dense trace-power
 chain, which they keep at the CLI's default cutoff 8.
@@ -82,11 +86,16 @@ def cases(cutoff: int | None = None) -> list:
 
 def sweep(src: Path, cutoff: int | None) -> dict:
     sys.dont_write_bytecode = True  # a cache in the swept tree moves later timings
+    # dense trace powers move in their last bits with the BLAS thread count,
+    # which BLAS reads when numpy is first imported, below
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     sys.path.insert(0, str(src))
     import specdet
     from specdet.cli import run_command
 
-    print(f"specdet from {Path(specdet.__file__).parent}", file=sys.stderr)
+    print(f"specdet from {Path(specdet.__file__).parent}, "
+          f"BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}", file=sys.stderr)
 
     os.chdir(ROOT)  # reports echo the input path as given
     results = {}
