@@ -202,11 +202,14 @@ def _lattice_kind(kernel, series_det, norm_profile) -> tuple:
     )
 
 
-def _block_oracle_trace(op) -> complex:
-    # block by block, not in block_trace's one flat pass
+def _weighted_oracle_trace(pairs) -> complex:
+    """Sum of w * Tr(B) over (weight, block) pairs, block by block, not in
+    the series' one flat pass.  A weight None leaves Tr(B) as it is: a
+    weight 1 would not, since 1 * (inf + 0j) is inf + nanj."""
     acc = 0.0j
-    for b in op.blocks:
-        acc += mat_trace(CMatrix.from_array(b))
+    for w, b in pairs:
+        t = mat_trace(CMatrix.from_array(b))
+        acc += t if w is None else w * t
     return acc
 
 
@@ -215,13 +218,6 @@ def _spectral_oracle_trace(op, alpha: float) -> complex:
     for eig, mult in zip(op.eigenvalues.tolist(), op.multiplicities.tolist()):
         acc += mult * (1.0 + eig) ** exponent
     return complex(acc)
-
-
-def _bundle_oracle_trace(op) -> complex:
-    acc = 0.0j
-    for xi, d in op.dual.blocks:
-        acc += d * mat_trace(CMatrix.from_array(flatten_symbol(op, xi)))
-    return acc
 
 
 #: spec kind (as in specfile._KINDS) -> (series det, oracle size check,
@@ -249,7 +245,7 @@ _KINDS = {
         None,
         lambda p, op, a: block_determinant_product(op, a.lam),
         lambda p, op, a: block_trace(op),
-        lambda p, op, a: _block_oracle_trace(op),
+        lambda p, op, a: _weighted_oracle_trace((None, b) for b in op.blocks),
         lambda p, op, a: block_trace_source(op),
         None),
     "spectral_model": (
@@ -267,7 +263,8 @@ _KINDS = {
         None,
         lambda p, op, a: bundle_determinant_product(op, a.lam),
         lambda p, op, a: bundle_trace(op),
-        lambda p, op, a: _bundle_oracle_trace(op),
+        lambda p, op, a: _weighted_oracle_trace((d, flatten_symbol(op, xi))
+                                                for xi, d in op.dual.blocks),
         lambda p, op, a: bundle_trace_source(op),
         None),
 }

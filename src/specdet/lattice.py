@@ -553,24 +553,18 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
         raise ParameterError(f"order and cutoff must be >= 1, got order={order}, "
                              f"cutoff={cutoff}")
     norm = nuclear_norm_estimate(k, 1.0, cutoff)
-    diagnostics: dict = {"nuclear_norm_estimate": norm}
     try:
         reach = abs(lam) * norm
     except OverflowError:  # |lambda| past the float range; the series reports overflow
         reach = math.inf if norm > 0.0 else 0.0
-    if reach >= 1.0:
-        diagnostics["warnings"] = [
-            f"|lambda|*norm = {reach:.6g} >= 1; the series may "
-            f"converge slowly or not at all"
-        ]
-
-    src = truncation_trace_source(k, cutoff, norm_hint=norm)
-    result = plemelj_det(src, lam, order=order, tol=tol)
+    result = plemelj_det(truncation_trace_source(k, cutoff, norm_hint=norm), lam,
+                         order=order, tol=tol)
     result.cutoff_used = cutoff
-    warnings = diagnostics.get("warnings", []) + result.diagnostics.get("warnings", [])
-    result.diagnostics = {**diagnostics, **result.diagnostics}
-    if warnings:
-        result.diagnostics["warnings"] = warnings
+    result.diagnostics["nuclear_norm_estimate"] = norm
+    if reach >= 1.0:
+        result.diagnostics["warnings"] = [
+            f"|lambda|*norm = {reach:.6g} >= 1; the series may converge slowly or not at all",
+            *result.diagnostics.get("warnings", [])]
     return result
 
 

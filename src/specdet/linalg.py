@@ -23,10 +23,6 @@ __all__ = [
 ]
 
 
-def _is_finite(z: complex) -> bool:
-    return cmath.isfinite(z)
-
-
 @dataclass(frozen=True)
 class CMatrix:
     """Immutable dense complex matrix in row-major order."""
@@ -43,11 +39,11 @@ class CMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        if _is_finite(sum(self.entries, 0j)):
+        if cmath.isfinite(sum(self.entries, 0j)):
             return
         # a non-finite entry, or finite entries whose sum overflowed
         for idx, z in enumerate(self.entries):
-            if not _is_finite(z):
+            if not cmath.isfinite(z):
                 raise ShapeError(
                     f"non-finite entry {z!r} at flat index {idx} "
                     f"(row {idx // max(1, self.cols)}, col {idx % max(1, self.cols)})"

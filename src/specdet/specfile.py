@@ -297,18 +297,17 @@ def _validate_block(obj: dict) -> dict:
     return params
 
 
+#: built-in spectral model -> its constructor (J, nu, label); "table" is the other model
+_MODELS = {"circle": circle_model, "sphere2": sphere2_model, "torus2": torus2_model}
+
+
 def _validate_spectral(obj: dict) -> dict:
     model = _require(obj, "model")
-    models = {
-        "circle": {"J"},
-        "torus2": {"J"},
-        "sphere2": {"J"},
-        "table": {"eigenvalues", "multiplicities"},
-    }
-    if model not in models:
-        _fail(f"unknown model {model!r} (have {sorted(models)})", "model")
+    if model != "table" and model not in _MODELS:
+        _fail(f"unknown model {model!r} (have {sorted([*_MODELS, 'table'])})", "model")
     _check_keys(obj, {"kind", "label", "model", "alpha", "nu", "manifold_dim"}
-                | models[model], f"spectral_model {model!r}")
+                | ({"eigenvalues", "multiplicities"} if model == "table" else {"J"}),
+                f"spectral_model {model!r}")
     params = {"model": model, "alpha": _positive(_require(obj, "alpha"), "alpha"),
               "nu": _positive(obj.get("nu", 2.0), "nu")}
     if "manifold_dim" in obj:
@@ -512,12 +511,8 @@ def _build_toroidal(p: dict, label: str) -> ToroidalSymbol:
 
 def _build_spectral(p: dict, label: str) -> SpectralModel:
     model = p["model"]
-    if model == "circle":
-        return circle_model(p["J"], nu=p["nu"], label=label or "circle")
-    if model == "sphere2":
-        return sphere2_model(p["J"], nu=p["nu"], label=label or "sphere2")
-    if model == "torus2":
-        return torus2_model(p["J"], nu=p["nu"], label=label or "torus2")
+    if model in _MODELS:
+        return _MODELS[model](p["J"], nu=p["nu"], label=label or model)
     return SpectralModel(p["eigenvalues"], p["multiplicities"], p["nu"],
                          label=label or "table")
 
