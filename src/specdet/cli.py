@@ -4,8 +4,10 @@ Subcommands: ``det`` (determinant of I + lambda*T), ``trace``,
 ``norm-profile``, ``radius`` and ``compare``.  Every subcommand reads one
 JSON operator spec (see :mod:`specdet.specfile`), computes along the series
 path, the brute-force oracle path, or both, and emits a text or JSON report
-on stdout.  Exit codes: 0 success, 2 parse/validation error, 3 feasibility
-refusal, 4 non-converged series under ``--mode series``.  Errors go to
+on stdout.  A ``--mode``, ``--order`` or ``--tol`` the command cannot take
+is refused before anything is computed.  Exit codes: 0 success, 2
+parse/validation error or refused option, 3 feasibility refusal or failed
+allocation, 4 non-converged series under ``--mode series``.  Errors go to
 stderr; in JSON mode each is one JSON object on one line, command-line
 usage errors included (``{"error": "usage", "message": ...}``).
 
@@ -58,7 +60,7 @@ from .oracle import (
     direct_determinant,
     spectral_determinant_product,
 )
-from .plemelj import DetResult, radius_estimate
+from .plemelj import DetResult, _check_radius, _check_series, radius_estimate
 from .specfile import build_operator, parse_spec
 from .toroidal import growth_verdict, norm_growth_profile, poincare_norm, toroidal_determinant, toroidal_matrix
 
@@ -203,9 +205,8 @@ def _lattice_kind(kernel, series_det, norm_profile) -> tuple:
 
 
 def _weighted_oracle_trace(pairs) -> complex:
-    """Sum of w * Tr(B) over (weight, block) pairs, block by block, not in
-    the series' one flat pass.  A weight None leaves Tr(B) as it is: a
-    weight 1 would not, since 1 * (inf + 0j) is inf + nanj."""
+    """Sum of w * Tr(B) over (weight, block) pairs, block by block, not in the
+    series' one flat pass; a weight None keeps Tr(B), as 1 * (inf + 0j) would not."""
     acc = 0.0j
     for w, b in pairs:
         t = mat_trace(CMatrix.from_array(b))
@@ -303,6 +304,12 @@ def _dispatch(args, spec, op):
      norm_profile) = _KINDS[spec.kind]
     if args.cutoff < 1:  # also where the series does not truncate, before any route
         raise ParameterError(f"cutoff must be >= 1, got {args.cutoff}")
+    if args.mode not in _COMMANDS[args.command][1]:
+        raise ParameterError(f"{args.command} does not take --mode {args.mode}")
+    if args.command in ("det", "compare"):  # before the symbol is sampled
+        _check_series(args.order, args.tol)
+    elif args.command == "radius":
+        _check_radius(args.order)
     p = spec.params
     base = {
         "command": args.command,
@@ -311,20 +318,19 @@ def _dispatch(args, spec, op):
         "label": spec.label,
     }
     if args.command in ("det", "compare"):
-        mode = args.mode if args.command == "det" else "both"
-        series, oracle = _routes(mode, series_det, _finite(oracle_det), p, op, args,
+        series, oracle = _routes(args.mode, series_det, _finite(oracle_det), p, op, args,
                                  check=oracle_size)
         dev = None if series is None or oracle is None or series.reason \
             else _deviation(series.value, oracle)
         base.update({"lambda": _cpx(args.lam), "order": args.order, "cutoff": args.cutoff,
                      "tol": _num(args.tol)})
         if args.command == "det":
-            report = dict(base, mode=mode, deviation=dev,
+            report = dict(base, mode=args.mode, deviation=dev,
                           series=None if series is None else _det_json(series),
-                          oracle=None if mode == "series" else
+                          oracle=None if args.mode == "series" else
                           {"value": None, "reason": "overflow"} if oracle is None
                           else {"value": _cpx(oracle)})
-            return report, 4 if mode == "series" and not series.converged else 0
+            return report, 4 if args.mode == "series" and not series.converged else 0
         report = dict(base, **{
             "series_value": None if series.reason else _cpx(series.value),
             "oracle_value": None if oracle is None else _cpx(oracle),
@@ -342,9 +348,8 @@ def _dispatch(args, spec, op):
         report = dict(base, cutoff=args.cutoff, mode=args.mode,
                       trace=None if series is None else _cpx(series),
                       oracle_trace=None if oracle is None else _cpx(oracle),
-                      deviation=None)
-        if series is not None and oracle is not None:
-            report["deviation"] = _deviation(series, oracle)
+                      deviation=None if series is None or oracle is None
+                      else _deviation(series, oracle))
         return report, 0
 
     if args.command == "radius":
@@ -406,13 +411,15 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n", message)
 
 
-#: subcommand -> help line
+#: the computation routes, as --mode names them
+_ROUTES = ("series", "oracle", "both")
+#: subcommand -> (help line, the --mode values it takes)
 _COMMANDS = {
-    "det": "determinant of I + lambda*T",
-    "trace": "trace of T",
-    "norm-profile": "summed-entry norm growth across cutoffs",
-    "radius": "root-test estimate of the series radius",
-    "compare": "series vs oracle determinant deviation",
+    "det": ("determinant of I + lambda*T", _ROUTES),
+    "trace": ("trace of T", _ROUTES),
+    "norm-profile": ("summed-entry norm growth across cutoffs", ("both",)),
+    "radius": ("root-test estimate of the series radius", ("series", "both")),
+    "compare": ("series vs oracle determinant deviation", ("both",)),
 }
 
 #: option -> its argparse.add_argument keywords; every subcommand takes
@@ -426,7 +433,7 @@ _OPTIONS = {
     "--order": dict(type=int, default=30, help="series truncation order (default 30)"),
     "--cutoff": dict(type=int, default=8, help="truncation box radius (default 8)"),
     "--tol": dict(type=float, default=1e-10, help="series tolerance (default 1e-10)"),
-    "--mode": dict(choices=("series", "oracle", "both"), default="both",
+    "--mode": dict(choices=_ROUTES, default="both",
                    help="computation route (default both)"),
     "--output": dict(choices=("json", "text"), default="text",
                      help="report format (default text)"),
@@ -505,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and kernels, with brute-force oracle cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in _COMMANDS.items():
+    for command, (text, _) in _COMMANDS.items():
         sub.add_parser(command, parents=[common], help=text)
     return parser
 
@@ -547,7 +554,7 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
     except SpecValidationError as exc:
         _emit_error("validation", exc, args, stderr)
         return 2
-    except FeasibilityError as exc:
+    except (FeasibilityError, MemoryError) as exc:
         _emit_error("feasibility", exc, args, stderr)
         return 3
     except OSError as exc:

@@ -87,6 +87,23 @@ def _exceeds_hint(magnitude: float, hint: float, m: int) -> bool:
     return math.log(magnitude) > m * math.log(hint) + 1e-9
 
 
+def _check_series(order: int, tol: float) -> None:
+    if order < 1:
+        raise ParameterError(f"series order must be >= 1, got {order}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _check_radius(order: int) -> None:
+    if order < 3:
+        raise ParameterError(f"radius estimate needs order >= 3, got {order}")
+
+
+def _non_finite(m: int, tp: complex, src: TracePowerSource) -> EvaluationError:
+    return EvaluationError(f"trace power of order {m} is non-finite ({tp!r})"
+                           + (f" for source {src.label!r}" if src.label else ""))
+
+
 def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
                 tol: float = 1e-10) -> DetResult:
     """Evaluate the determinant series from a trace-power source.
@@ -102,10 +119,7 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
     with reason ``overflow``, as does one whose modulus, or that of the
     partial sum with it, passes the float range.
     """
-    if order < 1:
-        raise ParameterError(f"series order must be >= 1, got {order}")
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"tolerance must be positive and finite, got {tol}")
+    _check_series(order, tol)
     lam = complex(lam)
     diagnostics: dict = {}
     hint_violations: list[int] = []
@@ -123,10 +137,7 @@ def plemelj_det(src: TracePowerSource, lam: complex, order: int = 30,
         for m in range(1, order + 1):
             tp = complex(src.trace_power(m))
             if not cmath.isfinite(tp):
-                raise EvaluationError(
-                    f"trace power of order {m} is non-finite ({tp!r})"
-                    + (f" for source {src.label!r}" if src.label else "")
-                )
+                raise _non_finite(m, tp, src)
             if src.norm_hint is not None and _exceeds_hint(abs(tp), src.norm_hint, m):
                 hint_violations.append(m)
             lam_pow *= lam
@@ -216,15 +227,14 @@ def radius_estimate(src: TracePowerSource, order: int) -> float:
     when every sampled trace is zero.  This is a numerical diagnostic: the
     true disc radius is whatever the operator's spectrum dictates.
     """
-    if order < 3:
-        raise ParameterError(f"radius estimate needs order >= 3, got {order}")
+    _check_radius(order)
     start = (order + 1) // 2
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # as in plemelj_det
         for m in range(start, order + 1):
             tp = complex(src.trace_power(m))
             if not cmath.isfinite(tp):
-                raise EvaluationError(f"trace power of order {m} is non-finite ({tp!r})")
+                raise _non_finite(m, tp, src)
             mag = abs(tp)
             if mag > 0.0:
                 worst = max(worst, mag ** (1.0 / m))

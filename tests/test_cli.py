@@ -101,6 +101,122 @@ def test_every_kind_refuses_a_cutoff_below_one(spec, command, cutoff):
     assert run(argv) == (2, "", f"specdet: computation error: {message}\n")
 
 
+def _refused(argv, message):
+    """Whether argv is refused with the one computation error line
+    ``message``, in json and in text."""
+    code, out, err = run(argv + ["--output", "json"])
+    return ((code, out, err.splitlines()) ==
+            (2, "", [json.dumps({"error": "computation", "message": message})])
+            and run(argv) == (2, "", f"specdet: computation error: {message}\n"))
+
+
+#: command -> the --mode values it cannot honour
+REFUSED_MODES = {"compare": ["series", "oracle"], "radius": ["oracle"],
+                 "norm-profile": ["series", "oracle"]}
+
+
+@pytest.mark.parametrize("command, mode", [(command, mode)
+                                           for command, modes in REFUSED_MODES.items()
+                                           for mode in modes])
+def test_a_command_refuses_a_mode_it_cannot_honour(command, mode):
+    argv = [command, "--input", "fixtures/rank_one.json"]
+    assert _refused(argv + ["--mode", mode], f"{command} does not take --mode {mode}")
+    # the default both, and the series for radius (sparse-radius in the bench)
+    honoured = [[], ["--mode", "both"]] + ([["--mode", "series"]] if command == "radius" else [])
+    for extra in honoured:
+        code, report, err = run_json(argv + extra)
+        assert (code, err) == (0, ""), extra
+        assert report["command"] == command
+
+
+def test_compare_refuses_the_series_mode_before_the_oracle_guard():
+    # it ran the oracle and exited 3 on the LU guard, where det --mode series answers
+    argv = ["--input", "fixtures/toroidal_modulated.json", "--cutoff", "1000"]
+    assert _refused(["compare", *argv, "--mode", "series"],
+                    "compare does not take --mode series")
+
+
+KIND_SPECS = ["rank_one", "toroidal_modulated", "block_symbol", "spectral_table",
+              "bundle_small"]
+#: case -> (options, plemelj_det's message for them)
+SERIES_OPTION_CASES = {
+    "order 0": (["--order", "0"], "series order must be >= 1, got 0"),
+    "order -4": (["--order=-4"], "series order must be >= 1, got -4"),
+    "tol 0": (["--tol", "0"], "tolerance must be positive and finite, got 0.0"),
+    "tol -1e-3": (["--tol=-1e-3"], "tolerance must be positive and finite, got -0.001"),
+    "tol nan": (["--tol", "nan"], "tolerance must be positive and finite, got nan"),
+}
+
+
+def _count_samples(monkeypatch) -> list:
+    """The runs of k that toroidal sampling takes from here on."""
+    import specdet.toroidal as toroidal
+
+    calls, sample = [], toroidal._sample_stack
+    monkeypatch.setattr(toroidal, "_sample_stack",
+                        lambda s, n_x, ks: calls.append(len(ks)) or sample(s, n_x, ks))
+    return calls
+
+
+@pytest.mark.parametrize("case", SERIES_OPTION_CASES)
+@pytest.mark.parametrize("spec", KIND_SPECS)
+def test_det_and_compare_check_order_and_tol_before_any_route(monkeypatch, spec, case):
+    # one message per option, whatever the kind and the route; the oracle
+    # route took neither option and answered, a lattice series said "order
+    # and cutoff must be >= 1", and a toroidal one sampled its symbol first
+    sampled = _count_samples(monkeypatch)
+    options, message = SERIES_OPTION_CASES[case]
+    for command in (["det"], ["det", "--mode", "series"], ["det", "--mode", "oracle"],
+                    ["compare"]):
+        assert _refused([*command, "--input", f"fixtures/{spec}.json", *options], message), \
+            command
+    assert sampled == []
+    if spec == "toroidal_modulated":  # the count sees sampling where there is some
+        assert run(["det", "--input", f"fixtures/{spec}.json", "--mode", "series"])[0] == 0
+        assert sampled
+
+
+@pytest.mark.parametrize("spec", KIND_SPECS)
+def test_radius_checks_its_order_before_building_a_source(monkeypatch, spec):
+    import specdet.cli as cli
+
+    argv = ["radius", "--input", f"fixtures/{spec}.json"]
+    assert run(argv + ["--order", "3"])[0] == 0
+    for name in ("toroidal_matrix", "truncation_trace_source", "block_trace_source",
+                 "spectral_trace_source", "bundle_trace_source"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
+    assert _refused(argv + ["--order", "2"], "radius estimate needs order >= 3, got 2")
+
+
+def test_radius_names_the_source_of_a_non_finite_trace(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "block_symbol", "label": "huge",
+                                "blocks": [[[[1e300, 0.0]]]]}))
+    assert _refused(["radius", "--input", str(path)],
+                    "trace power of order 15 is non-finite ((inf+0j)) for source 'huge'")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("build_operator", ["det", "--input", "fixtures/block_symbol.json"]),
+    ("lattice_determinant", ["det", "--input", "fixtures/table_mixed.json", "--mode", "series"]),
+    ("toroidal_matrix", ["trace", "--input", "fixtures/toroidal_table_2d.json"]),
+])
+def test_a_failed_allocation_is_a_feasibility_refusal(monkeypatch, name, argv):
+    import specdet.cli as cli
+
+    message = ("Unable to allocate 149. GiB for an array with shape (20000000002,) "
+               "and data type int64")
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(argv + ["--output", "json"])
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [json.dumps({"error": "feasibility", "message": message})]
+    assert run(argv) == (3, "", f"specdet: feasibility error: {message}\n")
+
+
 @pytest.mark.parametrize("spec", ["rank_one", "toroidal_modulated"])
 def test_norm_profile_of_a_small_cutoff_starts_at_one(spec):
     code, report, _ = run_json(["norm-profile", "--input", f"fixtures/{spec}.json",
@@ -832,14 +948,15 @@ def test_one_term_series_reports_its_one_term():
     assert report["series"]["tail_estimate"] == "inf"
 
 
-#: case -> (argv, whether det reports a deviation, whether compare does);
-#: compare takes both routes whatever --mode says
+#: case -> (argv, det's --mode, whether det reports a deviation, whether
+#: compare does); compare takes both routes and no other --mode
 DEVIATION_CASES = {
-    "finite": (["--input", "fixtures/rank_one.json", "--lambda", "0.5"], True, True),
+    "finite": (["--input", "fixtures/rank_one.json", "--lambda", "0.5"], "both", True, True),
     "both-overflow": (["--input", "fixtures/bundle_small.json", "--lambda", "1e160"],
-                      False, False),
-    "outside-disc": (["--input", "fixtures/rank_one.json", "--lambda", "3"], False, False),
-    "series-only": (["--input", "fixtures/rank_one.json", "--mode", "series"], False, True),
+                      "both", False, False),
+    "outside-disc": (["--input", "fixtures/rank_one.json", "--lambda", "3"], "both",
+                     False, False),
+    "series-only": (["--input", "fixtures/rank_one.json"], "series", False, True),
 }
 
 
@@ -847,15 +964,14 @@ DEVIATION_CASES = {
 def test_det_and_compare_report_one_deviation(case):
     # no deviation where a route is missing or the series has a reason;
     # det's deviation is compare's pair of deviations
-    argv, det_has, compare_has = DEVIATION_CASES[case]
-    (det_code, det, _), (compare_code, compared, _) = (
-        run_json([command, *argv]) for command in ("det", "compare"))
+    argv, mode, det_has, compare_has = DEVIATION_CASES[case]
+    commands = (["det", "--mode", mode, *argv], ["compare", *argv])
+    (det_code, det, _), (compare_code, compared, _) = (run_json(c) for c in commands)
     assert det_code == compare_code == 0
     pair = {"abs": compared["abs_deviation"], "rel": compared["rel_deviation"]}
     assert all(isinstance(v, float) if compare_has else v is None for v in pair.values())
     assert det["deviation"] == (pair if det_has else None)
-    (_, det_text, _), (_, compare_text, _) = (run([command, *argv])
-                                              for command in ("det", "compare"))
+    (_, det_text, _), (_, compare_text, _) = (run(c) for c in commands)
     assert ("deviation" in det_text) == det_has
     if det_has:
         assert f"  deviation    = abs {pair['abs']}, rel {pair['rel']}\n" in det_text

@@ -12,11 +12,12 @@ A sweep runs every good fixture (``fixtures/*.json``) through
 ``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
 ``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
 json and text: 1134 cases on the 21 fixtures.  These are all written as
-``--opt value`` with a lambda of at least 0, so 11 command-line shapes on
+``--opt value`` with a lambda of at least 0, so 17 command-line shapes on
 one fixture follow (``SHAPES``): both value forms with a negative lambda,
 abbreviated and repeated options, usage errors and help, most of which
-only argparse reads.  It writes the exit code, stdout and stderr of each
-of the 1145 cases to one JSON file, keyed by the case's arguments.
+only argparse reads, and the modes, orders and tolerances that commands
+refuse.  It writes the exit code, stdout and stderr of each of the 1151
+cases to one JSON file, keyed by the case's arguments.
 ``--src`` imports specdet from another source tree, such as an export of
 an earlier commit; the fixtures are always this tree's.
 A sweep runs BLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
@@ -61,7 +62,10 @@ SHAPES = [["-h"], ["det", "-h"], ["det", "--outp", "json"]] + [
     for rest in (["--lambda=-0.3,0"], ["--lambda", "-0.3"], ["--lam", "0.3"],
                  ["--outp", "json"], ["--output=json", "--output", "text"],
                  ["--output", "yaml", "--output", "json"], ["--order", "x"],
-                 ["--bandwidth", "3"])]
+                 ["--bandwidth", "3"], ["--mode", "oracle", "--order", "0"], ["--tol", "0"])] + [
+    [command, "--input", SHAPE_FIXTURE, *rest]
+    for command, rest in (("compare", ["--mode", "series"]), ("radius", ["--mode", "oracle"]),
+                          ("norm-profile", ["--mode", "oracle"]), ("radius", ["--order", "2"]))]
 #: a number, with its sign; text reports write complex values as "a - bi",
 #: so a sign may stand one space before its digits
 NUMBER = re.compile(r"(?:[-+] ?)?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
