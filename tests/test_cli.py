@@ -129,13 +129,6 @@ def test_a_command_refuses_a_mode_it_cannot_honour(command, mode):
         assert report["command"] == command
 
 
-def test_compare_refuses_the_series_mode_before_the_oracle_guard():
-    # it ran the oracle and exited 3 on the LU guard, where det --mode series answers
-    argv = ["--input", "fixtures/toroidal_modulated.json", "--cutoff", "1000"]
-    assert _refused(["compare", *argv, "--mode", "series"],
-                    "compare does not take --mode series")
-
-
 KIND_SPECS = ["rank_one", "toroidal_modulated", "block_symbol", "spectral_table",
               "bundle_small"]
 #: case -> (options, plemelj_det's message for them)
