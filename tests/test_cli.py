@@ -865,6 +865,15 @@ def test_block_oracle_trace_sums_block_traces(tmp_path):
     assert report["deviation"]["abs"] == 2.0  # the traces print rounded to 12 digits
 
 
+def test_block_oracle_trace_keeps_an_overflowing_trace_real(tmp_path):
+    # the block oracle adds each trace unweighted: 1 * (inf + 0j) is inf + nanj
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({"kind": "block_symbol", "blocks": [
+        [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]], [[[0.5, 0.0]]]]}))
+    code, report, _ = run_json(["trace", "--input", str(path), "--mode", "oracle"])
+    assert (code, report["oracle_trace"]) == (0, ["inf", 0.0])
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_non_finite_tolerance_is_refused(tol):
     code, out, err = run(["det", "--input", "fixtures/rank_one.json", "--tol", tol,

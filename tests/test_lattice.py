@@ -675,6 +675,16 @@ def test_determinant_inverse_square_diagonal_matches_partial_product():
     assert result.diagnostics.get("warnings")  # |lambda|*norm >= 1
 
 
+def test_determinant_puts_the_norm_warning_ahead_of_the_series_warnings():
+    result = lattice_determinant(diagonal_kernel({0: 0.9}), 1e200, cutoff=2)
+    assert result.reason == "overflow"
+    assert result.diagnostics["nuclear_norm_estimate"] == 0.9
+    norm_warning, overflow_warning = result.diagnostics["warnings"]
+    assert norm_warning == ("|lambda|*norm = 9e+199 >= 1; the series may converge "
+                            "slowly or not at all")
+    assert overflow_warning.startswith("the series term of order 2")
+
+
 def test_determinant_matches_direct_oracle_on_random_kernels():
     rng = np.random.default_rng(27)
     for _ in range(30):
