@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import EvaluationError, FeasibilityError, ParameterError
-from .plemelj import DetResult, TracePowerSource, plemelj_det
+from .plemelj import DetResult, TracePowerSource, _check_series, plemelj_det
 
 __all__ = [
     "Index",
@@ -549,9 +549,7 @@ def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,
     because the series disc is not known a priori and the ratio test
     reports the observed behaviour.
     """
-    if order < 1 or cutoff < 1:
-        raise ParameterError(f"order and cutoff must be >= 1, got order={order}, "
-                             f"cutoff={cutoff}")
+    _check_series(order, tol)
     norm = nuclear_norm_estimate(k, 1.0, cutoff)
     try:
         reach = abs(lam) * norm
@@ -582,10 +580,6 @@ def _as_index(j, dim: int) -> Index:
     if len(idx) != dim:
         raise ParameterError(f"index {j!r} does not have dimension {dim}")
     return idx
-
-
-def _sup_norm(j: Index) -> int:
-    return max(abs(x) for x in j) if j else 0
 
 
 def _sup_norms(points: np.ndarray) -> np.ndarray:
@@ -712,7 +706,7 @@ def _banded_sites(shift_pts, shift_sup, shift_vals, support: int, dim: int,
 
     def eval_fn(j, m):
         nonlocal off
-        if _sup_norm(j) > support or _sup_norm(m) > support:
+        if max(map(abs, j + m)) > support:
             return 0.0j
         if off is None:
             off = dict(zip(map(tuple, shift_pts.tolist()), shift_vals.tolist()))

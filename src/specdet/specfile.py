@@ -181,8 +181,6 @@ def _as_entry_list(value, fld: str, index_slots: int) -> list:
 
 def _as_matrix(value, fld: str) -> list:
     """Normalize a matrix: list of rows of [re, im] pairs."""
-    if _plain_matrices([value]):
-        return value
     if not isinstance(value, list) or not value:
         _fail(f"expected a nonempty list of rows, got {value!r}", fld)
     rows = []
@@ -342,8 +340,7 @@ def _validate_bundle(obj: dict) -> dict:
     raw_dual = _require(obj, "dual")
     if not isinstance(raw_dual, list) or not raw_dual:
         _fail("expected a nonempty list of [id, dim] pairs", "dual")
-    dual = []
-    seen = set()
+    dims = {}
     for n, rec in enumerate(raw_dual):
         here = f"dual[{n}]"
         if not isinstance(rec, list) or len(rec) != 2 or not isinstance(rec[0], str):
@@ -351,11 +348,9 @@ def _validate_bundle(obj: dict) -> dict:
         d = _as_int(rec[1], f"{here}[1]")
         if d < 1:
             _fail("block dimension must be >= 1", f"{here}[1]")
-        if rec[0] in seen:
+        if rec[0] in dims:
             _fail(f"duplicate dual id {rec[0]!r}", here)
-        seen.add(rec[0])
-        dual.append([rec[0], d])
-    dims = dict(dual)
+        dims[rec[0]] = d
     raw_sigma = _require(obj, "sigma")
     if not isinstance(raw_sigma, list):
         _fail(f"expected a list of [i, r, xi, matrix] records, got {raw_sigma!r}",
@@ -382,7 +377,8 @@ def _validate_bundle(obj: dict) -> dict:
             _fail(f"duplicate sigma entry for ({i}, {r}, {xi!r})", f"sigma[{n}]")
         seen_keys.add((i, r, xi))
         sigma.append([i, r, xi, matrix])
-    return {"fiber_dim": fiber_dim, "dual": dual, "sigma": sigma}
+    return {"fiber_dim": fiber_dim, "dual": [[i, d] for i, d in dims.items()],
+            "sigma": sigma}
 
 
 def parse_spec_text(text: str) -> OperatorSpec:
@@ -417,10 +413,6 @@ def emit_spec(spec: OperatorSpec) -> str:
     if spec.label is not None:
         obj["label"] = spec.label
     return json.dumps(obj, sort_keys=True)
-
-
-def _complex(pair) -> complex:
-    return complex(pair[0], pair[1])
 
 
 def build_operator(spec: OperatorSpec):
@@ -490,7 +482,7 @@ def _build_toroidal(p: dict, label: str) -> ToroidalSymbol:
     dim = p["dim"]
     if family == "power_decay":
         sym = power_decay_symbol(p["order"], dim=dim,
-                                 amplitude=_complex(p["amplitude"]),
+                                 amplitude=complex(*p["amplitude"]),
                                  label=label)
     elif family == "sharpness":
         sym = sharpness_symbol(dim=dim, label=label)
@@ -498,7 +490,7 @@ def _build_toroidal(p: dict, label: str) -> ToroidalSymbol:
         # Python ints, in listed order: modes may pass int64, and samples add them in order
         modes = {tuple(rec[:dim]): complex(rec[dim], rec[dim + 1]) for rec in p["modes"]}
         sym = modulated_symbol(modes, p["decay_order"], dim=dim,
-                               amplitude=_complex(p["amplitude"]), label=label)
+                               amplitude=complex(*p["amplitude"]), label=label)
         if len(modes) < len(p["modes"]):
             _refuse_repeat(p["modes"], dim, "modes")
     else:

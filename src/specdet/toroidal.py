@@ -479,6 +479,15 @@ def _wave_sum(n_x: int, dim: int, terms):
     return acc_re, acc_im
 
 
+def _point_sum(x: tuple, terms) -> complex:
+    """sum_theta c_theta e^{2*pi*i*x.theta} at the one point x, accumulated
+    from 0.0j in the order of ``terms``: the scalar twin of _wave_sum."""
+    acc = 0.0j
+    for theta, c in terms:
+        acc += c * cmath.exp(2j * math.pi * sum(xi * ti for xi, ti in zip(x, theta)))
+    return acc
+
+
 def power_decay_symbol(order: float, dim: int = 1, amplitude: complex = 1.0,
                        label: str = "") -> ToroidalSymbol:
     """x-independent symbol c * (1 + |k|^2)^(order/2)."""
@@ -515,10 +524,7 @@ def modulated_symbol(modes, decay_order: float, dim: int = 1,
     float(reach)
 
     def eval_fn(x, k):
-        osc = 0.0j
-        for theta, c in mode_table.items():
-            phase = sum(xi * ti for xi, ti in zip(x, theta))
-            osc += c * cmath.exp(2j * math.pi * phase)
+        osc = _point_sum(x, mode_table.items())
         return osc * amplitude * (1.0 + _k_norm_sq(k)) ** (decay_order / 2.0)
 
     x_part = None  # the last grid sampled: (n_x, osc(x) * amplitude on it)
@@ -567,11 +573,7 @@ def _listed_symbol(sites: np.ndarray, values: np.ndarray, dim: int, order: float
         return terms
 
     def eval_fn(x, k):
-        acc = 0.0j
-        for l, v in by_k().get(k, ()):
-            phase = sum(xi * li for xi, li in zip(x, l))
-            acc += v * cmath.exp(2j * math.pi * phase)
-        return acc
+        return _point_sum(x, by_k().get(k, ()))
 
     return ToroidalSymbol(dim, order, eval_fn, x_independent=not sites[:, :dim].any(),
                           label=label, coeffs=(sites, values))

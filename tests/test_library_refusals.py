@@ -31,6 +31,7 @@ from specdet import (
     cycle_trace,
     diagonal_kernel,
     direct_determinant,
+    lattice_determinant,
     lattice_trace,
     literal_power_symbol,
     lu_determinant,
@@ -70,6 +71,10 @@ REFUSALS = {
                                 "kernel 'inf' is non-finite at (j=(0,), m=(1,))"),
     "nuclear norm cutoff 0": (lambda: nuclear_norm_estimate(DIAG, 1.0, 0), ParameterError,
                               "cutoff must be >= 1, got 0"),
+    "lattice determinant order 0": (lambda: lattice_determinant(DIAG, 0.1, order=0, cutoff=0),
+                                    ParameterError, "series order must be >= 1, got 0"),
+    "lattice determinant cutoff 0": (lambda: lattice_determinant(DIAG, 0.1, cutoff=0),
+                                     ParameterError, "cutoff must be >= 1, got 0"),
     "lattice trace cutoff 0": (lambda: lattice_trace(DIAG, 0), ParameterError,
                                "cutoff must be >= 1, got 0"),
     "trace powers cutoff 0": (lambda: _TracePowers(DIAG, 0), ParameterError,
