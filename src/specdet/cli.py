@@ -72,10 +72,10 @@ __all__ = ["run_command", "main"]
 # ---------------------------------------------------------------------------
 
 def _num(x):
-    """Round to 12 significant digits; infinities become strings."""
+    """Round to 12 significant digits; inf, -inf and nan become strings."""
     x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    if not math.isfinite(x):
+        return str(x)
     if x == 0.0:
         return 0.0
     return float(f"{x:.12g}")
@@ -117,7 +117,10 @@ def _half_modulus(z: complex) -> float:
     return abs(complex(z.real / 2, z.imag / 2))
 
 
-def _deviation(series: complex, oracle: complex) -> dict:
+def _deviation(series: complex | None, oracle: complex | None) -> dict | None:
+    """Absolute and relative deviation; None unless both values are finite."""
+    if None in (series, oracle) or not (cmath.isfinite(series) and cmath.isfinite(oracle)):
+        return None
     diff = series - oracle
     try:
         abs_dev = abs(diff)
@@ -320,8 +323,7 @@ def _dispatch(args, spec, op):
     if args.command in ("det", "compare"):
         series, oracle = _routes(args.mode, series_det, _finite(oracle_det), p, op, args,
                                  check=oracle_size)
-        dev = None if series is None or oracle is None or series.reason \
-            else _deviation(series.value, oracle)
+        dev = _deviation(None if series is None or series.reason else series.value, oracle)
         base.update({"lambda": _cpx(args.lam), "order": args.order, "cutoff": args.cutoff,
                      "tol": _num(args.tol)})
         if args.command == "det":
@@ -348,8 +350,7 @@ def _dispatch(args, spec, op):
         report = dict(base, cutoff=args.cutoff, mode=args.mode,
                       trace=None if series is None else _cpx(series),
                       oracle_trace=None if oracle is None else _cpx(oracle),
-                      deviation=None if series is None or oracle is None
-                      else _deviation(series, oracle))
+                      deviation=_deviation(series, oracle))
         return report, 0
 
     if args.command == "radius":

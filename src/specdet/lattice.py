@@ -323,8 +323,9 @@ def _modulus_sums(k: LatticeKernel, cutoff: int, p: float = 1.0, axis: int = 1) 
 
 def _running_sum(*parts):
     """Left-to-right sum from zero of the values of ``parts`` in turn, as a
-    Python accumulation loop forms it."""
-    return np.cumsum(np.concatenate(([0], *parts)))[-1].item()
+    Python accumulation loop forms it; a sum past the float range is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(np.concatenate(([0], *parts)))[-1].item()
 
 
 def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> float:

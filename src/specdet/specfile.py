@@ -216,7 +216,7 @@ def _validate_lattice(obj: dict) -> dict:
         "banded": {"offsets", "support"},
         "table": {"entries"},
     }
-    if family not in families:
+    if not isinstance(family, str) or family not in families:
         _fail(f"unknown family {family!r} (have {sorted(families)})", "family")
     _check_keys(obj, {"kind", "label", "family", "dim"} | families[family],
                 f"lattice_kernel family {family!r}")
@@ -245,7 +245,7 @@ def _validate_toroidal(obj: dict) -> dict:
         "modulated": {"modes", "decay_order", "amplitude"},
         "custom_table": {"entries", "order"},
     }
-    if family not in families:
+    if not isinstance(family, str) or family not in families:
         _fail(f"unknown family {family!r} (have {sorted(families)})", "family")
     _check_keys(obj, {"kind", "label", "family", "dim", "x_grid"} | families[family],
                 f"toroidal_symbol family {family!r}")
@@ -301,7 +301,7 @@ _MODELS = {"circle": circle_model, "sphere2": sphere2_model, "torus2": torus2_mo
 
 def _validate_spectral(obj: dict) -> dict:
     model = _require(obj, "model")
-    if model != "table" and model not in _MODELS:
+    if not isinstance(model, str) or model != "table" and model not in _MODELS:
         _fail(f"unknown model {model!r} (have {sorted([*_MODELS, 'table'])})", "model")
     _check_keys(obj, {"kind", "label", "model", "alpha", "nu", "manifold_dim"}
                 | ({"eigenvalues", "multiplicities"} if model == "table" else {"J"}),

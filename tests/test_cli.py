@@ -980,3 +980,74 @@ def test_det_and_compare_report_one_deviation(case):
     shown = {k: "null" if v is None else v for k, v in pair.items()}
     assert (f"  abs_deviation= {shown['abs']}\n  rel_deviation= {shown['rel']}\n"
             in compare_text)
+
+
+#: case -> (spec whose family or model is no string, field, message)
+NON_STRING_CHOICES = {
+    "spectral-model": ({"kind": "spectral_model", "model": [1], "alpha": 2}, "model",
+                       "unknown model [1] (have ['circle', 'sphere2', 'table', 'torus2'])"),
+    "lattice-family": ({"kind": "lattice_kernel", "family": [1], "dim": 1}, "family",
+                       "unknown family [1] (have ['banded', 'diagonal', 'rank_one', 'table'])"),
+    "toroidal-family": ({"kind": "toroidal_symbol", "family": {}, "dim": 1}, "family",
+                        "unknown family {} (have ['custom_table', 'modulated', "
+                        "'power_decay', 'sharpness'])"),
+}
+
+
+@pytest.mark.parametrize("case", NON_STRING_CHOICES)
+def test_a_non_string_family_or_model_is_a_validation_error(tmp_path, case):
+    # an unhashable value is refused on its field, not looked up in a dict
+    spec, field, message = NON_STRING_CHOICES[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["det", "--input", str(path)]
+    assert run(argv + ["--output", "json"]) == (2, "", json.dumps(
+        {"error": "validation", "field": field, "message": f"{field}: {message}"},
+        sort_keys=True) + "\n")
+    assert run(argv) == (2, "", f"specdet: validation error [{field}]: {field}: {message}\n")
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+#: specs whose traces and norms pass the float range -> the commands run on them
+OVERFLOWING_SPECS = {
+    "lattice-diagonal": ({"kind": "lattice_kernel", "family": "diagonal", "dim": 1,
+                          "entries": [[0, 1e308, 0.0], [1, 1e308, 0.0]]},
+                         [["trace", "--mode", "both"], ["norm-profile"]]),
+    "block": ({"kind": "block_symbol", "blocks": [[[[1e308, 0.0]]], [[[1e308, 0.0]]]]},
+              [["trace", "--mode", "both"]]),
+    "bundle": ({"kind": "bundle_symbol", "fiber_dim": 1, "dual": [["a", 2]],
+                "sigma": [[1, 1, "a", [[[1e308, 0.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [1e308, 0.0]]]]]},
+               [["trace", "--mode", "both"]]),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_SPECS)
+def test_overflowing_reports_are_strict_json_without_warnings(tmp_path, case):
+    # inf - inf has no deviation, nan is written as "nan", and the infinite
+    # sums raise no numpy warning
+    import warnings
+
+    spec, commands = OVERFLOWING_SPECS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for command in commands:
+        argv = [command[0], "--input", str(path), *command[1:]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv + ["--output", "json"])
+            text_code, text, text_err = run(argv)
+        assert caught == [] and (code, err, text_code, text_err) == (0, "", 0, "")
+        report = _strict_json(out)
+        if command[0] == "trace":
+            assert report["deviation"] is None and "deviation" not in text
+            assert report["trace"] == report["oracle_trace"] == (
+                ["inf", "nan"] if case == "bundle" else ["inf", 0.0])
+        else:
+            assert report["increments"] == ["nan"] * 3
