@@ -73,10 +73,11 @@ __all__ = [
 
 #: increment ratio below which a norm profile counts as geometric decay
 CONVERGENCE_RATIO = 0.9
-#: symbol samples (2R+1)^n * n_x^n allowed for one sampled quantization.  It
-#: bounds the sampling time; the kept matrix, (2R+1)^2n values, is
-#: ((2R+1) / n_x)^n of the samples: under an eighth in 1-D and a sixty-fourth
-#: in 2-D on the automatic grid, under half per axis on any grid.
+#: symbol samples (2R+1)^n * n_x^n allowed for one sampled quantization, and
+#: 4 * (2R+1)^n for one x-independent one.  It bounds the sampling time; the
+#: kept matrix, (2R+1)^2n values, is ((2R+1) / n_x)^n of the samples: under
+#: an eighth in 1-D and a sixty-fourth in 2-D on the automatic grid, under
+#: half per axis on any grid.
 SAMPLE_LIMIT = 1 << 25
 #: samples taken and transformed at once while quantizing: one box row of
 #: 2R+1 values of k, or fewer k where a row is larger.  On a 2-core VM, a
@@ -225,14 +226,27 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
     return complex((np.fft.fftn(samples) / samples.size)[tuple(v % n_x for v in l)])
 
 
+def _check_samples(s: ToroidalSymbol, n_x: int, cutoff: int, count: int):
+    if count > SAMPLE_LIMIT:
+        raise FeasibilityError(
+            f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
+            f"samples on a {n_x}-point grid per axis, above the guard of "
+            f"{SAMPLE_LIMIT}",
+            count=count,
+        )
+
+
 def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     """(band radius b, site arrays of {(j, k): value}) of a quantization
     read from listed entries: each listed coefficient sigma_hat(l, k), or
     each value sigma(0, k) of an x-independent symbol at l = 0, is the
     entry (l + k, k), kept where k and l + k lie in the box.  b is the
     largest |l|_inf kept, so at most 2R: a mode beyond that connects no two
-    box points and is dropped rather than folded."""
+    box points and is dropped rather than folded.  An x-independent symbol
+    is refused before anything is sampled when its value at x = 0 and three
+    probes per k (:func:`_constant_value`) are more than SAMPLE_LIMIT samples."""
     if s.coeffs is None:
+        _check_samples(s, n_x, cutoff, 4 * (2 * cutoff + 1) ** s.dim)
         ks = _box_points(s.dim, cutoff)
         ls = np.zeros_like(ks)
         values = np.array([_constant_value(s, k, n_x) for k in iter_box(s.dim, cutoff)],
@@ -263,14 +277,7 @@ def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
     gathers its modes (j - k) mod n_x.  Every entry equals the one of the
     full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
     """
-    count = (2 * cutoff + 1) ** s.dim * n_x ** s.dim
-    if count > SAMPLE_LIMIT:
-        raise FeasibilityError(
-            f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
-            f"samples on a {n_x}-point grid per axis, above the guard of "
-            f"{SAMPLE_LIMIT}",
-            count=count,
-        )
+    _check_samples(s, n_x, cutoff, (2 * cutoff + 1) ** s.dim * n_x ** s.dim)
     ks = list(iter_box(s.dim, cutoff))
     points = _box_points(s.dim, cutoff)
     axes = tuple(range(1, s.dim + 1))

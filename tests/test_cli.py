@@ -295,6 +295,23 @@ def test_feasibility_guard_exits_3():
     assert time.perf_counter() - start < 5.0
 
 
+def test_an_unsizable_x_independent_quantization_exits_3(monkeypatch):
+    # refused before any sample or box point: the box alone could not be allocated
+    import specdet.toroidal as toroidal
+
+    def no_sample(*args):
+        raise AssertionError("the symbol was sampled")
+
+    monkeypatch.setattr(toroidal, "_constant_value", no_sample)
+    monkeypatch.setattr(toroidal, "_box_points", no_sample)
+    code, out, err = run(["det", "--input", "fixtures/toroidal_power_decay_2d.json",
+                          "--cutoff", "10000000000", "--mode", "series", "--output", "json"])
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "feasibility"
+    assert "needs 1600000000160000000004 samples" in payload["message"]
+
+
 def test_full_truncation_above_the_dense_limit_exits_3(tmp_path):
     # a rank-one kernel with 2049-site factors fills its box of side 2049:
     # neither diagonal, banded nor sparse, so its trace powers are refused

@@ -626,9 +626,35 @@ def test_sample_guard_refuses_before_sampling():
     with pytest.raises(FeasibilityError):
         toroidal_matrix(s, 5000)
     assert s._quantized[1] is k
-    # x-independent symbols sample a few points per k and are not guarded
+    # an x-independent symbol takes four samples per k, here 40,004: under the guard
     k = toroidal_matrix(power_decay_symbol(-2.0), 5000)
     assert k.eval((5000,), (5000,)) == pytest.approx(1.0 / (1.0 + 5000 ** 2))
+
+
+def test_an_x_independent_quantization_is_sized_before_it_samples():
+    # sigma(0, k) and three probes per k: the box of a 2-D cutoff 10^10 could
+    # not even be allocated
+    s = power_decay_symbol(-2.0, dim=2)
+
+    def no_sample(x, k):
+        raise AssertionError("the symbol was sampled")
+
+    s.eval = no_sample
+    with pytest.raises(FeasibilityError) as info:
+        toroidal_matrix(s, 10 ** 10)
+    assert info.value.count == 4 * (2 * 10 ** 10 + 1) ** 2 == 1600000000160000000004
+    assert s._quantized is None
+
+
+@pytest.mark.parametrize("dim, admitted", [(1, 12), (2, 3)])
+def test_the_x_independent_guard_admits_up_to_the_limit(monkeypatch, dim, admitted):
+    monkeypatch.setattr(toroidal_mod, "SAMPLE_LIMIT", 4 * (2 * admitted + 1) ** dim)
+    s = power_decay_symbol(-2.0, dim=dim)
+    side = (2 * admitted + 1) ** dim
+    assert len(toroidal_matrix(s, admitted).support_arrays(admitted)[2]) == side
+    with pytest.raises(FeasibilityError) as info:
+        toroidal_matrix(s, admitted + 1)
+    assert info.value.count == 4 * (2 * admitted + 3) ** dim
 
 
 def test_threads_at_different_cutoffs_each_get_their_own_kernel():
