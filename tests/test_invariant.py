@@ -270,6 +270,11 @@ def test_weyl_tail_flags():
     assert weyl_tail_check(sphere, 2.0) >= 0.05
 
 
+def test_weyl_tail_of_a_sum_that_underflows_is_zero():
+    # (1 + 1e300)^-2 underflows to 0: the ratio 0/0 reads 0, not an error
+    assert weyl_tail_check(SpectralModel([1e300, 2e300], [1, 1], 2.0), 4.0) == 0.0
+
+
 def test_manifold_determinant_warns_when_alpha_at_dimension():
     sp = circle_model(500)
     result = manifold_determinant(sp, 1.0, 0.1, order=20, manifold_dim=1)

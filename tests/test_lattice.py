@@ -456,6 +456,24 @@ def test_zero_fixture_has_zero_traces():
     assert all(bits(powers.trace(m)) == bits(0j) for m in range(1, 31))
 
 
+def test_a_wide_box_with_no_entry_is_stored_sparse():
+    # the one entry of the table lies outside the box of side 129: no band
+    # spans no entry, and the empty truncation is the zero operator
+    from specdet.specfile import build_operator, parse_spec_text
+
+    k = build_operator(parse_spec_text('{"kind": "lattice_kernel", "family": "table", '
+                                       '"entries": [[100, 100, 0.5, 0.0]]}'))
+    assert lattice_determinant(k, 0.5, cutoff=64).value == 1.0
+    assert lattice_trace(k, 64) == 0.0
+    assert radius_estimate(lattice_mod.truncation_trace_source(k, 64), 30) == math.inf
+    assert k._truncated[1][0] == "sparse"
+
+
+def test_a_numpy_integer_is_an_index():
+    assert lattice_mod._as_index(np.int64(-3), 1) == (-3,)
+    assert diagonal_kernel({np.int64(2): 0.5}).value((2,), (2,)) == 0.5
+
+
 @pytest.mark.parametrize("make_kernel, dtype", [
     (lambda: banded_kernel({0: 0.3, 1: 0.2, -1: -0.15}, support=200), np.float64),
     (lambda: _band_only_tridiagonal(0.2), np.float64),

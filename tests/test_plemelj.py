@@ -137,6 +137,12 @@ def test_norm_hint_violation_is_reported_not_fatal():
     assert cmath.isfinite(result.value)
 
 
+def test_a_zero_norm_hint_is_exceeded_by_any_nonzero_trace():
+    src = TracePowerSource(lambda m: 0.5 if m == 1 else 0.0, norm_hint=0.0)
+    result = plemelj_det(src, 0.1, order=3)
+    assert result.diagnostics["norm_hint_violations"] == [1]
+
+
 def test_divergent_series_reports_overflow_instead_of_crashing():
     # |lam*mu| = 1.5: terms stay finite but the partial log-sum passes the
     # exp range at odd orders; must flag divergence, not raise OverflowError
