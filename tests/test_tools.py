@@ -1,6 +1,7 @@
 """``tools/report_sweep.py --compare``, the comparison every change's sweep
 is read through: equal sweeps pass silently, and each kind of difference
-is named.  ``tools/ab_timing.py`` times two trees only when their reports
+is named, and a sweep records a case that raises and goes on.
+``tools/ab_timing.py`` times two trees only when their reports
 agree, and names each request where they do not, with what differs.
 ``tools/peak_rss.py`` prints the exit code and peak memory of one command.
 Neither leaves bytecode in the source tree it runs."""
@@ -159,7 +160,7 @@ def test_peak_rss_prints_the_exit_code_and_a_positive_peak(spec, code):
 
 #: a child that sweeps two cases of a source tree through ``report_sweep.sweep``
 SWEEP_CHILD = """
-import importlib.util, pathlib, sys
+import importlib.util, json, pathlib, sys
 spec = importlib.util.spec_from_file_location("report_sweep", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
 sys.dont_write_bytecode = True  # for the tool itself; sweep must set it again
@@ -184,6 +185,32 @@ def test_report_sweep_runs_blas_on_one_thread_unless_told(threads):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == (f"specdet from {ROOT / 'src' / 'specdet'}, "
                            f"BLAS threads {threads or 1}\n")
+
+
+#: a specdet package whose run_command raises on trace and answers det
+RAISING_CLI = """
+def run_command(argv, stdout, stderr):
+    if argv[0] == "trace":
+        raise ValueError("array is too big")
+    stdout.write("ok\\n")
+    return 0
+"""
+
+
+def test_report_sweep_records_a_raising_case_and_goes_on(tmp_path):
+    # one case of the swept tree that raises must not end the sweep
+    (tmp_path / "specdet").mkdir()
+    (tmp_path / "specdet" / "__init__.py").write_text("")
+    (tmp_path / "specdet" / "cli.py").write_text(RAISING_CLI)
+    child = SWEEP_CHILD.replace("print(sorted(code for code, _, _ in results.values()))",
+                                "print(json.dumps(results, sort_keys=True))")
+    proc = subprocess.run([sys.executable, "-c", child, str(REPORT_SWEEP), str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "det --input fixtures/rank_one.json": [0, "ok\n", ""],
+        "trace --input fixtures/toroidal_modulated.json":
+            [1, "", "ValueError: array is too big\n"]}
 
 
 @pytest.mark.parametrize("tool", ["peak_rss", "report_sweep"])

@@ -12,12 +12,15 @@ A sweep runs every good fixture (``fixtures/*.json``) through
 ``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
 ``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
 json and text: 1134 cases on the 21 fixtures.  These are all written as
-``--opt value`` with a lambda of at least 0, so 17 command-line shapes on
-one fixture follow (``SHAPES``): both value forms with a negative lambda,
-abbreviated and repeated options, usage errors and help, most of which
-only argparse reads, and the modes, orders and tolerances that commands
-refuse.  It writes the exit code, stdout and stderr of each of the 1151
-cases to one JSON file, keyed by the case's arguments.
+``--opt value`` with a lambda of at least 0, so 18 command-line shapes
+follow (``SHAPES``), all but one on one fixture: both value forms with a
+negative lambda, abbreviated and repeated options, usage errors and help,
+most of which only argparse reads, the modes, orders and tolerances that
+commands refuse, and a 2-D x-independent quantization too large to size.
+It writes the exit code, stdout and stderr of each of the 1152 cases to
+one JSON file, keyed by the case's arguments; a case whose
+``run_command`` raises is written as exit 1, empty stdout and
+``ExceptionType: message`` on stderr, and the sweep goes on.
 ``--src`` imports specdet from another source tree, such as an export of
 an earlier commit; the fixtures are always this tree's.
 A sweep runs BLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
@@ -65,7 +68,9 @@ SHAPES = [["-h"], ["det", "-h"], ["det", "--outp", "json"]] + [
                  ["--bandwidth", "3"], ["--mode", "oracle", "--order", "0"], ["--tol", "0"])] + [
     [command, "--input", SHAPE_FIXTURE, *rest]
     for command, rest in (("compare", ["--mode", "series"]), ("radius", ["--mode", "oracle"]),
-                          ("norm-profile", ["--mode", "oracle"]), ("radius", ["--order", "2"]))]
+                          ("norm-profile", ["--mode", "oracle"]), ("radius", ["--order", "2"]))] + [
+    ["det", "--input", "fixtures/toroidal_power_decay_2d.json", "--cutoff", "10000000000",
+     "--mode", "series"]]
 #: a number, with its sign; text reports write complex values as "a - bi",
 #: so a sign may stand one space before its digits
 NUMBER = re.compile(r"(?:[-+] ?)?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
@@ -105,8 +110,12 @@ def sweep(src: Path, cutoff: int | None) -> dict:
     results = {}
     for argv in cases(cutoff):
         stdout, stderr = io.StringIO(), io.StringIO()
-        code = run_command(argv, stdout, stderr)
-        results[" ".join(argv)] = [code, stdout.getvalue(), stderr.getvalue()]
+        try:
+            code = run_command(argv, stdout, stderr)
+            result = [code, stdout.getvalue(), stderr.getvalue()]
+        except Exception as exc:  # a fault of the swept tree is one case, not the sweep's end
+            result = [1, "", f"{type(exc).__name__}: {exc}\n"]
+        results[" ".join(argv)] = result
     return results
 
 
