@@ -457,8 +457,8 @@ def test_zero_fixture_has_zero_traces():
 
 
 def test_a_wide_box_with_no_entry_is_stored_sparse():
-    # the one entry of the table lies outside the box of side 129: no band
-    # spans no entry, and the empty truncation is the zero operator
+    # the one entry of the table lies outside the box of side 129: an empty
+    # entry list has no band span, and the empty truncation is the zero operator
     from specdet.specfile import build_operator, parse_spec_text
 
     k = build_operator(parse_spec_text('{"kind": "lattice_kernel", "family": "table", '

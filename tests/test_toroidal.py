@@ -648,9 +648,9 @@ def test_an_x_independent_quantization_is_sized_before_it_samples():
 
 @pytest.mark.parametrize("dim, admitted", [(1, 12), (2, 3)])
 def test_the_x_independent_guard_admits_up_to_the_limit(monkeypatch, dim, admitted):
-    monkeypatch.setattr(toroidal_mod, "SAMPLE_LIMIT", 4 * (2 * admitted + 1) ** dim)
-    s = power_decay_symbol(-2.0, dim=dim)
     side = (2 * admitted + 1) ** dim
+    monkeypatch.setattr(toroidal_mod, "SAMPLE_LIMIT", 4 * side)
+    s = power_decay_symbol(-2.0, dim=dim)
     assert len(toroidal_matrix(s, admitted).support_arrays(admitted)[2]) == side
     with pytest.raises(FeasibilityError) as info:
         toroidal_matrix(s, admitted + 1)
