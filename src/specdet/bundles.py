@@ -177,9 +177,9 @@ def bundle_trace(a: BundleSymbol) -> complex:
     """Tr(A) = sum_xi d_xi sum_i Tr(sigma(i, i, xi))."""
     acc = 0.0j
     for xi, d in a.dual.blocks:
-        sigma = a.sigma[xi]
-        acc += d * _running_sum([_running_sum(sigma[i, i].diagonal())
-                                 for i in range(a.fiber_dim)])
+        t = _running_sum([_running_sum(a.sigma[xi][i, i].diagonal())
+                          for i in range(a.fiber_dim)])
+        acc += complex(d * t.real, d * t.imag)
     return acc
 
 

@@ -91,13 +91,7 @@ def _round_tree(value):
         return {k: _round_tree(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_tree(v) for v in value]
-    if isinstance(value, bool) or isinstance(value, (str, int)) or value is None:
-        return value
-    if isinstance(value, complex):
-        return _cpx(value)
-    if isinstance(value, float):
-        return _num(value)
-    return str(value)
+    return _num(value) if isinstance(value, float) else value
 
 
 def _det_json(r: DetResult) -> dict:
@@ -209,11 +203,11 @@ def _lattice_kind(kernel, series_det, norm_profile) -> tuple:
 
 def _weighted_oracle_trace(pairs) -> complex:
     """Sum of w * Tr(B) over (weight, block) pairs, block by block, not in the
-    series' one flat pass; a weight None keeps Tr(B), as 1 * (inf + 0j) would not."""
+    series' one flat pass; the real w scales each part, as w * (inf + 0j) would not."""
     acc = 0.0j
     for w, b in pairs:
         t = mat_trace(CMatrix.from_array(b))
-        acc += t if w is None else w * t
+        acc += complex(w * t.real, w * t.imag)
     return acc
 
 
@@ -249,7 +243,7 @@ _KINDS = {
         None,
         lambda p, op, a: block_determinant_product(op, a.lam),
         lambda p, op, a: block_trace(op),
-        lambda p, op, a: _weighted_oracle_trace((None, b) for b in op.blocks),
+        lambda p, op, a: _weighted_oracle_trace((1, b) for b in op.blocks),
         lambda p, op, a: block_trace_source(op),
         None),
     "spectral_model": (

@@ -659,7 +659,6 @@ def _mul(a_re, a_im, b_re, b_im):
 
 
 def _rank_one_sites(factors: list, dim: int, label: str) -> LatticeKernel:
-    spoiled = [not np.isfinite(values).all() for _, _, values in factors]
     tables = None
 
     def eval_fn(j, m):
@@ -668,28 +667,19 @@ def _rank_one_sites(factors: list, dim: int, label: str) -> LatticeKernel:
             tables = [dict(zip(map(tuple, p.tolist()), v.tolist())) for p, _, v in factors]
         return tables[0].get(j, 0.0j) * tables[1].get(m, 0.0j)
 
-    def factor(cutoff, which):
-        # a non-finite value of the other factor makes its whole line
-        # non-finite, zeros of this factor included (inf * 0 is nan); the
-        # first box point, at value 0, lets the sorted entries meet the
-        # first such entry where the entry-by-entry walk does (outside the
-        # box it adds only zero products, which are dropped)
-        points, sup, values = factors[which]
-        inside = sup <= cutoff
-        pos, values = _positions(points[inside], cutoff), values[inside]
-        if spoiled[1 - which] and (len(pos) == 0 or pos[0] != 0):
-            pos, values = np.concatenate(([0], pos)), np.concatenate(([0j], values))
-        return pos, values
-
     def support_arrays(cutoff):
-        rows, gv = factor(cutoff, 0)
-        cols, hv = factor(cutoff, 1)
+        (rows, gv), (cols, hv) = ((_positions(p[s <= cutoff], cutoff), v[s <= cutoff])
+                                  for p, s, v in factors)
         vals = np.empty((len(rows), len(cols)), dtype=np.complex128)
         with np.errstate(invalid="ignore", over="ignore"):  # eval_fn's g(j) * h(m)
             vals.real, vals.imag = _mul(gv.real[:, None], gv.imag[:, None], hv.real, hv.imag)
         return _nonzero(np.repeat(rows, len(cols)), np.tile(cols, len(rows)), vals.ravel())
 
-    return LatticeKernel(dim, eval_fn, support_arrays=support_arrays, label=label)
+    # a non-finite factor value leaves the entries to the walk, which names the
+    # first non-finite one (inf * 0 is nan, so whole lines may be)
+    spoiled = not all(np.isfinite(v).all() for _, _, v in factors)
+    return LatticeKernel(dim, eval_fn, support_arrays=None if spoiled else support_arrays,
+                         label=label)
 
 
 def rank_one_kernel(g, h, dim: int = 1, label: str = "rank-one") -> LatticeKernel:
