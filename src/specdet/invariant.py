@@ -208,13 +208,15 @@ class SpectralModel:
 
     ``eigenvalues[j]`` >= 0 with multiplicity ``multiplicities[j]`` >= 1,
     and ``nu`` > 0 is the operator's order.  Built-in models list
-    eigenvalues in nondecreasing order; explicit tables may repeat values.
+    eigenvalues in nondecreasing order and give the ``manifold_dim`` of
+    their manifold; explicit tables may repeat values and give none.
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     nu: float
     label: str = ""
+    manifold_dim: int | None = None
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -272,11 +274,11 @@ def manifold_determinant(sp: SpectralModel, alpha: float, lam: complex,
                          manifold_dim: int | None = None) -> DetResult:
     """Determinant series of (I + E)^(-alpha/nu) from the spectrum of E.
 
-    Requires alpha > 0; when the manifold dimension n is supplied and
-    alpha <= n the computation proceeds with a warning, since the spectral
-    sums then converge slowly or not at all as the truncation grows.  The
-    tail-mass ratio of :func:`weyl_tail_check` is attached to the
-    diagnostics either way.
+    Requires alpha > 0; when the manifold dimension n is known (the
+    ``manifold_dim`` given, else the model's) and alpha <= n the
+    computation proceeds with a warning, since the spectral sums then
+    converge slowly or not at all as the truncation grows.  The tail-mass
+    ratio of :func:`weyl_tail_check` is attached to the diagnostics either way.
     """
     result = plemelj_det(spectral_trace_source(sp, alpha), lam, order=order, tol=tol)
     ratio = weyl_tail_check(sp, alpha)
@@ -284,6 +286,8 @@ def manifold_determinant(sp: SpectralModel, alpha: float, lam: complex,
     result.diagnostics["weyl_flag"] = (
         "convergent" if ratio < WEYL_RATIO_THRESHOLD else "slow/divergent"
     )
+    if manifold_dim is None:
+        manifold_dim = sp.manifold_dim
     if manifold_dim is not None and alpha <= manifold_dim:
         result.diagnostics.setdefault("warnings", []).append(
             f"alpha = {alpha:g} does not exceed the manifold dimension "
@@ -310,7 +314,7 @@ def circle_model(J: int, nu: float = 2.0, label: str = "circle") -> SpectralMode
     eig = 4.0 * math.pi ** 2 * k ** 2
     mult = np.full(len(k), 2, dtype=np.int64)
     mult[0] = 1
-    return SpectralModel(eig, mult, nu, label=label)
+    return SpectralModel(eig, mult, nu, label=label, manifold_dim=1)
 
 
 def sphere2_model(J: int, nu: float = 2.0, label: str = "sphere2") -> SpectralModel:
@@ -318,7 +322,7 @@ def sphere2_model(J: int, nu: float = 2.0, label: str = "sphere2") -> SpectralMo
     multiplicity 2j + 1."""
     j = np.arange(_levels(J), dtype=np.float64)
     return SpectralModel(j * (j + 1.0), (2 * j + 1).astype(np.int64),
-                         nu, label=label)
+                         nu, label=label, manifold_dim=2)
 
 
 def torus2_model(J: int, nu: float = 2.0, label: str = "torus2") -> SpectralModel:
@@ -341,4 +345,4 @@ def torus2_model(J: int, nu: float = 2.0, label: str = "torus2") -> SpectralMode
         bound *= 2
     eig = 4.0 * math.pi ** 2 * norms.astype(np.float64)
     mult = counts[norms].astype(np.int64)
-    return SpectralModel(eig, mult, nu, label=label)
+    return SpectralModel(eig, mult, nu, label=label, manifold_dim=2)

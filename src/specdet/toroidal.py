@@ -226,12 +226,13 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
     return complex((np.fft.fftn(samples) / samples.size)[tuple(v % n_x for v in l)])
 
 
-def _check_samples(s: ToroidalSymbol, n_x: int, cutoff: int, count: int):
+def _check_samples(s: ToroidalSymbol, cutoff: int, count: int, taken: str):
+    """Refuse quantizing ``s`` at ``cutoff`` from ``count`` samples, ``taken``
+    as the message says, above SAMPLE_LIMIT."""
     if count > SAMPLE_LIMIT:
         raise FeasibilityError(
             f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
-            f"samples on a {n_x}-point grid per axis, above the guard of "
-            f"{SAMPLE_LIMIT}",
+            f"samples{taken}, above the guard of {SAMPLE_LIMIT}",
             count=count,
         )
 
@@ -246,7 +247,7 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     is refused before anything is sampled when its value at x = 0 and three
     probes per k (:func:`_constant_value`) are more than SAMPLE_LIMIT samples."""
     if s.coeffs is None:
-        _check_samples(s, n_x, cutoff, 4 * (2 * cutoff + 1) ** s.dim)
+        _check_samples(s, cutoff, 4 * (2 * cutoff + 1) ** s.dim, ", four per box site")
         ks = _box_points(s.dim, cutoff)
         ls = np.zeros_like(ks)
         values = np.array([_constant_value(s, k, n_x) for k in iter_box(s.dim, cutoff)],
@@ -277,7 +278,8 @@ def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
     gathers its modes (j - k) mod n_x.  Every entry equals the one of the
     full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
     """
-    _check_samples(s, n_x, cutoff, (2 * cutoff + 1) ** s.dim * n_x ** s.dim)
+    _check_samples(s, cutoff, (2 * cutoff + 1) ** s.dim * n_x ** s.dim,
+                   f" on a {n_x}-point grid per axis")
     ks = list(iter_box(s.dim, cutoff))
     points = _box_points(s.dim, cutoff)
     axes = tuple(range(1, s.dim + 1))

@@ -309,7 +309,18 @@ def test_an_unsizable_x_independent_quantization_exits_3(monkeypatch):
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["error"] == "feasibility"
-    assert "needs 1600000000160000000004 samples" in payload["message"]
+    assert "needs 1600000000160000000004 samples, four per box site" in payload["message"]
+    assert "grid" not in payload["message"]
+
+
+def test_a_built_in_model_without_manifold_dim_warns_at_its_dimension(tmp_path):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"kind": "spectral_model", "model": "circle", "J": 512,
+                                "alpha": 1.0}))
+    code, report, err = run_json(["det", "--mode", "series", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert [w.split(";")[0] for w in report["series"]["diagnostics"]["warnings"]] == [
+        "alpha = 1 does not exceed the manifold dimension 1"]
 
 
 def test_full_truncation_above_the_dense_limit_exits_3(tmp_path):

@@ -218,3 +218,17 @@ def test_outside_the_disc_bundles_agree_or_refuse(lam):
 @pytest.mark.parametrize("lam", OUTSIDE)
 def test_outside_the_disc_two_dimensional_kinds_agree_or_refuse(cutoff, lam):
     _agree_or_refuse(_diagonal_2d_kinds(cutoff, lam))
+
+
+@pytest.mark.xfail(strict=True, reason="three zero terms stop the series: Tr(P^m) is 0 "
+                   "for m = 1, 2, 3, and nothing in the terms bounds the tail after them")
+@pytest.mark.parametrize("kind", ["table", "block"])
+def test_the_four_cycle_is_not_reported_converged_at_a_wrong_value(kind):
+    # the cyclic shift P of four sites has det(I + lam P) = 1 - lam^4 = 0.9375
+    # at lam = 0.5; a series that stops early must not say it converged
+    if kind == "table":
+        r = lattice_determinant(table_kernel({((j + 1) % 4, j): 1.0 for j in range(4)}),
+                                0.5, cutoff=3)
+    else:
+        r = invariant_determinant(BlockSymbol((np.roll(np.eye(4), 1, axis=0),)), 0.5)
+    assert not r.converged or abs(r.value - 0.9375) <= 1e-10

@@ -282,6 +282,36 @@ def test_manifold_determinant_warns_when_alpha_at_dimension():
     assert result.diagnostics["weyl_flag"] == "slow/divergent"
 
 
+def _dimension_warnings(sp, alpha, **kw):
+    result = manifold_determinant(sp, alpha, 0.1, order=20, **kw)
+    return [w for w in result.diagnostics.get("warnings", []) if "manifold dimension" in w]
+
+
+@pytest.mark.parametrize("sp, alpha, warned", [
+    (circle_model(500), 1.0, "alpha = 1 does not exceed the manifold dimension 1"),
+    (sphere2_model(100), 2.0, "alpha = 2 does not exceed the manifold dimension 2"),
+    (torus2_model(100), 2.0, "alpha = 2 does not exceed the manifold dimension 2"),
+    (sphere2_model(100), 3.0, None),
+    (circle_model(500), 1.5, None),
+], ids=["circle-1", "sphere2-2", "torus2-2", "sphere2-3", "circle-1.5"])
+def test_built_in_models_warn_at_their_own_dimension(sp, alpha, warned):
+    got = _dimension_warnings(sp, alpha)
+    assert [w.split(";")[0] for w in got] == ([warned] if warned else [])
+    # the weyl diagnostics do not read the dimension
+    plain = SpectralModel(sp.eigenvalues, sp.multiplicities, sp.nu)
+    result, bare = (manifold_determinant(m, alpha, 0.1, order=20) for m in (sp, plain))
+    assert ({k: result.diagnostics[k] for k in ("weyl_flag", "weyl_tail_ratio")}
+            == {k: bare.diagnostics[k] for k in ("weyl_flag", "weyl_tail_ratio")})
+
+
+def test_a_given_manifold_dim_wins_over_the_model_and_tables_know_none():
+    assert _dimension_warnings(sphere2_model(100), 2.0, manifold_dim=1) == []
+    assert len(_dimension_warnings(sphere2_model(100), 3.0, manifold_dim=3)) == 1
+    table = SpectralModel([0.0, 2.0, 5.5], [1, 2, 4], 2.0)
+    assert table.manifold_dim is None and _dimension_warnings(table, 0.5) == []
+    assert [m(4).manifold_dim for m in (circle_model, sphere2_model, torus2_model)] == [1, 2, 2]
+
+
 def test_circle_model_values():
     sp = circle_model(5)
     assert sp.multiplicities.tolist() == [1, 2, 2, 2, 2, 2]

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,35 @@ def test_shift_kernel_determinant_is_one():
     k = banded_kernel({1: 0.5}, support=4)
     det = direct_determinant(assemble_truncation(k, 4), 2.0)
     assert abs(det - 1.0) < 1e-14
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "specdet"
+#: the modules of the series routes, which the oracle is to check independently
+FAST_PATHS = ("lattice", "toroidal", "invariant", "bundles", "plemelj", "specfile")
+
+
+def _imports(module: str) -> set:
+    """``(module, name)`` of every import in ``specdet/<module>.py``, at any
+    depth: ``from .m import n`` and ``from specdet.m import n`` give
+    ``("m", "n")``, ``from . import m`` and ``import specdet.m`` give ``("m", None)``."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                base = base.removeprefix("specdet").lstrip(".")
+            for alias in node.names:
+                found.add((base, alias.name) if base else (alias.name, None))
+        elif isinstance(node, ast.Import):
+            found.update((alias.name.removeprefix("specdet."), None) for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", FAST_PATHS)
+def test_fast_paths_import_nothing_from_the_oracle(module):
+    assert not {name for name in _imports(module) if name[0] == "oracle"}
+
+
+def test_the_oracle_takes_only_two_names_from_the_fast_paths():
+    taken = {name for name in _imports("oracle") if name[0] in FAST_PATHS}
+    assert taken == {("lattice", "DENSE_SIDE_LIMIT"), ("bundles", "flatten_symbol")}
