@@ -227,8 +227,8 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
 
 
 def _check_samples(s: ToroidalSymbol, cutoff: int, count: int, taken: str):
-    """Refuse quantizing ``s`` at ``cutoff`` from ``count`` samples, ``taken``
-    as the message says, above SAMPLE_LIMIT."""
+    """Refuse quantizing ``s`` at ``cutoff`` from more than SAMPLE_LIMIT
+    samples; ``taken`` follows the count in the message, saying how."""
     if count > SAMPLE_LIMIT:
         raise FeasibilityError(
             f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
