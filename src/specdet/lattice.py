@@ -180,11 +180,23 @@ def _require_finite(k: LatticeKernel, cutoff: int, rows, cols, vals):
         )
 
 
+def _box_pairs(r: int, shifts: np.ndarray, cutoff: int) -> tuple:
+    """The pairs (j, j + s) of the box |.|_inf <= r, j lexicographic and then
+    s in the order of the rows of ``shifts``: their lexicographic positions in
+    the box |.|_inf <= cutoff and the index of each one's shift."""
+    j = _box_points(shifts.shape[1], r)
+    m = j[:, None, :] + shifts
+    at, shift = np.nonzero((np.abs(m) <= r).all(axis=2))
+    return _positions(j, cutoff)[at], _positions(m[at, shift], cutoff), shift
+
+
 def _walk(k: LatticeKernel, cutoff: int, band: int):
     """Entries of the pairs (j, m) of the box with |j - m|_inf <= band, one
     ``eval`` each in lexicographic order, ranges clipped to the box: the nonzero
     ``(rows, cols, vals)``, or the side x side matrix when a band of 2R or more
     walks every pair.  Refused before any ``eval`` above BRUTE_PAIR_LIMIT pairs."""
+    if cutoff < 1:
+        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     b = min(band, 2 * cutoff)
     count = ((2 * cutoff + 1) * (2 * b + 1) - b * (b + 1)) ** k.dim
     if count > BRUTE_PAIR_LIMIT:
@@ -198,18 +210,8 @@ def _walk(k: LatticeKernel, cutoff: int, band: int):
         dtype=np.complex128, count=count)
     if b == 2 * cutoff:
         return vals.reshape(box_side(k.dim, cutoff), -1)
-    # the same walk by positions: row r holds the box lo..lo + n - 1 of m,
-    # whose t-th point has coordinates lo + (t // stride) % n
-    points = _box_points(k.dim, cutoff)
-    lo = np.maximum(points - b, -cutoff)
-    n = np.minimum(points + b, cutoff) - lo + 1
-    sizes = n.prod(axis=1)
-    t = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    m = np.empty((count, k.dim), dtype=np.int64)
-    for a in range(k.dim):
-        stride = np.repeat(n[:, a + 1:].prod(axis=1), sizes)
-        m[:, a] = np.repeat(lo[:, a], sizes) + t // stride % np.repeat(n[:, a], sizes)
-    return _nonzero(np.repeat(np.arange(len(points)), sizes), _positions(m, cutoff), vals)
+    rows, cols, _ = _box_pairs(cutoff, _box_points(k.dim, b), cutoff)
+    return _nonzero(rows, cols, vals)
 
 
 def _band_span(rows: np.ndarray, cols: np.ndarray) -> tuple | None:
@@ -254,6 +256,8 @@ def _truncation(k: LatticeKernel, cutoff: int, every_entry: bool = True) -> tupl
     refused.  The values or the matrix are float64 when no entry has a
     nonzero imaginary part, else complex128 (:func:`_real_if_real`): the
     arithmetic of the trace powers, which read them as they are stored."""
+    if cutoff < 1:
+        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     side = box_side(k.dim, cutoff)
     held = k._truncated  # read once: another thread may replace it
     if held is None or held[0] != cutoff:
@@ -336,8 +340,6 @@ def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> 
     monotone nondecreasing in the cutoff, so growth across cutoffs is the
     divergence diagnostic.
     """
-    if cutoff < 1:
-        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p < math.inf):
         raise ParameterError(f"p must lie in [1, inf), got {p}")
     return float(_running_sum(_modulus_sums(k, cutoff, p) ** (1.0 / p)))
@@ -345,8 +347,6 @@ def nuclear_norm_estimate(k: LatticeKernel, p: float = 1.0, cutoff: int = 8) -> 
 
 def lattice_trace(k: LatticeKernel, cutoff: int) -> complex:
     """Diagonal sum sum_{|n| <= R} K(n, n) in index-ascending order."""
-    if cutoff < 1:
-        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if k.support_arrays is None and k.band_radius is None:
         # the diagonal alone: side evaluations, not the side^2 of the box
         rows, cols, vals = _walk(k, cutoff, 0)
@@ -458,8 +458,6 @@ class _TracePowers:
     """
 
     def __init__(self, k: LatticeKernel, cutoff: int):
-        if cutoff < 1:
-            raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
         self._mode, entries, self._base = _truncation(k, cutoff)
         self.side = box_side(k.dim, cutoff)
         self._traces: list[complex] = []
@@ -705,13 +703,9 @@ def _banded_sites(shift_pts, shift_sup, shift_vals, support: int, dim: int,
 
     def support_arrays(cutoff):
         r = min(cutoff, support)
-        j = _box_points(dim, r)
         near = shift_sup <= 2 * r  # a longer shift leaves the box, and j + shift may overflow
-        m = j[:, None, :] + shift_pts[None, near, :]  # rows, then shifts ascending
-        inside = (np.abs(m) <= r).all(axis=2)
-        rows = np.broadcast_to(_positions(j, cutoff)[:, None], inside.shape)[inside]
-        vals = np.broadcast_to(shift_vals[near], inside.shape)[inside]
-        return _nonzero(rows, _positions(m[inside], cutoff), vals)
+        rows, cols, shift = _box_pairs(r, shift_pts[near], cutoff)
+        return _nonzero(rows, cols, shift_vals[near][shift])
 
     return LatticeKernel(dim, eval_fn, band_radius=band, support_arrays=support_arrays,
                          label=label)

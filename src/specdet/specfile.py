@@ -208,32 +208,30 @@ def _require(obj: dict, fld: str):
     return obj[fld]
 
 
+#: lattice family -> {entry list: index slots per dimension}; banded also takes support
+_LATTICE_FAMILIES = {
+    "diagonal": {"entries": 1},
+    "rank_one": {"g": 1, "h": 1},
+    "banded": {"offsets": 1},
+    "table": {"entries": 2},
+}
+
+
 def _validate_lattice(obj: dict) -> dict:
     family = _require(obj, "family")
-    families = {
-        "diagonal": {"entries"},
-        "rank_one": {"g", "h"},
-        "banded": {"offsets", "support"},
-        "table": {"entries"},
-    }
-    if not isinstance(family, str) or family not in families:
-        _fail(f"unknown family {family!r} (have {sorted(families)})", "family")
-    _check_keys(obj, {"kind", "label", "family", "dim"} | families[family],
+    if not isinstance(family, str) or family not in _LATTICE_FAMILIES:
+        _fail(f"unknown family {family!r} (have {sorted(_LATTICE_FAMILIES)})", "family")
+    scalars = {"support"} if family == "banded" else set()
+    _check_keys(obj, {"kind", "label", "family", "dim", *_LATTICE_FAMILIES[family], *scalars},
                 f"lattice_kernel family {family!r}")
     dim = _as_int(obj.get("dim", 1), "dim")
     if dim != 1:
         _fail("built-in lattice families are one-dimensional", "dim")
     params = {"family": family, "dim": dim}
-    if family == "diagonal":
-        params["entries"] = _as_entry_list(_require(obj, "entries"), "entries", 1)
-    elif family == "rank_one":
-        params["g"] = _as_entry_list(_require(obj, "g"), "g", 1)
-        params["h"] = _as_entry_list(_require(obj, "h"), "h", 1)
-    elif family == "banded":
-        params["offsets"] = _as_entry_list(_require(obj, "offsets"), "offsets", 1)
+    for fld, slots in _LATTICE_FAMILIES[family].items():  # in table order
+        params[fld] = _as_entry_list(_require(obj, fld), fld, slots * dim)
+    if scalars:
         params["support"] = _at_least(_require(obj, "support"), "support", 0)
-    else:
-        params["entries"] = _as_entry_list(_require(obj, "entries"), "entries", 2)
     return params
 
 
@@ -466,15 +464,14 @@ def _sites(records: list, slots: int, fld: str) -> tuple:
 
 def _build_lattice(p: dict, label: str) -> LatticeKernel:
     family, dim = p["family"], p["dim"]
+    sites = [_sites(p[f], slots * dim, f) for f, slots in _LATTICE_FAMILIES[family].items()]
+    label = label or family.replace("_", "-")
     if family == "rank_one":
-        return _rank_one_sites([_sites(p[f], dim, f) for f in ("g", "h")], dim,
-                               label or "rank-one")
+        return _rank_one_sites(sites, dim, label)
     if family == "banded":
-        return _banded_sites(*_sites(p["offsets"], dim, "offsets"), p["support"], dim,
-                             label or "banded")
-    if family == "diagonal":
-        return _diagonal_sites(*_sites(p["entries"], dim, "entries"), dim, label or "diagonal")
-    return _table_sites(*_sites(p["entries"], 2 * dim, "entries"), dim, label or "table")
+        return _banded_sites(*sites[0], p["support"], dim, label)
+    build = _diagonal_sites if family == "diagonal" else _table_sites
+    return build(*sites[0], dim, label)
 
 
 def _build_toroidal(p: dict, label: str) -> ToroidalSymbol:

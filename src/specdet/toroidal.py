@@ -371,8 +371,6 @@ def schur_bound(k: LatticeKernel, p: float, cutoff: int) -> float:
     """Operator-norm bound from the discrete Schur test on the box:
     (max column sum)^(1/p) * (max row sum)^(1 - 1/p), rows indexed by the
     output variable of K(row, col)."""
-    if cutoff < 1:
-        raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
     if not (1.0 <= p):
         raise ParameterError(f"p must lie in [1, inf], got {p}")
     max_row = max(_modulus_sums(k, cutoff, axis=1).tolist(), default=0.0)
