@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, ShapeError
+from .errors import EvaluationError, FeasibilityError, ParameterError, ShapeError
 from .lattice import _real_if_real, _running_sum
 from .linalg import CMatrix, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
@@ -304,6 +304,8 @@ def _levels(J: int) -> int:
     """The number J + 1 of levels 0..J a built-in spectrum keeps."""
     if J < 0:
         raise ParameterError(f"J must be >= 0, got {J}")
+    if 8 * (J + 1) > np.iinfo(np.intp).max:  # one float64 per level
+        raise FeasibilityError(f"J = {J} keeps {J + 1} levels, too many to size", count=J + 1)
     return J + 1
 
 

@@ -97,6 +97,16 @@ def box_side(dim: int, cutoff: int) -> int:
     return (2 * cutoff + 1) ** dim
 
 
+def _sized_side(dim: int, cutoff: int) -> int:
+    """The box side, refused above the largest int64: the type of the
+    positions that ``support_arrays`` hand over."""
+    side = box_side(dim, cutoff)
+    if side > np.iinfo(np.int64).max:
+        raise FeasibilityError(f"the box of cutoff {cutoff} has side {side}, "
+                               f"whose positions do not fit int64", count=side)
+    return side
+
+
 @dataclass
 class LatticeKernel:
     """Complex kernel on Z^dim x Z^dim with declared structure.
@@ -258,7 +268,7 @@ def _truncation(k: LatticeKernel, cutoff: int, every_entry: bool = True) -> tupl
     arithmetic of the trace powers, which read them as they are stored."""
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    side = box_side(k.dim, cutoff)
+    side = _sized_side(k.dim, cutoff)
     held = k._truncated  # read once: another thread may replace it
     if held is None or held[0] != cutoff:
         if k.support_arrays is not None:
@@ -475,6 +485,9 @@ class _TracePowers:
                 self._offsets = range(held[0], held[-1] + 1, step) if held else range(0)
                 self._powers = {1: band}
             else:
+                if 8 * (self.side + 1) > np.iinfo(np.intp).max:  # the CSR row index
+                    raise FeasibilityError(f"a CSR matrix of side {self.side} is too large "
+                                           f"to index", count=self.side)
                 from scipy import sparse
 
                 self._base = sparse.csr_matrix((vals, (rows, cols)),

@@ -47,6 +47,7 @@ from .lattice import (
     _mul,
     _positions,
     _site_arrays,
+    _sized_side,
     _table_sites,
     _sup_norms,
     iter_box,
@@ -245,7 +246,8 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     largest |l|_inf kept, so at most 2R: a mode beyond that connects no two
     box points and is dropped rather than folded.  An x-independent symbol
     is refused before anything is sampled when its value at x = 0 and three
-    probes per k (:func:`_constant_value`) are more than SAMPLE_LIMIT samples."""
+    probes per k (:func:`_constant_value`) are more than SAMPLE_LIMIT samples,
+    a listed one when the box side passes int64 (:func:`lattice._sized_side`)."""
     if s.coeffs is None:
         _check_samples(s, cutoff, 4 * (2 * cutoff + 1) ** s.dim, ", four per box site")
         ks = _box_points(s.dim, cutoff)
@@ -253,6 +255,7 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
         values = np.array([_constant_value(s, k, n_x) for k in iter_box(s.dim, cutoff)],
                           dtype=np.complex128)
     else:
+        _sized_side(s.dim, cutoff)
         sites, values = s.coeffs
         ls, ks = sites[:, :s.dim], sites[:, s.dim:]
         # filter before adding: l + k may overflow int64 at far sites
@@ -409,14 +412,15 @@ def growth_verdict(points: Sequence[tuple]) -> NormGrowthProfile:
     "converging" when successive increments decay geometrically (every
     ratio below ``CONVERGENCE_RATIO``, or all increments negligible),
     "diverging/inconclusive" otherwise.  A profile with fewer than three
-    cutoffs cannot exhibit a ratio and is inconclusive unless flat.
+    cutoffs cannot exhibit a ratio and is inconclusive unless flat, and
+    only increments can be flat: a one-cutoff profile is inconclusive.
     """
     points = [(int(r), float(v)) for r, v in points]
     if not points:
         raise ParameterError("profile must contain at least one point")
     increments = [b[1] - a[1] for a, b in zip(points, points[1:])]
     scale = max(1.0, points[-1][1])
-    flat = all(abs(inc) <= 1e-14 * scale for inc in increments)
+    flat = bool(increments) and all(abs(inc) <= 1e-14 * scale for inc in increments)
     if flat:
         verdict = "converging"
     elif len(increments) >= 2:

@@ -62,6 +62,18 @@ def test_norm_profile_on_lattice_kernel():
     assert report["verdict"] == "converging"
 
 
+@pytest.mark.parametrize("fixture, cutoff, increments, verdict", [
+    ("sharpness", 1, [], "diverging/inconclusive"),  # no increment: nothing shows it flat
+    ("zero", 2, [0.0], "converging"),  # one zero increment is flat
+])
+def test_a_profile_is_flat_only_by_its_increments(fixture, cutoff, increments, verdict):
+    argv = ["norm-profile", "--input", f"fixtures/{fixture}.json", "--cutoff", str(cutoff)]
+    code, report, _ = run_json(argv)
+    assert (code, report["increments"], report["verdict"]) == (0, increments, verdict)
+    code, out, _ = run(argv)
+    assert code == 0 and f"  verdict      = {verdict}\n" in out
+
+
 def test_norm_profile_rejects_other_kinds():
     code, _, err = run_json(["norm-profile", "--input", "fixtures/block_symbol.json"])
     assert code == 2
@@ -311,6 +323,57 @@ def test_an_unsizable_x_independent_quantization_exits_3(monkeypatch):
     assert payload["error"] == "feasibility"
     assert "needs 1600000000160000000004 samples, four per box site" in payload["message"]
     assert "grid" not in payload["message"]
+
+
+def _refused_unallocated(argv, message):
+    """``argv`` exits 3 with one feasibility line in JSON and in text, and
+    traces under 1 MB of allocations on the way."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv + ["--output", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [json.dumps({"error": "feasibility", "message": message})]
+    assert peak < 1 << 20
+    assert run(argv) == (3, "", f"specdet: feasibility error: {message}\n")
+
+
+@pytest.mark.parametrize("fixture, cutoff, command, message", [
+    # a 1-D box of side 2^62 + 1 fits int64 positions, not a CSR row index
+    ("rank_one", 2 ** 61, ["det", "--mode", "series"],
+     "a CSR matrix of side 4611686018427387905 is too large to index"),
+    ("toroidal_table", 2 ** 62 - 1, ["radius"],
+     "a CSR matrix of side 9223372036854775807 is too large to index"),
+    # a 2-D box of side (2^62 + 1)^2 does not fit int64 positions
+    ("toroidal_table_2d", 2 ** 61, ["trace", "--mode", "series"],
+     "the box of cutoff 2305843009213693952 has side "
+     "21267647932558653975684285001340289025, whose positions do not fit int64"),
+    ("banded_wide", 10 ** 21, ["norm-profile"],
+     "the box of cutoff 62500000000000000000 has side 125000000000000000001, "
+     "whose positions do not fit int64"),
+])
+def test_a_box_numpy_cannot_size_is_refused(fixture, cutoff, command, message):
+    _refused_unallocated([command[0], "--input", f"fixtures/{fixture}.json", "--cutoff",
+                          str(cutoff), *command[1:]], message)
+
+
+@pytest.mark.parametrize("model", ["circle", "sphere2", "torus2"])
+def test_a_spectrum_numpy_cannot_size_is_refused(tmp_path, model):
+    path = tmp_path / "vast.json"
+    path.write_text(json.dumps({"kind": "spectral_model", "model": model, "J": 10 ** 20,
+                                "alpha": 2.0}))
+    _refused_unallocated(["det", "--input", str(path)], "J = 100000000000000000000 keeps "
+                         "100000000000000000001 levels, too many to size")
+
+
+def test_an_empty_kernel_at_a_box_of_side_2_to_the_62_still_answers():
+    code, report, _ = run_json(["trace", "--input", "fixtures/zero.json", "--cutoff",
+                                str(2 ** 61), "--mode", "series"])
+    assert (code, report["trace"]) == (0, [0.0, 0.0])
 
 
 def test_a_built_in_model_without_manifold_dim_warns_at_its_dimension(tmp_path):

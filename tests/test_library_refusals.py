@@ -16,6 +16,7 @@ from specdet import (
     CMatrix,
     DualObject,
     EvaluationError,
+    FeasibilityError,
     LatticeKernel,
     ParameterError,
     ShapeError,
@@ -40,13 +41,17 @@ from specdet import (
     mat_trace,
     norm_growth_profile,
     nuclear_norm_estimate,
+    poincare_norm,
     power_decay_symbol,
     radius_estimate,
+    rank_one_kernel,
     schur_bound,
     spectral_determinant_product,
     sphere2_model,
+    table_symbol,
     toroidal_matrix,
     torus2_model,
+    truncation_trace_source,
     weyl_tail_check,
 )
 from specdet.lattice import _TracePowers, _as_index
@@ -54,6 +59,10 @@ from specdet.linalg import mat_add
 from specdet.toroidal import growth_verdict
 
 DIAG = diagonal_kernel({0: 0.5, 1: 0.25})
+#: no support arrays and no band: its entries are read by the walk
+EVAL_ONLY = LatticeKernel(1, lambda j, m: 0.5 if j == m else 0.0, label="eval-only")
+#: a cutoff whose 1-D box side 2^62 + 1 fits int64, and whose 2-D one does not
+HUGE = 2 ** 61
 MODEL = circle_model(3)
 BUNDLE = BundleSymbol.identity(1, DualObject((("a", 1),)))
 NON_SQUARE = CMatrix(1, 2, (1j, 2j))
@@ -79,6 +88,32 @@ REFUSALS = {
                                "cutoff must be >= 1, got 0"),
     "trace powers cutoff 0": (lambda: _TracePowers(DIAG, 0), ParameterError,
                               "cutoff must be >= 1, got 0"),
+    "trace source cutoff 0": (lambda: truncation_trace_source(DIAG, 0), ParameterError,
+                              "cutoff must be >= 1, got 0"),
+    "cycle trace cutoff 0": (lambda: cycle_trace(DIAG, 1, 0), ParameterError,
+                             "cutoff must be >= 1, got 0"),
+    "poincare norm cutoff 0": (lambda: poincare_norm(DIAG, 0), ParameterError,
+                               "cutoff must be >= 1, got 0"),
+    "walked trace cutoff 0": (lambda: lattice_trace(EVAL_ONLY, 0), ParameterError,
+                              "cutoff must be >= 1, got 0"),
+    "walked nuclear norm cutoff 0": (lambda: nuclear_norm_estimate(EVAL_ONLY, 1.0, 0),
+                                     ParameterError, "cutoff must be >= 1, got 0"),
+    "nuclear norm p names itself before the cutoff": (
+        lambda: nuclear_norm_estimate(DIAG, 0.5, 0), ParameterError,
+        "p must lie in [1, inf), got 0.5"),
+    "schur bound p names itself before the cutoff": (
+        lambda: schur_bound(DIAG, 0.5, 0), ParameterError, "p must lie in [1, inf], got 0.5"),
+    "truncation positions past int64": (
+        lambda: lattice_trace(diagonal_kernel({(0, 0): 0.5}, dim=2), HUGE), FeasibilityError,
+        "the box of cutoff 2305843009213693952 has side "
+        "21267647932558653975684285001340289025, whose positions do not fit int64"),
+    "listed quantization positions past int64": (
+        lambda: toroidal_matrix(table_symbol({((0, 0), (0, 0)): 0.5}, dim=2), HUGE),
+        FeasibilityError, "the box of cutoff 2305843009213693952 has side "
+        "21267647932558653975684285001340289025, whose positions do not fit int64"),
+    "trace powers past a CSR index": (
+        lambda: _TracePowers(rank_one_kernel({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}), HUGE),
+        FeasibilityError, "a CSR matrix of side 4611686018427387905 is too large to index"),
     "trace powers order 0": (lambda: _TracePowers(DIAG, 2).trace(0), ParameterError,
                              "trace power must be >= 1, got 0"),
     "cycle trace order 0": (lambda: cycle_trace(DIAG, 0, 2), ParameterError,
@@ -116,6 +151,9 @@ REFUSALS = {
     "circle J -1": (lambda: circle_model(-1), ParameterError, "J must be >= 0, got -1"),
     "sphere2 J -1": (lambda: sphere2_model(-1), ParameterError, "J must be >= 0, got -1"),
     "torus2 J -1": (lambda: torus2_model(-1), ParameterError, "J must be >= 0, got -1"),
+    "circle J 10^20": (lambda: circle_model(10 ** 20), FeasibilityError,
+                       "J = 100000000000000000000 keeps 100000000000000000001 levels, "
+                       "too many to size"),
     "weyl alpha 0": (lambda: weyl_tail_check(MODEL, 0.0), ParameterError,
                      "alpha must be positive, got 0.0"),
     "spectral product alpha 0": (lambda: spectral_determinant_product(MODEL, 0.0, 0.1),

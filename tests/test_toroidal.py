@@ -281,6 +281,16 @@ def test_norm_profile_verdicts():
     assert all(v == 0 for _, v in flat.points)
 
 
+def test_a_profile_is_flat_only_by_its_increments():
+    # one cutoff gives no increment, and the summed-entry norm of the
+    # sharpness symbol grows like the harmonic series
+    one = norm_growth_profile(sharpness_symbol(), [1])
+    assert (one.increments, one.verdict) == ([], "diverging/inconclusive")
+    assert toroidal_mod.growth_verdict([(1, 0.0)]).verdict == "diverging/inconclusive"
+    flat = toroidal_mod.growth_verdict([(1, 0.0), (2, 0.0)])
+    assert (flat.increments, flat.verdict) == ([0.0], "converging")
+
+
 def test_norm_profile_rejects_unsorted_cutoffs():
     with pytest.raises(ParameterError):
         norm_growth_profile(power_decay_symbol(-2.0), [8, 4])

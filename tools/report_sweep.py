@@ -12,12 +12,14 @@ A sweep runs every good fixture (``fixtures/*.json``) through
 ``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
 ``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
 json and text: 1134 cases on the 21 fixtures.  These are all written as
-``--opt value`` with a lambda of at least 0, so 18 command-line shapes
-follow (``SHAPES``), all but one on one fixture: both value forms with a
+``--opt value`` with a lambda of at least 0, so 20 command-line shapes
+follow (``SHAPES``), all but two on one fixture: both value forms with a
 negative lambda, abbreviated and repeated options, usage errors and help,
 most of which only argparse reads, the modes, orders and tolerances that
-commands refuse, and a 2-D x-independent quantization too large to size.
-It writes the exit code, stdout and stderr of each of the 1152 cases to
+commands refuse, a norm profile of one cutoff, and two requests too large
+to size, a 2-D x-independent quantization and a rank-one truncation whose
+CSR index numpy cannot size.
+It writes the exit code, stdout and stderr of each of the 1154 cases to
 one JSON file, keyed by the case's arguments; a case whose
 ``run_command`` raises is written as exit 1, empty stdout and
 ``ExceptionType: message`` on stderr, and the sweep goes on.
@@ -70,7 +72,9 @@ SHAPES = [["-h"], ["det", "-h"], ["det", "--outp", "json"]] + [
     for command, rest in (("compare", ["--mode", "series"]), ("radius", ["--mode", "oracle"]),
                           ("norm-profile", ["--mode", "oracle"]), ("radius", ["--order", "2"]))] + [
     ["det", "--input", "fixtures/toroidal_power_decay_2d.json", "--cutoff", "10000000000",
-     "--mode", "series"]]
+     "--mode", "series"],
+    ["det", "--input", SHAPE_FIXTURE, "--cutoff", str(2 ** 61), "--mode", "series"],
+    ["norm-profile", "--input", "fixtures/sharpness.json", "--cutoff", "1"]]
 #: a number, with its sign; text reports write complex values as "a - bi",
 #: so a sign may stand one space before its digits
 NUMBER = re.compile(r"(?:[-+] ?)?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
