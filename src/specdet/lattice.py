@@ -194,10 +194,22 @@ def _box_pairs(r: int, shifts: np.ndarray, cutoff: int) -> tuple:
     """The pairs (j, j + s) of the box |.|_inf <= r, j lexicographic and then
     s in the order of the rows of ``shifts``: their lexicographic positions in
     the box |.|_inf <= cutoff and the index of each one's shift."""
-    j = _box_points(shifts.shape[1], r)
-    m = j[:, None, :] + shifts
-    at, shift = np.nonzero((np.abs(m) <= r).all(axis=2))
-    return _positions(j, cutoff)[at], _positions(m[at, shift], cutoff), shift
+    dim = shifts.shape[1]
+    j = _box_points(dim, r)
+    # masked axis by axis from each coordinate's (2r+1) x shifts table, so
+    # that no j + s is formed for a pair outside the box
+    inside = np.ones((len(j), len(shifts)), dtype=bool)
+    coords = np.arange(-r, r + 1)[:, None]
+    for axis in range(dim):
+        fits = np.abs(coords + shifts[:, axis]) <= r
+        inside &= fits[j[:, axis] + r]
+    at, shift = np.nonzero(inside)
+    rows = _positions(j, cutoff)[at]
+    # a position is linear in the point, so j + s lies s's offset past j
+    offsets = shifts[:, 0]
+    for axis in range(1, dim):
+        offsets = offsets * (2 * cutoff + 1) + shifts[:, axis]
+    return rows, rows + offsets[shift], shift
 
 
 def _walk(k: LatticeKernel, cutoff: int, band: int):

@@ -30,7 +30,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from pathlib import Path
 
 import numpy as np
 
@@ -401,8 +400,10 @@ def parse_spec_text(text: str) -> OperatorSpec:
 
 
 def parse_spec(path) -> OperatorSpec:
-    """Parse and validate a spec file from disk."""
-    return parse_spec_text(Path(path).read_text(encoding="utf-8"))
+    """Parse and validate a spec file from disk: a str or path-like ``path``."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    return parse_spec_text(text)
 
 
 def emit_spec(spec: OperatorSpec) -> str:

@@ -29,7 +29,6 @@ profile is for.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,11 +74,15 @@ __all__ = [
 #: increment ratio below which a norm profile counts as geometric decay
 CONVERGENCE_RATIO = 0.9
 #: symbol samples (2R+1)^n * n_x^n allowed for one sampled quantization, and
-#: 4 * (2R+1)^n for one x-independent one.  It bounds the sampling time; the
-#: kept matrix, (2R+1)^2n values, is ((2R+1) / n_x)^n of the samples: under
-#: an eighth in 1-D and a sixty-fourth in 2-D on the automatic grid, under
-#: half per axis on any grid.
+#: 4 * (2R+1)^n for one x-independent one without ``closed_form``.  It bounds
+#: the sampling time; the kept matrix, (2R+1)^2n values, is ((2R+1) / n_x)^n
+#: of the samples: under an eighth in 1-D and a sixty-fourth in 2-D on the
+#: automatic grid, under half per axis on any grid.
 SAMPLE_LIMIT = 1 << 25
+#: box sites (2R+1)^n allowed for one quantization read from ``closed_form``:
+#: the boxes whose four samples per site SAMPLE_LIMIT admits, 1-D cutoffs up
+#: to 4,194,303 and 2-D ones up to 1447
+VALUE_LIMIT = SAMPLE_LIMIT // 4
 #: samples taken and transformed at once while quantizing: one box row of
 #: 2R+1 values of k, or fewer k where a row is larger.  On a 2-core VM, a
 #: two-mode modulated symbol just under SAMPLE_LIMIT, time and peak RSS of
@@ -99,7 +102,10 @@ class ToroidalSymbol:
     coefficients; when None a power-of-two grid of at least 4*(2M+1)
     points is chosen per cutoff, M = max(2R, mode_reach).
     ``x_independent`` declares that sigma does not depend on x, which is
-    verified on sampled points.
+    verified on sampled points.  ``closed_form``, when given with it, takes
+    an (n, dim) int64 array of points k and returns a new complex128 array
+    of the values sigma(x, k), equal to ``eval`` bit for bit; the
+    quantization reads it in place of ``eval``, with nothing to verify.
 
     ``eval_grid``, when given, takes (n_x, ks), a sequence of integer
     tuples, and returns a new complex array of shape (len(ks),) + (n_x,)*dim
@@ -135,6 +141,8 @@ class ToroidalSymbol:
         default=None, repr=False, compare=False)
     mode_reach: int = 0
     coeffs: tuple | None = field(default=None, repr=False, compare=False)
+    closed_form: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
     _quantized: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,13 +235,13 @@ def symbol_fourier_coeff(s: ToroidalSymbol, l, k, x_grid: int | None = None) -> 
     return complex((np.fft.fftn(samples) / samples.size)[tuple(v % n_x for v in l)])
 
 
-def _check_samples(s: ToroidalSymbol, cutoff: int, count: int, taken: str):
-    """Refuse quantizing ``s`` at ``cutoff`` from more than SAMPLE_LIMIT
-    samples; ``taken`` follows the count in the message, saying how."""
-    if count > SAMPLE_LIMIT:
+def _check_count(s: ToroidalSymbol, cutoff: int, count: int, what: str, limit: int):
+    """Refuse quantizing ``s`` at ``cutoff`` from more than ``limit`` of
+    ``what``, which follows the count in the message."""
+    if count > limit:
         raise FeasibilityError(
             f"quantizing symbol {s.label!r} at cutoff {cutoff} needs {count} "
-            f"samples{taken}, above the guard of {SAMPLE_LIMIT}",
+            f"{what}, above the guard of {limit}",
             count=count,
         )
 
@@ -244,23 +252,33 @@ def _listed_entries(s: ToroidalSymbol, n_x: int, cutoff: int) -> tuple:
     each value sigma(0, k) of an x-independent symbol at l = 0, is the
     entry (l + k, k), kept where k and l + k lie in the box.  b is the
     largest |l|_inf kept, so at most 2R: a mode beyond that connects no two
-    box points and is dropped rather than folded.  An x-independent symbol
-    is refused before anything is sampled when its value at x = 0 and three
-    probes per k (:func:`_constant_value`) are more than SAMPLE_LIMIT samples,
-    a listed one when the box side passes int64 (:func:`lattice._sized_side`)."""
+    box points and is dropped rather than folded.  Refused before anything
+    is evaluated: an x-independent symbol read from ``closed_form`` above
+    VALUE_LIMIT box sites, one without it above SAMPLE_LIMIT samples, its
+    value at x = 0 and three probes per k (:func:`_constant_value`); a
+    listed one when the box side passes int64 (:func:`lattice._sized_side`)."""
     if s.coeffs is None:
-        _check_samples(s, cutoff, 4 * (2 * cutoff + 1) ** s.dim, ", four per box site")
-        ks = _box_points(s.dim, cutoff)
-        ls = np.zeros_like(ks)
-        values = np.array([_constant_value(s, k, n_x) for k in iter_box(s.dim, cutoff)],
-                          dtype=np.complex128)
-    else:
-        _sized_side(s.dim, cutoff)
-        sites, values = s.coeffs
-        ls, ks = sites[:, :s.dim], sites[:, s.dim:]
-        # filter before adding: l + k may overflow int64 at far sites
-        near = (_sup_norms(ls) <= 2 * cutoff) & (_sup_norms(ks) <= cutoff)
-        ls, ks, values = ls[near], ks[near], values[near]
+        sites = (2 * cutoff + 1) ** s.dim
+        if s.closed_form is None:
+            _check_count(s, cutoff, 4 * sites, "samples, four per box site", SAMPLE_LIMIT)
+            ks = _box_points(s.dim, cutoff)
+            values = np.array([_constant_value(s, k, n_x) for k in iter_box(s.dim, cutoff)],
+                              dtype=np.complex128)
+        else:
+            _check_count(s, cutoff, sites, "box sites", VALUE_LIMIT)
+            ks = _box_points(s.dim, cutoff)
+            values = s.closed_form(ks)
+            finite = np.isfinite(values)
+            if not finite.all():  # the first in box order, as eval meets it
+                raise _non_finite(s, (0.0,) * s.dim, tuple(ks[int(np.argmin(finite))].tolist()))
+        points = np.hstack((ks, ks))
+        return 0, points, _sup_norms(points), values
+    _sized_side(s.dim, cutoff)
+    sites, values = s.coeffs
+    ls, ks = sites[:, :s.dim], sites[:, s.dim:]
+    # filter before adding: l + k may overflow int64 at far sites
+    near = (_sup_norms(ls) <= 2 * cutoff) & (_sup_norms(ks) <= cutoff)
+    ls, ks, values = ls[near], ks[near], values[near]
     js = ls + ks
     inside = _sup_norms(js) <= cutoff
     ls, js, ks, values = ls[inside], js[inside], ks[inside], values[inside]
@@ -281,8 +299,8 @@ def _sampled_matrix(s: ToroidalSymbol, n_x: int, cutoff: int) -> np.ndarray:
     gathers its modes (j - k) mod n_x.  Every entry equals the one of the
     full per-k table ``np.fft.fftn(samples) / samples.size`` bit for bit.
     """
-    _check_samples(s, cutoff, (2 * cutoff + 1) ** s.dim * n_x ** s.dim,
-                   f" on a {n_x}-point grid per axis")
+    _check_count(s, cutoff, (2 * cutoff + 1) ** s.dim * n_x ** s.dim,
+                 f"samples on a {n_x}-point grid per axis", SAMPLE_LIMIT)
     ks = list(iter_box(s.dim, cutoff))
     points = _box_points(s.dim, cutoff)
     axes = tuple(range(1, s.dim + 1))
@@ -459,6 +477,22 @@ def _k_norm_sq(k: Index) -> float:
     return float(sum(x * x for x in k))
 
 
+# The closed forms of the x-independent families replay eval on the rows of
+# the box's int64 points: |k|^2 is summed exactly in int64 and rounded to
+# float64 once, as float(sum) rounds it, and each site takes one Python pow,
+# libm's as in eval, since np.power differs from it in the last bit.
+
+def _norm_sqs(ks: np.ndarray) -> np.ndarray:
+    """_k_norm_sq of each row of an int64 array of points."""
+    return (ks * ks).sum(axis=1).astype(np.float64)
+
+
+def _pows(bases: np.ndarray, exponent) -> np.ndarray:
+    """bases[i] ** exponent, one Python pow each."""
+    return np.fromiter(map(pow, bases.tolist(), itertools.repeat(exponent)),
+                       dtype=np.float64, count=len(bases))
+
+
 # The grid sampler of modulated_symbol replays its scalar evaluator's
 # arithmetic on whole arrays, one IEEE operation per step, so its samples
 # equal ``eval`` bit for bit; its complex products are lattice._mul.  The
@@ -507,8 +541,15 @@ def power_decay_symbol(order: float, dim: int = 1, amplitude: complex = 1.0,
     def eval_fn(x, k):
         return amplitude * (1.0 + _k_norm_sq(k)) ** (order / 2.0)
 
+    def closed_form(ks):
+        g = _pows(1.0 + _norm_sqs(ks), order / 2.0)
+        out = np.empty(len(ks), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # eval's amplitude * g
+            out.real, out.imag = _mul(amplitude.real, amplitude.imag, g, 0.0)
+        return out
+
     return ToroidalSymbol(dim, order, eval_fn, x_independent=True,
-                          label=label or f"power-decay({order:g})")
+                          label=label or f"power-decay({order:g})", closed_form=closed_form)
 
 
 def sharpness_symbol(dim: int = 1, label: str = "") -> ToroidalSymbol:
@@ -518,8 +559,11 @@ def sharpness_symbol(dim: int = 1, label: str = "") -> ToroidalSymbol:
     def eval_fn(x, k):
         return (1.0 + math.sqrt(_k_norm_sq(k))) ** (-dim) + 0.0j
 
+    def closed_form(ks):
+        return _pows(1.0 + np.sqrt(_norm_sqs(ks)), -dim).astype(np.complex128)
+
     return ToroidalSymbol(dim, float(-dim), eval_fn, x_independent=True,
-                          label=label or "sharpness")
+                          label=label or "sharpness", closed_form=closed_form)
 
 
 def modulated_symbol(modes, decay_order: float, dim: int = 1,
@@ -574,17 +618,17 @@ def _listed_symbol(sites: np.ndarray, values: np.ndarray, dim: int, order: float
         raise EvaluationError(f"symbol {label!r} has a non-finite coefficient at "
                               f"(l={tuple(bad[:dim])}, k={tuple(bad[dim:])})")
 
-    @functools.cache
-    def by_k() -> dict:
-        """k -> [(l, sigma_hat(l, k))] in site order, built on the first call."""
-        terms = {}
-        for l, k, v in zip(map(tuple, sites[:, :dim].tolist()),
-                           map(tuple, sites[:, dim:].tolist()), values.tolist()):
-            terms.setdefault(k, []).append((l, v))
-        return terms
+    by_k = None  # k -> [(l, sigma_hat(l, k))] in site order, built on the first call
 
     def eval_fn(x, k):
-        return _point_sum(x, by_k().get(k, ()))
+        nonlocal by_k
+        if by_k is None:
+            terms = {}
+            for l, kk, v in zip(map(tuple, sites[:, :dim].tolist()),
+                                map(tuple, sites[:, dim:].tolist()), values.tolist()):
+                terms.setdefault(kk, []).append((l, v))
+            by_k = terms
+        return _point_sum(x, by_k.get(k, ()))
 
     return ToroidalSymbol(dim, order, eval_fn, x_independent=not sites[:, :dim].any(),
                           label=label, coeffs=(sites, values))

@@ -308,7 +308,8 @@ def test_feasibility_guard_exits_3():
 
 
 def test_an_unsizable_x_independent_quantization_exits_3(monkeypatch):
-    # refused before any sample or box point: the box alone could not be allocated
+    # refused before any value or box point: the box alone could not be
+    # allocated, and the built-in symbol is counted in box sites
     import specdet.toroidal as toroidal
 
     def no_sample(*args):
@@ -321,8 +322,9 @@ def test_an_unsizable_x_independent_quantization_exits_3(monkeypatch):
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["error"] == "feasibility"
-    assert "needs 1600000000160000000004 samples, four per box site" in payload["message"]
-    assert "grid" not in payload["message"]
+    assert payload["message"] == (
+        "quantizing symbol 'power-decay-2d' at cutoff 10000000000 needs "
+        "400000000040000000001 box sites, above the guard of 8388608")
 
 
 def _refused_unallocated(argv, message):

@@ -867,6 +867,33 @@ def test_walk_visits_each_pair_within_the_band_once_in_order(dim, cutoff, band):
     assert vals.tolist() == [value(j, m) for j, m in nonzero]
 
 
+def _formed_pairs(r, shifts, cutoff):
+    """The pairs of ``_box_pairs`` from each j + s formed, then kept in the box."""
+    box = lattice_mod._box_points(shifts.shape[1], r)
+    rows, cols, shift = [], [], []
+    for pos, j in zip(lattice_mod._positions(box, cutoff).tolist(), box):
+        m = j + shifts
+        keep = np.flatnonzero((np.abs(m) <= r).all(axis=1))
+        rows += [pos] * len(keep)
+        cols += lattice_mod._positions(m[keep], cutoff).tolist()
+        shift += keep.tolist()
+    return rows, cols, shift
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_pairs_are_the_formed_pairs(dim):
+    # masked axis by axis, the pairs and their positions are those of every
+    # j + s formed and then kept: every band of cutoffs 1-4, positions in
+    # the box itself and in a wider one
+    for cutoff in range(1, 5):
+        for band in range(2 * cutoff + 1):
+            shifts = lattice_mod._box_points(dim, band)
+            for wider in (cutoff, cutoff + 2):
+                got = lattice_mod._box_pairs(cutoff, shifts, wider)
+                assert all(a.dtype == np.int64 for a in got)
+                assert [a.tolist() for a in got] == list(_formed_pairs(cutoff, shifts, wider))
+
+
 def test_determinant_walks_an_eval_only_kernel_once():
     calls = []
 

@@ -98,6 +98,26 @@ def test_every_fixture_builds_the_right_type(tmp_path):
         assert isinstance(build_operator(spec), expected[spec.kind])
 
 
+def test_parse_spec_takes_a_str_or_a_path():
+    # the same spec from either, and a missing file keeps its io error line
+    import pathlib
+
+    path = f"{FIXTURES}/toroidal_power_decay.json"
+    assert parse_spec(path) == parse_spec(pathlib.Path(path))
+    missing = f"{FIXTURES}/missing.json"
+    messages = []
+    for arg in (missing, pathlib.Path(missing)):
+        with pytest.raises(FileNotFoundError) as info:
+            parse_spec(arg)
+        messages.append(str(info.value))
+    assert messages == [f"[Errno 2] No such file or directory: '{missing}'"] * 2
+    for output, line in (("json", '{"error": "io", "message": "%s"}\n' % messages[0]),
+                         ("text", f"specdet: io error: {messages[0]}\n")):
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(["det", "--input", missing, "--output", output], out, err)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", line)
+
+
 def random_raw_spec(rng):
     kind = rng.choice(["lattice_kernel", "toroidal_symbol", "block_symbol",
                        "spectral_model", "bundle_symbol"])

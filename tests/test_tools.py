@@ -2,7 +2,8 @@
 is read through: equal sweeps pass silently, and each kind of difference
 is named, and a sweep records a case that raises and goes on.
 ``tools/ab_timing.py`` times two trees only when their reports
-agree, and names each request where they do not, with what differs.
+agree, per request class too, and names each request where they do not,
+with what differs.
 ``tools/peak_rss.py`` prints the exit code and peak memory of one command.
 Neither leaves bytecode in the source tree it runs."""
 
@@ -102,6 +103,15 @@ def test_ab_timing_of_a_tree_against_itself_reports_both_sides():
     metrics = {"requests_per_s", "latency_p50_s", "latency_p90_s"}
     assert set(report["a"]) == set(report["b"]) == set(report["ratio"]) == metrics
     assert all(report[side][key] > 0 for side in ("a", "b") for key in metrics)
+    # each request class's summed-latency ratio, in the JSON and one line each before it
+    ratios = report["class_ratio"]
+    assert {"power_decay:det", "modulated-12:det", "block:trace"} <= set(ratios)
+    assert all(r > 0 for r in ratios.values())
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("class ")]
+    assert len(lines) == len(ratios)
+    for line, (cls, r) in zip(lines, sorted(ratios.items())):
+        assert re.fullmatch(rf"class {re.escape(cls)}: summed latency b/a x{r:.3f}  "
+                            r"\(\d+\.\d{3} -> \d+\.\d{3} ms\)", line)
 
 
 def test_ab_timing_names_each_request_whose_report_differs(tmp_path):

@@ -542,25 +542,75 @@ def test_wide_listed_mode_costs_only_its_entries(monkeypatch):
     assert s._quantized[1] is k and k._truncated[0] == cutoff
 
 
-@pytest.mark.parametrize("family", ["power_decay", "table"])
+def _declared(s: ToroidalSymbol) -> ToroidalSymbol:
+    """A library copy of a built-in x-independent symbol: ``eval`` and the
+    declaration, without the closed form."""
+    return ToroidalSymbol(s.dim, s.order, s.eval, x_independent=True, label=s.label)
+
+
+@pytest.mark.parametrize("family", ["power_decay", "declared", "table"])
 def test_listed_quantizations_sample_nothing(family):
-    # an x-independent symbol is checked on four points per k, once for
-    # both calls, and stays diagonal at any side; a table is read without
-    # evaluating anything
+    # a built-in x-independent symbol is read from its closed form and a
+    # table as listed, without evaluating anything; a library symbol that
+    # only declares x-independence is checked on four points per k, once
+    # for both calls.  Each stays diagonal at any side
     cutoff = 64
-    s = _quantized_symbol(family, 1, np.random.default_rng(70))
+    rng = np.random.default_rng(70)
+    if family == "declared":
+        s = _declared(_quantized_symbol("power_decay", 1, rng))
+    else:
+        s = _quantized_symbol(family, 1, rng)
     calls = []
     evaluate = s.eval
     s.eval = lambda x, k: calls.append(k) or evaluate(x, k)
     s.eval_grid = None
     kernels = [toroidal_matrix(s, cutoff) for _ in range(2)]
-    per_k = 4 if family == "power_decay" else 0
+    per_k = 4 if family == "declared" else 0
     assert sorted(calls) == sorted([(k,) for k in range(-cutoff, cutoff + 1)] * per_k)
     # listed once: the second call returns the remembered kernel
     assert kernels[0] is kernels[1] is s._quantized[1]
     assert s._quantized[0] == (toroidal_mod._auto_grid(2 * cutoff), cutoff)
-    if family == "power_decay":
+    if family != "table":
         assert lattice_mod._TracePowers(kernels[0], cutoff)._mode == "diag"
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(["power_decay", "sharpness"]),
+       dim=st.sampled_from([1, 2]),
+       order=st.floats(-6.0, 3.0, allow_nan=False),
+       amplitude=st.one_of(st.floats(-1e3, 1e3),
+                           st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                              allow_infinity=False)),
+       cutoff=st.integers(1, 10 ** 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_values_are_eval_bit_for_bit(family, dim, order, amplitude, cutoff, seed):
+    # on a random subset of the box (all of it when small), with the box's
+    # corners: 1-D cutoffs up to 10^5, 2-D up to 40
+    if dim == 2:
+        cutoff = cutoff % 40 + 1
+    if family == "power_decay":
+        s = power_decay_symbol(order, dim=dim, amplitude=amplitude)
+    else:
+        s = sharpness_symbol(dim=dim)
+    points = lattice_mod._box_points(dim, cutoff)
+    values = s.closed_form(points)
+    at = np.random.default_rng(seed).permutation(len(points))[:500]
+    for i in [0, len(points) - 1, *at.tolist()]:
+        k = tuple(points[i].tolist())
+        assert bits(values[i]) == bits(complex(s.eval((0.0,) * dim, k))), k
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_closed_form_names_the_first_non_finite_value_as_eval_does(dim):
+    # order 2 and amplitude 1e308: every value but sigma(0) overflows, and
+    # both routes name the first site in box order, at x = 0
+    messages = []
+    for s in (power_decay_symbol(2.0, dim=dim, amplitude=1e308),
+              _declared(power_decay_symbol(2.0, dim=dim, amplitude=1e308))):
+        with pytest.raises(EvaluationError, match=r"non-finite at \(x=\(0\.0,") as info:
+            toroidal_matrix(s, 3)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_fourier_coefficients_do_not_fold_far_modes():
@@ -636,35 +686,57 @@ def test_sample_guard_refuses_before_sampling():
     with pytest.raises(FeasibilityError):
         toroidal_matrix(s, 5000)
     assert s._quantized[1] is k
-    # an x-independent symbol takes four samples per k, here 40,004: under the guard
+    # a built-in x-independent symbol takes one closed-form value per k,
+    # here 10,001: under its guard
     k = toroidal_matrix(power_decay_symbol(-2.0), 5000)
     assert k.eval((5000,), (5000,)) == pytest.approx(1.0 / (1.0 + 5000 ** 2))
 
 
 def test_an_x_independent_quantization_is_sized_before_it_samples():
-    # sigma(0, k) and three probes per k: the box of a 2-D cutoff 10^10 could
-    # not even be allocated
-    s = power_decay_symbol(-2.0, dim=2)
-
-    def no_sample(x, k):
+    # the box of a 2-D cutoff 10^10 could not even be allocated: a built-in
+    # symbol counts its box sites, one closed-form value each, and a
+    # declared one sigma(0, k) and three probes per k
+    def no_sample(*args):
         raise AssertionError("the symbol was sampled")
 
-    s.eval = no_sample
-    with pytest.raises(FeasibilityError) as info:
-        toroidal_matrix(s, 10 ** 10)
-    assert info.value.count == 4 * (2 * 10 ** 10 + 1) ** 2 == 1600000000160000000004
-    assert s._quantized is None
+    sites = (2 * 10 ** 10 + 1) ** 2
+    built_in = power_decay_symbol(-2.0, dim=2)
+    declared = _declared(built_in)
+    built_in.eval = built_in.closed_form = declared.eval = no_sample
+    for s, count, what in ((built_in, 400000000040000000001, "box sites"),
+                           (declared, 1600000000160000000004, "samples, four per box site")):
+        with pytest.raises(FeasibilityError) as info:
+            toroidal_matrix(s, 10 ** 10)
+        assert info.value.count == count == (sites if s is built_in else 4 * sites)
+        assert f"needs {count} {what}, above the guard" in str(info.value)
+        assert s._quantized is None
 
 
 @pytest.mark.parametrize("dim, admitted", [(1, 12), (2, 3)])
 def test_the_x_independent_guard_admits_up_to_the_limit(monkeypatch, dim, admitted):
+    # one closed-form value per box site for a built-in symbol, four
+    # samples for a declared one
     side = (2 * admitted + 1) ** dim
+    monkeypatch.setattr(toroidal_mod, "VALUE_LIMIT", side)
     monkeypatch.setattr(toroidal_mod, "SAMPLE_LIMIT", 4 * side)
-    s = power_decay_symbol(-2.0, dim=dim)
-    assert len(toroidal_matrix(s, admitted).support_arrays(admitted)[2]) == side
-    with pytest.raises(FeasibilityError) as info:
-        toroidal_matrix(s, admitted + 1)
-    assert info.value.count == 4 * (2 * admitted + 3) ** dim
+    built_in = power_decay_symbol(-2.0, dim=dim)
+    for s, per_site in ((built_in, 1), (_declared(built_in), 4)):
+        assert len(toroidal_matrix(s, admitted).support_arrays(admitted)[2]) == side
+        with pytest.raises(FeasibilityError) as info:
+            toroidal_matrix(s, admitted + 1)
+        assert info.value.count == per_site * (2 * admitted + 3) ** dim
+
+
+@pytest.mark.parametrize("dim, last", [(1, 4194303), (2, 1447)])
+def test_the_built_in_guard_keeps_the_four_sample_boundary(dim, last):
+    # the built-ins are refused past the cutoffs the four samples per site
+    # were admitted up to, so no request changes its exit code
+    assert 4 * (2 * last + 1) ** dim <= toroidal_mod.SAMPLE_LIMIT < 4 * (2 * last + 3) ** dim
+    assert (2 * last + 1) ** dim <= toroidal_mod.VALUE_LIMIT < (2 * last + 3) ** dim
+    for s in (power_decay_symbol(-2.0, dim=dim), sharpness_symbol(dim=dim)):
+        with pytest.raises(FeasibilityError) as info:
+            toroidal_matrix(s, last + 1)
+        assert info.value.count == (2 * last + 3) ** dim
 
 
 def test_threads_at_different_cutoffs_each_get_their_own_kernel():

@@ -21,13 +21,18 @@ Then ``--passes`` passes time every request on both trees back to back,
 request's latency on a tree is the fastest of its passes, as in
 ``bench/run.py``: requests_per_s is the request count over the sum of
 latencies, latency_p50_s their median and latency_p90_s their nearest-rank
-90th percentile.  Both trees run in the same minutes on the same process,
-so the load of other tenants, which moves separate runs of a shared VM by
-tens of percent, falls on both alike.  BLAS threads are set to the number
+90th percentile.  Each request class (``Request.cls`` of
+``bench/workloads.py``) also gets the ratio b/a of its latencies summed, so
+that a change of the median can be traced to the classes that hold it.
+Both trees run in the same minutes on the same process, so the load of
+other tenants, which moves separate runs of a shared VM by tens of
+percent, falls on both alike.  BLAS threads are set to the number
 of usable cores, as ``bench/run.py`` sets them.
 
 The last line of stdout is one JSON object with the metrics of ``a`` and
-``b`` and the ratios b/a.
+``b``, their ratios b/a (``ratio``) and the summed-latency ratio b/a of each
+request class (``class_ratio``); the lines before it print the same, one
+class a line.
 """
 
 from __future__ import annotations
@@ -115,12 +120,21 @@ def main(argv=None) -> int:
              "latency_p50_s": statistics.median(latencies),
              "latency_p90_s": percentile(latencies, 90)} for latencies in best)
     ratio = {key: b[key] / a[key] for key in METRICS}
+    summed = {cls: [0.0, 0.0] for cls in sorted({req.cls for req in wl.requests})}
+    for i, req in enumerate(wl.requests):
+        for side in (0, 1):
+            summed[req.cls][side] += best[side][i]
+    class_ratio = {cls: sb / sa for cls, (sa, sb) in summed.items()}
     for name, tree, m in (("a", args.a, a), ("b", args.b, b)):
         print(f"{name} {tree}: {m['requests_per_s']:.1f} req/s  "
               f"p50 {m['latency_p50_s'] * 1e3:.3f} ms  p90 {m['latency_p90_s'] * 1e3:.3f} ms")
+    for cls, (sa, sb) in summed.items():
+        print(f"class {cls}: summed latency b/a x{class_ratio[cls]:.3f}  "
+              f"({sa * 1e3:.3f} -> {sb * 1e3:.3f} ms)")
     print("b/a: " + "  ".join(f"{key} x{ratio[key]:.3f}" for key in METRICS))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
-                      "requests": len(requests), "a": a, "b": b, "ratio": ratio}))
+                      "requests": len(requests), "a": a, "b": b, "ratio": ratio,
+                      "class_ratio": class_ratio}))
     return 0
 
 
