@@ -624,9 +624,9 @@ def _listed_symbol(sites: np.ndarray, values: np.ndarray, dim: int, order: float
         nonlocal by_k
         if by_k is None:
             terms = {}
-            for l, kk, v in zip(map(tuple, sites[:, :dim].tolist()),
-                                map(tuple, sites[:, dim:].tolist()), values.tolist()):
-                terms.setdefault(kk, []).append((l, v))
+            for l, key, v in zip(map(tuple, sites[:, :dim].tolist()),
+                                 map(tuple, sites[:, dim:].tolist()), values.tolist()):
+                terms.setdefault(key, []).append((l, v))
             by_k = terms
         return _point_sum(x, by_k.get(k, ()))
 
