@@ -14,7 +14,13 @@ normalizing it would return, so it is kept as it is, and no field path
 is built.  Any other list (int values to convert, bools, strings,
 non-finite numbers, records of the wrong length) goes through the
 per-item walk, which normalizes it or names the first bad item, so the
-normalized values and every message are the walk's.  Params keep the
+normalized values and every message are the walk's.  Four such checks
+serve every kind: ``_plain_records`` the lattice and toroidal entry lists,
+``_plain_matrices`` the block matrices and the matrices of bundle
+``sigma`` records, ``_plain_floats`` spectral eigenvalues and ``_exact``
+spectral multiplicities.  Bundle fiber indices and dual ids are read
+record by record: a record's shape, ``str`` dual id and ``_as_int`` fiber
+indices are checked with the rest of that record's checks.  Params keep the
 lists; the builders turn each lattice or coefficient list into sorted int64
 site arrays and complex128 values in one pass (``_sites``), and refuse a
 site listed twice, naming the later record, after every other check.
@@ -148,16 +154,6 @@ def _plain_matrices(value) -> bool:
     widths = chain.from_iterable([len(matrix[0])] * len(matrix) for matrix in value)
     return (list(map(len, rows)) == list(widths)
             and _plain_records(list(chain.from_iterable(rows)), 0))
-
-
-def _plain_sigma(records) -> bool:
-    """Whether every [i, r, xi, matrix] record has exact int fiber indices,
-    a str dual id and a matrix that _as_matrix would return unchanged."""
-    if not _exact(records, list) or not set(map(len, records)) <= {4}:
-        return False
-    flat = list(chain.from_iterable(records))
-    return (_exact(flat[0::4] + flat[1::4], int) and _exact(flat[2::4], str)
-            and _plain_matrices(flat[3::4]))
 
 
 def _as_entry_list(value, fld: str, index_slots: int) -> list:
@@ -352,15 +348,15 @@ def _validate_bundle(obj: dict) -> dict:
     if not isinstance(raw_sigma, list):
         _fail(f"expected a list of [i, r, xi, matrix] records, got {raw_sigma!r}",
               "sigma")
-    plain = _plain_sigma(raw_sigma)
+    plain = (_exact(raw_sigma, list) and set(map(len, raw_sigma)) <= {4}
+             and _plain_matrices([rec[3] for rec in raw_sigma]))
     sigma = []
     seen_keys = set()
     for n, rec in enumerate(raw_sigma):
-        if not plain and (not isinstance(rec, list) or len(rec) != 4
-                          or not isinstance(rec[2], str)):
+        if not isinstance(rec, list) or len(rec) != 4 or not isinstance(rec[2], str):
             _fail(f"expected [i, r, xi, matrix], got {rec!r}", f"sigma[{n}]")
-        i = rec[0] if plain else _as_int(rec[0], f"sigma[{n}][0]")
-        r = rec[1] if plain else _as_int(rec[1], f"sigma[{n}][1]")
+        i = _as_int(rec[0], f"sigma[{n}][0]")
+        r = _as_int(rec[1], f"sigma[{n}][1]")
         xi = rec[2]
         if not (1 <= i <= fiber_dim and 1 <= r <= fiber_dim):
             _fail(f"fiber indices ({i}, {r}) outside 1..{fiber_dim}", f"sigma[{n}]")
