@@ -232,3 +232,20 @@ def test_the_four_cycle_is_not_reported_converged_at_a_wrong_value(kind):
     else:
         r = invariant_determinant(BlockSymbol((np.roll(np.eye(4), 1, axis=0),)), 0.5)
     assert not r.converged or abs(r.value - 0.9375) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="three zero terms stop the series: Tr(P^m) is 0 "
+                   "for m = 1, 2, 3, and nothing in the terms bounds the tail after them")
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+@pytest.mark.parametrize("kind", ["table", "block"])
+def test_the_33_cycle_is_not_reported_converged_at_a_wrong_value(kind, lam):
+    # the cyclic shift P of the 33 sites of cutoff 16 has det(I + lam P) =
+    # 1 + lam^33: 1 + 2^33 at lam = 2, and 1 + 0.5^33, 1.16e-10 above the
+    # stopped series' 1.0, at lam = 0.5
+    det = 1.0 + lam ** 33
+    if kind == "table":
+        r = lattice_determinant(table_kernel({((j + 17) % 33 - 16, j): 1.0
+                                              for j in range(-16, 17)}), lam, cutoff=16)
+    else:
+        r = invariant_determinant(BlockSymbol((np.roll(np.eye(33), 1, axis=0),)), lam)
+    assert not r.converged or abs(r.value - det) <= 1e-10 * abs(det)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -389,6 +390,23 @@ def test_torus2_model_counts_once_up_to_ten_thousand_levels(monkeypatch):
         calls.clear()
         torus2_model(J)
         assert len(calls) == 1, J
+
+
+def test_torus2_model_doubles_a_short_bound_to_the_same_spectrum(monkeypatch):
+    # a log of 0 makes the first bound 1, so every J past the first few
+    # norms takes the doubling loop; the spectrum must not depend on it
+    want = {J: torus2_model(J) for J in range(51)}
+    monkeypatch.setattr(specdet.invariant, "math", types.SimpleNamespace(
+        log=lambda x: 0.0, isqrt=math.isqrt, sqrt=math.sqrt, pi=math.pi))
+    calls = []
+    count = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a: calls.append(1) or count(*a))
+    for J, sp in want.items():
+        calls.clear()
+        got = torus2_model(J)
+        assert np.array_equal(got.eigenvalues.view(np.uint64), sp.eigenvalues.view(np.uint64))
+        assert np.array_equal(got.multiplicities, sp.multiplicities)
+    assert len(calls) > 1  # J = 50 counts at bounds 1, 2, 4, 8 and 16
 
 
 def _spectral_det_by_index(sp, alpha, lam):
