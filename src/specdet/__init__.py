@@ -41,7 +41,6 @@ from .invariant import (
 from .lattice import (
     LatticeKernel,
     banded_kernel,
-    cycle_trace,
     diagonal_kernel,
     diagonal_kernel_from_rule,
     lattice_determinant,

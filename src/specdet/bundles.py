@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .invariant import _WeightedBlockPowers, _read_only, _side_groups
-from .lattice import _running_sum
+from .invariant import _read_only, _side_groups
+from .lattice import _running_sum, _TracePowers
 from .linalg import CMatrix, mat_add, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -196,7 +196,7 @@ def flatten_symbol(a: BundleSymbol, xi: str) -> np.ndarray:
 
 def bundle_trace_source(a: BundleSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_xi d_xi Tr(S_xi^m) with incremental powers."""
-    powers = _WeightedBlockPowers(_side_groups(
+    powers = _TracePowers(_side_groups(
         [flatten_symbol(a, xi) for xi, _ in a.dual.blocks], [d for _, d in a.dual.blocks]))
     return TracePowerSource(powers.trace, label=a.label)
 

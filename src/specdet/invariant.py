@@ -19,6 +19,11 @@ order nu, the operator (I + E)^(-alpha/nu) has trace powers
 
 Built-in spectra (circle, flat 2-torus, 2-sphere) are generated by counting;
 eigenvalues are not deduplicated, since coinciding levels are legitimate.
+
+Both sums are parts for :class:`specdet.lattice._TracePowers`, the trace-power
+engine of every kind: block symbols give one stack of blocks per side class
+(:func:`_side_groups`) with weight 1 each, and a spectral model one vector
+of 1x1 blocks (1 + lambda_j)^(-alpha/nu) with weights d_j.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, FeasibilityError, ParameterError, ShapeError
-from .lattice import _real_if_real, _running_sum
+from .lattice import _dot, _real_if_real, _running_sum, _TracePowers
 from .linalg import CMatrix, mat_mul
 from .plemelj import DetResult, TracePowerSource, plemelj_det
 
@@ -104,62 +109,15 @@ def block_power_trace(s: BlockSymbol, m: int) -> complex:
     return acc
 
 
-#: longest vector one ``np.dot`` sums: OpenBLAS 0.3.31 splits longer ones
-#: across threads, whose partial sums meet in an order set by their count
-DOT_CHUNK = 10_000
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """``np.dot`` of two vectors, by chunks of DOT_CHUNK added left to right:
-    the same bits on any BLAS thread count, ``np.dot``'s up to DOT_CHUNK."""
-    total = np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK])
-    for start in range(DOT_CHUNK, len(a), DOT_CHUNK):
-        total += np.dot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK])
-    return total
-
-
-class _WeightedBlockPowers:
-    """Incremental trace powers sum_b w_b Tr(B_b^m) over groups of square blocks.
-
-    Each group is ``(weights, stack)``: a float64 vector of g weights and
-    either a (g, s, s) stack of blocks, zero-padded to one side s, or the
-    (g,) values of 1x1 blocks, each float64 or complex128 as
-    :func:`_side_groups` and the spectral values make them.  Each order
-    costs one batched ``np.matmul`` per stack and one
-    ``np.einsum("bii,b->")`` of its diagonals against the weights, or one
-    elementwise product and one ``_dot`` per vector of values; the groups
-    add in the order given, and traces are ``complex``.  Blocks sum within
-    their group first, so grouping the same blocks differently can move
-    the last bits of a trace.
-    """
-
-    def __init__(self, groups):
-        self._groups = [(np.asarray(w, dtype=np.float64), stack) for w, stack in groups]
-        self._current = [stack for _, stack in self._groups]
-        self._traces: list[complex] = []
-
-    def trace(self, m: int) -> complex:
-        if m < 1:
-            raise ParameterError(f"trace power must be >= 1, got {m}")
-        while len(self._traces) < m:
-            if self._traces:
-                self._current = [p * base if base.ndim == 1 else np.matmul(p, base)
-                                 for p, (_, base) in zip(self._current, self._groups)]
-            acc = 0.0j
-            for (w, _), p in zip(self._groups, self._current):
-                acc += complex(_dot(w, p) if p.ndim == 1 else np.einsum("bii,b->", p, w))
-            self._traces.append(acc)
-        return self._traces[m - 1]
-
-
 def _side_groups(blocks, weights) -> list:
-    """``_WeightedBlockPowers`` groups of square array blocks, one stack per
-    power-of-two side class ``(side - 1).bit_length()``, in order of each
-    class's first block.  Each block is zero-padded to the largest side in
-    its class, which leaves its trace powers as they are: a few batched
-    products, each at most 8 times the work of the unpadded blocks.  A
-    stack is float64 when none of its blocks has a nonzero imaginary part,
-    else complex128 (:func:`_real_if_real`); the blocks keep their own."""
+    """``_TracePowers`` parts ``(weights, stack)`` of square array blocks,
+    one stack per power-of-two side class ``(side - 1).bit_length()``, in
+    order of each class's first block.  Each block is zero-padded to the
+    largest side in its class, which leaves its trace powers as they are: a
+    few batched products, each at most 8 times the work of the unpadded
+    blocks.  A stack is float64 when none of its blocks has a nonzero
+    imaginary part, else complex128 (:func:`_real_if_real`); the blocks
+    keep their own."""
     by_class: dict = {}
     for b, w in zip(blocks, weights):
         by_class.setdefault((len(b) - 1).bit_length(), []).append((w, b))
@@ -175,17 +133,16 @@ def _side_groups(blocks, weights) -> list:
 
 def block_trace_source(s: BlockSymbol) -> TracePowerSource:
     """Trace-power source m -> sum_l Tr(sigma(l)^m) with incremental powers."""
-    powers = _WeightedBlockPowers(_side_groups(s.blocks, [1] * len(s.blocks)))
+    powers = _TracePowers(_side_groups(s.blocks, [1] * len(s.blocks)))
     return TracePowerSource(powers.trace, label=s.label)
 
 
 def spectral_trace_source(sp: SpectralModel, alpha: float) -> TracePowerSource:
     """Trace-power source m -> sum_j d_j (1 + lambda_j)^(-alpha*m/nu): one
-    group of 1x1 blocks (1 + lambda_j)^(-alpha/nu) with weights d_j."""
+    part of 1x1 blocks (1 + lambda_j)^(-alpha/nu) with weights d_j."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    powers = _WeightedBlockPowers([(sp.multiplicities,
-                                    (1.0 + sp.eigenvalues) ** (-alpha / sp.nu))])
+    powers = _TracePowers([(sp.multiplicities, (1.0 + sp.eigenvalues) ** (-alpha / sp.nu))])
     return TracePowerSource(powers.trace, label=sp.label)
 
 

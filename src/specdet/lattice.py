@@ -8,8 +8,10 @@ cutoff, with the series tail reported rather than hidden.
 
 Each truncation is held in one form, diagonal, band, sparse or dense by its
 structure, and its trace powers Tr(T^m) are computed from powers in that
-form; the literal m-fold cycle sums live in :mod:`specdet.oracle` and are
-kept as cross-checks only, since nested sums cost N^m.
+form by :class:`_TracePowers`, the one engine of weighted sums
+sum w Tr(P^m) over parts P that block symbols, bundle symbols and spectral
+models use too; the literal m-fold cycle sums live in :mod:`specdet.oracle`
+and are kept as cross-checks only, since nested sums cost N^m.
 
 Everything is a pure function of immutable inputs, and every sum is taken
 in lexicographic order, so results are bitwise deterministic.
@@ -36,7 +38,6 @@ __all__ = [
     "nuclear_norm_estimate",
     "lattice_trace",
     "truncation_trace_source",
-    "cycle_trace",
     "lattice_determinant",
     "diagonal_kernel",
     "diagonal_kernel_from_rule",
@@ -455,63 +456,69 @@ def _band_pair_trace(a: _Band, b: _Band) -> complex:
     return complex(np.einsum("di,di->", a_diags, b_diags))
 
 
+#: longest vector one ``np.dot`` sums: OpenBLAS 0.3.31 splits longer ones
+#: across threads, whose partial sums meet in an order set by their count
+DOT_CHUNK = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``np.dot`` of two vectors, by chunks of DOT_CHUNK added left to right:
+    the same bits on any BLAS thread count, ``np.dot``'s up to DOT_CHUNK."""
+    total = np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK])
+    for start in range(DOT_CHUNK, len(a), DOT_CHUNK):
+        total += np.dot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK])
+    return total
+
+
 class _TracePowers:
-    """Incremental Tr(T^m) of the box truncation of a kernel, from powers in
-    the form its mode (:func:`_mode`) holds; traces are cached as powers are
-    formed, so a determinant costs at most one product per series order.
+    """Incremental trace powers sum w Tr(P^m) over parts ``(w, P)``, added
+    in the order given from 0j; traces are cached as powers are formed, so
+    a series costs at most one product per part and order.  ``w`` is None
+    (unit weights) or a vector of weights, read as float64, and ``P`` is
 
-    - ``diag``: power sums of the nonzero values; values whose power
-      underflows to exactly 0 are dropped, since they add nothing to this
-      or any later trace (subnormal powers stay);
-    - ``band``: ``_Band`` powers over the occupied positions, one
-      ``np.einsum`` per product (:func:`_band_times`), and
+    - a vector of the values of 1x1 blocks, raised by elementwise
+      products: with unit weights summed, and values whose power underflows
+      to exactly 0 dropped, since they add nothing to this or any later
+      trace (subnormal powers stay); with weights taken by ``_dot``
+      against them, dropping nothing;
+    - a (g, s, s) stack of blocks, with weights: one batched ``np.matmul``
+      per order and ``np.einsum("bii,b->")`` of its diagonals against them;
+    - a dense array or a scipy CSR matrix, with unit weights: products
+      ``@`` and the sum of the diagonal;
+    - a ``_Band``, the only part: powers by :func:`_band_times` and
       Tr(T^m) = Tr(T^a T^b), a = ceil(m/2), b = floor(m/2), so only the
-      two powers in use stay alive;
-    - ``sparse``: scipy CSR products; ``dense``: products of the
-      truncation's matrix (a ``refused`` one is refused: its CSR products
-      would cost as much as dense ones, and run slower).
+      two powers in use stay alive.
 
-    Every mode reads the stored truncation in its stored dtype, float64
-    when no entry has a nonzero imaginary part, else complex128 (see
-    :func:`_truncation`); the dense base is the stored matrix itself.
-    Traces are ``complex`` either way.  A real chain may round differently
-    from the complex one in the last bits; on the shipped fixtures no CLI
-    report shows it, at cutoff 8 or 64.
+    Each part is read in its own dtype, float64 or complex128 as
+    :func:`_real_if_real` makes it, and traces are ``complex``.  A real
+    matrix chain may round differently from the complex one in the last
+    bits, and blocks sum within their stack first, so grouping the same
+    blocks differently can move the last bits of a trace.
     """
 
-    def __init__(self, k: LatticeKernel, cutoff: int):
-        self._mode, entries, self._base = _truncation(k, cutoff)
-        self.side = box_side(k.dim, cutoff)
+    def __init__(self, parts):
+        # [w, P, P^m]: the base P of a part of 1x1 blocks loses the values
+        # whose power underflowed to 0
+        self._parts = [[None if w is None else np.asarray(w, dtype=np.float64), p, p]
+                       for w, p in parts]
         self._traces: list[complex] = []
-        if entries is not None:
-            rows, cols, vals = entries
-            if self._mode == "diag":
-                self._base = vals[vals != 0]
-            elif self._mode == "band":  # over the positions the entries occupy
-                first, n, lo, hi = _band_span(rows, cols)
-                self._base = band = _Band(lo, hi, n, vals.dtype, lo, hi)
-                band.rows[cols - rows - lo, rows - first] = vals
-                # one progression through the diagonals of T holding a nonzero entry
-                held = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
-                step = math.gcd(*np.diff(held).tolist()) or 1
-                self._offsets = range(held[0], held[-1] + 1, step) if held else range(0)
-                self._powers = {1: band}
-            else:
-                if 8 * (self.side + 1) > np.iinfo(np.intp).max:  # the CSR row index
-                    raise FeasibilityError(f"a CSR matrix of side {self.side} is too large "
-                                           f"to index", count=self.side)
-                from scipy import sparse
-
-                self._base = sparse.csr_matrix((vals, (rows, cols)),
-                                               shape=(self.side, self.side))
-        self._cur = self._base
+        self._powers = None
+        if len(parts) == 1 and isinstance(parts[0][1], _Band):
+            band = parts[0][1]
+            # one progression through the diagonals of T holding a nonzero entry
+            held = (np.flatnonzero(band.rows.any(axis=1)) + band.lo).tolist()
+            step = math.gcd(*np.diff(held).tolist()) or 1
+            self._offsets = range(held[0], held[-1] + 1, step) if held else range(0)
+            self._powers = {1: band}
 
     def _power(self, a: int) -> _Band:
-        """T^a, formed from T^(a-1) when not held; then only those two are held."""
+        """T^a of the band, formed from T^(a-1) when not held; then only
+        those two are held."""
         if a not in self._powers:
             prev = self._powers[a - 1]
             self._powers.clear()  # release T^(a-2) before the product
-            self._powers.update({a - 1: prev, a: _band_times(self._base, self._offsets, prev)})
+            t = self._parts[0][1]
+            self._powers.update({a - 1: prev, a: _band_times(t, self._offsets, prev)})
         return self._powers[a]
 
     def trace(self, m: int) -> complex:
@@ -522,44 +529,60 @@ class _TracePowers:
         return self._traces[m - 1]
 
     def _next_trace(self, m: int) -> complex:
-        if self._mode == "band":
+        if self._powers is not None:
             if m > 1:
                 return _band_pair_trace(self._power((m + 1) // 2), self._power(m // 2))
-            t = self._base
+            t = self._parts[0][1]
             return complex(t.rows[-t.lo].sum()) if t.lo <= 0 <= t.hi else 0j
-        if self._mode == "diag":
-            if m > 1:
-                cur = self._cur * self._base
-                if np.count_nonzero(cur) < len(cur):  # some powers underflowed to 0
-                    keep = cur != 0
-                    cur, self._base = cur[keep], self._base[keep]
-                self._cur = cur
-            return complex(self._cur.sum())
-        if m > 1:  # advance current power by one order
-            self._cur = self._cur @ self._base
-        return complex(self._cur.diagonal().sum())
+        acc = 0.0j
+        for part in self._parts:
+            w, base, cur = part
+            if cur.ndim == 1:
+                if m > 1:
+                    cur = cur * base
+                    if w is None and np.count_nonzero(cur) < len(cur):  # some underflowed to 0
+                        keep = cur != 0
+                        cur, part[1] = cur[keep], base[keep]
+                    part[2] = cur
+                acc += complex(cur.sum() if w is None else _dot(w, cur))
+            else:
+                if m > 1:
+                    part[2] = cur = cur @ base
+                acc += complex(np.einsum("bii,b->", cur, w) if cur.ndim == 3
+                               else cur.diagonal().sum())
+        return acc
 
 
 def truncation_trace_source(k: LatticeKernel, cutoff: int,
                             norm_hint: float | None = None) -> TracePowerSource:
     """Trace-power source m -> Tr(T^m) of the box truncation, with powers
-    formed incrementally so ascending queries cost at most one product each."""
-    return TracePowerSource(_TracePowers(k, cutoff).trace,
+    formed incrementally so ascending queries cost at most one product each.
+
+    The truncation is one part of :class:`_TracePowers`, built from what
+    :func:`_truncation` stores for its mode (:func:`_mode`): the nonzero
+    values for ``diag``, a ``_Band`` over the positions the entries occupy
+    for ``band``, a CSR matrix for ``sparse``, and for ``dense`` the stored
+    matrix itself (a ``refused`` one is refused: its CSR products would cost
+    as much as dense ones, and run slower)."""
+    mode, entries, part = _truncation(k, cutoff)
+    if entries is not None:
+        rows, cols, vals = entries
+        if mode == "diag":
+            part = vals[vals != 0]
+        elif mode == "band":
+            first, n, lo, hi = _band_span(rows, cols)
+            part = _Band(lo, hi, n, vals.dtype, lo, hi)
+            part.rows[cols - rows - lo, rows - first] = vals
+        else:
+            side = box_side(k.dim, cutoff)
+            if 8 * (side + 1) > np.iinfo(np.intp).max:  # the CSR row index
+                raise FeasibilityError(f"a CSR matrix of side {side} is too large "
+                                       f"to index", count=side)
+            from scipy import sparse
+
+            part = sparse.csr_matrix((vals, (rows, cols)), shape=(side, side))
+    return TracePowerSource(_TracePowers([(None, part)]).trace,
                             norm_hint=norm_hint, label=k.label)
-
-
-def cycle_trace(k: LatticeKernel, m: int, cutoff: int) -> complex:
-    """Tr(T^m) over the box truncation, i.e. the sum over closed index
-    chains j_0 -> j_1 -> ... -> j_m = j_0 of prod_s K(j_{s-1}, j_s).
-
-    Computed through powers in the form :func:`_mode` picks (at most m - 1
-    products, each O(N^3) dense with N the box side, about m/2 of O(N w)
-    for a band whose powers span w diagonals) rather than the literal N^m
-    nested sum, which :mod:`specdet.oracle` keeps as a cross-check.
-    """
-    if m < 1:
-        raise ParameterError(f"cycle order must be >= 1, got {m}")
-    return _TracePowers(k, cutoff).trace(m)
 
 
 def lattice_determinant(k: LatticeKernel, lam: complex, order: int = 30,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from specdet import CMatrix
+from specdet import CMatrix, truncation_trace_source
+from specdet.lattice import _truncation
 
 
 def rand_complex(rng, scale: float = 1.0) -> complex:
@@ -190,3 +191,15 @@ def assert_truncation_is_entry_walk(k, cutoff: int):
     for n in range(len(a)):
         acc += complex(a[n, n])
     assert bits(lattice_trace(k, cutoff)) == bits(acc)
+
+
+def trace_powers(k, cutoff: int):
+    """The trace-power engine behind ``truncation_trace_source(k, cutoff)``:
+    its one part is the truncation, ``_parts[0][1]`` the base of its powers
+    and ``_parts[0][2]`` the power last formed."""
+    return truncation_trace_source(k, cutoff).trace_power.__self__
+
+
+def truncation_mode(k, cutoff: int) -> str:
+    """The trace-power mode of the truncation of ``k`` at ``cutoff``."""
+    return _truncation(k, cutoff)[0]

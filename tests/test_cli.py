@@ -251,16 +251,16 @@ def test_radius_is_positive():
 
 
 def test_wide_banded_fixture_takes_the_band_path():
-    from specdet.lattice import _TracePowers
     from specdet.specfile import build_operator, parse_spec
+    from support import trace_powers, truncation_mode
 
     # banded_gapped_complex.json: complex offsets -2, 0 and 1
     for fixture, dtype in (("banded_wide.json", "float64"),
                            ("banded_gapped_complex.json", "complex128")):
         op = build_operator(parse_spec(FIXTURES / fixture))
-        assert _TracePowers(op, 8)._mode == "dense"
-        band = _TracePowers(op, 64)  # side 129
-        assert band._mode == "band" and band._base.rows.dtype == dtype
+        assert truncation_mode(op, 8) == "dense"
+        band = trace_powers(op, 64)._parts[0][1]  # side 129
+        assert truncation_mode(op, 64) == "band" and band.rows.dtype == dtype
         code, report, err = run_json(["det", "--input", f"fixtures/{fixture}",
                                       "--cutoff", "64"])
         assert code == 0, err

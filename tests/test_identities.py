@@ -10,6 +10,8 @@ band or sparse path).  Inside the series disc every kind agrees within
 reason (``DetResult.reason``).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from specdet import (
     DualObject,
     LatticeKernel,
     SpectralModel,
+    banded_kernel,
     bundle_determinant,
     diagonal_kernel,
     flatten_symbol,
@@ -248,4 +251,25 @@ def test_the_33_cycle_is_not_reported_converged_at_a_wrong_value(kind, lam):
                                               for j in range(-16, 17)}), lam, cutoff=16)
     else:
         r = invariant_determinant(BlockSymbol((np.roll(np.eye(33), 1, axis=0),)), lam)
+    assert not r.converged or abs(r.value - det) <= 1e-10 * abs(det)
+
+
+@pytest.mark.xfail(strict=True, reason="every odd trace power is exactly 0: one small even "
+                   "term between two zero terms stops the series, and the zero last term "
+                   "reads as a zero tail")
+@pytest.mark.parametrize("kind", ["banded", "block"])
+def test_a_spectrum_symmetric_about_0_is_not_reported_converged_at_a_wrong_value(kind):
+    # the tridiagonal truncation of side 101 with 1.0 below the diagonal and
+    # 0.01 above has eigenvalues 2 sqrt(0.01) cos(k pi / 102), k = 1..101, in
+    # pairs +-x; at lam = 4 the series stops at order 81 claiming a zero tail,
+    # 2.9e-9 relative from the product
+    lam = 4.0
+    det = math.prod(1.0 + lam * 2.0 * math.sqrt(0.01) * math.cos(k * math.pi / 102)
+                    for k in range(1, 102))
+    if kind == "banded":
+        r = lattice_determinant(banded_kernel({-1: 1.0, 1: 0.01}, support=10 ** 6), lam,
+                                order=200, cutoff=50)
+    else:
+        block = np.diag(np.full(100, 1.0), -1) + np.diag(np.full(100, 0.01), 1)
+        r = invariant_determinant(BlockSymbol((block,)), lam, order=200)
     assert not r.converged or abs(r.value - det) <= 1e-10 * abs(det)

@@ -20,6 +20,7 @@ from specdet import (
     block_trace_source,
     bundle_trace_source,
     circle_model,
+    flatten_symbol,
     invariant_determinant,
     lu_determinant,
     manifold_determinant,
@@ -439,7 +440,8 @@ def test_spectral_oracles_equal_the_per_index_loop(sp):
 
 
 def test_block_classes_pad_blocks_to_a_power_of_two_side():
-    from specdet.invariant import _WeightedBlockPowers, _side_groups
+    from specdet.invariant import _side_groups
+    from specdet.lattice import _TracePowers
 
     rng = np.random.default_rng(58)
     sides = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 3, 6, 1, 12]
@@ -448,7 +450,7 @@ def test_block_classes_pad_blocks_to_a_power_of_two_side():
     groups = _side_groups(blocks, weights)
     assert len(groups) <= max(sides).bit_length() + 1
     assert [stack.shape[1] for _, stack in groups] == [1, 2, 4, 8, 16, 17]
-    powers = _WeightedBlockPowers(groups)
+    powers = _TracePowers(groups)
     for m in range(1, 41):
         expected = sum(w * np.trace(np.linalg.matrix_power(b, m))
                        for w, b in zip(weights, blocks))
@@ -463,28 +465,37 @@ def _positive_block(rng, n, imag=0.0):
     return block
 
 
-def _assert_real_stacks_follow_the_complex_chain(src, dtypes):
-    """The stacks behind a block or bundle source have ``dtypes``, and over
-    40 orders its traces follow the complex128 chain of the same stacks:
-    one batched ``np.matmul`` per order, the diagonals taken by
-    ``np.einsum`` against the weights and the groups added in order; bit
-    for bit when every stack is complex, else within 1e-14 relative."""
-    groups = src.trace_power.__self__._groups
-    assert [stack.dtype for _, stack in groups] == dtypes
-    groups = [(w, stack.astype(np.complex128)) for w, stack in groups]
-    cur = [stack for _, stack in groups]
-    for m in range(1, 41):
+def _chain_traces(groups, orders):
+    """Traces of ``(weights, stack)`` groups over ``orders`` orders: one
+    batched ``np.matmul`` per order and stack, the diagonals taken by
+    ``np.einsum`` against the weights and the groups added in order from 0j."""
+    cur, traces = [stack for _, stack in groups], []
+    for m in range(1, orders + 1):
         if m > 1:
             cur = [np.matmul(p, stack) for p, (_, stack) in zip(cur, groups)]
         want = 0j
         for (w, _), p in zip(groups, cur):
             want += complex(np.einsum("bii,b->", p, w))
+        traces.append(want)
+    return traces
+
+
+def _assert_stacks_follow_their_chains(src, blocks, weights, dtypes):
+    """The side-class stacks of ``blocks`` have ``dtypes``, and over 40
+    orders the traces of ``src`` are bit for bit the chain of those stacks,
+    each in its own dtype, against float64 ``weights``; with a real stack
+    they also follow the complex128 chain of the same stacks within 1e-14
+    relative."""
+    from specdet.invariant import _side_groups
+
+    groups = [(np.array(w, dtype=np.float64), stack)
+              for w, stack in _side_groups(blocks, weights)]
+    assert [stack.dtype for _, stack in groups] == dtypes
+    wide = _chain_traces([(w, stack.astype(np.complex128)) for w, stack in groups], 40)
+    for m, (want, complex_want) in enumerate(zip(_chain_traces(groups, 40), wide), start=1):
         got = src.trace_power(m)
-        assert type(got) is complex
-        if np.float64 in dtypes:
-            assert abs(got - want) <= 1e-14 * abs(want)
-        else:
-            assert bits(got) == bits(want)
+        assert type(got) is complex and bits(got) == bits(want)
+        assert abs(got - complex_want) <= 1e-14 * abs(complex_want)
 
 
 @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (0.01, np.complex128)],
@@ -493,7 +504,7 @@ def test_block_stacks_are_float64_exactly_when_the_blocks_are_real(imag, dtype):
     rng = np.random.default_rng(62)
     s = BlockSymbol([_positive_block(rng, n, imag) for n in (1, 2, 3, 5, 8, 8, 4)])
     assert all(b.dtype == np.complex128 and not b.flags.writeable for b in s.blocks)
-    _assert_real_stacks_follow_the_complex_chain(block_trace_source(s), [dtype] * 4)
+    _assert_stacks_follow_their_chains(block_trace_source(s), s.blocks, [1.0] * 7, [dtype] * 4)
 
 
 def test_each_block_stack_keeps_its_own_dtype():
@@ -501,8 +512,8 @@ def test_each_block_stack_keeps_its_own_dtype():
     rng = np.random.default_rng(63)
     blocks = [_positive_block(rng, 2), _positive_block(rng, 3), _positive_block(rng, 2),
               _positive_block(rng, 4, imag=0.05)]
-    _assert_real_stacks_follow_the_complex_chain(block_trace_source(BlockSymbol(blocks)),
-                                                 [np.float64, np.complex128])
+    _assert_stacks_follow_their_chains(block_trace_source(BlockSymbol(blocks)), blocks,
+                                       [1.0] * 4, [np.float64, np.complex128])
 
 
 @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (0.01, np.complex128)],
@@ -514,8 +525,10 @@ def test_bundle_stacks_are_float64_exactly_when_the_symbol_is_real(imag, dtype):
                for xi, d in dual.blocks for i in (1, 2) for r in (1, 2)}
     a = BundleSymbol.from_entries(2, dual, entries)
     assert all(s.dtype == np.complex128 for s in a.sigma.values())
-    # flattened sides 2, 4, 6, 4: three side classes
-    _assert_real_stacks_follow_the_complex_chain(bundle_trace_source(a), [dtype] * 3)
+    # flattened sides 2, 4, 6, 4: three side classes, weighted by d_xi
+    _assert_stacks_follow_their_chains(bundle_trace_source(a),
+                                       [flatten_symbol(a, xi) for xi, _ in dual.blocks],
+                                       [float(d) for _, d in dual.blocks], [dtype] * 3)
 
 
 def test_spectral_source_is_the_float64_dot_of_iterated_powers():
@@ -536,12 +549,12 @@ def test_spectral_source_is_the_float64_dot_of_iterated_powers():
 
 
 def test_weighted_block_powers_mix_value_and_stack_groups():
-    from specdet.invariant import _WeightedBlockPowers
+    from specdet.lattice import _TracePowers
 
     rng = np.random.default_rng(57)
     values = rng.uniform(-0.8, 0.8, size=6)
     stack = (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))) * 0.3
-    powers = _WeightedBlockPowers([([1, 2, 1, 3, 1, 2], values), ([2, 1, 5], stack)])
+    powers = _TracePowers([([1, 2, 1, 3, 1, 2], values), ([2, 1, 5], stack)])
     for m in range(1, 21):
         expected = np.dot([1, 2, 1, 3, 1, 2], values ** m) + sum(
             w * np.trace(np.linalg.matrix_power(b, m)) for w, b in zip([2, 1, 5], stack))

@@ -14,7 +14,6 @@ from specdet import (
     LatticeKernel,
     assemble_truncation,
     banded_kernel,
-    cycle_trace,
     diagonal_kernel,
     diagonal_kernel_from_rule,
     direct_determinant,
@@ -35,11 +34,12 @@ from specdet import (
     table_kernel,
     table_symbol,
     toroidal_matrix,
+    truncation_trace_source,
 )
 from specdet.errors import EvaluationError, FeasibilityError, ParameterError
 
 from support import (as_array, assert_truncation_is_entry_walk, bits, matrix_entries,
-                     non_finite_site, rand_complex)
+                     non_finite_site, rand_complex, trace_powers, truncation_mode)
 
 
 def random_table_kernel(rng, support=3, density=0.5, scale=0.4):
@@ -115,18 +115,18 @@ def test_cycle_trace_diagonal_powers():
     mus = {j: 0.1 * j + 0.05j for j in range(-2, 3)}
     k = diagonal_kernel(mus)
     expected = sum(v ** 3 for v in mus.values())
-    assert abs(cycle_trace(k, 3, 2) - expected) < 1e-14
+    assert abs(truncation_trace_source(k, 2).trace_power(3) - expected) < 1e-14
 
 
 def test_cycle_trace_nilpotent_shift():
     k = banded_kernel({1: 1.0}, support=2)
-    assert cycle_trace(k, 2, 2) == 0
+    assert truncation_trace_source(k, 2).trace_power(2) == 0
 
 
 def test_cycle_trace_order_one_is_trace():
     rng = np.random.default_rng(23)
     k = random_table_kernel(rng, support=2)
-    assert cycle_trace(k, 1, 2) == lattice_trace(k, 2)
+    assert truncation_trace_source(k, 2).trace_power(1) == lattice_trace(k, 2)
 
 
 def test_cycle_trace_matches_literal_nested_sum():
@@ -134,7 +134,7 @@ def test_cycle_trace_matches_literal_nested_sum():
     for _ in range(5):
         k = random_table_kernel(rng, support=2)
         for m in (1, 2, 3, 4):
-            fast = cycle_trace(k, m, 2)
+            fast = truncation_trace_source(k, 2).trace_power(m)
             literal = literal_cycle_sum(k, m, 2)
             assert abs(fast - literal) <= 1e-10 * max(1.0, abs(literal))
 
@@ -145,7 +145,7 @@ def test_cycle_trace_matches_matrix_power_of_truncation():
     truncation = assemble_truncation(k, 4)
     for m in (1, 2, 5):
         expected = mat_power_trace(truncation, m)
-        got = cycle_trace(k, m, 4)
+        got = truncation_trace_source(k, 4).trace_power(m)
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -153,10 +153,10 @@ def test_sparse_path_agrees_with_dense():
     # 37 entries on 13 positions: too full for a band, but sparse in the
     # box of side 201, whose traces are those of the box of side 13
     k = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=6)
-    assert lattice_mod._TracePowers(k, 6)._mode == "dense"
-    assert lattice_mod._TracePowers(k, 100)._mode == "sparse"
-    dense = [cycle_trace(k, m, 6) for m in (1, 2, 3, 4)]
-    sparse = [cycle_trace(k, m, 100) for m in (1, 2, 3, 4)]
+    assert truncation_mode(k, 6) == "dense"
+    assert truncation_mode(k, 100) == "sparse"
+    dense = [truncation_trace_source(k, 6).trace_power(m) for m in (1, 2, 3, 4)]
+    sparse = [truncation_trace_source(k, 100).trace_power(m) for m in (1, 2, 3, 4)]
     for a, b in zip(dense, sparse):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -175,8 +175,8 @@ def _assert_matches_dense_chain(monkeypatch, k, cutoff, powers):
     with monkeypatch.context() as patch:
         patch.setattr(lattice_mod, "SPARSE_SIDE_MIN", lattice_mod.DENSE_SIDE_LIMIT + 1)
         patch.setattr(k, "_truncated", None)  # the mode is chosen once per truncation
-        reference = lattice_mod._TracePowers(k, cutoff)
-        assert reference._mode == "dense"
+        reference = trace_powers(k, cutoff)
+        assert truncation_mode(k, cutoff) == "dense"
         for m, got in enumerate(traces, start=1):
             expected = reference.trace(m)
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -206,8 +206,8 @@ def _record_band_products(monkeypatch):
 ])
 def test_banded_truncation_takes_band_path(monkeypatch, make_kernel):
     k = make_kernel()
-    powers = lattice_mod._TracePowers(k, 190)
-    assert powers._mode == "band"
+    powers = trace_powers(k, 190)
+    assert truncation_mode(k, 190) == "band"
     _assert_matches_dense_chain(monkeypatch, k, 190, powers)
 
 
@@ -217,18 +217,19 @@ def test_banded_truncation_takes_band_path(monkeypatch, make_kernel):
 ], ids=["asymmetric-complex", "support-below-cutoff"])
 def test_band_path_agrees_with_dense_chain(monkeypatch, offsets, support, cutoff):
     k = banded_kernel(offsets, support=support)
-    powers = lattice_mod._TracePowers(k, cutoff)
-    assert powers._mode == "band"
+    powers = trace_powers(k, cutoff)
+    assert truncation_mode(k, cutoff) == "band"
     # the diagonals span the occupied positions only, not the box
-    assert powers._base.rows.shape == (max(offsets) - min(offsets) + 1,
+    assert powers._parts[0][1].rows.shape == (max(offsets) - min(offsets) + 1,
                                        2 * min(support, cutoff) + 1)
     _assert_matches_dense_chain(monkeypatch, k, cutoff, powers)
 
 
 def test_one_sided_shift_keeps_one_diagonal_per_power(monkeypatch):
     calls = _record_band_products(monkeypatch)
-    powers = lattice_mod._TracePowers(banded_kernel({1: 0.9 - 0.4j}, support=200), 150)
-    assert powers._mode == "band"
+    k = banded_kernel({1: 0.9 - 0.4j}, support=200)
+    powers = trace_powers(k, 150)
+    assert truncation_mode(k, 150) == "band"
     assert [powers.trace(m) for m in range(1, 31)] == [0] * 30
     assert [(lo, hi) for lo, hi, _ in calls] == [(a, a) for a in range(2, 16)]
 
@@ -245,8 +246,8 @@ def test_one_sided_band_powers_vanish_within_the_orders(monkeypatch, make_kernel
     # product is then an empty band, and so are all later powers
     k = make_kernel()
     calls = _record_band_products(monkeypatch)
-    powers = lattice_mod._TracePowers(k, 64)
-    assert powers._mode == "band"
+    powers = trace_powers(k, 64)
+    assert truncation_mode(k, 64) == "band"
     _assert_matches_dense_chain(monkeypatch, k, 64, powers)
     assert [powers.trace(m) for m in range(1, 31)] == [0] * 30
     assert any(lo > hi for lo, hi, _ in calls)
@@ -269,8 +270,8 @@ def test_band_powers_stop_at_half_the_order(monkeypatch):
 
 def test_wide_band_truncation_keeps_the_sparse_path(monkeypatch):
     k = poincare_strict_kernel()  # row one spans the box: no narrow band
-    powers = lattice_mod._TracePowers(k, 100)
-    assert powers._mode == "sparse"
+    powers = trace_powers(k, 100)
+    assert truncation_mode(k, 100) == "sparse"
     _assert_matches_dense_chain(monkeypatch, k, 100, powers)
 
 
@@ -280,10 +281,10 @@ def test_two_dimensional_band_above_the_dense_limit_keeps_the_sparse_path(cutoff
     # powers would be mostly empty, so it keeps CSR at any cutoff
     k = banded_kernel({(a, b): 0.05 for a in (-1, 0, 1) for b in (-1, 0, 1)},
                       support=200, dim=2)
-    powers = lattice_mod._TracePowers(k, cutoff)
-    assert powers.side > lattice_mod.DENSE_SIDE_LIMIT
-    assert powers._mode == "sparse"
-    assert abs(powers.trace(1) - 0.05 * powers.side) <= 1e-12 * powers.side
+    powers, side = trace_powers(k, cutoff), lattice_mod.box_side(2, cutoff)
+    assert side > lattice_mod.DENSE_SIDE_LIMIT
+    assert truncation_mode(k, cutoff) == "sparse"
+    assert abs(powers.trace(1) - 0.05 * side) <= 1e-12 * side
 
 
 def test_short_support_at_vast_cutoff_allocates_no_side_wide_band():
@@ -297,12 +298,12 @@ def test_short_support_at_vast_cutoff_allocates_no_side_wide_band():
     k = rank_one_kernel(g, h)
     tracemalloc.start()
     try:
-        powers = lattice_mod._TracePowers(k, 20000)
+        powers = trace_powers(k, 20000)
         traces = [powers.trace(m) for m in range(1, 31)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert powers._mode == "sparse"
+    assert truncation_mode(k, 20000) == "sparse"
     # a band array across the side would take 14 * 40001 * 16 bytes, 9 MB
     assert peak < 2 << 20
     inner = sum(g[j] * h[j] for j in g)
@@ -321,9 +322,9 @@ def test_band_wider_than_box_walks_only_the_box():
     # take 17.7 million steps; the walk clipped to the box takes 49^2
     k = LatticeKernel(2, eval_fn, band_radius=300, label="wide-band")
     start = time.perf_counter()
-    powers = lattice_mod._TracePowers(k, 3)
+    powers = trace_powers(k, 3)
     assert time.perf_counter() - start < 1.0
-    side = powers.side
+    side = lattice_mod.box_side(2, 3)
     assert side == 49 and len(calls) == side * side
     a = as_array(assemble_truncation(k, 3))
     for m in (1, 2, 3, 7):
@@ -335,8 +336,9 @@ def test_dense_kernels_and_small_sides_stay_dense():
     g = {j: 0.5 / (1 + abs(j)) for j in range(-70, 71)}
     h = {j: (0.3 - 0.2j) / (1 + j * j) for j in range(-70, 71)}
     full = rank_one_kernel(g, h)
-    powers = lattice_mod._TracePowers(full, 70)
-    assert powers.side >= lattice_mod.SPARSE_SIDE_MIN and powers._mode == "dense"
+    powers = trace_powers(full, 70)
+    assert lattice_mod.box_side(1, 70) >= lattice_mod.SPARSE_SIDE_MIN
+    assert truncation_mode(full, 70) == "dense"
     # the array built from the collected entries against the oracle's
     # entry-by-entry assembly
     a = as_array(assemble_truncation(full, 70))
@@ -345,12 +347,12 @@ def test_dense_kernels_and_small_sides_stay_dense():
         assert abs(powers.trace(m) - expected) <= 1e-12 * max(1.0, abs(expected))
     tri = banded_kernel({0: 0.3, 1: 0.2 - 0.1j, -1: -0.15}, support=200)
     for cutoff in (1, 6, 40, 63):  # side 127 is the largest below SPARSE_SIDE_MIN
-        assert lattice_mod._TracePowers(tri, cutoff)._mode == "dense"
-        assert lattice_mod._TracePowers(_band_only_tridiagonal(), cutoff)._mode == "dense"
-    assert lattice_mod._TracePowers(tri, 64)._mode == "band"
+        assert truncation_mode(tri, cutoff) == "dense"
+        assert truncation_mode(_band_only_tridiagonal(), cutoff) == "dense"
+    assert truncation_mode(tri, 64) == "band"
     # a band of half-width 8 fills 17 of 141 entries per row: above side^2/32
     wide = banded_kernel({d: 0.05 for d in range(-8, 9)}, support=200)
-    assert lattice_mod._TracePowers(wide, 70)._mode == "dense"
+    assert truncation_mode(wide, 70) == "dense"
 
 
 @pytest.mark.parametrize("eval_fn, mode", [
@@ -360,8 +362,8 @@ def test_dense_kernels_and_small_sides_stay_dense():
 ], ids=["tridiagonal", "short-support"])
 def test_sparse_eval_only_truncation_leaves_the_dense_chain(monkeypatch, eval_fn, mode):
     k = LatticeKernel(1, eval_fn, label="eval-only")
-    powers = lattice_mod._TracePowers(k, 70)  # side 141
-    assert powers._mode == mode
+    powers = trace_powers(k, 70)  # side 141
+    assert truncation_mode(k, 70) == mode
     _assert_matches_dense_chain(monkeypatch, k, 70, powers)
 
 
@@ -370,8 +372,8 @@ def test_kernel_without_structure_takes_the_dense_chain():
         return (0.2 - 0.1j * j[0]) / (1 + abs(j[0] - m[0]) + m[0] * m[0])
 
     k = LatticeKernel(1, eval_fn, label="no-structure")
-    powers = lattice_mod._TracePowers(k, 4)
-    assert powers._mode == "dense"
+    powers = trace_powers(k, 4)
+    assert truncation_mode(k, 4) == "dense"
     a = as_array(assemble_truncation(k, 4))
     for m in (1, 2, 5):
         expected = np.trace(np.linalg.matrix_power(a, m))
@@ -409,8 +411,8 @@ def _wide_range_values(rng, n):
 ], ids=["table", "rule-with-zeros"])
 def test_real_diagonal_chain_matches_the_complex_side_vector_chain(make_kernel, cutoff):
     k = make_kernel(np.random.default_rng(41))
-    powers = lattice_mod._TracePowers(k, cutoff)
-    assert powers._mode == "diag" and powers._base.dtype == np.float64
+    powers = trace_powers(k, cutoff)
+    assert truncation_mode(k, cutoff) == "diag" and powers._parts[0][1].dtype == np.float64
     expected = _side_vector_traces(k, cutoff, 2000)
     for m, want in enumerate(expected, start=1):
         got = powers.trace(m)
@@ -421,16 +423,17 @@ def test_real_diagonal_chain_matches_the_complex_side_vector_chain(make_kernel, 
 def test_underflowed_diagonal_powers_are_dropped():
     # 1e-160 squared is subnormal (1e-320) and kept; cubed it is 0 and dropped
     values = {0: 1.0, 1: -0.5, 2: 1e-160, 3: 1e-200, 4: 0.0}
-    powers = lattice_mod._TracePowers(diagonal_kernel(values), 5)
-    assert powers._base.tolist() == [1.0, -0.5, 1e-160, 1e-200]  # the explicit zero is gone
+    powers = trace_powers(diagonal_kernel(values), 5)
+    part = powers._parts[0]  # [weights, base, last power formed]
+    assert part[1].tolist() == [1.0, -0.5, 1e-160, 1e-200]  # the explicit zero is gone
     powers.trace(2)
-    assert powers._base.tolist() == [1.0, -0.5, 1e-160]
-    assert powers._cur.tolist() == [1.0, 0.25, 1e-160 * 1e-160]
-    assert 0 < powers._cur[-1] < np.finfo(np.float64).tiny
+    assert part[1].tolist() == [1.0, -0.5, 1e-160]
+    assert part[2].tolist() == [1.0, 0.25, 1e-160 * 1e-160]
+    assert 0 < part[2][-1] < np.finfo(np.float64).tiny
     powers.trace(3)
-    assert powers._base.tolist() == [1.0, -0.5]
+    assert part[1].tolist() == [1.0, -0.5]
     assert powers.trace(1100) == 1 + 0.0j  # (-0.5)^1100 underflows too
-    assert powers._base.tolist() == powers._cur.tolist() == [1.0]
+    assert part[1].tolist() == part[2].tolist() == [1.0]
     expected = _side_vector_traces(diagonal_kernel(values), 5, 1100)
     assert [powers.trace(m) for m in range(1, 1101)] == expected
 
@@ -439,8 +442,8 @@ def test_complex_diagonal_value_keeps_complex128():
     values = {j: 0.9 / (1 + j * j) for j in range(-30, 31)}
     values[7] = 0.02 + 1e-3j
     k = diagonal_kernel(values)
-    powers = lattice_mod._TracePowers(k, 30)
-    assert powers._mode == "diag" and powers._base.dtype == np.complex128
+    powers = trace_powers(k, 30)
+    assert truncation_mode(k, 30) == "diag" and powers._parts[0][1].dtype == np.complex128
     for m, want in enumerate(_side_vector_traces(k, 30, 300), start=1):
         assert abs(powers.trace(m) - want) <= 1e-14 * abs(want)
 
@@ -451,8 +454,8 @@ def test_zero_fixture_has_zero_traces():
     from specdet.specfile import build_operator, parse_spec
 
     k = build_operator(parse_spec(Path(__file__).resolve().parent.parent / "fixtures" / "zero.json"))
-    powers = lattice_mod._TracePowers(k, 8)
-    assert powers._mode == "diag" and len(powers._base) == 0
+    powers = trace_powers(k, 8)
+    assert truncation_mode(k, 8) == "diag" and len(powers._parts[0][1]) == 0
     assert all(bits(powers.trace(m)) == bits(0j) for m in range(1, 31))
 
 
@@ -482,8 +485,8 @@ def test_a_numpy_integer_is_an_index():
 ], ids=["tridiagonal", "band-only", "asymmetric", "complex"])
 def test_band_storage_follows_the_entries(monkeypatch, make_kernel, dtype):
     k = make_kernel()
-    powers = lattice_mod._TracePowers(k, 190)
-    assert powers._mode == "band" and powers._base.rows.dtype == dtype
+    powers = trace_powers(k, 190)
+    assert truncation_mode(k, 190) == "band" and powers._parts[0][1].rows.dtype == dtype
     _assert_matches_dense_chain(monkeypatch, k, 190, powers)
     assert all(p.rows.dtype == dtype for p in powers._powers.values())
     assert all(type(powers.trace(m)) is complex for m in (1, 2, 30))
@@ -501,7 +504,7 @@ def _assert_follows_the_complex_chain(powers, stored):
             cur = cur @ base
         want, got = complex(cur.diagonal().sum()), powers.trace(m)
         assert type(got) is complex
-        if powers._base.dtype == np.complex128:
+        if powers._parts[0][1].dtype == np.complex128:
             assert bits(got) == bits(want)
         else:
             assert abs(got - want) <= 1e-14 * abs(want)
@@ -533,13 +536,13 @@ def _positive_table_2d(rng, imag=0.0):
 @pytest.mark.parametrize("cutoff", [8, 12, 50])  # sides 17, 25, 101
 def test_dense_base_is_float64_exactly_when_the_entries_are_real(cutoff, imag, dtype):
     k = _positive_rank_one(np.random.default_rng(cutoff), 50, imag)
-    powers = lattice_mod._TracePowers(k, cutoff)
+    powers = trace_powers(k, cutoff)
     held, (mode, entries, stored) = k._truncated
     assert (held, mode, entries) == (cutoff, "dense", None)
-    assert powers._mode == "dense" and powers._base.dtype == dtype
+    assert truncation_mode(k, cutoff) == "dense" and powers._parts[0][1].dtype == dtype
     assert stored.dtype == dtype and not stored.flags.writeable
     # the base is the stored matrix itself: the truncation is kept in one form
-    assert np.shares_memory(powers._base, stored)
+    assert np.shares_memory(powers._parts[0][1], stored)
     _assert_follows_the_complex_chain(powers, stored)
 
 
@@ -550,14 +553,14 @@ def test_sparse_values_are_float64_exactly_when_the_entries_are_real(cutoff, ima
     from scipy import sparse
 
     k = _positive_table_2d(np.random.default_rng(cutoff), imag)
-    powers = lattice_mod._TracePowers(k, cutoff)
-    assert powers.side >= lattice_mod.SPARSE_SIDE_MIN
-    assert powers._mode == "sparse" and powers._base.dtype == dtype
+    powers, side = trace_powers(k, cutoff), lattice_mod.box_side(2, cutoff)
+    assert side >= lattice_mod.SPARSE_SIDE_MIN
+    assert truncation_mode(k, cutoff) == "sparse" and powers._parts[0][1].dtype == dtype
     held, (_, (rows, cols, vals), matrix) = k._truncated
     assert held == cutoff and matrix is None
     assert vals.dtype == dtype and not vals.flags.writeable
     _assert_follows_the_complex_chain(
-        powers, sparse.csr_matrix((vals, (rows, cols)), shape=(powers.side,) * 2))
+        powers, sparse.csr_matrix((vals, (rows, cols)), shape=(side, side)))
 
 
 def _band_product_by_offsets(t, p):
@@ -592,9 +595,9 @@ def test_band_products_equal_the_per_offset_multiply_add(offsets, support, cutof
     # real products are the reference bit for bit: one contraction adds the
     # same terms in the same order, plus zeros; complex ones move by rounding
     k = banded_kernel({d: v * phase for d, v in offsets.items()}, support=support)
-    powers = lattice_mod._TracePowers(k, cutoff)
-    assert powers._mode == "band"
-    t = p = powers._base
+    powers = trace_powers(k, cutoff)
+    assert truncation_mode(k, cutoff) == "band"
+    t = p = powers._parts[0][1]
     for _ in range(2, 31):
         lo, hi, expected = _band_product_by_offsets(t, p)
         p = lattice_mod._band_times(t, powers._offsets, p)
@@ -617,8 +620,8 @@ def test_diagonal_fast_path_agrees_with_dense():
     # same sites through the generic table family, which lacks a band hint
     table = table_kernel({(j, j): v for j, v in entries.items()})
     for m in (1, 2, 4):
-        a = cycle_trace(diag, m, 3)
-        b = cycle_trace(table, m, 3)
+        a = truncation_trace_source(diag, 3).trace_power(m)
+        b = truncation_trace_source(table, 3).trace_power(m)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -628,9 +631,10 @@ def test_main_diagonal_alone_takes_the_band_path():
     # padded row to hold every position
     entries = {j: 0.9 / (1 + j * j) * (1 if j % 3 else -1) for j in range(-64, 65)}
     table = table_kernel({(j, j): v for j, v in entries.items()})
-    powers = lattice_mod._TracePowers(table, 64)
-    assert powers._mode == "band" and (powers._base.lo, powers._base.hi) == (0, 0)
-    diag = lattice_mod._TracePowers(diagonal_kernel(entries), 64)
+    powers = trace_powers(table, 64)
+    band = powers._parts[0][1]
+    assert truncation_mode(table, 64) == "band" and (band.lo, band.hi) == (0, 0)
+    diag = trace_powers(diagonal_kernel(entries), 64)
     for m in range(1, 41):
         want = diag.trace(m)
         assert abs(powers.trace(m) - want) <= 1e-14 * abs(want)
@@ -756,7 +760,7 @@ def test_non_finite_kernel_names_offending_index():
 
     k = LatticeKernel(1, eval_fn, label="broken")
     with pytest.raises(EvaluationError, match=r"\(1,\)"):
-        cycle_trace(k, 2, 2)
+        truncation_trace_source(k, 2).trace_power(2)
 
 
 @pytest.mark.parametrize("build", [
@@ -975,7 +979,7 @@ def _first_non_finite_sites(k, cutoff):
     with pytest.raises(EvaluationError) as entries:
         nuclear_norm_estimate(k, 1.0, cutoff)
     with pytest.raises(EvaluationError) as powers:
-        lattice_mod._TracePowers(k, cutoff)
+        truncation_trace_source(k, cutoff)
     named = non_finite_site(str(entries.value))
     assert non_finite_site(str(powers.value)) == named
     return non_finite_site(str(walk.value)), named
@@ -1012,7 +1016,7 @@ def test_entries_are_built_once_per_cutoff():
     for cutoff in (150, 190, 150):
         nuclear_norm_estimate(k, 1.0, cutoff)
         lattice_trace(k, cutoff)
-        lattice_mod._TracePowers(k, cutoff).trace(3)
+        truncation_trace_source(k, cutoff).trace_power(3)
     # one truncation is remembered: each cutoff in a row is read once
     assert calls == [150, 190, 150]
     assert k._truncated[0] == 150

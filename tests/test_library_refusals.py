@@ -29,7 +29,6 @@ from specdet import (
     block_power_trace,
     bundle_power,
     circle_model,
-    cycle_trace,
     diagonal_kernel,
     direct_determinant,
     lattice_determinant,
@@ -54,7 +53,7 @@ from specdet import (
     truncation_trace_source,
     weyl_tail_check,
 )
-from specdet.lattice import _TracePowers, _as_index
+from specdet.lattice import _as_index, _truncation
 from specdet.linalg import mat_add
 from specdet.toroidal import growth_verdict
 
@@ -86,12 +85,10 @@ REFUSALS = {
                                      ParameterError, "cutoff must be >= 1, got 0"),
     "lattice trace cutoff 0": (lambda: lattice_trace(DIAG, 0), ParameterError,
                                "cutoff must be >= 1, got 0"),
-    "trace powers cutoff 0": (lambda: _TracePowers(DIAG, 0), ParameterError,
+    "trace powers cutoff 0": (lambda: _truncation(DIAG, 0), ParameterError,
                               "cutoff must be >= 1, got 0"),
     "trace source cutoff 0": (lambda: truncation_trace_source(DIAG, 0), ParameterError,
                               "cutoff must be >= 1, got 0"),
-    "cycle trace cutoff 0": (lambda: cycle_trace(DIAG, 1, 0), ParameterError,
-                             "cutoff must be >= 1, got 0"),
     "poincare norm cutoff 0": (lambda: poincare_norm(DIAG, 0), ParameterError,
                                "cutoff must be >= 1, got 0"),
     "walked trace cutoff 0": (lambda: lattice_trace(EVAL_ONLY, 0), ParameterError,
@@ -112,12 +109,11 @@ REFUSALS = {
         FeasibilityError, "the box of cutoff 2305843009213693952 has side "
         "21267647932558653975684285001340289025, whose positions do not fit int64"),
     "trace powers past a CSR index": (
-        lambda: _TracePowers(rank_one_kernel({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}), HUGE),
+        lambda: truncation_trace_source(rank_one_kernel({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}),
+                                        HUGE),
         FeasibilityError, "a CSR matrix of side 4611686018427387905 is too large to index"),
-    "trace powers order 0": (lambda: _TracePowers(DIAG, 2).trace(0), ParameterError,
-                             "trace power must be >= 1, got 0"),
-    "cycle trace order 0": (lambda: cycle_trace(DIAG, 0, 2), ParameterError,
-                            "cycle order must be >= 1, got 0"),
+    "trace powers order 0": (lambda: truncation_trace_source(DIAG, 2).trace_power(0),
+                             ParameterError, "trace power must be >= 1, got 0"),
     "index dimension": (lambda: _as_index((1, 2), 1), ParameterError,
                         "index (1, 2) does not have dimension 1"),
     "banded support -1": (lambda: banded_kernel({0: 0.5}, support=-1), ParameterError,

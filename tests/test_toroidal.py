@@ -32,7 +32,7 @@ from specdet import (
 from specdet.errors import AliasingError, EvaluationError, FeasibilityError, ParameterError
 
 from support import (assert_truncation_is_entry_walk, bits, non_finite_site, rand_complex,
-                     support_entries)
+                     support_entries, trace_powers, truncation_mode)
 
 
 def test_x_independent_symbol_coefficients():
@@ -95,15 +95,15 @@ def test_x_independent_quantization_powers_follow_its_values(amplitude, dtype):
     # power sums match the complex side-vector chain
     cutoff = 300
     k = toroidal_matrix(power_decay_symbol(-2.0, amplitude=amplitude), cutoff)
-    powers = lattice_mod._TracePowers(k, cutoff)
-    assert powers._mode == "diag" and powers._base.dtype == dtype
+    powers = trace_powers(k, cutoff)
+    assert truncation_mode(k, cutoff) == "diag" and powers._parts[0][1].dtype == dtype
     _, _, vals = lattice_mod._truncation(k, cutoff)[1]
     cur = vals
     for m in range(1, 601):
         want = complex(cur.sum())
         assert abs(powers.trace(m) - want) <= 1e-14 * abs(want)
         cur = cur * vals
-    assert len(powers._base) < len(vals)  # the far values' powers underflowed
+    assert len(powers._parts[0][1]) < len(vals)  # the far values' powers underflowed
 
 
 def test_single_mode_quantization_is_shifted_diagonal():
@@ -481,7 +481,7 @@ def test_listed_and_sampled_quantizations_agree(cutoff):
     k_exact, k_sampled = toroidal_matrix(exact, cutoff), toroidal_matrix(sampled, cutoff)
     assert (k_exact.band_radius, k_sampled.band_radius) == (1, 2 * cutoff)
     if cutoff == 64:
-        modes = [lattice_mod._TracePowers(k, cutoff)._mode for k in (k_exact, k_sampled)]
+        modes = [truncation_mode(k, cutoff) for k in (k_exact, k_sampled)]
         assert modes == ["band", "dense"]
 
     def close(a, b):
@@ -571,7 +571,7 @@ def test_listed_quantizations_sample_nothing(family):
     assert kernels[0] is kernels[1] is s._quantized[1]
     assert s._quantized[0] == (toroidal_mod._auto_grid(2 * cutoff), cutoff)
     if family != "table":
-        assert lattice_mod._TracePowers(kernels[0], cutoff)._mode == "diag"
+        assert truncation_mode(kernels[0], cutoff) == "diag"
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

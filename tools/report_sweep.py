@@ -11,7 +11,7 @@ A sweep runs every good fixture (``fixtures/*.json``) through
 ``specdet.cli.run_command``.  It runs ``det`` and ``trace`` in each
 ``--mode`` (both, series, oracle), and ``radius``, ``compare`` and
 ``norm-profile``, each at lambda 0.1, 0.7-0.2i and 3, with ``--output``
-json and text: 1134 cases on the 21 fixtures.  These are all written as
+json and text: 1242 cases on the 23 fixtures.  These are all written as
 ``--opt value`` with a lambda of at least 0, so 20 command-line shapes
 follow (``SHAPES``), all but two on one fixture: both value forms with a
 negative lambda, abbreviated and repeated options, usage errors and help,
@@ -19,7 +19,7 @@ most of which only argparse reads, the modes, orders and tolerances that
 commands refuse, a norm profile of one cutoff, and two requests too large
 to size, a 2-D x-independent quantization and a rank-one truncation whose
 CSR index numpy cannot size.
-It writes the exit code, stdout and stderr of each of the 1154 cases to
+It writes the exit code, stdout and stderr of each of the 1262 cases to
 one JSON file, keyed by the case's arguments; a case whose
 ``run_command`` raises is written as exit 1, empty stdout and
 ``ExceptionType: message`` on stderr, and the sweep goes on.
